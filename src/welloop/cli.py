@@ -240,14 +240,48 @@ def _parse_tune(raw, problems):
         problems.append("train.tune.budget: must be >= 0")
     if cfg.folds < 2:
         problems.append("train.tune.folds: must be >= 2")
+    tunable = set(asdict(HyperParams()))
     for name, entry in cfg.space.items():
-        if not isinstance(entry, dict) or set(entry) - {"range", "choices"}:
-            problems.append(f"train.tune.space.{name}: expected range or choices")
-        elif "range" in entry and (
-            not isinstance(entry["range"], list) or len(entry["range"]) != 2
+        label = f"train.tune.space.{name}"
+        if name not in tunable:
+            problems.append(f"{label}: not a hyperparameter")
+        elif not isinstance(entry, dict) or set(entry) not in ({"range"}, {"choices"}):
+            problems.append(f"{label}: expected range or choices")
+        elif "choices" in entry and (
+            not isinstance(entry["choices"], list) or not entry["choices"]
         ):
-            problems.append(f"train.tune.space.{name}.range: expected [low, high]")
+            problems.append(f"{label}.choices: expected a non-empty list")
+        elif "range" in entry and not _is_range(entry["range"]):
+            problems.append(f"{label}.range: expected [low, high] with low <= high")
+        else:
+            # every constraint on a hyperparameter is an interval, so a
+            # range whose ends pass holds only passing values
+            (values,) = entry.values()
+            for value in values:
+                try:
+                    HyperParams(**{name: value})
+                except (TypeError, ValueError) as exc:
+                    problems.append(f"{label}: {exc}")
+                    break
     return cfg
+
+
+def _is_range(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and value[0] <= value[1]
+    )
+
+
+def _sample_space(space: dict) -> dict:
+    """The config's tune space in sample_space's form: a choice list stays
+    a list, and a [low, high] range becomes a (low, high) tuple."""
+    return {
+        name: list(entry["choices"]) if "choices" in entry else tuple(entry["range"])
+        for name, entry in space.items()
+    }
 
 
 def _parse_ice_jobs(raw, problems):
@@ -754,7 +788,7 @@ class Pipeline:
                     x,
                     y,
                     kind,
-                    cfg.tune.space,
+                    _sample_space(cfg.tune.space),
                     budget=cfg.tune.budget,
                     k=cfg.tune.folds,
                     seed=mix_seed(self.config.seed, _TUNE_TAG, z),
@@ -845,7 +879,7 @@ class Pipeline:
             self._record(path, "explain")
 
         if cfg.interactions:
-            tensor = shap_interactions(model, x)
+            tensor = shap_interactions(model, x, attr)
             path = f"shap/dependency_{kind.lower()}.csv"
             write_dependency_csv(tensor, x, self._path(path))
             self._record(path, "explain")

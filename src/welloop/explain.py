@@ -307,19 +307,27 @@ def tree_shap(ensemble: TreeEnsemble, x) -> AttributionMatrix:
     )
 
 
-def shap_interactions(ensemble: TreeEnsemble, x) -> InteractionTensor:
+def shap_interactions(
+    ensemble: TreeEnsemble, x, attr: AttributionMatrix | None = None
+) -> InteractionTensor:
     """Pairwise interaction attribution for every sample in x.
 
     The (i, j) entry is half the change in feature i's attribution when
     feature j flips from known-present to forced-absent; the diagonal is
     the remainder of i's total attribution after removing all pairwise
     terms. Cost grows linearly in the feature count on top of tree_shap.
+    Pass tree_shap(ensemble, x) as `attr` when it is already at hand, so
+    the rows are not attributed a second time.
     """
     x = _as_matrix(x, ensemble.n_features)
     if not ensemble.trees:
         raise ValueError("ensemble has no trees")
     n, m = x.shape
-    main = tree_shap(ensemble, x).values
+    if attr is None:
+        attr = tree_shap(ensemble, x)
+    elif attr.values.shape != (n, m):
+        raise ValueError("attributions do not match the sample matrix")
+    main = attr.values
     values = np.zeros((n, m, m))
     for i in range(n):
         for j in range(m):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from welloop.data import WellTable
-from welloop.stack import StackedModel, predict_stacked
-from welloop.trees import TreeEnsemble, predict
+from welloop.stack import as_predictor
 from welloop.utils import fmt, subseed_rng
 
 _ANCHOR_TAG = 41
@@ -85,16 +84,6 @@ class IceGrid:
             fh.write("\n")
 
 
-def _as_predictor(model):
-    if isinstance(model, StackedModel):
-        return lambda x: predict_stacked(model, x), model.feature_names
-    if isinstance(model, TreeEnsemble):
-        return lambda x: predict(model, x), model.feature_names
-    if callable(model):
-        return model, None
-    raise TypeError(f"cannot predict with object of type {type(model).__name__}")
-
-
 def ice(
     model,
     table: WellTable,
@@ -119,7 +108,7 @@ def ice(
     for v in varied:
         if v.name not in feature_names:
             raise ValueError(f"no feature named {v.name!r}")
-    predictor, model_names = _as_predictor(model)
+    predictor, model_names = as_predictor(model)
     if model_names is not None and tuple(model_names) != tuple(feature_names):
         raise ValueError("model and table disagree on feature columns")
 

@@ -23,8 +23,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import norm, qmc
 
 from welloop.data import WellTable
-from welloop.stack import StackedModel, predict_stacked
-from welloop.trees import TreeEnsemble, predict
+from welloop.stack import as_predictor
 from welloop.utils import fmt, subseed_rng
 
 _PSO_TAG = 51
@@ -582,14 +581,7 @@ def optimize_well(
     if not 0 <= row < table.n_rows:
         raise IndexError(f"row {row} outside the table")
 
-    if isinstance(model, StackedModel):
-        predictor = lambda x: predict_stacked(model, x)
-    elif isinstance(model, TreeEnsemble):
-        predictor = lambda x: predict(model, x)
-    elif callable(model):
-        predictor = model
-    else:
-        raise TypeError(f"cannot predict with object of type {type(model).__name__}")
+    predictor, _ = as_predictor(model)
 
     features = table.feature_matrix()
     x0 = features[row]

@@ -127,20 +127,27 @@ def predict_stacked(model: StackedModel, x) -> np.ndarray:
     return model.meta_intercept + feats @ model.meta_weights
 
 
+def as_predictor(model):
+    """(predict function, feature names) of a stacked model or a tree
+    ensemble; any other callable is its own predict function and has no
+    feature names."""
+    if isinstance(model, StackedModel):
+        return lambda x: predict_stacked(model, x), model.feature_names
+    if isinstance(model, TreeEnsemble):
+        return lambda x: predict(model, x), model.feature_names
+    if callable(model):
+        return model, None
+    raise TypeError(f"cannot predict with object of type {type(model).__name__}")
+
+
 def evaluate(model, x, y) -> dict:
     """r2, mse, and mae of a stacked model, a tree ensemble, or any
     callable returning predictions."""
     y = np.asarray(y, dtype=float)
     if y.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    if isinstance(model, StackedModel):
-        pred = predict_stacked(model, x)
-    elif isinstance(model, TreeEnsemble):
-        pred = predict(model, x)
-    elif callable(model):
-        pred = np.asarray(model(_as_matrix(x)), dtype=float)
-    else:
-        raise TypeError(f"cannot evaluate object of type {type(model).__name__}")
+    predictor, _ = as_predictor(model)
+    pred = np.asarray(predictor(_as_matrix(x)), dtype=float)
     err = y - pred
     mse = float(np.mean(err**2))
     mae = float(np.mean(np.abs(err)))

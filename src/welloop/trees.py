@@ -125,36 +125,96 @@ def _as_matrix(x, n_features=None) -> np.ndarray:
     return x
 
 
-def _tree_apply(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    _apply_into(node, x, np.arange(x.shape[0]), out)
-    return out
+@dataclass(frozen=True)
+class FlatTrees:
+    """Trees compiled to parallel node arrays. Node i splits on
+    feature[i] at threshold[i] and sends a row to left[i] when its value
+    is <= the threshold, else to right[i]. A leaf points to itself on both
+    sides and holds its value, so every row sits still once it reaches a
+    leaf and `depth` steps from the roots put every row on its leaf."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    def leaf_values(self, x: np.ndarray) -> np.ndarray:
+        """(trees, rows) value of the leaf each row reaches in each tree,
+        found for all trees and rows together one level per step."""
+        n, m = x.shape
+        flat_x = x.ravel()
+        row_start = np.arange(n) * m
+        node = np.repeat(self.roots[:, None], n, axis=1)
+        for _ in range(self.depth):
+            go = flat_x[row_start + self.feature[node]] <= self.threshold[node]
+            node = np.where(go, self.left[node], self.right[node])
+        return self.value[node]
 
 
-def _apply_into(node, x, idx, out):
-    if node.is_leaf:
-        out[idx] = node.value
-        return
-    mask = x[idx, node.feature] <= node.threshold
-    _apply_into(node.left, x, idx[mask], out)
-    _apply_into(node.right, x, idx[~mask], out)
+def compile_trees(trees) -> FlatTrees:
+    """Number the nodes of `trees` breadth first into one set of arrays,
+    roots first; built without recursion, so no tree is too deep."""
+    nodes = list(trees)
+    level = [0] * len(nodes)
+    left, right = [], []
+    for i, node in enumerate(nodes):  # grows as children are numbered
+        if node.is_leaf:
+            left.append(i)
+            right.append(i)
+            continue
+        left.append(len(nodes))
+        right.append(len(nodes) + 1)
+        nodes += (node.left, node.right)
+        level += (level[i] + 1, level[i] + 1)
+    return FlatTrees(
+        feature=np.array(
+            [0 if n.is_leaf else n.feature for n in nodes], dtype=np.intp
+        ),
+        threshold=np.array(
+            [0.0 if n.is_leaf else n.threshold for n in nodes], dtype=float
+        ),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array([n.value if n.is_leaf else 0.0 for n in nodes], dtype=float),
+        roots=np.arange(len(trees), dtype=np.intp),
+        depth=max(level, default=0),
+    )
+
+
+def compiled(ensemble: TreeEnsemble) -> FlatTrees:
+    """The ensemble's node arrays, compiled on first use and cached on the
+    instance for as long as its `trees` attribute is the same object.
+    Nothing changes a fitted or loaded tree's nodes in place."""
+    cached = getattr(ensemble, "_compiled", None)
+    if cached is None or cached[0] is not ensemble.trees:
+        cached = (ensemble.trees, compile_trees(ensemble.trees))
+        ensemble._compiled = cached
+    return cached[1]
 
 
 def predict(ensemble: TreeEnsemble, x) -> np.ndarray:
     """Ensemble prediction: mean vote for RF, shrunken sum on top of the
-    base score for boosting kinds."""
+    base score for boosting kinds. Per-tree values are added one tree at a
+    time in tree order, so the float result does not depend on how many
+    rows are predicted together."""
     x = _as_matrix(x, ensemble.n_features)
+    if ensemble.kind == "RF" and not ensemble.trees:
+        raise ValueError("RF ensemble has no trees")
+    leaves = compiled(ensemble).leaf_values(x)
+    terms = np.empty((leaves.shape[0] + 1, x.shape[0]))
     if ensemble.kind == "RF":
-        if not ensemble.trees:
-            raise ValueError("RF ensemble has no trees")
-        acc = np.zeros(x.shape[0])
-        for tree in ensemble.trees:
-            acc += _tree_apply(tree, x)
-        return acc / len(ensemble.trees)
-    acc = np.full(x.shape[0], ensemble.base_score)
-    for tree in ensemble.trees:
-        acc += ensemble.learning_rate * _tree_apply(tree, x)
-    return acc
+        terms[0] = 0.0
+        terms[1:] = leaves
+    else:
+        terms[0] = ensemble.base_score
+        np.multiply(ensemble.learning_rate, leaves, out=terms[1:])
+    # accumulate adds the rows strictly one after another; a reduction
+    # such as np.sum may pair terms up and change the last bits
+    total = np.add.accumulate(terms, axis=0)[-1]
+    return total / len(ensemble.trees) if ensemble.kind == "RF" else total
 
 
 # --- growing ---------------------------------------------------------------
@@ -321,7 +381,7 @@ def _boost(x, y, hp, mode, feature_names):
             idx = np.arange(n)
         target = (y - pred) if mode == "mean" else (pred - y)
         tree = _grow(x, target, idx, 0, hp, rng, mode)
-        pred = pred + hp.learning_rate * _tree_apply(tree, x)
+        pred = pred + hp.learning_rate * compile_trees((tree,)).leaf_values(x)[0]
         trees.append(tree)
         losses.append(float(np.mean((y - pred) ** 2)))
     kind = "GBDT" if mode == "mean" else "XGB"

@@ -34,6 +34,24 @@ def naive_predict(ensemble, x):
     return np.array(out)
 
 
+def ordered_predict(ensemble, x):
+    """Per-row loop: walk each tree to its leaf and add the leaf values in
+    tree order, the way the library accumulates them."""
+    out = []
+    for row in np.atleast_2d(np.asarray(x, dtype=float)):
+        acc = 0.0 if ensemble.kind == "RF" else ensemble.base_score
+        for root in ensemble.trees:
+            node = root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            if ensemble.kind == "RF":
+                acc += node.value
+            else:
+                acc += ensemble.learning_rate * node.value
+        out.append(acc / len(ensemble.trees) if ensemble.kind == "RF" else acc)
+    return np.array(out)
+
+
 def expectation_oracle(ensemble, x, subset):
     """Path-dependent expectation, written straight from the definition:
     features in the subset follow the sample's branch, absent features

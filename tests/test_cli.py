@@ -101,7 +101,7 @@ def test_validate_config_catches_many_problems():
     assert len(problems) >= 5
 
 
-def test_validate_config_accepts_the_full_surface():
+def full_surface_config():
     obj = base_config()
     obj["train"]["kinds"] = ["rf", "gbdt", "xgb"]
     obj["train"]["tune"] = {
@@ -112,7 +112,29 @@ def test_validate_config_accepts_the_full_surface():
     obj["stack"] = {"enabled": True, "k": 3}
     obj["ice"] = [{"factors": [{"name": "stage count", "steps": 5}], "sample": 4}]
     obj["optimize"] = {"methods": ["pso"], "wells": [0], "budget": 10}
-    assert validate_config(obj) == []
+    return obj
+
+
+def test_validate_config_accepts_the_full_surface():
+    assert validate_config(full_surface_config()) == []
+
+
+def test_tune_space_entries_that_could_not_run_are_reported():
+    bad = {
+        "depth": {"choices": [2]},
+        "max_depth": {},
+        "n_trees": {"choices": [2], "range": [2, 3]},
+        "lam": {"choices": []},
+        "gamma": {"range": [1.0, 0.5]},
+        "seed": {"range": ["a", "b"]},
+        "min_samples_leaf": {"choices": [0, 2]},
+    }
+    obj = base_config()
+    obj["train"]["tune"] = {"space": bad, "budget": 1}
+    problems = validate_config(obj)
+    for name in bad:
+        assert any(f"train.tune.space.{name}" in p for p in problems), name
+    assert len(problems) == len(bad)
 
 
 def test_wrong_types_are_reported_not_raised():
@@ -188,6 +210,19 @@ def test_minimal_run_writes_reconciled_artifacts(tmp_path, capsys):
         "metrics.csv",
         "parity.csv",
     } <= paths
+
+
+def test_full_surface_config_runs_end_to_end(tmp_path):
+    obj = full_surface_config()
+    obj["train"]["tune"]["space"]["n_trees"] = {"range": [2, 3]}
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    manifest = assert_manifest_reconciles(out)
+    assert set(stage_status(manifest).values()) == {"ok"}
+    tuned = json.loads((out / "models/hyperparams.json").read_text(encoding="utf-8"))
+    for hp in tuned.values():
+        assert hp["max_depth"] in (2, 3) and 0.05 <= hp["learning_rate"] <= 0.3
 
 
 def test_runs_are_hash_identical_across_directories(tmp_path):

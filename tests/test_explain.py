@@ -286,6 +286,10 @@ def test_interactions_are_symmetric_and_sum_to_attributions(rng):
             mat = tensor.values[i]
             assert np.max(np.abs(mat - mat.T)) <= 1e-9
             assert np.allclose(mat.sum(axis=1), attr.values[i], atol=1e-9)
+        # handing over the attributions already computed changes nothing
+        assert np.array_equal(shap_interactions(model, rows, attr).values, tensor.values)
+        with pytest.raises(ValueError):
+            shap_interactions(model, rows[:2], attr)
 
 
 def test_two_stump_additive_model_has_no_interactions():

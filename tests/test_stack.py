@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import naive_predict
+from conftest import naive_predict, ordered_predict
 from welloop.stack import (
+    as_predictor,
     evaluate,
     fit_stacked,
     load_stacked,
@@ -89,6 +90,36 @@ def test_predict_stacked_matches_hand_reimplementation(rng):
     assert np.allclose(model.predict(probe), got, atol=0)
     feats = stacked_features(model, probe)
     assert feats.shape == (7, len(model.base_kinds))
+
+
+def test_stacked_features_are_batch_independent_and_in_tree_order(rng):
+    x, y = synthetic(6)
+    model = fit_stacked(x, y, SMALL_HPS, k=3, seed=2)
+    probe = np.vstack([rng.normal(size=(9, x.shape[1])), x[:3]])
+    want = np.empty((probe.shape[0], len(model.base_kinds)))
+    for z, per_fold in enumerate(model.sub_models):
+        acc = np.zeros(probe.shape[0])
+        for sub in per_fold:
+            acc += ordered_predict(sub, probe)
+        want[:, z] = acc / len(per_fold)
+    assert np.array_equal(stacked_features(model, probe), want)
+    for i in range(probe.shape[0]):
+        assert np.array_equal(stacked_features(model, probe[i]), want[i : i + 1])
+    assert np.array_equal(stacked_features(model, probe[:0]), want[:0])
+
+
+def test_as_predictor_dispatches_on_the_model_type():
+    x, y = synthetic(7)
+    model = fit_stacked(x, y, SMALL_HPS, k=3, seed=4)
+    sub = model.sub_models[0][0]
+    for target, want in ((model, predict_stacked(model, x)), (sub, predict(sub, x))):
+        predictor, names = as_predictor(target)
+        assert np.array_equal(predictor(x), want)
+        assert names == model.feature_names
+    fn = lambda rows: rows[:, 0]
+    assert as_predictor(fn) == (fn, None)
+    with pytest.raises(TypeError, match="object"):
+        as_predictor(object())
 
 
 def test_stacking_is_deterministic():

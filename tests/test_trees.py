@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_predict, random_fitted_ensemble
+from conftest import naive_predict, ordered_predict, random_fitted_ensemble
 from welloop.trees import (
     FIT_FUNCTIONS,
+    KINDS,
     HyperParams,
     TreeEnsemble,
     TreeNode,
@@ -131,6 +135,96 @@ def test_predict_matches_naive_traversal_for_all_kinds(rng):
         got = predict(model, x)
         want = naive_predict(model, x)
         assert np.allclose(got, want, atol=1e-12)
+
+
+# split points and sample values share one small grid, so rows often sit
+# exactly on a threshold
+GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+LEAF = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def drawn_tree(draw, n_features, max_depth):
+    def node(depth):
+        if depth == max_depth or draw(st.booleans()):
+            return TreeNode(cover=1, value=draw(LEAF))
+        left, right = node(depth + 1), node(depth + 1)
+        return TreeNode(
+            cover=left.cover + right.cover,
+            feature=draw(st.integers(0, n_features - 1)),
+            threshold=draw(GRID),
+            left=left,
+            right=right,
+        )
+
+    return node(0)
+
+
+@st.composite
+def drawn_case(draw):
+    n_features = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(KINDS))
+    trees = draw(st.lists(drawn_tree(n_features, 5), min_size=1, max_size=12))
+    boosting = kind != "RF"
+    model = TreeEnsemble(
+        kind=kind,
+        trees=tuple(trees),
+        base_score=draw(LEAF) if boosting else 0.0,
+        learning_rate=draw(st.floats(0.01, 1.0)) if boosting else 1.0,
+        feature_names=tuple(f"f{j}" for j in range(n_features)),
+    )
+    rows = draw(
+        st.lists(
+            st.lists(GRID | LEAF, min_size=n_features, max_size=n_features),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return model, np.array(rows, dtype=float)
+
+
+@given(drawn_case())
+@settings(max_examples=300, deadline=None)
+def test_predict_equals_the_ordered_per_row_sum_bit_for_bit(case):
+    model, x = case
+    want = ordered_predict(model, x)
+    assert np.array_equal(predict(model, x), want)
+    for i in range(x.shape[0]):
+        assert np.array_equal(predict(model, x[i]), want[i : i + 1])
+
+
+def test_predict_on_no_rows_returns_an_empty_array(rng):
+    for kind in KINDS:
+        model, x = random_fitted_ensemble(rng, kind=kind)
+        got = predict(model, x[:0])
+        assert got.shape == (0,)
+
+
+def test_predict_walks_a_very_deep_tree_without_recursion():
+    # a chain 3,000 splits deep: split d sends x <= d to a leaf worth d
+    node = TreeNode(cover=1, value=3000.0)
+    for d in reversed(range(3000)):
+        leaf = TreeNode(cover=1, value=float(d))
+        node = TreeNode(
+            cover=node.cover + 1, feature=0, threshold=float(d), left=leaf, right=node
+        )
+    model = TreeEnsemble(
+        kind="RF", trees=(node,), base_score=0.0, learning_rate=1.0, feature_names=("a",)
+    )
+    x = np.array([[-5.0], [0.0], [7.0], [1234.5], [2999.0], [5000.0]])
+    assert predict(model, x).tolist() == [0.0, 0.0, 7.0, 1235.0, 2999.0, 3000.0]
+
+
+def test_cutting_the_trees_is_never_served_a_stale_compilation(rng):
+    for kind in KINDS:
+        x = rng.normal(size=(30, 3))
+        model = FIT_FUNCTIONS[kind](x, x[:, 0], HyperParams(n_trees=6, max_depth=3))
+        full = predict(model, x)
+        cut = replace(model, trees=model.trees[:3])
+        assert np.array_equal(predict(cut, x), ordered_predict(cut, x))
+        model.trees = model.trees[:3]
+        assert np.array_equal(predict(model, x), ordered_predict(cut, x))
+        assert not np.array_equal(predict(model, x), full)
 
 
 def test_predict_with_no_trees_returns_base_for_boosting():
@@ -297,8 +391,6 @@ def test_tune_random_search_returns_the_cv_argmin(rng):
         x, y, "GBDT", space, budget=6, k=3, seed=11
     )
     # replay the exact draw sequence through the public pieces
-    from dataclasses import replace
-
     from welloop.utils import mix_seed
 
     base = HyperParams(seed=mix_seed(11, 13))
