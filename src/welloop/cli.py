@@ -1,58 +1,7 @@
 """Command-line pipeline: ingest, train, explain, stack, ICE, optimize.
 
-One JSON config file drives the whole run. Schema (every key optional
-except "seed"):
-
-    {
-      "seed": 7,                      // required, drives every stage
-      "out": "artifacts",             // output directory
-      "data": {
-        "csv": null,                  // path; null means synthesize
-        "schema": null,               // factor schema JSON for the CSV
-        "rows": 120,                  // synthetic sample count
-        "noise_sd": 0.1,              // synthetic noise level
-        "missing_ratio_max": 0.2,     // feature drop threshold
-        "outlier_z": 4.0,             // row drop threshold
-        "redundancy_r": 0.9           // collinear feature drop threshold
-      },
-      "train": {
-        "kinds": ["rf", "gbdt", "xgb"],
-        "hyperparams": {"rf": {"n_trees": 200}},   // per-kind overrides
-        "tune": {                     // optional random search per kind
-          "space": {"max_depth": {"choices": [3, 4, 5]},
-                     "learning_rate": {"range": [0.05, 0.3]}},
-          "budget": 0,                // 0 disables tuning
-          "folds": 3
-        },
-        "test_fraction": 0.25,
-        "cached": false               // reuse saved models on config match
-      },
-      "stack": {"enabled": true, "k": 5},
-      "explain": {
-        "kind": null,                 // ensemble to attribute; default first kind
-        "interactions": false,        // gates the O(M^2) interaction tensor
-        "clusters": 0,                // k-means groups over attribution rows
-        "waterfalls": [0],            // per-well breakdown rows
-        "max_rows": null              // cap on attributed samples
-      },
-      "ice": [                        // list of grid jobs, each 1..3 factors
-        {"factors": [{"name": "stimulated length", "steps": 25}],
-         "sample": null, "anchors": null}
-      ],
-      "optimize": {
-        "methods": ["pso", "de", "bayes"],
-        "wells": [],                  // clean-table rows; empty skips the stage
-        "variables": null,            // default: all optimizable features
-        "budget": 200,
-        "bounds": {}                  // per-variable [lower, upper] overrides
-      }
-    }
-
-Exit codes: 0 success, 1 config problems, 2 runtime failure. The output
-directory is overridable with --out or the WELLOOP_OUT environment
-variable (flag wins). Every run rewrites manifest.json listing each
-artifact with its SHA-256; the manifest reconciles exactly with the
-files on disk, itself excluded.
+One JSON config file drives the whole run; README.md documents its keys,
+the exit codes and the output directory.
 """
 
 from __future__ import annotations
@@ -63,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +60,11 @@ STAGES = ("data", "train", "explain", "stack", "ice", "optimize")
 
 
 # --- configuration ---------------------------------------------------------------
+#
+# Each config key is one field below: its name, its JSON type (the annotation:
+# int, float, str, bool, tuple for a JSON list, dict, or a section dataclass,
+# optionally "| None") and its default. _read builds the dataclasses from the
+# JSON object and _CHECKS holds what a type cannot say.
 
 
 @dataclass
@@ -133,7 +87,7 @@ class TuneConfig:
 
 @dataclass
 class TrainConfig:
-    kinds: tuple = ("rf", "gbdt", "xgb")
+    kinds: tuple = KINDS
     hyperparams: dict = field(default_factory=dict)
     tune: TuneConfig | None = None
     test_fraction: float = 0.25
@@ -156,6 +110,14 @@ class ExplainConfig:
 
 
 @dataclass
+class IceFactor:
+    name: str
+    lower: float | None = None
+    upper: float | None = None
+    steps: int = 25
+
+
+@dataclass
 class IceJob:
     factors: tuple = ()
     sample: int | None = None
@@ -164,7 +126,7 @@ class IceJob:
 
 @dataclass
 class OptimizeConfig:
-    methods: tuple = ("pso", "de", "bayes")
+    methods: tuple = METHODS
     wells: tuple = ()
     variables: tuple | None = None
     budget: int = 200
@@ -183,96 +145,238 @@ class RunConfig:
     optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
 
 
-class _Section:
-    """Typed reader over one config sub-object; accumulates problems
-    instead of raising so validation reports everything at once."""
-
-    def __init__(self, obj, label, problems):
-        self.obj = obj if isinstance(obj, dict) else {}
-        self.label = label
-        self.problems = problems
-        if obj is not None and not isinstance(obj, dict):
-            problems.append(f"{label}: expected an object")
-
-    def check_keys(self, allowed):
-        for key in self.obj:
-            if key not in allowed:
-                self.problems.append(f"{self.label}.{key}: unknown key")
-
-    def take(self, key, default, kind):
-        if key not in self.obj or self.obj[key] is None:
-            return default
-        value = self.obj[key]
-        ok = {
-            "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-            "str": lambda v: isinstance(v, str),
-            "bool": lambda v: isinstance(v, bool),
-            "list": lambda v: isinstance(v, list),
-            "dict": lambda v: isinstance(v, dict),
-        }[kind](value)
-        if not ok:
-            self.problems.append(f"{self.label}.{key}: expected {kind}")
-            return default
-        return float(value) if kind == "float" else value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_list(raw, label, problems):
-    out = []
-    for v in raw:
-        if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
-            out.append(v)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# annotation -> (JSON type named in problems, test, conversion)
+_JSON_TYPES = {
+    "int": ("int", _is_int, None),
+    # an integer too large for a float is refused, not converted
+    "float": (
+        "float",
+        lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max,
+        float,
+    ),
+    "str": ("str", lambda v: isinstance(v, str), None),
+    "bool": ("bool", lambda v: isinstance(v, bool), None),
+    "tuple": ("list", lambda v: isinstance(v, list), tuple),
+    "dict": ("dict", lambda v: isinstance(v, dict), None),
+}
+
+
+def _read(cls, raw, label, problems):
+    """Build the config dataclass `cls` from the JSON object `raw`.
+
+    Unknown keys, wrongly typed values and failed _CHECKS are appended to
+    `problems` instead of raised, so validation reports everything at once.
+    A missing, null or wrongly typed key keeps the field's default. A field
+    without a default is required: when it is missing, reading stops and
+    None is returned.
+    """
+    if raw is None:
+        raw = {}
+    elif not isinstance(raw, dict):
+        problems.append(f"{label}: expected an object")
+        raw = {}
+    declared = fields(cls)
+    names = {f.name for f in declared}
+    for key in raw:
+        if key not in names:
+            problems.append(f"{label}.{key}: unknown key")
+    values = {}
+    for f in declared:
+        where = f"{label}.{f.name}"
+        # the root reports its keys' types as config.<key>, but its
+        # sections and checks go by the bare key
+        path = f.name if cls is RunConfig else where
+        value = raw.get(f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is not None and kind in _JSON_TYPES:
+            json_type, ok, convert = _JSON_TYPES[kind]
+            if not ok(value):
+                problems.append(f"{where}: expected {json_type}")
+                value = None
+            elif convert is not None:
+                value = convert(value)
+        elif value is not None:  # any other annotation names a section dataclass
+            value = _read(globals()[kind], value, path, problems)
+        if value is None:
+            if f.default is MISSING and f.default_factory is MISSING:
+                problems.append(f"{where}: required")
+                return None
+            continue
+        check = _CHECKS.get((cls, f.name))
+        values[f.name] = value if check is None else check(value, path, problems)
+    return cls(**values)
+
+
+# --- checks: each takes (value, path, problems) and returns the value to keep
+
+
+def _check(ok, message):
+    def check(value, path, problems):
+        if not ok(value):
+            problems.append(f"{path}: {message}")
+        return value
+
+    return check
+
+
+def _at_least(low):
+    return _check(lambda v: v >= low, f"must be >= {low}")
+
+
+def _file(value, path, problems):
+    if not Path(value).is_file():
+        problems.append(f"{path}: file not found: {value}")
+    return value
+
+
+def _indices(value, path, problems):
+    if all(_is_int(v) and v >= 0 for v in value):
+        return value
+    problems.append(f"{path}: entries must be non-negative integers")
+    return ()
+
+
+def _kinds(value, path, problems):
+    kinds = []
+    for kind in value:
+        name = kind.upper() if isinstance(kind, str) else kind
+        if name not in KINDS:
+            problems.append(f"{path}: unknown kind {kind!r} (choose from {KINDS})")
+        elif name in kinds:
+            problems.append(f"{path}: duplicate kind {kind!r}")
         else:
-            problems.append(f"{label}: entries must be non-negative integers")
-            return ()
-    return tuple(out)
+            kinds.append(name)
+    if not kinds:
+        problems.append(f"{path}: need at least one model kind")
+        kinds = ["RF"]
+    return tuple(kinds)
 
 
-def _parse_tune(raw, problems):
-    sec = _Section(raw, "train.tune", problems)
-    sec.check_keys({"space", "budget", "folds"})
-    cfg = TuneConfig(
-        space=sec.take("space", {}, "dict"),
-        budget=sec.take("budget", 0, "int"),
-        folds=sec.take("folds", 3, "int"),
-    )
-    if cfg.budget < 0:
-        problems.append("train.tune.budget: must be >= 0")
-    if cfg.folds < 2:
-        problems.append("train.tune.folds: must be >= 2")
-    tunable = set(asdict(HyperParams()))
-    for name, entry in cfg.space.items():
-        label = f"train.tune.space.{name}"
+def _hyperparams(value, path, problems):
+    hyperparams = {}
+    for kind, overrides in value.items():
+        name, where = kind.upper(), f"{path}.{kind}"
+        if name not in KINDS:
+            problems.append(f"{where}: unknown kind")
+        elif not isinstance(overrides, dict):
+            problems.append(f"{where}: expected an object")
+        else:
+            try:
+                hyperparams[name] = HyperParams(**overrides)
+            except (TypeError, ValueError) as exc:
+                problems.append(f"{where}: {exc}")
+    return hyperparams
+
+
+def _tune_space(value, path, problems):
+    tunable = {f.name for f in fields(HyperParams)}
+    for name, entry in value.items():
+        where = f"{path}.{name}"
         if name not in tunable:
-            problems.append(f"{label}: not a hyperparameter")
-        elif not isinstance(entry, dict) or set(entry) not in ({"range"}, {"choices"}):
-            problems.append(f"{label}: expected range or choices")
-        elif "choices" in entry and (
-            not isinstance(entry["choices"], list) or not entry["choices"]
+            problems.append(f"{where}: not a hyperparameter")
+            continue
+        if not isinstance(entry, dict) or set(entry) not in ({"range"}, {"choices"}):
+            problems.append(f"{where}: expected range or choices")
+            continue
+        ((form, values),) = entry.items()
+        if form == "choices" and not (isinstance(values, list) and values):
+            problems.append(f"{where}.choices: expected a non-empty list")
+        elif form == "range" and not (
+            isinstance(values, list)
+            and len(values) == 2
+            and all(map(_is_number, values))
+            and values[0] <= values[1]
         ):
-            problems.append(f"{label}.choices: expected a non-empty list")
-        elif "range" in entry and not _is_range(entry["range"]):
-            problems.append(f"{label}.range: expected [low, high] with low <= high")
+            problems.append(f"{where}.range: expected [low, high] with low <= high")
         else:
             # every constraint on a hyperparameter is an interval, so a
             # range whose ends pass holds only passing values
-            (values,) = entry.values()
-            for value in values:
+            for v in values:
                 try:
-                    HyperParams(**{name: value})
+                    HyperParams(**{name: v})
                 except (TypeError, ValueError) as exc:
-                    problems.append(f"{label}: {exc}")
+                    problems.append(f"{where}: {exc}")
                     break
-    return cfg
+    return value
 
 
-def _is_range(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        and value[0] <= value[1]
-    )
+def _ice_jobs(value, path, problems):
+    jobs = []
+    for i, raw in enumerate(value):
+        job = _read(IceJob, raw, f"{path}[{i}]", problems)
+        if not 1 <= len(job.factors) <= 3:
+            problems.append(f"{path}[{i}]: needs 1 to 3 factors, got {len(job.factors)}")
+        jobs.append(job)
+    return tuple(jobs)
+
+
+def _ice_factors(value, path, problems):
+    read = (_read(IceFactor, raw, f"{path}[{j}]", problems) for j, raw in enumerate(value))
+    factors = tuple(f for f in read if f is not None)
+    for f in factors:
+        if f.steps < 2:
+            problems.append(f"{path}: steps must be >= 2")
+        if f.lower is not None and f.upper is not None and not f.lower < f.upper:
+            problems.append(f"{path}.{f.name}: lower must be < upper")
+    return factors
+
+
+def _methods(value, path, problems):
+    for m in value:
+        if m not in METHODS:
+            problems.append(f"{path}: unknown method {m!r} (choose from {METHODS})")
+    methods = tuple(m for m in value if m in METHODS)
+    if not methods:
+        problems.append(f"{path}: need at least one method")
+        return ("pso",)
+    return methods
+
+
+def _bounds(value, path, problems):
+    for name, pair in value.items():
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+            problems.append(f"{path}.{name}: expected [lower, upper]")
+        elif not pair[0] < pair[1]:
+            problems.append(f"{path}.{name}: lower must be < upper")
+    return value
+
+
+_CHECKS = {
+    (RunConfig, "seed"): _at_least(0),
+    (RunConfig, "ice"): _ice_jobs,
+    (DataConfig, "csv"): _file,
+    (DataConfig, "schema"): _file,
+    (DataConfig, "noise_sd"): _at_least(0),
+    (DataConfig, "missing_ratio_max"): _check(lambda v: 0 <= v < 1, "must be in [0, 1)"),
+    (DataConfig, "outlier_z"): _check(lambda v: v > 0, "must be > 0"),
+    (DataConfig, "redundancy_r"): _check(lambda v: 0 < v <= 1, "must be in (0, 1]"),
+    (TrainConfig, "kinds"): _kinds,
+    (TrainConfig, "hyperparams"): _hyperparams,
+    (TrainConfig, "test_fraction"): _check(lambda v: 0 < v < 1, "must be in (0, 1)"),
+    (TuneConfig, "space"): _tune_space,
+    (TuneConfig, "budget"): _at_least(0),
+    (TuneConfig, "folds"): _at_least(2),
+    (StackConfig, "k"): _at_least(2),
+    (ExplainConfig, "kind"): lambda value, path, problems: value.upper(),
+    (ExplainConfig, "clusters"): _at_least(0),
+    (ExplainConfig, "waterfalls"): _indices,
+    (ExplainConfig, "max_rows"): _at_least(1),
+    (IceJob, "factors"): _ice_factors,
+    (IceJob, "sample"): _at_least(1),
+    (IceJob, "anchors"): _indices,
+    (OptimizeConfig, "methods"): _methods,
+    (OptimizeConfig, "wells"): _indices,
+    (OptimizeConfig, "budget"): _at_least(1),
+    (OptimizeConfig, "bounds"): _bounds,
+}
 
 
 def _sample_space(space: dict) -> dict:
@@ -284,222 +388,20 @@ def _sample_space(space: dict) -> dict:
     }
 
 
-def _parse_ice_jobs(raw, problems):
-    jobs = []
-    if not isinstance(raw, list):
-        problems.append("ice: expected a list of grid jobs")
-        return ()
-    for i, job_raw in enumerate(raw):
-        sec = _Section(job_raw, f"ice[{i}]", problems)
-        sec.check_keys({"factors", "sample", "anchors"})
-        factors_raw = sec.take("factors", [], "list")
-        factors = []
-        for j, f_raw in enumerate(factors_raw):
-            fsec = _Section(f_raw, f"ice[{i}].factors[{j}]", problems)
-            fsec.check_keys({"name", "lower", "upper", "steps"})
-            name = fsec.take("name", None, "str")
-            if name is None:
-                problems.append(f"ice[{i}].factors[{j}].name: required")
-                continue
-            factors.append(
-                {
-                    "name": name,
-                    "lower": fsec.take("lower", None, "float"),
-                    "upper": fsec.take("upper", None, "float"),
-                    "steps": fsec.take("steps", 25, "int"),
-                }
-            )
-        if not 1 <= len(factors) <= 3:
-            problems.append(f"ice[{i}]: needs 1 to 3 factors, got {len(factors)}")
-        for f in factors:
-            if f["steps"] < 2:
-                problems.append(f"ice[{i}].factors: steps must be >= 2")
-            if (
-                f["lower"] is not None
-                and f["upper"] is not None
-                and not f["lower"] < f["upper"]
-            ):
-                problems.append(
-                    f"ice[{i}].factors.{f['name']}: lower must be < upper"
-                )
-        anchors = sec.take("anchors", None, "list")
-        if anchors is not None:
-            anchors = _int_list(anchors, f"ice[{i}].anchors", problems)
-        sample = sec.take("sample", None, "int")
-        if sample is not None and sample < 1:
-            problems.append(f"ice[{i}].sample: must be >= 1")
-        jobs.append(IceJob(factors=tuple(factors), sample=sample, anchors=anchors))
-    return tuple(jobs)
-
-
 def parse_config(obj) -> tuple[RunConfig, list[str]]:
     """Turn a raw config dict into a RunConfig plus the full list of
     problems. The config is only trustworthy when the list is empty."""
-    problems: list[str] = []
     if not isinstance(obj, dict):
         return RunConfig(), ["config: expected a JSON object"]
-    root = _Section(obj, "config", problems)
-    root.check_keys(
-        {"seed", "out", "data", "train", "stack", "explain", "ice", "optimize"}
-    )
-
-    seed = root.take("seed", None, "int")
-    if seed is None:
+    problems: list[str] = []
+    config = _read(RunConfig, obj, "config", problems)
+    if not _is_int(obj.get("seed")):
         problems.append("seed: required (an integer >= 0)")
-        seed = 0
-    elif seed < 0:
-        problems.append("seed: must be >= 0")
-        seed = 0
-    out = root.take("out", "out", "str")
-
-    d = _Section(obj.get("data"), "data", problems)
-    d.check_keys(
-        {
-            "csv",
-            "schema",
-            "rows",
-            "noise_sd",
-            "missing_ratio_max",
-            "outlier_z",
-            "redundancy_r",
-        }
-    )
-    data = DataConfig(
-        csv=d.take("csv", None, "str"),
-        schema=d.take("schema", None, "str"),
-        rows=d.take("rows", 120, "int"),
-        noise_sd=d.take("noise_sd", 0.1, "float"),
-        missing_ratio_max=d.take("missing_ratio_max", 0.2, "float"),
-        outlier_z=d.take("outlier_z", 4.0, "float"),
-        redundancy_r=d.take("redundancy_r", 0.9, "float"),
-    )
-    if data.csv is None and data.rows < 20:
+    if config.data.csv is None and config.data.rows < 20:
         problems.append("data.rows: synthetic tables need at least 20 rows")
-    if data.csv is not None and not Path(data.csv).is_file():
-        problems.append(f"data.csv: file not found: {data.csv}")
-    if data.schema is not None and not Path(data.schema).is_file():
-        problems.append(f"data.schema: file not found: {data.schema}")
-    if data.noise_sd < 0:
-        problems.append("data.noise_sd: must be >= 0")
-    if not 0.0 <= data.missing_ratio_max < 1.0:
-        problems.append("data.missing_ratio_max: must be in [0, 1)")
-    if data.outlier_z <= 0:
-        problems.append("data.outlier_z: must be > 0")
-    if not 0.0 < data.redundancy_r <= 1.0:
-        problems.append("data.redundancy_r: must be in (0, 1]")
-
-    t = _Section(obj.get("train"), "train", problems)
-    t.check_keys({"kinds", "hyperparams", "tune", "test_fraction", "cached"})
-    kinds_raw = t.take("kinds", ["RF", "GBDT", "XGB"], "list")
-    kinds = []
-    for kind in kinds_raw:
-        name = kind.upper() if isinstance(kind, str) else kind
-        if name not in KINDS:
-            problems.append(f"train.kinds: unknown kind {kind!r} (choose from {KINDS})")
-        elif name in kinds:
-            problems.append(f"train.kinds: duplicate kind {kind!r}")
-        else:
-            kinds.append(name)
-    if not kinds:
-        problems.append("train.kinds: need at least one model kind")
-        kinds = ["RF"]
-    hp_raw = t.take("hyperparams", {}, "dict")
-    hyperparams = {}
-    for kind, fields in hp_raw.items():
-        name = kind.upper() if isinstance(kind, str) else kind
-        if name not in KINDS:
-            problems.append(f"train.hyperparams.{kind}: unknown kind")
-            continue
-        if not isinstance(fields, dict):
-            problems.append(f"train.hyperparams.{kind}: expected an object")
-            continue
-        try:
-            hyperparams[name] = HyperParams(**fields)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"train.hyperparams.{kind}: {exc}")
-    tune = None
-    if "tune" in t.obj:
-        tune = _parse_tune(t.obj["tune"], problems)
-    train = TrainConfig(
-        kinds=tuple(kinds),
-        hyperparams=hyperparams,
-        tune=tune,
-        test_fraction=t.take("test_fraction", 0.25, "float"),
-        cached=t.take("cached", False, "bool"),
-    )
-    if not 0.0 < train.test_fraction < 1.0:
-        problems.append("train.test_fraction: must be in (0, 1)")
-
-    s = _Section(obj.get("stack"), "stack", problems)
-    s.check_keys({"enabled", "k"})
-    stack = StackConfig(
-        enabled=s.take("enabled", True, "bool"), k=s.take("k", 5, "int")
-    )
-    if stack.k < 2:
-        problems.append("stack.k: must be >= 2")
-
-    e = _Section(obj.get("explain"), "explain", problems)
-    e.check_keys({"kind", "interactions", "clusters", "waterfalls", "max_rows"})
-    kind_raw = e.take("kind", None, "str")
-    explain = ExplainConfig(
-        kind=kind_raw.upper() if isinstance(kind_raw, str) else kind_raw,
-        interactions=e.take("interactions", False, "bool"),
-        clusters=e.take("clusters", 0, "int"),
-        waterfalls=tuple(e.take("waterfalls", [0], "list")),
-        max_rows=e.take("max_rows", None, "int"),
-    )
-    if explain.kind is not None and explain.kind not in train.kinds:
-        problems.append(f"explain.kind: {explain.kind!r} is not a trained kind")
-    if explain.clusters < 0:
-        problems.append("explain.clusters: must be >= 0")
-    if explain.max_rows is not None and explain.max_rows < 1:
-        problems.append("explain.max_rows: must be >= 1")
-    explain = replace(
-        explain,
-        waterfalls=_int_list(explain.waterfalls, "explain.waterfalls", problems),
-    )
-
-    ice_jobs = _parse_ice_jobs(obj.get("ice", []), problems)
-
-    o = _Section(obj.get("optimize"), "optimize", problems)
-    o.check_keys({"methods", "wells", "variables", "budget", "bounds"})
-    methods_raw = o.take("methods", list(METHODS), "list")
-    for m in methods_raw:
-        if m not in METHODS:
-            problems.append(f"optimize.methods: unknown method {m!r} (choose from {METHODS})")
-    variables = o.take("variables", None, "list")
-    optimize = OptimizeConfig(
-        methods=tuple(m for m in methods_raw if m in METHODS),
-        wells=_int_list(o.take("wells", [], "list"), "optimize.wells", problems),
-        variables=None if variables is None else tuple(variables),
-        budget=o.take("budget", 200, "int"),
-        bounds=o.take("bounds", {}, "dict"),
-    )
-    if not optimize.methods:
-        problems.append("optimize.methods: need at least one method")
-        optimize = replace(optimize, methods=("pso",))
-    if optimize.budget < 1:
-        problems.append("optimize.budget: must be >= 1")
-    for name, pair in optimize.bounds.items():
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            problems.append(f"optimize.bounds.{name}: expected [lower, upper]")
-        elif not pair[0] < pair[1]:
-            problems.append(f"optimize.bounds.{name}: lower must be < upper")
-
-    config = RunConfig(
-        seed=seed,
-        out=out,
-        data=data,
-        train=train,
-        stack=stack,
-        explain=explain,
-        ice=ice_jobs,
-        optimize=optimize,
-    )
+    kind = config.explain.kind
+    if kind is not None and kind not in config.train.kinds:
+        problems.append(f"explain.kind: {kind!r} is not a trained kind")
     _check_factor_references(config, problems)
     return config, problems
 
@@ -525,8 +427,8 @@ def _check_factor_references(config, problems):
     features = {s.name for s in specs if s.category != "production"}
     for i, job in enumerate(config.ice):
         for f in job.factors:
-            if f["name"] not in features:
-                problems.append(f"ice[{i}]: unknown factor {f['name']!r}")
+            if f.name not in features:
+                problems.append(f"ice[{i}]: unknown factor {f.name!r}")
     named = config.optimize.variables
     if named is not None:
         for name in named:
@@ -597,6 +499,13 @@ class Pipeline:
     def _write_json(self, rel, obj, stage):
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         self._path(rel).write_text(text, encoding="utf-8")
+        self._record(rel, stage)
+
+    def _write_csv(self, rel, header, rows, stage):
+        with open(self._path(rel), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         self._record(rel, stage)
 
     def _clear_stage(self, stage):
@@ -792,6 +701,7 @@ class Pipeline:
                     budget=cfg.tune.budget,
                     k=cfg.tune.folds,
                     seed=mix_seed(self.config.seed, _TUNE_TAG, z),
+                    base=hp,
                 )
             hp = replace(hp, seed=mix_seed(self.config.seed, _TRAIN_TAG, z))
             model = FIT_FUNCTIONS[kind](x, y, hp, feature_names=names)
@@ -832,51 +742,29 @@ class Pipeline:
             for method, names in corr.rankings.items()
         }
         corr_vals = dict(corr.factors)
-        with open(self._path("shap/ranking.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "factor",
-                    "mean_abs_attribution",
-                    "shap_rank",
-                    "pearson",
-                    "spearman",
-                    "gra",
-                    "pearson_rank",
-                    "spearman_rank",
-                    "gra_rank",
-                ]
+        methods = ("pearson", "spearman", "gra")
+        header = ["factor", "mean_abs_attribution", "shap_rank", *methods]
+        header += [f"{m}_rank" for m in methods]
+        rows = []
+        for i, (name, eta) in enumerate(ranking):
+            vals = corr_vals[name]
+            rows.append(
+                [name, fmt(eta), i + 1]
+                + ["" if vals[m] is None else fmt(vals[m]) for m in methods]
+                + [corr_rank[m][name] for m in methods]
             )
-            for i, (name, eta) in enumerate(ranking):
-                vals = corr_vals[name]
-                writer.writerow(
-                    [
-                        name,
-                        fmt(eta),
-                        i + 1,
-                        "" if vals["pearson"] is None else fmt(vals["pearson"]),
-                        "" if vals["spearman"] is None else fmt(vals["spearman"]),
-                        "" if vals["gra"] is None else fmt(vals["gra"]),
-                        corr_rank["pearson"][name],
-                        corr_rank["spearman"][name],
-                        corr_rank["gra"][name],
-                    ]
-                )
-        self._record("shap/ranking.csv", "explain")
+        self._write_csv("shap/ranking.csv", header, rows, "explain")
 
         col = {name: i for i, name in enumerate(attr.feature_names)}
         for row in cfg.waterfalls:
             expl = explain_well(attr, row)
-            path = f"shap/waterfall_{row}.csv"
-            with open(self._path(path), "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["factor", "value", "attribution", "cumulative"])
-                total = expl.base_value
-                writer.writerow(["(base)", "", "", fmt(total)])
-                for name, phi in expl.contributions:
-                    total += phi
-                    writer.writerow([name, fmt(x[row, col[name]]), fmt(phi), fmt(total)])
-            self._record(path, "explain")
+            total = expl.base_value
+            rows = [["(base)", "", "", fmt(total)]]
+            for name, phi in expl.contributions:
+                total += phi
+                rows.append([name, fmt(x[row, col[name]]), fmt(phi), fmt(total)])
+            header = ["factor", "value", "attribution", "cumulative"]
+            self._write_csv(f"shap/waterfall_{row}.csv", header, rows, "explain")
 
         if cfg.interactions:
             tensor = shap_interactions(model, x, attr)
@@ -886,12 +774,8 @@ class Pipeline:
 
         if cfg.clusters >= 2:
             labels = supervised_cluster(attr, cfg.clusters, seed=self.config.seed)
-            with open(self._path("shap/clusters.csv"), "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sample", "cluster"])
-                for i, label in enumerate(labels):
-                    writer.writerow([i, int(label)])
-            self._record("shap/clusters.csv", "explain")
+            rows = [[i, int(label)] for i, label in enumerate(labels)]
+            self._write_csv("shap/clusters.csv", ["sample", "cluster"], rows, "explain")
 
     def stage_stack(self):
         self._clear_stage("stack")
@@ -920,32 +804,23 @@ class Pipeline:
                 self._record(f"models/stacked/{name}", "stack")
             scored["stacked"] = self.stacked
 
-        with open(self._path("metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "split", "r2", "mse", "mae"])
-            for name, model in scored.items():
-                for split, sx, sy in (
-                    ("train", x_train, y_train),
-                    ("test", x_test, y_test),
-                ):
-                    m = evaluate(model, sx, sy)
-                    writer.writerow(
-                        [name.lower(), split, fmt(m["r2"]), fmt(m["mse"]), fmt(m["mae"])]
-                    )
-        self._record("metrics.csv", "stack")
+        splits = (
+            ("train", self.train_idx, x_train, y_train),
+            ("test", self.test_idx, x_test, y_test),
+        )
+        rows = []
+        for name, model in scored.items():
+            for split, _, sx, sy in splits:
+                m = evaluate(model, sx, sy)
+                rows.append([name.lower(), split, fmt(m["r2"]), fmt(m["mse"]), fmt(m["mae"])])
+        self._write_csv("metrics.csv", ["model", "split", "r2", "mse", "mae"], rows, "stack")
 
         final = scored["stacked"] if cfg.enabled else scored[self.config.train.kinds[0]]
-        with open(self._path("parity.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "split", "actual", "predicted"])
-            for split, idx, sx, sy in (
-                ("train", self.train_idx, x_train, y_train),
-                ("test", self.test_idx, x_test, y_test),
-            ):
-                pred = final.predict(sx)
-                for i, actual, p in zip(idx, sy, pred):
-                    writer.writerow([int(i), split, fmt(actual), fmt(p)])
-        self._record("parity.csv", "stack")
+        rows = []
+        for split, idx, sx, sy in splits:
+            pred = final.predict(sx)
+            rows += [[int(i), split, fmt(a), fmt(p)] for i, a, p in zip(idx, sy, pred)]
+        self._write_csv("parity.csv", ["sample", "split", "actual", "predicted"], rows, "stack")
 
     def stage_ice(self):
         self._clear_stage("ice")
@@ -957,12 +832,10 @@ class Pipeline:
         for i, job in enumerate(jobs):
             varied = []
             for f in job.factors:
-                column = self.table.column(f["name"])
-                lower = f["lower"] if f["lower"] is not None else float(np.min(column))
-                upper = f["upper"] if f["upper"] is not None else float(np.max(column))
-                varied.append(
-                    VariedFactor(name=f["name"], lower=lower, upper=upper, steps=f["steps"])
-                )
+                column = self.table.column(f.name)
+                lower = f.lower if f.lower is not None else float(np.min(column))
+                upper = f.upper if f.upper is not None else float(np.max(column))
+                varied.append(VariedFactor(name=f.name, lower=lower, upper=upper, steps=f.steps))
             grid = ice(
                 model,
                 self.table,
@@ -992,17 +865,6 @@ class Pipeline:
             variables = [s.name for s in specs if s.optimizable]
         if not variables:
             raise RuntimeError("no optimizable factors survived preprocessing")
-        bounds = {name: tuple(pair) for name, pair in cfg.bounds.items()}
-        features = self.table.feature_matrix()
-        name_to_col = {name: i for i, name in enumerate(self.table.feature_names)}
-        resolved = {}
-        for name in variables:
-            if name in bounds:
-                resolved[name] = bounds[name]
-            else:
-                column = features[:, name_to_col[name]]
-                resolved[name] = (float(np.min(column)), float(np.max(column)))
-
         rows = []
         for row in cfg.wells:
             for m_index, method in enumerate(cfg.methods):
@@ -1013,7 +875,7 @@ class Pipeline:
                     variables,
                     method=method,
                     budget=cfg.budget,
-                    bounds=bounds,
+                    bounds=cfg.bounds,
                     seed=mix_seed(self.config.seed, _OPT_TAG, row, m_index),
                 )
                 path = f"optimize/trace_w{row}_{method}.csv"
@@ -1021,7 +883,7 @@ class Pipeline:
                 self._record(path, "optimize")
                 self._write_json(
                     f"optimize/result_w{row}_{method}.json",
-                    result.to_json(bounds=resolved),
+                    result.to_json(bounds=result.bounds),
                     "optimize",
                 )
                 gain = ""
@@ -1041,11 +903,7 @@ class Pipeline:
             + [f"{name} original" for name in variables]
             + [f"{name} optimized" for name in variables]
         )
-        with open(self._path("optimize/comparison.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        self._record("optimize/comparison.csv", "optimize")
+        self._write_csv("optimize/comparison.csv", header, rows, "optimize")
 
 
 # --- entry point --------------------------------------------------------------------

@@ -513,6 +513,7 @@ class WellOptimization:
     optimized_eur: float
     method: str
     trace: Trace
+    bounds: dict  # variable -> (lower, upper) the search ran within
 
     def to_json(self, bounds=None) -> dict:
         out = {
@@ -641,4 +642,5 @@ def optimize_well(
         optimized_eur=float(best.value),
         method=method,
         trace=trace,
+        bounds=resolved,
     )

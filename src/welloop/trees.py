@@ -65,6 +65,10 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_trees", "max_depth", "min_samples_leaf", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.max_depth < 0:
@@ -462,11 +466,19 @@ def cv_mse(x, y, kind: str, hp: HyperParams, k: int, seed: int) -> float:
 
 
 def tune_random_search(
-    x, y, kind: str, space: dict, budget: int = 20, k: int = 5, seed: int = 0
+    x,
+    y,
+    kind: str,
+    space: dict,
+    budget: int = 20,
+    k: int = 5,
+    seed: int = 0,
+    base: HyperParams | None = None,
 ) -> tuple[HyperParams, float]:
-    """Random search over `space`: sample `budget` combinations, score each
-    by k-fold CV MSE, return the best (ties keep the earlier draw)."""
-    base = HyperParams(seed=mix_seed(seed, _TUNE_DRAW_TAG))
+    """Random search over `space`: sample `budget` combinations, each
+    overriding `base` (default HyperParams()), score each by k-fold CV MSE,
+    return the best (ties keep the earlier draw)."""
+    base = replace(base or HyperParams(), seed=mix_seed(seed, _TUNE_DRAW_TAG))
     best_hp = None
     best_score = np.inf
     for combo in sample_space(space, budget, seed):

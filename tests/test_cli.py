@@ -1,10 +1,15 @@
 import copy
 import hashlib
 import json
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from welloop.cli import main, parse_config, validate_config
+from welloop.cli import RunConfig, main, parse_config, validate_config
 
 
 def base_config():
@@ -137,10 +142,518 @@ def test_tune_space_entries_that_could_not_run_are_reported():
     assert len(problems) == len(bad)
 
 
+def test_non_integer_tree_sizes_are_reported():
+    obj = base_config()
+    obj["train"]["hyperparams"]["rf"]["n_trees"] = 2.5
+    assert validate_config(obj) == ["train.hyperparams.rf: n_trees must be an integer"]
+    obj = base_config()
+    obj["train"]["tune"] = {"space": {"n_trees": {"range": [2.0, 3.0]}}, "budget": 1}
+    assert validate_config(obj) == ["train.tune.space.n_trees: n_trees must be an integer"]
+
+
 def test_wrong_types_are_reported_not_raised():
     problems = validate_config({"seed": "five", "data": {"rows": 10.5}})
     assert any("seed" in p for p in problems)
     assert any("rows" in p for p in problems)
+
+
+# Each invalid config with its whole problem list, sorted: the lists pin the
+# messages `validate` prints. with_seed() alone is a valid config.
+def with_seed(**sections):
+    return {"seed": 1, **sections}
+
+
+INVALID_CONFIGS = [
+    pytest.param(["seed", 1], ["config: expected a JSON object"], id="not-an-object"),
+    pytest.param({}, ["seed: required (an integer >= 0)"], id="no-seed"),
+    pytest.param(
+        {"seed": "five", "out": 3},
+        [
+            "config.out: expected str",
+            "config.seed: expected int",
+            "seed: required (an integer >= 0)",
+        ],
+        id="seed-wrong-type",
+    ),
+    pytest.param(
+        {"seed": True},
+        ["config.seed: expected int", "seed: required (an integer >= 0)"],
+        id="seed-bool",
+    ),
+    pytest.param({"seed": -1}, ["seed: must be >= 0"], id="seed-negative"),
+    pytest.param(with_seed(typo=1), ["config.typo: unknown key"], id="unknown-root-key"),
+    pytest.param(
+        with_seed(data=5, train=[], stack="x", explain=1, optimize=2.5),
+        [
+            "data: expected an object",
+            "explain: expected an object",
+            "optimize: expected an object",
+            "stack: expected an object",
+            "train: expected an object",
+        ],
+        id="sections-not-objects",
+    ),
+    pytest.param(
+        with_seed(data={"rows": 10.5, "noise_sd": "x", "csv": 3, "cached": True}),
+        [
+            "data.cached: unknown key",
+            "data.csv: expected str",
+            "data.noise_sd: expected float",
+            "data.rows: expected int",
+        ],
+        id="data-types",
+    ),
+    pytest.param(
+        with_seed(data={"noise_sd": 10**400}),
+        ["data.noise_sd: expected float"],
+        id="data-integer-too-large-for-a-float",
+    ),
+    pytest.param(
+        with_seed(
+            data={
+                "rows": 10,
+                "noise_sd": -1,
+                "missing_ratio_max": 1,
+                "outlier_z": 0,
+                "redundancy_r": 0,
+            }
+        ),
+        [
+            "data.missing_ratio_max: must be in [0, 1)",
+            "data.noise_sd: must be >= 0",
+            "data.outlier_z: must be > 0",
+            "data.redundancy_r: must be in (0, 1]",
+            "data.rows: synthetic tables need at least 20 rows",
+        ],
+        id="data-ranges",
+    ),
+    pytest.param(
+        with_seed(data={"missing_ratio_max": -0.1, "redundancy_r": 1.5}),
+        ["data.missing_ratio_max: must be in [0, 1)", "data.redundancy_r: must be in (0, 1]"],
+        id="data-upper-ranges",
+    ),
+    pytest.param(
+        with_seed(data={"csv": "no/such.csv", "schema": "no/such.json", "rows": 5}),
+        ["data.csv: file not found: no/such.csv", "data.schema: file not found: no/such.json"],
+        id="data-missing-files",
+    ),
+    pytest.param(
+        with_seed(train={"kinds": ["lgbm", "rf", "RF", 1]}),
+        [
+            "train.kinds: duplicate kind 'RF'",
+            "train.kinds: unknown kind 'lgbm' (choose from ('RF', 'GBDT', 'XGB'))",
+            "train.kinds: unknown kind 1 (choose from ('RF', 'GBDT', 'XGB'))",
+        ],
+        id="train-kinds",
+    ),
+    pytest.param(
+        with_seed(train={"kinds": []}, explain={"kind": "gbdt"}),
+        [
+            "explain.kind: 'GBDT' is not a trained kind",
+            "train.kinds: need at least one model kind",
+        ],
+        id="train-no-kinds",
+    ),
+    pytest.param(
+        with_seed(train={"kinds": "rf"}),
+        ["train.kinds: expected list"],
+        id="train-kinds-not-a-list",
+    ),
+    pytest.param(
+        with_seed(
+            train={
+                "hyperparams": {
+                    "lgbm": {},
+                    "rf": 3,
+                    "gbdt": {"n_trees": 0},
+                    "xgb": {"depth": 2},
+                }
+            }
+        ),
+        [
+            "train.hyperparams.gbdt: n_trees must be >= 1",
+            "train.hyperparams.lgbm: unknown kind",
+            "train.hyperparams.rf: expected an object",
+            "train.hyperparams.xgb: HyperParams.__init__() got an unexpected keyword "
+            "argument 'depth'",
+        ],
+        id="train-hyperparams",
+    ),
+    pytest.param(
+        with_seed(train={"hyperparams": [], "test_fraction": 1, "cached": "yes"}),
+        [
+            "train.cached: expected bool",
+            "train.hyperparams: expected dict",
+            "train.test_fraction: must be in (0, 1)",
+        ],
+        id="train-types-and-ranges",
+    ),
+    pytest.param(
+        with_seed(train={"tune": "x"}), ["train.tune: expected an object"], id="tune-not-an-object"
+    ),
+    pytest.param(
+        with_seed(train={"tune": {"budget": -1, "folds": 1, "extra": 0}}),
+        [
+            "train.tune.budget: must be >= 0",
+            "train.tune.extra: unknown key",
+            "train.tune.folds: must be >= 2",
+        ],
+        id="tune-ranges",
+    ),
+    pytest.param(
+        with_seed(train={"tune": {"budget": 1.5, "folds": "3", "space": 5}}),
+        [
+            "train.tune.budget: expected int",
+            "train.tune.folds: expected int",
+            "train.tune.space: expected dict",
+        ],
+        id="tune-types",
+    ),
+    pytest.param(
+        with_seed(
+            train={
+                "tune": {
+                    "budget": 1,
+                    "space": {
+                        "depth": {"choices": [2]},
+                        "max_depth": {},
+                        "n_trees": {"choices": [2], "range": [2, 3]},
+                        "lam": {"choices": []},
+                        "gamma": {"range": [1.0, 0.5]},
+                        "seed": {"range": ["a", "b"]},
+                        "min_samples_leaf": {"choices": [0, 2]},
+                        "learning_rate": {"range": [0, 1]},
+                        "feature_fraction": {"choices": "ab"},
+                        "subsample_fraction": 0.5,
+                    },
+                }
+            }
+        ),
+        [
+            "train.tune.space.depth: not a hyperparameter",
+            "train.tune.space.feature_fraction.choices: expected a non-empty list",
+            "train.tune.space.gamma.range: expected [low, high] with low <= high",
+            "train.tune.space.lam.choices: expected a non-empty list",
+            "train.tune.space.learning_rate: learning_rate must be positive",
+            "train.tune.space.max_depth: expected range or choices",
+            "train.tune.space.min_samples_leaf: min_samples_leaf must be >= 1",
+            "train.tune.space.n_trees: expected range or choices",
+            "train.tune.space.seed.range: expected [low, high] with low <= high",
+            "train.tune.space.subsample_fraction: expected range or choices",
+        ],
+        id="tune-space",
+    ),
+    pytest.param(
+        with_seed(stack={"k": 1, "enabled": 1, "extra": None}),
+        ["stack.enabled: expected bool", "stack.extra: unknown key", "stack.k: must be >= 2"],
+        id="stack",
+    ),
+    pytest.param(
+        with_seed(train={"kinds": ["rf"]}, explain={"kind": "gbdt"}),
+        ["explain.kind: 'GBDT' is not a trained kind"],
+        id="explain-kind-not-trained",
+    ),
+    pytest.param(
+        with_seed(explain={"kind": 3, "interactions": "no", "waterfalls": 0, "max_rows": 2.0}),
+        [
+            "explain.interactions: expected bool",
+            "explain.kind: expected str",
+            "explain.max_rows: expected int",
+            "explain.waterfalls: expected list",
+        ],
+        id="explain-types",
+    ),
+    pytest.param(
+        with_seed(explain={"clusters": -1, "max_rows": 0, "waterfalls": [0, -1]}),
+        [
+            "explain.clusters: must be >= 0",
+            "explain.max_rows: must be >= 1",
+            "explain.waterfalls: entries must be non-negative integers",
+        ],
+        id="explain-ranges",
+    ),
+    pytest.param(
+        with_seed(explain={"waterfalls": [0, "a", True]}),
+        ["explain.waterfalls: entries must be non-negative integers"],
+        id="explain-waterfalls-not-integers",
+    ),
+    pytest.param(
+        with_seed(ice={"factors": [{"name": "stage count"}]}),
+        ["config.ice: expected list"],
+        id="ice-not-a-list",
+    ),
+    pytest.param(
+        with_seed(ice=[5, None, "x"]),
+        [
+            "ice[0]: expected an object",
+            "ice[0]: needs 1 to 3 factors, got 0",
+            "ice[1]: needs 1 to 3 factors, got 0",
+            "ice[2]: expected an object",
+            "ice[2]: needs 1 to 3 factors, got 0",
+        ],
+        id="ice-jobs-not-objects",
+    ),
+    pytest.param(
+        with_seed(ice=[{}, {"factors": []}, {"factors": 5, "extra": 1}]),
+        [
+            "ice[0]: needs 1 to 3 factors, got 0",
+            "ice[1]: needs 1 to 3 factors, got 0",
+            "ice[2].extra: unknown key",
+            "ice[2].factors: expected list",
+            "ice[2]: needs 1 to 3 factors, got 0",
+        ],
+        id="ice-jobs-without-factors",
+    ),
+    pytest.param(
+        with_seed(ice=[{"factors": [{"steps": 5}, None, {"name": 3}, 4]}]),
+        [
+            "ice[0].factors[0].name: required",
+            "ice[0].factors[1].name: required",
+            "ice[0].factors[2].name: expected str",
+            "ice[0].factors[2].name: required",
+            "ice[0].factors[3].name: required",
+            "ice[0].factors[3]: expected an object",
+            "ice[0]: needs 1 to 3 factors, got 0",
+        ],
+        id="ice-factors-without-names",
+    ),
+    pytest.param(
+        with_seed(
+            ice=[
+                {
+                    "factors": [
+                        {"name": "stage count", "steps": 1, "lower": 5, "upper": 2, "bogus": 0},
+                        {"name": "stimulated length", "lower": "a", "steps": 2.5},
+                    ]
+                }
+            ]
+        ),
+        [
+            "ice[0].factors.stage count: lower must be < upper",
+            "ice[0].factors: steps must be >= 2",
+            "ice[0].factors[0].bogus: unknown key",
+            "ice[0].factors[1].lower: expected float",
+            "ice[0].factors[1].steps: expected int",
+        ],
+        id="ice-factor-ranges",
+    ),
+    pytest.param(
+        with_seed(
+            ice=[
+                {
+                    "factors": [
+                        {"name": "porosity"},
+                        {"name": "TOC"},
+                        {"name": "stage count"},
+                        {"name": "stimulated length"},
+                    ]
+                }
+            ]
+        ),
+        ["ice[0]: needs 1 to 3 factors, got 4"],
+        id="ice-too-many-factors",
+    ),
+    pytest.param(
+        with_seed(ice=[{"factors": [{"name": "nope"}, {"name": "EUR"}]}]),
+        ["ice[0]: unknown factor 'EUR'", "ice[0]: unknown factor 'nope'"],
+        id="ice-unknown-factors",
+    ),
+    pytest.param(
+        with_seed(
+            ice=[
+                {"factors": [{"name": "stage count"}], "anchors": [-1], "sample": 0},
+                {"factors": [{"name": "stage count"}], "anchors": "x", "sample": 1.5},
+                {"factors": [{"name": "stage count"}], "anchors": [0, 1.0]},
+            ]
+        ),
+        [
+            "ice[0].anchors: entries must be non-negative integers",
+            "ice[0].sample: must be >= 1",
+            "ice[1].anchors: expected list",
+            "ice[1].sample: expected int",
+            "ice[2].anchors: entries must be non-negative integers",
+        ],
+        id="ice-anchors-and-sample",
+    ),
+    pytest.param(
+        with_seed(optimize={"methods": ["ga", "pso", 3]}),
+        [
+            "optimize.methods: unknown method 'ga' (choose from ('pso', 'de', 'bayes'))",
+            "optimize.methods: unknown method 3 (choose from ('pso', 'de', 'bayes'))",
+        ],
+        id="optimize-methods",
+    ),
+    pytest.param(
+        with_seed(optimize={"methods": []}),
+        ["optimize.methods: need at least one method"],
+        id="optimize-no-methods",
+    ),
+    pytest.param(
+        with_seed(optimize={"methods": "pso", "wells": 0, "variables": "x", "bounds": []}),
+        [
+            "optimize.bounds: expected dict",
+            "optimize.methods: expected list",
+            "optimize.variables: expected list",
+            "optimize.wells: expected list",
+        ],
+        id="optimize-types",
+    ),
+    pytest.param(
+        with_seed(optimize={"wells": [-1, 1.5], "budget": 0}),
+        ["optimize.budget: must be >= 1", "optimize.wells: entries must be non-negative integers"],
+        id="optimize-ranges",
+    ),
+    pytest.param(
+        with_seed(
+            optimize={
+                "bounds": {
+                    "stage count": [30, 10],
+                    "stimulated length": [1],
+                    "proppant intensity": "x",
+                    "nope": [0, 1],
+                    "TOC": [0, True],
+                    "angle to Hmin": [2, 2],
+                }
+            }
+        ),
+        [
+            "optimize.bounds.TOC: expected [lower, upper]",
+            "optimize.bounds.angle to Hmin: lower must be < upper",
+            "optimize.bounds.proppant intensity: expected [lower, upper]",
+            "optimize.bounds.stage count: lower must be < upper",
+            "optimize.bounds.stimulated length: expected [lower, upper]",
+            "optimize.bounds: unknown factor 'nope'",
+        ],
+        id="optimize-bounds",
+    ),
+    pytest.param(
+        with_seed(optimize={"variables": ["porosity", "nope", 3, "stage count"]}),
+        [
+            "optimize.variables: 'porosity' is not flagged optimizable",
+            "optimize.variables: unknown factor 'nope'",
+            "optimize.variables: unknown factor 3",
+        ],
+        id="optimize-variables",
+    ),
+]
+
+
+@pytest.mark.parametrize("obj, expected", INVALID_CONFIGS)
+def test_invalid_configs_report_exactly_their_problems(obj, expected):
+    assert sorted(validate_config(obj)) == expected
+
+
+def loopbench_configs():
+    """The configs the benchmark's workloads run, at seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "loopbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return {
+        f"{name}/{config}": obj
+        for name, workload in workloads.WORKLOADS.items()
+        for config, obj in workload.configs(1).items()
+    }
+
+
+def every_key_config():
+    return {
+        "seed": 3,
+        "out": "elsewhere",
+        "data": {
+            "csv": None,
+            "schema": None,
+            "rows": 40,
+            "noise_sd": 0,
+            "missing_ratio_max": 0,
+            "outlier_z": 3,
+            "redundancy_r": 1,
+        },
+        "train": {
+            "kinds": ["xgb", "Rf"],
+            "hyperparams": {"XGB": {"n_trees": 4, "learning_rate": 1, "lam": 0}},
+            "tune": {"space": {"max_depth": {"range": [1, 3]}}, "budget": 0, "folds": 4},
+            "test_fraction": 0.5,
+            "cached": True,
+        },
+        "stack": {"enabled": True, "k": 2},
+        "explain": {
+            "kind": "rf",
+            "interactions": True,
+            "clusters": 2,
+            "waterfalls": [1, 0],
+            "max_rows": 5,
+        },
+        "ice": [
+            {
+                "factors": [
+                    {"name": "stage count", "lower": 5, "upper": 20, "steps": 3},
+                    {"name": "TOC", "lower": None},
+                ],
+                "sample": 2,
+                "anchors": [0, 3],
+            }
+        ],
+        "optimize": {
+            "methods": ["de", "bayes"],
+            "wells": [2, 0],
+            "variables": ["stage count"],
+            "budget": 7,
+            "bounds": {"stage count": [5, 20]},
+        },
+    }
+
+
+# sha256 of json.dumps(asdict(config), sort_keys=True): the RunConfig each
+# valid config parses to, which is also what the run writes to config.json
+PARSED_CONFIG_SHA256 = {
+    "base": "7c3722e4427ef1da741166ee28a563c34bb2fce83984231fe9e8d10dd282797d",
+    "full-surface": "868e7033444d3ad285a2ad7b391b28bd8cf9aafac732d7bf8b2c41f275ed759b",
+    "every-key": "4f4ae04f6cc240d51e4e22e84ed50bca89147832c60a6649164f14ab3617380f",
+    "design-search/setup": "95d36a2584734ea5847846496a2bc290a456ace782a91c9e949fdef6a0139af5",
+    "design-search/pass": "7f1d408a9933ec0d220e8797516aa5519dea9232e0b90c7ef1ea11c74d893e85",
+    "attribution/setup": "df66bd4f09ce0c8face9d1dfbd2e0009a4943a2ffce1119c89c5c69a2a7c75a0",
+    "attribution/pass": "b4155745ce04363417c730bddb5d5ebc61ea8ffbf686112f1ed576627fbe00a6",
+    "field-1k/run": "0e470dc4e27a0070ca9f0b441ba9805fb19035d1b1caf5f30f8ce068536e8147",
+}
+
+
+def test_valid_configs_parse_to_the_pinned_run_config():
+    configs = {"base": base_config(), "full-surface": full_surface_config()}
+    configs["every-key"] = every_key_config()
+    configs.update(loopbench_configs())
+    digests = {}
+    for name, obj in configs.items():
+        config, problems = parse_config(obj)
+        assert problems == [], name
+        text = json.dumps(asdict(config), sort_keys=True)
+        digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == PARSED_CONFIG_SHA256
+
+
+_CONFIG_KEYS = st.sampled_from(
+    "seed out data csv schema rows noise_sd missing_ratio_max outlier_z redundancy_r "
+    "train kinds hyperparams tune space budget folds test_fraction cached rf GBDT "
+    "n_trees max_depth learning_rate range choices stack enabled k explain kind "
+    "interactions clusters waterfalls max_rows ice factors name lower upper steps "
+    "sample anchors optimize methods wells variables bounds".split()
+    + ["stage count", "TOC", "EUR"]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_CONFIG_KEYS | st.text(max_size=4), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_parse_config_reports_problems_for_any_json_value(obj):
+    config, problems = parse_config(obj)
+    assert isinstance(config, RunConfig)
+    assert all(isinstance(p, str) for p in problems)
 
 
 # --- validate subcommand --------------------------------------------------------------
@@ -223,6 +736,17 @@ def test_full_surface_config_runs_end_to_end(tmp_path):
     tuned = json.loads((out / "models/hyperparams.json").read_text(encoding="utf-8"))
     for hp in tuned.values():
         assert hp["max_depth"] in (2, 3) and 0.05 <= hp["learning_rate"] <= 0.3
+
+
+def test_tuning_keeps_the_configured_hyperparameters(tmp_path):
+    obj = base_config()
+    obj["train"]["tune"] = {"space": {"max_depth": {"choices": [1, 2]}}, "budget": 2, "folds": 2}
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    tuned = json.loads((out / "models/hyperparams.json").read_text(encoding="utf-8"))
+    assert tuned["RF"]["n_trees"] == 3
+    assert tuned["RF"]["max_depth"] in (1, 2)
 
 
 def test_runs_are_hash_identical_across_directories(tmp_path):

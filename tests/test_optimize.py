@@ -482,6 +482,23 @@ def test_optimize_well_json_includes_normalized_radar(well_table):
     assert "radar" not in plain
 
 
+def test_optimize_well_reports_the_bounds_it_searched(well_table):
+    out = optimize_well(
+        ground_truth_eur,
+        well_table,
+        row=7,
+        variables=["stage count", "stimulated length"],
+        budget=5,
+        bounds={"stage count": (12, 32)},
+        seed=5,
+    )
+    column = well_table.column("stimulated length")
+    assert out.bounds == {
+        "stage count": (12.0, 32.0),
+        "stimulated length": (float(np.min(column)), float(np.max(column))),
+    }
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_optimize_well_is_deterministic(method, well_table):
     kwargs = dict(

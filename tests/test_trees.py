@@ -383,6 +383,14 @@ def test_sample_space_rejects_bad_ranges():
         sample_space({"n_trees": []}, budget=3, seed=0)
 
 
+def test_hyperparams_refuse_non_integral_sizes():
+    for name in ("n_trees", "max_depth", "min_samples_leaf", "seed"):
+        for bad in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                HyperParams(**{name: bad})
+        assert getattr(HyperParams(**{name: np.int64(3)}), name) == 3
+
+
 def test_tune_random_search_returns_the_cv_argmin(rng):
     x = rng.normal(size=(30, 3))
     y = x[:, 0] + 0.1 * rng.normal(size=30)
