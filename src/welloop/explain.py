@@ -4,16 +4,19 @@ The payoff of a feature subset S at a sample x is the ensemble's
 path-dependent expectation: splits on features in S follow x's branch,
 splits on absent features blend both children weighted by training cover.
 `shapley_exact` evaluates the classic factorial-weighted sum over all
-subsets; `tree_shap` computes the same numbers in polynomial time by
-pushing weighted subset counts down each tree path. `shap_interactions`
-splits each attribution into pairwise interaction terms plus a main
-effect by differencing two runs that hold one feature fixed present or
-fixed absent.
+subsets. `tree_shap` computes the same numbers in polynomial time from a
+path decomposition: each tree is cut into its root-to-leaf paths, on each
+of which the game is a product over the path's unique features, so a
+feature's value is a closed-form sum of subset-size weights, evaluated
+for all (sample, path) pairs at once. `shap_interactions` takes the same
+sums over pairs of path features for the off-diagonal interaction terms;
+the diagonal holds what is left of each attribution, the main effect.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,9 +28,6 @@ from scipy.stats import rankdata
 from welloop.trees import TreeEnsemble, _as_matrix, predict
 from welloop.utils import fmt, subseed_rng
 from welloop.data import WellTable
-
-_DUMMY = -1  # path slot for the root, carries no feature
-_MARKER = -2  # path slot for a conditioned split, carries no feature
 
 _CLUSTER_TAG = 21
 
@@ -132,118 +132,118 @@ def tree_game(ensemble: TreeEnsemble, x) -> CoalitionalGame:
 
 # --- polynomial attribution ---------------------------------------------------
 #
-# The recursion carries a path of (feature, zero fraction, one fraction,
-# weight) slots, one per distinct feature met so far, where the weights
-# encode how many weighted subsets of each size flow down the branch.
-# Extending the path adds a feature's fractions; unwinding removes them
-# so a repeated feature can be re-extended with merged fractions.
+# On one root-to-leaf path the expectation game is v * prod(o_i if i in S
+# else z_i) over the path's p unique features, where z_i is the product
+# of the path's cover ratios at splits on feature i and o_i is 1 when the
+# sample takes all those branches. For a set D of one or two of them, the
+# Shapley value (|D| = 1) or twice the interaction value (|D| = 2) is
+# v * prod_{d in D}(o_d - z_d) * sum_s c_s * s!(q-s-1)!/q!, with
+# q = p - |D| + 1 and c_s the t^s coefficient of prod_{i not in D}(z_i + o_i t).
+
+_BLOCK_CELLS = 1 << 14  # elements in the largest array of one block
 
 
-def _extend(path, pz, po, pi):
-    l = len(path)
-    path.append([pi, pz, po, 1.0 if l == 0 else 0.0])
-    for i in range(l - 1, -1, -1):
-        path[i + 1][3] += po * path[i][3] * (i + 1) / (l + 1)
-        path[i][3] = pz * path[i][3] * (l - i) / (l + 1)
+def _decompose(ensemble):
+    """Cut every tree into its root-to-leaf paths with an explicit stack.
+    Paths with the same number p >= 1 of unique features form one group
+    (feature, zero, lo, hi, value), by increasing p: slot j of path i is
+    feature[i, j] with zero fraction zero[i, j]; a sample takes every
+    branch on it when not x <= lo[i, j] and x <= hi[i, j] (a NaN bound is
+    no bound); value[i] is the leaf value times its tree's weight. Also
+    returns the base value, sum(value * prod(zero)) plus any base score."""
+    weight = 1.0 / len(ensemble.trees) if ensemble.kind == "RF" else ensemble.learning_rate
+    by_p = {}
+    empty = []
+    for root in ensemble.trees:
+        stack = [(root, {})]  # node, {feature: (zero, lo, hi)} on its path
+        while stack:
+            node, path = stack.pop()
+            _check_node(node)
+            if node.is_leaf:
+                value = node.value * weight
+                empty.append(value * math.prod(z for z, _, _ in path.values()))
+                by_p.setdefault(len(path), []).append((path, value))
+                continue
+            f, t = node.feature, node.threshold
+            z, lo, hi = path.get(f, (1.0, math.nan, math.nan))
+            right = dict(path)
+            right_lo = t if math.isnan(lo) else max(lo, t)
+            right[f] = (z * node.right.cover / node.cover, right_lo, hi)
+            left = dict(path)
+            left_hi = t if math.isnan(hi) else min(hi, t)
+            left[f] = (z * node.left.cover / node.cover, lo, left_hi)
+            stack += ((node.right, right), (node.left, left))
+    groups = []
+    for p, leaves in sorted(by_p.items()):
+        if p:
+            slots = np.array([list(path.values()) for path, _ in leaves])
+            feature = np.array([list(path) for path, _ in leaves], dtype=np.intp)
+            value = np.array([v for _, v in leaves])
+            groups.append((feature, *np.moveaxis(slots, 2, 0), value))
+    base = math.fsum(empty)
+    return groups, base if ensemble.kind == "RF" else base + ensemble.base_score
 
 
-def _unwind(path, i):
-    length = len(path)
-    z = path[i][1]
-    o = path[i][2]
-    n = path[length - 1][3]
-    if o != 0:
-        for j in range(length - 2, -1, -1):
-            t = path[j][3]
-            path[j][3] = n * length / ((j + 1) * o)
-            n = t - path[j][3] * z * (length - 1 - j) / length
-    else:
-        for j in range(length - 2, -1, -1):
-            path[j][3] = path[j][3] * length / (z * (length - 1 - j))
-    for j in range(i, length - 1):
-        path[j][0] = path[j + 1][0]
-        path[j][1] = path[j + 1][1]
-        path[j][2] = path[j + 1][2]
-    path.pop()
-
-
-def _unwound_sum(path, i):
-    length = len(path)
-    z = path[i][1]
-    o = path[i][2]
-    total = 0.0
-    if o != 0:
-        n = path[length - 1][3]
-        for j in range(length - 2, -1, -1):
-            t = n * length / ((j + 1) * o)
-            total += t
-            n = path[j][3] - t * z * (length - 1 - j) / length
-    else:
-        for j in range(length - 2, -1, -1):
-            total += path[j][3] * length / (z * (length - 1 - j))
+def _subset_weights(one, zero, drop, weights):
+    """sum_s c_s * weights[s] for each row, path and row of `drop`, where
+    c_s is the t^s coefficient of prod(zero_i + one_i * t) over the slots
+    i that the row of `drop` keeps. Shapes: one (rows, paths, p), zero
+    (paths, p), drop (sets, p); result (rows, paths, sets). Every term is
+    non-negative, so nothing cancels."""
+    keep = ~drop
+    coef = np.zeros(one.shape[:2] + (drop.shape[0], len(weights)))
+    coef[..., 0] = 1.0
+    for i in range(one.shape[2]):
+        z = np.where(keep[:, i], zero[:, i, None], 1.0)
+        shifted = coef[..., :-1] * (one[:, :, i, None] * keep[:, i])[..., None]
+        coef *= z[..., None]
+        coef[..., 1:] += shifted
+    total = coef[..., 0] * weights[0]
+    for s in range(1, len(weights)):
+        total += coef[..., s] * weights[s]
     return total
 
 
-def _shap_recurse(node, x, phi, path, pz, po, pi, condition, cond_feature):
-    path = [e[:] for e in path]
-    _extend(path, pz, po, pi)
-    if node.is_leaf:
-        for i in range(1, len(path)):
-            d = path[i][0]
-            if d < 0:
-                continue
-            w = _unwound_sum(path, i)
-            phi[d] += w * (path[i][2] - path[i][1]) * node.value
-        return
-    _check_node(node)
-    _check_node(node.left)
-    _check_node(node.right)
-    f = node.feature
-    if condition != 0 and f == cond_feature:
-        # a conditioned split adds a feature-less slot so the subtree's
-        # weight scales uniformly and the split earns no attribution
-        if condition > 0:
-            hot = node.left if x[f] <= node.threshold else node.right
-            _shap_recurse(hot, x, phi, path, 1.0, 1.0, _MARKER, condition, cond_feature)
-        else:
-            for child in (node.left, node.right):
-                r = child.cover / node.cover
-                _shap_recurse(child, x, phi, path, r, r, _MARKER, condition, cond_feature)
-        return
-    hot, cold = (
-        (node.left, node.right)
-        if x[f] <= node.threshold
-        else (node.right, node.left)
-    )
-    iz = 1.0
-    io = 1.0
-    k = next((i for i in range(1, len(path)) if path[i][0] == f), None)
-    if k is not None:
-        iz = path[k][1]
-        io = path[k][2]
-        _unwind(path, k)
-    _shap_recurse(
-        hot, x, phi, path, iz * hot.cover / node.cover, io, f, condition, cond_feature
-    )
-    _shap_recurse(
-        cold, x, phi, path, iz * cold.cover / node.cover, 0.0, f, condition, cond_feature
-    )
-
-
-def _tree_phi(root, x, n_features, condition=0, cond_feature=-1):
-    phi = np.zeros(n_features)
-    _shap_recurse(root, x, phi, [], 1.0, 1.0, _DUMMY, condition, cond_feature)
-    return phi
-
-
-def _ensemble_phi(ensemble, x, condition=0, cond_feature=-1):
-    m = ensemble.n_features
-    acc = np.zeros(m)
-    for tree in ensemble.trees:
-        acc += _tree_phi(tree, x, m, condition, cond_feature)
-    if ensemble.kind == "RF":
-        return acc / len(ensemble.trees)
-    return acc * ensemble.learning_rate
+def _path_sums(ensemble, x, order):
+    """The per-path terms above for every set D of `order` path features,
+    summed over all paths into (rows, M**order) at the cell that spells
+    D's features in base M; and the base value. Rows x paths go in blocks
+    of at most _BLOCK_CELLS cells, tiled along the paths independently of
+    the row count, and bincount adds in input order, so a row's sums never
+    depend on the other rows."""
+    groups, base = _decompose(ensemble)
+    n, m = x.shape
+    size = m**order
+    out = np.zeros((n, size))
+    for feature, zero, lo, hi, value in groups:
+        p = feature.shape[1]
+        members = np.array(list(itertools.combinations(range(p), order)), dtype=np.intp)
+        if not members.size:
+            continue
+        drop = np.zeros((len(members), p), dtype=bool)
+        np.put_along_axis(drop, members, True, axis=1)
+        q = p - order + 1
+        fact = math.factorial
+        weights = [fact(s) * fact(q - s - 1) / fact(q) for s in range(q)]
+        cells = len(members) * q  # per (row, path) in _subset_weights
+        step = max(1, min(len(value), _BLOCK_CELLS // cells))
+        for ps in (slice(i, i + step) for i in range(0, len(value), step)):
+            f, z, h = feature[ps], zero[ps], hi[ps]
+            rows_step = max(1, _BLOCK_CELLS // (len(f) * cells))
+            for r0 in range(0, n, rows_step):
+                xs = x[r0 : r0 + rows_step, f]
+                one = (((xs <= h) | np.isnan(h)) & ~(xs <= lo[ps])).astype(float)
+                term = _subset_weights(one, z, drop, weights) * value[ps, None]
+                cell = 0
+                for d in members.T:
+                    term *= one[..., d] - z[:, d]
+                    cell = cell * m + f[:, d]
+                r = len(xs)
+                index = np.arange(r)[:, None, None] * size + cell
+                out[r0 : r0 + r] += np.bincount(
+                    index.ravel(), term.ravel(), r * size
+                ).reshape(r, size)
+    return out, base
 
 
 @dataclass
@@ -297,11 +297,7 @@ def tree_shap(ensemble: TreeEnsemble, x) -> AttributionMatrix:
     x = _as_matrix(x, ensemble.n_features)
     if not ensemble.trees:
         raise ValueError("ensemble has no trees")
-    # the empty-subset expectation never reads the sample
-    base = tree_expectation(ensemble, np.zeros(ensemble.n_features), frozenset())
-    values = np.empty((x.shape[0], ensemble.n_features))
-    for i in range(x.shape[0]):
-        values[i] = _ensemble_phi(ensemble, x[i])
+    values, base = _path_sums(ensemble, x, 1)
     return AttributionMatrix(
         values=values, base_value=float(base), feature_names=ensemble.feature_names
     )
@@ -312,12 +308,10 @@ def shap_interactions(
 ) -> InteractionTensor:
     """Pairwise interaction attribution for every sample in x.
 
-    The (i, j) entry is half the change in feature i's attribution when
-    feature j flips from known-present to forced-absent; the diagonal is
-    the remainder of i's total attribution after removing all pairwise
-    terms. Cost grows linearly in the feature count on top of tree_shap.
-    Pass tree_shap(ensemble, x) as `attr` when it is already at hand, so
-    the rows are not attributed a second time.
+    The (i, j) entry is half the Shapley interaction value of features i
+    and j; the diagonal is the remainder of i's total attribution after
+    removing all pairwise terms. Pass tree_shap(ensemble, x) as `attr`
+    when it is already at hand, so the rows are not attributed twice.
     """
     x = _as_matrix(x, ensemble.n_features)
     if not ensemble.trees:
@@ -327,17 +321,11 @@ def shap_interactions(
         attr = tree_shap(ensemble, x)
     elif attr.values.shape != (n, m):
         raise ValueError("attributions do not match the sample matrix")
-    main = attr.values
-    values = np.zeros((n, m, m))
-    for i in range(n):
-        for j in range(m):
-            with_j = _ensemble_phi(ensemble, x[i], condition=1, cond_feature=j)
-            without_j = _ensemble_phi(ensemble, x[i], condition=-1, cond_feature=j)
-            col = (with_j - without_j) / 2.0
-            col[j] = 0.0
-            values[i, :, j] = col
-        off_sum = values[i].sum(axis=1)
-        np.fill_diagonal(values[i], main[i] - off_sum)
+    pairs, _ = _path_sums(ensemble, x, 2)
+    half = 0.5 * pairs.reshape(n, m, m)  # each pair at (i, j) or at (j, i)
+    values = half + half.transpose(0, 2, 1)
+    diag = np.arange(m)
+    values[:, diag, diag] = attr.values - values.sum(axis=2)
     return InteractionTensor(values=values, feature_names=ensemble.feature_names)
 
 

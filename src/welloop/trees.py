@@ -52,6 +52,10 @@ class TreeNode:
         return self.feature is None
 
 
+# HyperParams fields that hold integers; every other field is a float
+INTEGER_FIELDS = ("n_trees", "max_depth", "min_samples_leaf", "seed")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     n_trees: int = 150
@@ -65,7 +69,7 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_trees", "max_depth", "min_samples_leaf", "seed"):
+        for name in INTEGER_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
@@ -422,9 +426,10 @@ FIT_FUNCTIONS = {"RF": fit_rf, "GBDT": fit_gbdt, "XGB": fit_xgb}
 def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
     """Draw `budget` hyperparameter combinations uniformly from `space`.
 
-    A list entry means a uniform choice; a (low, high) tuple means uniform
-    numeric (integer if both ends are ints). Draw order follows the
-    space's key order, so the same seed always yields the same sequence.
+    A list entry means a uniform choice; a (low, high) tuple means a
+    uniform float, or a uniform integer for an integer HyperParams field
+    whose ends are both ints. Draw order follows the space's key order, so
+    the same seed always yields the same sequence.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -437,7 +442,8 @@ def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
                 lo, hi = rnge
                 if lo > hi:
                     raise ValueError(f"reversed range for {name!r}")
-                if isinstance(lo, int) and isinstance(hi, int):
+                ints = isinstance(lo, int) and isinstance(hi, int)
+                if name in INTEGER_FIELDS and ints:
                     combo[name] = int(rng.integers(lo, hi + 1))
                 else:
                     combo[name] = float(rng.uniform(lo, hi))
@@ -505,22 +511,55 @@ def _node_to_json(node: TreeNode) -> dict:
     }
 
 
-def _node_from_json(obj: dict) -> TreeNode:
-    cover = int(obj["cover"])
+_JSON_TYPES = {
+    "integer": int,
+    "number": (int, float),
+    "string": str,
+    "list": list,
+    "object": dict,
+}
+
+
+def _typed(value, kind, where, key=None):
+    """value, refused with a ValueError naming where it sits (`where`,
+    then `key`) unless it has the JSON type `kind`; numbers come back as
+    floats."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]):
+            return float(value) if kind == "number" else value
+        problem = f"expected {kind}, got {type(value).__name__}"
+    except OverflowError:
+        problem = "number out of range"
+    raise ValueError(f"{where if key is None else f'{where}.{key}'}: {problem}")
+
+
+def _take(obj, key, kind, where):
+    """obj[key], checked by _typed; a missing key raises a ValueError."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return _typed(obj[key], kind, where, key)
+
+
+def _node_from_json(obj, n_features, where) -> TreeNode:
+    cover = _take(obj, "cover", "integer", where)
     if cover < 1:
-        raise ValueError("node cover must be >= 1")
+        raise ValueError(f"{where}: node cover must be >= 1")
     if "value" in obj:
-        return TreeNode(cover=cover, value=float(obj["value"]))
-    left = _node_from_json(obj["left"])
-    right = _node_from_json(obj["right"])
+        return TreeNode(cover=cover, value=_take(obj, "value", "number", where))
+    if obj.keys().isdisjoint(("feature", "threshold", "left", "right")):
+        raise ValueError(f"{where}: node has neither a value nor a split")
+    feature = _take(obj, "feature", "integer", where)
+    if not 0 <= feature < n_features:
+        raise ValueError(f"{where}.feature: {feature} is not one of {n_features} features")
+    threshold = _take(obj, "threshold", "number", where)
+    left = _take(obj, "left", "object", where)
+    left = _node_from_json(left, n_features, f"{where}.left")
+    right = _take(obj, "right", "object", where)
+    right = _node_from_json(right, n_features, f"{where}.right")
     if left.cover + right.cover != cover:
-        raise ValueError("child covers do not sum to the parent cover")
+        raise ValueError(f"{where}: child covers do not sum to the parent cover")
     return TreeNode(
-        cover=cover,
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=left,
-        right=right,
+        cover=cover, feature=feature, threshold=threshold, left=left, right=right
     )
 
 
@@ -537,16 +576,35 @@ def ensemble_to_json(ensemble: TreeEnsemble) -> dict:
     }
 
 
-def ensemble_from_json(obj: dict) -> TreeEnsemble:
+def ensemble_from_json(obj) -> TreeEnsemble:
+    """The ensemble a JSON value describes. A malformed value, from a
+    missing key or a wrong type to trees nested deeper than the recursion
+    limit, raises a ValueError that names the problem."""
+    _typed(obj, "object", "model")
+    kind = _take(obj, "kind", "string", "model")
+    names = _take(obj, "feature_names", "list", "model")
+    for i, name in enumerate(names):
+        _typed(name, "string", f"model.feature_names[{i}]")
+    loss = obj.get("train_loss")
+    if loss is not None:
+        loss = tuple(
+            _typed(v, "number", f"model.train_loss[{i}]")
+            for i, v in enumerate(_typed(loss, "list", "model.train_loss"))
+        )
+    trees = []
+    try:
+        for i, root in enumerate(_take(obj, "trees", "list", "model")):
+            where = f"model.trees[{i}]"
+            trees.append(_node_from_json(_typed(root, "object", where), len(names), where))
+    except RecursionError:
+        raise ValueError("model.trees: nested deeper than the recursion limit") from None
     return TreeEnsemble(
-        kind=obj["kind"],
-        trees=tuple(_node_from_json(t) for t in obj["trees"]),
-        base_score=float(obj["base_score"]),
-        learning_rate=float(obj["learning_rate"]),
-        feature_names=tuple(obj["feature_names"]),
-        train_loss=(
-            None if obj.get("train_loss") is None else tuple(obj["train_loss"])
-        ),
+        kind=kind,
+        trees=trees,
+        base_score=_take(obj, "base_score", "number", "model"),
+        learning_rate=_take(obj, "learning_rate", "number", "model"),
+        feature_names=tuple(names),
+        train_loss=loss,
     )
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from welloop.trees import KINDS, FIT_FUNCTIONS, HyperParams, TreeEnsemble, TreeNode
 
@@ -169,6 +170,64 @@ def random_fitted_ensemble(rng, n_features=None, n_rows=None, kind=None):
     )
     model = FIT_FUNCTIONS[kind](x, y, hp)
     return model, x
+
+
+# split points and sample values share one small grid, so rows often sit
+# exactly on a threshold
+GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+LEAF = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def drawn_tree(draw, n_features, max_depth):
+    def node(depth):
+        if depth == max_depth or draw(st.booleans()):
+            return TreeNode(cover=1, value=draw(LEAF))
+        left, right = node(depth + 1), node(depth + 1)
+        return TreeNode(
+            cover=left.cover + right.cover,
+            feature=draw(st.integers(0, n_features - 1)),
+            threshold=draw(GRID),
+            left=left,
+            right=right,
+        )
+
+    return node(0)
+
+
+@st.composite
+def drawn_case(draw):
+    n_features = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(KINDS))
+    trees = draw(st.lists(drawn_tree(n_features, 5), min_size=1, max_size=12))
+    boosting = kind != "RF"
+    model = TreeEnsemble(
+        kind=kind,
+        trees=tuple(trees),
+        base_score=draw(LEAF) if boosting else 0.0,
+        learning_rate=draw(st.floats(0.01, 1.0)) if boosting else 1.0,
+        feature_names=tuple(f"f{j}" for j in range(n_features)),
+    )
+    rows = draw(
+        st.lists(
+            st.lists(GRID | LEAF, min_size=n_features, max_size=n_features),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return model, np.array(rows, dtype=float)
+
+
+def chain_tree(depth):
+    """A chain `depth` splits deep on feature 0: split d sends x <= d to a
+    leaf worth d and the rest on down; the last leaf is worth `depth`."""
+    node = TreeNode(cover=1, value=float(depth))
+    for d in reversed(range(depth)):
+        leaf = TreeNode(cover=1, value=float(d))
+        node = TreeNode(
+            cover=node.cover + 1, feature=0, threshold=float(d), left=leaf, right=node
+        )
+    return node
 
 
 @pytest.fixture

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import pearsonr, spearmanr
 
+import welloop.explain
 from conftest import (
     CARD_PAYOFFS,
+    chain_tree,
+    drawn_case,
     expectation_oracle,
     interaction_oracle,
     naive_predict,
@@ -32,7 +35,7 @@ from welloop.explain import (
     write_dependency_csv,
     write_summary_csv,
 )
-from welloop.trees import TreeEnsemble, TreeNode
+from welloop.trees import HyperParams, TreeEnsemble, TreeNode, fit_rf, predict
 
 
 def make_table(columns):
@@ -218,6 +221,9 @@ def test_non_positive_cover_is_rejected():
         tree_expectation(model, [1.0], set())
     with pytest.raises(ModelIntegrityError):
         tree_shap(model, [[1.0]])
+    attr = AttributionMatrix(np.zeros((1, 1)), 0.0, ("a",))
+    with pytest.raises(ModelIntegrityError):
+        shap_interactions(model, [[1.0]], attr)
 
 
 # --- fast attribution vs exact enumeration --------------------------------------------
@@ -252,6 +258,53 @@ def test_attributions_reconstruct_predictions(rng):
         pred = naive_predict(model, x)
         scale = np.maximum(1.0, np.abs(pred))
         assert np.all(np.abs(recon - pred) / scale <= 1e-9)
+
+
+@given(drawn_case())
+@settings(max_examples=150, deadline=None)
+def test_path_attribution_matches_enumeration_on_drawn_ensembles(case):
+    # repeated features on a path, single-leaf trees and all three kinds
+    model, x = case
+    attr = tree_shap(model, x)
+    tensor = shap_interactions(model, x, attr)
+    assert attr.base_value == pytest.approx(
+        tree_expectation(model, x[0], set()), rel=0, abs=1e-9
+    )
+    for i in range(min(2, x.shape[0])):
+        game = tree_game(model, x[i])
+        phi = shapley_exact(game)
+        assert np.allclose(attr.values[i], phi, rtol=0, atol=1e-9)
+        want = interaction_oracle(game.payoff, model.n_features, phi)
+        assert np.allclose(tensor.values[i], want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("cells", [60, 400])
+def test_a_row_attributes_alike_alone_and_in_a_many_block_batch(
+    cells, rng, monkeypatch
+):
+    x = rng.normal(size=(25, 5))
+    model = fit_rf(x, x[:, 0] * x[:, 1] + x[:, 2], HyperParams(n_trees=8, max_depth=3))
+    # 400 cells a block give 3 to 50 rows a block, with the paths whole;
+    # 60 cut the 14 paths with three features into blocks of 6, 6 and 2
+    monkeypatch.setattr(welloop.explain, "_BLOCK_CELLS", cells)
+    attr = tree_shap(model, x)
+    tensor = shap_interactions(model, x, attr)
+    for i in range(x.shape[0]):
+        alone = tree_shap(model, x[i])
+        assert np.array_equal(alone.values[0], attr.values[i])
+        pairs = shap_interactions(model, x[i], alone)
+        assert np.array_equal(pairs.values[0], tensor.values[i])
+
+
+def test_a_very_deep_tree_is_attributed_without_recursion():
+    model = TreeEnsemble("GBDT", (chain_tree(3000),), 0.5, 0.1, ("a",))
+    x = np.array([[-5.0], [0.0], [7.0], [1234.5], [2999.0], [5000.0]])
+    attr = tree_shap(model, x)
+    pred = predict(model, x)
+    recon = attr.base_value + attr.values.sum(axis=1)
+    assert np.all(np.abs(recon - pred) <= 1e-9 * np.maximum(1.0, np.abs(pred)))
+    tensor = shap_interactions(model, x, attr)
+    assert np.array_equal(tensor.values[:, 0, 0], attr.values[:, 0])
 
 
 def test_tree_shap_rejects_empty_ensembles():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_predict, ordered_predict, random_fitted_ensemble
+from conftest import (
+    chain_tree,
+    drawn_case,
+    naive_predict,
+    ordered_predict,
+    random_fitted_ensemble,
+)
 from welloop.trees import (
     FIT_FUNCTIONS,
     KINDS,
@@ -137,52 +143,6 @@ def test_predict_matches_naive_traversal_for_all_kinds(rng):
         assert np.allclose(got, want, atol=1e-12)
 
 
-# split points and sample values share one small grid, so rows often sit
-# exactly on a threshold
-GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
-LEAF = st.floats(-1e3, 1e3, allow_nan=False)
-
-
-@st.composite
-def drawn_tree(draw, n_features, max_depth):
-    def node(depth):
-        if depth == max_depth or draw(st.booleans()):
-            return TreeNode(cover=1, value=draw(LEAF))
-        left, right = node(depth + 1), node(depth + 1)
-        return TreeNode(
-            cover=left.cover + right.cover,
-            feature=draw(st.integers(0, n_features - 1)),
-            threshold=draw(GRID),
-            left=left,
-            right=right,
-        )
-
-    return node(0)
-
-
-@st.composite
-def drawn_case(draw):
-    n_features = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(KINDS))
-    trees = draw(st.lists(drawn_tree(n_features, 5), min_size=1, max_size=12))
-    boosting = kind != "RF"
-    model = TreeEnsemble(
-        kind=kind,
-        trees=tuple(trees),
-        base_score=draw(LEAF) if boosting else 0.0,
-        learning_rate=draw(st.floats(0.01, 1.0)) if boosting else 1.0,
-        feature_names=tuple(f"f{j}" for j in range(n_features)),
-    )
-    rows = draw(
-        st.lists(
-            st.lists(GRID | LEAF, min_size=n_features, max_size=n_features),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    return model, np.array(rows, dtype=float)
-
-
 @given(drawn_case())
 @settings(max_examples=300, deadline=None)
 def test_predict_equals_the_ordered_per_row_sum_bit_for_bit(case):
@@ -201,15 +161,12 @@ def test_predict_on_no_rows_returns_an_empty_array(rng):
 
 
 def test_predict_walks_a_very_deep_tree_without_recursion():
-    # a chain 3,000 splits deep: split d sends x <= d to a leaf worth d
-    node = TreeNode(cover=1, value=3000.0)
-    for d in reversed(range(3000)):
-        leaf = TreeNode(cover=1, value=float(d))
-        node = TreeNode(
-            cover=node.cover + 1, feature=0, threshold=float(d), left=leaf, right=node
-        )
     model = TreeEnsemble(
-        kind="RF", trees=(node,), base_score=0.0, learning_rate=1.0, feature_names=("a",)
+        kind="RF",
+        trees=(chain_tree(3000),),
+        base_score=0.0,
+        learning_rate=1.0,
+        feature_names=("a",),
     )
     x = np.array([[-5.0], [0.0], [7.0], [1234.5], [2999.0], [5000.0]])
     assert predict(model, x).tolist() == [0.0, 0.0, 7.0, 1235.0, 2999.0, 3000.0]
@@ -376,6 +333,28 @@ def test_sample_space_types_and_determinism():
         assert combo["n_trees"] in (10, 20, 40)
 
 
+def test_float_fields_draw_floats_even_from_integer_range_ends():
+    combos = sample_space({"gamma": (0, 1), "lam": (1, 3)}, budget=6, seed=0)
+    for combo in combos:
+        assert isinstance(combo["gamma"], float) and 0 <= combo["gamma"] <= 1
+        assert isinstance(combo["lam"], float) and 1 <= combo["lam"] <= 3
+    assert not all(c["gamma"].is_integer() and c["lam"].is_integer() for c in combos)
+    # integer fields and float-ended ranges draw what they always drew
+    space = {
+        "max_depth": (2, 5),
+        "learning_rate": (0.05, 0.5),
+        "n_trees": [10, 20, 40],
+        "seed": (0, 9),
+    }
+    draws = sample_space(space, budget=4, seed=3)
+    assert [tuple(d.values()) for d in draws] == [
+        (5, 0.14550383041976506, 20, 2),
+        (4, 0.34543822111122996, 10, 3),
+        (5, 0.3961542747794724, 10, 2),
+        (4, 0.053216566893698025, 20, 7),
+    ]
+
+
 def test_sample_space_rejects_bad_ranges():
     with pytest.raises(ValueError):
         sample_space({"max_depth": (5, 2)}, budget=3, seed=0)
@@ -451,3 +430,110 @@ def test_json_round_trip_through_disk_matches_memory(rng, tmp_path):
     save_ensemble(model, path)
     direct = ensemble_from_json(json.loads(path.read_text(encoding="utf-8")))
     assert np.array_equal(predict(direct, x), predict(model, x))
+
+
+def _stump_json(**node):
+    model = {
+        "kind": "GBDT",
+        "base_score": 0.5,
+        "learning_rate": 0.1,
+        "feature_names": ["a", "b"],
+        "train_loss": None,
+        "trees": [
+            {
+                "cover": 2,
+                "feature": 1,
+                "threshold": 0.0,
+                "left": {"cover": 1, "value": -1.0},
+                "right": {"cover": 1, "value": 1.0},
+            }
+        ],
+    }
+    model["trees"][0].update(node)
+    return model
+
+
+def _deep_json(depth):
+    node = {"cover": 1, "value": 0.0}
+    for _ in range(depth):
+        node = {"cover": node["cover"] + 1, "feature": 0, "threshold": 0.0,
+                "left": {"cover": 1, "value": 1.0}, "right": node}
+    return {"kind": "RF", "base_score": 0.0, "learning_rate": 1.0,
+            "feature_names": ["a"], "trees": [node]}
+
+
+@pytest.mark.parametrize(
+    "obj, problem",
+    [
+        ({}, "model: missing key 'kind'"),
+        ([], "model: expected object, got list"),
+        ({k: v for k, v in _stump_json().items() if k != "trees"}, "missing key 'trees'"),
+        (dict(_stump_json(), kind=["GBDT"]), "model.kind: expected string, got list"),
+        (dict(_stump_json(), feature_names="ab"), "feature_names: expected list"),
+        (dict(_stump_json(), feature_names=["a", 2]), r"feature_names\[1\]: expected string"),
+        (dict(_stump_json(), base_score="0.5"), "base_score: expected number, got str"),
+        (dict(_stump_json(), learning_rate=True), "learning_rate: expected number, got bool"),
+        (dict(_stump_json(), train_loss=[1.0, None]), r"train_loss\[1\]: expected number"),
+        (dict(_stump_json(), train_loss=[10**400]), r"train_loss\[0\]: number out of range"),
+        (dict(_stump_json(), trees=[None]), r"trees\[0\]: expected object, got NoneType"),
+        (_stump_json(cover=2.0), r"trees\[0\].cover: expected integer, got float"),
+        (_stump_json(left={"cover": 2}), r"left: node has neither a value nor a split"),
+        (_stump_json(left=[]), r"trees\[0\].left: expected object"),
+        (_stump_json(threshold=None), r"trees\[0\].threshold: expected number"),
+        (_stump_json(feature=2), r"trees\[0\].feature: 2 is not one of 2 features"),
+        (_stump_json(feature=-1), "is not one of 2 features"),
+        (_stump_json(left={"cover": 1, "value": 10**400}), "number out of range"),
+        (_deep_json(100_000), "nested deeper than the recursion limit"),
+    ],
+)
+def test_malformed_model_json_names_its_problem(obj, problem):
+    with pytest.raises(ValueError, match=problem):
+        ensemble_from_json(obj)
+
+
+def test_well_formed_model_json_loads():
+    model = ensemble_from_json(_stump_json())
+    assert predict(model, [[0.0, 0.0], [0.0, 1.0]]).tolist() == [0.4, 0.6]
+    assert ensemble_from_json(_deep_json(50)).trees[0].cover == 51
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def damaged_model_json(draw):
+    """A drawn model's JSON with one or two keys or items somewhere in it
+    deleted or replaced by any JSON value."""
+    model, _ = draw(drawn_case())
+    obj = ensemble_to_json(model)
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key, node = None, None, obj
+        while (
+            isinstance(node, (dict, list))
+            and node
+            and (parent is None or draw(st.integers(0, 4)) > 0)
+        ):
+            parent = node
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(keys))
+            node = node[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON)
+    return obj
+
+
+@given(damaged_model_json() | JSON)
+@settings(max_examples=500, deadline=None)
+def test_any_json_value_loads_or_raises_value_error(obj):
+    try:
+        model = ensemble_from_json(obj)
+    except ValueError:
+        return
+    assert isinstance(model, TreeEnsemble)
