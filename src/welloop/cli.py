@@ -7,7 +7,6 @@ the exit codes and the output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+import welloop
 from welloop.data import (
     DEFAULT_SCHEMA,
     WellTable,
@@ -43,12 +43,13 @@ from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked
 from welloop.trees import (
     FIT_FUNCTIONS,
     KINDS,
+    MODEL_FORMAT,
     HyperParams,
     load_ensemble,
     save_ensemble,
     tune_random_search,
 )
-from welloop.utils import fmt, mix_seed, subseed_rng
+from welloop.utils import fmt, mix_seed, read_json, subseed_rng, write_json, write_rows
 
 _SPLIT_TAG = 61
 _TRAIN_TAG = 62
@@ -410,7 +411,7 @@ def _reference_schema(config):
     if config.data.schema is not None and Path(config.data.schema).is_file():
         try:
             return load_schema(config.data.schema)
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
             return None
     if config.data.csv is None or config.data.schema is None:
         return DEFAULT_SCHEMA
@@ -480,12 +481,9 @@ class Pipeline:
     # -- bookkeeping --
 
     def _load_prev_manifest(self):
-        path = self.out / "manifest.json"
-        if not path.is_file():
-            return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
+            return read_json(self.out / "manifest.json")
+        except (ValueError, OSError):
             return None
 
     def _path(self, rel) -> Path:
@@ -496,16 +494,17 @@ class Pipeline:
     def _record(self, rel, stage):
         self.artifacts.append({"path": rel, "stage": stage})
 
+    def _save(self, rel, stage, write, *args, **kwargs):
+        """Write one artifact with write(*args, path, **kwargs), then record it."""
+        write(*args, self._path(rel), **kwargs)
+        self._record(rel, stage)
+
     def _write_json(self, rel, obj, stage):
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        self._path(rel).write_text(text, encoding="utf-8")
+        write_json(self._path(rel), obj)
         self._record(rel, stage)
 
     def _write_csv(self, rel, header, rows, stage):
-        with open(self._path(rel), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_rows(self._path(rel), header, rows)
         self._record(rel, stage)
 
     def _clear_stage(self, stage):
@@ -543,9 +542,7 @@ class Pipeline:
             if detail:
                 entry["detail"] = detail
             stages.append(entry)
-        manifest = {"stages": stages, "artifacts": arts}
-        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        self._path("manifest.json").write_text(text, encoding="utf-8")
+        write_json(self._path("manifest.json"), {"stages": stages, "artifacts": arts})
 
     def run(self, selected=None) -> int:
         """Execute the selected stages (all by default) in pipeline order
@@ -585,7 +582,7 @@ class Pipeline:
             raise RuntimeError("no data artifacts found; run the data stage first")
         specs = load_schema(schema_path)
         self.table = load_csv(clean_path, specs)
-        split = json.loads(split_path.read_text(encoding="utf-8"))
+        split = read_json(split_path)
         self.train_idx = np.array(split["train"], dtype=int)
         self.test_idx = np.array(split["test"], dtype=int)
 
@@ -599,7 +596,7 @@ class Pipeline:
             self.models[kind] = load_ensemble(path)
         hp_path = self.out / "models/hyperparams.json"
         if hp_path.is_file():
-            raw = json.loads(hp_path.read_text(encoding="utf-8"))
+            raw = read_json(hp_path)
             self.hps = {kind: HyperParams(**fields) for kind, fields in raw.items()}
 
     def _final_model(self):
@@ -625,8 +622,7 @@ class Pipeline:
             raw = load_csv(cfg.csv, specs)
         else:
             raw = synthesize(self.config.seed, n=cfg.rows, noise_sd=cfg.noise_sd)
-        write_csv(raw, self._path("data/raw.csv"))
-        self._record("data/raw.csv", "data")
+        self._save("data/raw.csv", "data", write_csv, raw)
 
         clean, report = preprocess(
             raw,
@@ -634,10 +630,8 @@ class Pipeline:
             outlier_z=cfg.outlier_z,
             redundancy_r=cfg.redundancy_r,
         )
-        write_csv(clean, self._path("data/clean.csv"))
-        self._record("data/clean.csv", "data")
-        save_schema(clean.specs, self._path("data/schema.json"))
-        self._record("data/schema.json", "data")
+        self._save("data/clean.csv", "data", write_csv, clean)
+        self._save("data/schema.json", "data", save_schema, clean.specs)
         self._write_json("data/preprocess_report.json", report.to_json(), "data")
 
         n = clean.n_rows
@@ -654,12 +648,16 @@ class Pipeline:
         self.test_idx = np.array(split["test"], dtype=int)
 
     def _cache_key(self) -> str:
+        """Hash of everything the trained models depend on, the code that
+        grows and stores them included."""
         train = asdict(self.config.train)
         train.pop("cached")
         payload = {
             "seed": self.config.seed,
             "data": asdict(self.config.data),
             "train": train,
+            "version": welloop.__version__,
+            "model_format": MODEL_FORMAT,
         }
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -673,7 +671,7 @@ class Pipeline:
         model_paths = {kind: self.out / f"models/{kind.lower()}.json" for kind in cfg.kinds}
         hp_path = self.out / "models/hyperparams.json"
         if cfg.cached and cache_path.is_file() and hp_path.is_file():
-            cached = json.loads(cache_path.read_text(encoding="utf-8"))
+            cached = read_json(cache_path)
             if cached.get("hash") == key and all(
                 p.is_file() for p in model_paths.values()
             ):
@@ -705,8 +703,7 @@ class Pipeline:
                 )
             hp = replace(hp, seed=mix_seed(self.config.seed, _TRAIN_TAG, z))
             model = FIT_FUNCTIONS[kind](x, y, hp, feature_names=names)
-            save_ensemble(model, self._path(f"models/{kind.lower()}.json"))
-            self._record(f"models/{kind.lower()}.json", "train")
+            self._save(f"models/{kind.lower()}.json", "train", save_ensemble, model)
             self.models[kind] = model
             self.hps[kind] = hp
         self._write_json(
@@ -732,8 +729,7 @@ class Pipeline:
 
         attr = tree_shap(model, x)
         path = f"shap/summary_{kind.lower()}.csv"
-        write_summary_csv(attr, x, self._path(path))
-        self._record(path, "explain")
+        self._save(path, "explain", write_summary_csv, attr, x)
 
         ranking = rank_factors(attr)
         corr = baseline_correlations(self.table)
@@ -769,8 +765,7 @@ class Pipeline:
         if cfg.interactions:
             tensor = shap_interactions(model, x, attr)
             path = f"shap/dependency_{kind.lower()}.csv"
-            write_dependency_csv(tensor, x, self._path(path))
-            self._record(path, "explain")
+            self._save(path, "explain", write_dependency_csv, tensor, x)
 
         if cfg.clusters >= 2:
             labels = supervised_cluster(attr, cfg.clusters, seed=self.config.seed)
@@ -844,12 +839,8 @@ class Pipeline:
                 sample=job.sample,
                 seed=self.config.seed,
             )
-            path = f"ice/ice_{i}.csv"
-            grid.write_csv(self._path(path))
-            self._record(path, "ice")
-            meta = f"ice/ice_{i}.meta.json"
-            grid.write_meta(self._path(meta))
-            self._record(meta, "ice")
+            self._save(f"ice/ice_{i}.csv", "ice", grid.write_csv)
+            self._save(f"ice/ice_{i}.meta.json", "ice", grid.write_meta)
 
     def stage_optimize(self):
         self._clear_stage("optimize")
@@ -879,8 +870,7 @@ class Pipeline:
                     seed=mix_seed(self.config.seed, _OPT_TAG, row, m_index),
                 )
                 path = f"optimize/trace_w{row}_{method}.csv"
-                result.trace.write_csv(self._path(path), variable_names=variables)
-                self._record(path, "optimize")
+                self._save(path, "optimize", result.trace.write_csv, variable_names=variables)
                 self._write_json(
                     f"optimize/result_w{row}_{method}.json",
                     result.to_json(bounds=result.bounds),
@@ -925,8 +915,8 @@ def _load_config_obj(path):
     if not p.is_file():
         return None, [f"config: file not found: {path}"]
     try:
-        return json.loads(p.read_text(encoding="utf-8")), []
-    except json.JSONDecodeError as exc:
+        return read_json(p), []
+    except ValueError as exc:
         return None, [f"config: invalid JSON: {exc}"]
 
 

@@ -11,11 +11,12 @@ pair. The same call applied twice is a no-op.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from welloop.utils import read_json, write_json, write_rows
 
 CATEGORIES = ("geologic", "drilling", "completion", "production")
 
@@ -168,17 +169,13 @@ def load_csv(path, schema) -> WellTable:
 
 def write_csv(table: WellTable, path) -> None:
     """Write a table back out; missing cells become empty strings."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.names)
-        for row in table.values:
-            writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
+    rows = (["" if np.isnan(v) else repr(float(v)) for v in row] for row in table.values)
+    write_rows(path, table.names, rows)
 
 
 def load_schema(path) -> tuple[FactorSpec, ...]:
     """Read a JSON list of factor declarations. Unknown units only warn."""
-    with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = read_json(path)
     specs = []
     for e in entries:
         spec = FactorSpec(
@@ -207,9 +204,7 @@ def save_schema(specs, path) -> None:
         }
         for s in specs
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, entries)
 
 
 def pearson_matrix(x: np.ndarray) -> np.ndarray:

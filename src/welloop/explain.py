@@ -15,9 +15,7 @@ the diagonal holds what is left of each attribution, the main effect.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +24,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from welloop.trees import TreeEnsemble, _as_matrix, predict
-from welloop.utils import fmt, subseed_rng
+from welloop.utils import fmt, subseed_rng, write_rows
 from welloop.data import WellTable
 
 _CLUSTER_TAG = 21
@@ -82,20 +80,25 @@ def _check_node(node):
         raise ModelIntegrityError("encountered a node with non-positive cover")
 
 
-def _expect_node(node, x, subset):
-    _check_node(node)
-    if node.is_leaf:
-        return node.value
-    if node.feature in subset:
-        child = node.left if x[node.feature] <= node.threshold else node.right
-        return _expect_node(child, x, subset)
-    _check_node(node.left)
-    _check_node(node.right)
-    wl = node.left.cover / node.cover
-    wr = node.right.cover / node.cover
-    return wl * _expect_node(node.left, x, subset) + wr * _expect_node(
-        node.right, x, subset
-    )
+def _expect_node(root, x, subset):
+    """Sum over the leaves x can reach of value times reach weight: a
+    split on a known feature sends all weight down the branch x takes,
+    any other split shares it by cover. Walked with an explicit stack, so
+    depth is unlimited."""
+    total = 0.0
+    todo = [(root, 1.0)]
+    while todo:
+        node, weight = todo.pop()
+        _check_node(node)
+        if node.is_leaf:
+            total += weight * node.value
+        elif node.feature in subset:
+            child = node.left if x[node.feature] <= node.threshold else node.right
+            todo.append((child, weight))
+        else:
+            for child in (node.right, node.left):
+                todo.append((child, weight * child.cover / node.cover))
+    return total
 
 
 def _combine(per_tree, ensemble):
@@ -263,11 +266,8 @@ class AttributionMatrix:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample"] + list(self.feature_names))
-            for i, row in enumerate(self.values):
-                writer.writerow([i] + [fmt(v) for v in row])
+        rows = ([i] + [fmt(v) for v in row] for i, row in enumerate(self.values))
+        write_rows(path, ["sample"] + list(self.feature_names), rows)
 
 
 @dataclass
@@ -538,21 +538,21 @@ def write_summary_csv(attr: AttributionMatrix, x, path) -> None:
     """Long-form (sample, factor, factor value, attribution) rows backing
     a beeswarm-style summary plot."""
     x = _as_matrix(x, len(attr.feature_names))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "factor", "value", "attribution"])
-        for i in range(x.shape[0]):
-            for j, name in enumerate(attr.feature_names):
-                writer.writerow([i, name, fmt(x[i, j]), fmt(attr.values[i, j])])
+    rows = (
+        [i, name, fmt(x[i, j]), fmt(attr.values[i, j])]
+        for i in range(x.shape[0])
+        for j, name in enumerate(attr.feature_names)
+    )
+    write_rows(path, ["sample", "factor", "value", "attribution"], rows)
 
 
 def write_dependency_csv(tensor: InteractionTensor, x, path) -> None:
     """Long-form (sample, factor, factor value, main effect) rows backing
     dependency plots cleaned of interaction credit."""
     x = _as_matrix(x, len(tensor.feature_names))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "factor", "value", "main_effect"])
-        for i in range(x.shape[0]):
-            for j, name in enumerate(tensor.feature_names):
-                writer.writerow([i, name, fmt(x[i, j]), fmt(tensor.values[i, j, j])])
+    rows = (
+        [i, name, fmt(x[i, j]), fmt(tensor.values[i, j, j])]
+        for i in range(x.shape[0])
+        for j, name in enumerate(tensor.feature_names)
+    )
+    write_rows(path, ["sample", "factor", "value", "main_effect"], rows)

@@ -8,15 +8,14 @@ pointwise average; projecting a grid onto fewer axes is pure indexing.
 
 from __future__ import annotations
 
-import csv
-import json
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from welloop.data import WellTable
 from welloop.stack import as_predictor
-from welloop.utils import fmt, subseed_rng
+from welloop.utils import fmt, subseed_rng, write_json, write_rows
 
 _ANCHOR_TAG = 41
 
@@ -61,17 +60,16 @@ class IceGrid:
     def write_csv(self, path) -> None:
         """Long format: one row per (anchor, grid point), then the same
         grid points again for the AVERAGE pseudo-sample."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample"] + list(self.factor_names) + ["prediction"])
-            coords = list(np.ndindex(*self.average.shape))
-            for a, row_id in enumerate(self.anchor_rows):
-                for c in coords:
-                    point = [fmt(self.grids[ax][i]) for ax, i in enumerate(c)]
-                    writer.writerow([int(row_id)] + point + [fmt(self.predictions[a][c])])
-            for c in coords:
-                point = [fmt(self.grids[ax][i]) for ax, i in enumerate(c)]
-                writer.writerow(["AVERAGE"] + point + [fmt(self.average[c])])
+        coords = list(np.ndindex(*self.average.shape))
+        curves = itertools.chain(
+            zip(map(int, self.anchor_rows), self.predictions), [("AVERAGE", self.average)]
+        )
+        rows = (
+            [sample] + [fmt(self.grids[ax][i]) for ax, i in enumerate(c)] + [fmt(values[c])]
+            for sample, values in curves
+            for c in coords
+        )
+        write_rows(path, ["sample"] + list(self.factor_names) + ["prediction"], rows)
 
     def write_meta(self, path) -> None:
         meta = {
@@ -79,9 +77,7 @@ class IceGrid:
             "grids": [[float(v) for v in g] for g in self.grids],
             "anchor_rows": [int(r) for r in self.anchor_rows],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, meta)
 
 
 def ice(

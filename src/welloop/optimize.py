@@ -12,7 +12,6 @@ evaluations against the budget, and keeps the best-so-far record.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from scipy.stats import norm, qmc
 
 from welloop.data import WellTable
 from welloop.stack import as_predictor
-from welloop.utils import fmt, subseed_rng
+from welloop.utils import fmt, subseed_rng, write_rows
 
 _PSO_TAG = 51
 _DE_TAG = 52
@@ -113,14 +112,11 @@ class Trace:
         names = variable_names or [
             f"u{j}" for j in range(self.entries[0].point.size)
         ]
-        best = self.best_so_far()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["evaluation"] + list(names) + ["value", "best_so_far"])
-            for e, b in zip(self.entries, best):
-                writer.writerow(
-                    [e.index] + [fmt(v) for v in e.point] + [fmt(e.value), fmt(b)]
-                )
+        rows = (
+            [e.index] + [fmt(v) for v in e.point] + [fmt(e.value), fmt(b)]
+            for e, b in zip(self.entries, self.best_so_far())
+        )
+        write_rows(path, ["evaluation"] + list(names) + ["value", "best_so_far"], rows)
 
 
 class _Evaluator:

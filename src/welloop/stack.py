@@ -10,7 +10,6 @@ averaged before the meta model combines the kinds.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 
@@ -21,11 +20,14 @@ from welloop.trees import (
     HyperParams,
     TreeEnsemble,
     _as_matrix,
-    ensemble_from_json,
-    ensemble_to_json,
+    _take,
+    _take_list,
+    _typed,
+    load_ensemble,
     predict,
+    save_ensemble,
 )
-from welloop.utils import kfold_assignments, mix_seed, subseed_rng
+from welloop.utils import kfold_assignments, mix_seed, read_json, subseed_rng, write_json
 
 _FOLD_TAG = 31
 _SUB_SEED_TAG = 32
@@ -171,9 +173,7 @@ def save_stacked(model: StackedModel, directory) -> list[str]:
     for z, kind in enumerate(model.base_kinds):
         for j, sub in enumerate(model.sub_models[z]):
             name = f"sub_{kind.lower()}_{j}.json"
-            with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-                json.dump(ensemble_to_json(sub), fh, sort_keys=True)
-                fh.write("\n")
+            save_ensemble(sub, os.path.join(directory, name))
             written.append(name)
     meta = {
         "base_kinds": list(model.base_kinds),
@@ -183,30 +183,33 @@ def save_stacked(model: StackedModel, directory) -> list[str]:
         "meta_intercept": model.meta_intercept,
         "feature_names": list(model.feature_names),
     }
-    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(directory, "meta.json"), meta)
     written.append("meta.json")
     return written
 
 
 def load_stacked(directory) -> StackedModel:
-    with open(os.path.join(directory, "meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    sub_models = []
-    for kind in meta["base_kinds"]:
-        per_fold = []
-        for j in range(meta["folds"]):
-            path = os.path.join(directory, f"sub_{kind.lower()}_{j}.json")
-            with open(path, encoding="utf-8") as sub_fh:
-                per_fold.append(ensemble_from_json(json.load(sub_fh)))
-        sub_models.append(tuple(per_fold))
+    """The model save_stacked wrote. A missing or wrongly typed meta.json
+    key, or a malformed sub-model, raises a ValueError naming it."""
+    meta = _typed(read_json(os.path.join(directory, "meta.json")), "object", "meta.json")
+    kinds = _take_list(meta, "base_kinds", "string", "meta.json")
+    folds = _take(meta, "folds", "integer", "meta.json")
+    if folds < 2:
+        raise ValueError(f"meta.json.folds: need at least 2 folds, got {folds}")
     return StackedModel(
-        base_kinds=tuple(meta["base_kinds"]),
-        folds=int(meta["folds"]),
-        sub_models=tuple(sub_models),
-        fold_assignment=np.array(meta["fold_assignment"], dtype=int),
-        meta_weights=np.array(meta["meta_weights"], dtype=float),
-        meta_intercept=float(meta["meta_intercept"]),
-        feature_names=tuple(meta["feature_names"]),
+        base_kinds=kinds,
+        folds=folds,
+        fold_assignment=np.array(
+            _take_list(meta, "fold_assignment", "integer", "meta.json"), dtype=int
+        ),
+        meta_weights=np.array(_take_list(meta, "meta_weights", "number", "meta.json")),
+        meta_intercept=_take(meta, "meta_intercept", "number", "meta.json"),
+        feature_names=_take_list(meta, "feature_names", "string", "meta.json"),
+        sub_models=tuple(
+            tuple(
+                load_ensemble(os.path.join(directory, f"sub_{kind.lower()}_{j}.json"))
+                for j in range(folds)
+            )
+            for kind in kinds
+        ),
     )

@@ -17,13 +17,12 @@ Three ensemble kinds share the grower:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from welloop.utils import kfold_assignments, mix_seed, subseed_rng
+from welloop.utils import kfold_assignments, mix_seed, read_json, subseed_rng, write_json
 
 # gains below this are treated as zero so constant targets stay unsplit
 GAIN_EPS = 1e-12
@@ -498,6 +497,10 @@ def tune_random_search(
 
 # --- serialization -----------------------------------------------------------
 
+# Part of the train stage's cache key: bump it whenever the model files or
+# the models grown from the same inputs change, so no cache serves old ones.
+MODEL_FORMAT = 1
+
 
 def _node_to_json(node: TreeNode) -> dict:
     if node.is_leaf:
@@ -538,6 +541,12 @@ def _take(obj, key, kind, where):
     if key not in obj:
         raise ValueError(f"{where}: missing key {key!r}")
     return _typed(obj[key], kind, where, key)
+
+
+def _take_list(obj, key, kind, where):
+    """obj[key] as a tuple of items, the list and each item checked by _typed."""
+    items = _take(obj, key, "list", where)
+    return tuple(_typed(v, kind, f"{where}.{key}[{i}]") for i, v in enumerate(items))
 
 
 def _node_from_json(obj, n_features, where) -> TreeNode:
@@ -582,15 +591,10 @@ def ensemble_from_json(obj) -> TreeEnsemble:
     limit, raises a ValueError that names the problem."""
     _typed(obj, "object", "model")
     kind = _take(obj, "kind", "string", "model")
-    names = _take(obj, "feature_names", "list", "model")
-    for i, name in enumerate(names):
-        _typed(name, "string", f"model.feature_names[{i}]")
+    names = _take_list(obj, "feature_names", "string", "model")
     loss = obj.get("train_loss")
     if loss is not None:
-        loss = tuple(
-            _typed(v, "number", f"model.train_loss[{i}]")
-            for i, v in enumerate(_typed(loss, "list", "model.train_loss"))
-        )
+        loss = _take_list(obj, "train_loss", "number", "model")
     trees = []
     try:
         for i, root in enumerate(_take(obj, "trees", "list", "model")):
@@ -603,17 +607,14 @@ def ensemble_from_json(obj) -> TreeEnsemble:
         trees=trees,
         base_score=_take(obj, "base_score", "number", "model"),
         learning_rate=_take(obj, "learning_rate", "number", "model"),
-        feature_names=tuple(names),
+        feature_names=names,
         train_loss=loss,
     )
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_json(ensemble), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, ensemble_to_json(ensemble), indent=None)
 
 
 def load_ensemble(path) -> TreeEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        return ensemble_from_json(json.load(fh))
+    return ensemble_from_json(read_json(path))

@@ -1,6 +1,12 @@
-"""Small shared helpers: seeded RNG derivation, fold assignment, formatting."""
+"""Small shared helpers: seeded RNG derivation, fold assignment,
+formatting, and the one place files are read and written."""
 
 from __future__ import annotations
+
+import contextlib
+import csv
+import json
+import os
 
 import numpy as np
 
@@ -49,3 +55,53 @@ def fmt(x: float) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+# --- artifact files -----------------------------------------------------------------
+#
+# Every file is UTF-8 and written whole: into a temp file beside it, which
+# then replaces it, so a killed process leaves each file old or absent,
+# never truncated. There is no fsync; surviving a power cut is not a goal.
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle whose contents replace `path` when the block ends;
+    if anything raises, the temp file is removed and `path` is untouched.
+    A plain open gives the umask's file mode (mkstemp would give 0600),
+    and newline="" writes line ends untranslated: csv's \r\n, JSON's \n."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV file of a header and rows, streamed from any iterable."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj, indent=2) -> None:
+    """Sorted-key JSON and a newline, streamed; `indent=None` is the
+    compact form."""
+    with _replacing(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The JSON value in a file. A decoding error is a ValueError
+    (JSONDecodeError is one); so is nesting too deep to decode."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: nested deeper than the recursion limit") from None

@@ -230,6 +230,18 @@ def chain_tree(depth):
     return node
 
 
+def deep_model_text(depth):
+    """JSON text of a model whose one tree nests `depth` splits, too deep
+    to decode (its covers do not add up). Built as text, because encoding
+    it would itself exceed the recursion limit."""
+    split = '{"cover": 2, "feature": 0, "threshold": 0.0, "left": {"cover": 1, "value": 1.0}, "right": '
+    return (
+        '{"kind": "RF", "base_score": 0.0, "learning_rate": 1.0, "feature_names": ["a"], '
+        '"train_loss": null, "trees": [' + split * depth + '{"cover": 1, "value": 0.0}'
+        + "}" * depth + "]}"
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)

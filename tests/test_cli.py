@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import welloop
+import welloop.cli
+import welloop.explain
+import welloop.utils
 from welloop.cli import RunConfig, main, parse_config, validate_config
 
 
@@ -909,6 +913,89 @@ def test_cache_flag_off_always_retrains(tmp_path):
     model_path.write_text(json.dumps(broken, sort_keys=True) + "\n", encoding="utf-8")
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert model_path.read_bytes() == original
+
+
+@pytest.mark.parametrize("name", ["__version__", "MODEL_FORMAT"])
+def test_models_cached_by_older_code_are_retrained(tmp_path, monkeypatch, name):
+    obj = base_config()
+    obj["train"]["cached"] = True
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    model_path = out / "models/rf.json"
+    original = model_path.read_bytes()
+    tampered = json.loads(original)
+    tampered["base_score"] = 99.0
+    model_path.write_text(json.dumps(tampered, sort_keys=True) + "\n", encoding="utf-8")
+    owner = welloop if name == "__version__" else welloop.cli
+    monkeypatch.setattr(owner, name, "newer")
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert model_path.read_bytes() == original
+    assert_manifest_reconciles(out)
+
+
+# --- crash safety ---------------------------------------------------------------------
+
+
+def _fail_writing(monkeypatch, name):
+    """Make every write of the file `name` through welloop.utils fail
+    after half of its first chunk reached the disk."""
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    def failing_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return HalfWriter(fh) if Path(file).name == f"{name}.tmp" else fh
+
+    monkeypatch.setattr(welloop.utils, "open", failing_open, raising=False)
+
+
+def test_a_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    before = (out / "manifest.json").read_bytes()
+    _fail_writing(monkeypatch, "manifest.json")
+    with pytest.raises(OSError, match="disk full"):
+        main(["explain", "--config", path, "--out", str(out)])
+    assert (out / "manifest.json").read_bytes() == before
+    assert stage_status(read_manifest(out))["explain"] == "ok"
+    assert not list(out.rglob("*.tmp"))
+
+
+def test_a_stage_writer_failing_mid_rows_leaves_no_partial_file(tmp_path, monkeypatch):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    real_fmt = welloop.explain.fmt
+    calls = []
+
+    def failing_fmt(x):
+        calls.append(x)
+        if len(calls) == 20:
+            raise RuntimeError("row builder failed")
+        return real_fmt(x)
+
+    monkeypatch.setattr(welloop.explain, "fmt", failing_fmt)
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert len(calls) == 20  # the summary CSV had begun its rows
+    assert not list(out.rglob("*.tmp"))
+    assert not (out / "shap/summary_rf.csv").exists()
+    manifest = assert_manifest_reconciles(out)
+    assert stage_status(manifest)["explain"] == "failed"
 
 
 # --- richer configurations ------------------------------------------------------------

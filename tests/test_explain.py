@@ -307,6 +307,15 @@ def test_a_very_deep_tree_is_attributed_without_recursion():
     assert np.array_equal(tensor.values[:, 0, 0], attr.values[:, 0])
 
 
+def test_tree_expectation_walks_a_very_deep_tree_without_recursion():
+    model = TreeEnsemble("GBDT", (chain_tree(3000),), 0.5, 0.1, ("a",))
+    base = tree_shap(model, [[0.0]]).base_value
+    for value in (-5.0, 0.0, 7.0, 1234.5, 2999.0, 5000.0):
+        x = np.array([value])
+        assert tree_expectation(model, x, {0}) == pytest.approx(predict(model, [x])[0], abs=1e-9)
+        assert tree_expectation(model, x, set()) == pytest.approx(base, abs=1e-9)
+
+
 def test_tree_shap_rejects_empty_ensembles():
     empty = TreeEnsemble("GBDT", (), 1.0, 0.1, ("a",))
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import naive_predict, ordered_predict
+from conftest import deep_model_text, naive_predict, ordered_predict
 from welloop.stack import (
     as_predictor,
     evaluate,
@@ -208,3 +209,38 @@ def test_fit_stacked_rejects_folds_smaller_than_leaves():
     hps = {"RF": HyperParams(n_trees=2, min_samples_leaf=3)}
     with pytest.raises(ValueError, match="fold"):
         fit_stacked(x, y, hps, k=5)
+
+
+def _saved_meta(tmp_path):
+    x, y = synthetic(6)
+    directory = tmp_path / "stacked"
+    save_stacked(fit_stacked(x, y, SMALL_HPS, k=3, seed=2), directory)
+    return directory, json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda m: {}, "meta.json: missing key 'base_kinds'"),
+        (lambda m: [], "meta.json: expected object, got list"),
+        (lambda m: {**m, "folds": 2.5}, "meta.json.folds: expected integer, got float"),
+        (lambda m: {**m, "folds": "3"}, "meta.json.folds: expected integer, got str"),
+        (lambda m: {**m, "folds": 0}, "meta.json.folds: need at least 2 folds, got 0"),
+        (lambda m: {**m, "base_kinds": ["RF", 1]}, r"base_kinds\[1\]: expected string"),
+        (lambda m: {**m, "meta_weights": None}, "meta.json.meta_weights: expected list"),
+        (lambda m: {**m, "fold_assignment": [0, None]}, r"assignment\[1\]: expected integer"),
+        (lambda m: {k: m[k] for k in m if k != "meta_intercept"}, "key 'meta_intercept'"),
+    ],
+)
+def test_malformed_stacked_meta_names_its_problem(tmp_path, change, problem):
+    directory, meta = _saved_meta(tmp_path)
+    (directory / "meta.json").write_text(json.dumps(change(meta)), encoding="utf-8")
+    with pytest.raises(ValueError, match=problem):
+        load_stacked(directory)
+
+
+def test_a_sub_model_nested_too_deep_raises_value_error(tmp_path):
+    directory, meta = _saved_meta(tmp_path)
+    (directory / "sub_gbdt_1.json").write_text(deep_model_text(100_000), encoding="utf-8")
+    with pytest.raises(ValueError, match="sub_gbdt_1.json: nested deeper"):
+        load_stacked(directory)

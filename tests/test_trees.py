@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     chain_tree,
+    deep_model_text,
     drawn_case,
     naive_predict,
     ordered_predict,
@@ -537,3 +538,10 @@ def test_any_json_value_loads_or_raises_value_error(obj):
     except ValueError:
         return
     assert isinstance(model, TreeEnsemble)
+
+
+def test_a_model_file_nested_too_deep_raises_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_model_text(100_000), encoding="utf-8")
+    with pytest.raises(ValueError, match="deep.json: nested deeper"):
+        load_ensemble(path)
