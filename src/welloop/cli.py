@@ -407,11 +407,14 @@ def parse_config(obj) -> tuple[RunConfig, list[str]]:
     return config, problems
 
 
-def _reference_schema(config):
+def _reference_schema(config, problems):
+    """The schema factor names are checked against, or None when there is
+    none to check; a schema file that does not load is a problem."""
     if config.data.schema is not None and Path(config.data.schema).is_file():
         try:
             return load_schema(config.data.schema)
-        except ValueError:
+        except ValueError as exc:
+            problems.append(f"data.schema: {exc}")
             return None
     if config.data.csv is None or config.data.schema is None:
         return DEFAULT_SCHEMA
@@ -421,7 +424,7 @@ def _reference_schema(config):
 def _check_factor_references(config, problems):
     """Every factor name mentioned in ice/optimize sections must exist in
     the schema; optimize variables must also carry the optimizable flag."""
-    specs = _reference_schema(config)
+    specs = _reference_schema(config, problems)
     if specs is None:
         return
     by_name = {s.name: s for s in specs}

@@ -174,10 +174,23 @@ def write_csv(table: WellTable, path) -> None:
 
 
 def load_schema(path) -> tuple[FactorSpec, ...]:
-    """Read a JSON list of factor declarations. Unknown units only warn."""
+    """Read a JSON list of factor declarations. Unknown units only warn;
+    a malformed file raises a ValueError that names the bad part."""
     entries = read_json(path)
+    if not isinstance(entries, list):
+        got = type(entries).__name__
+        raise ValueError(f"{path}: expected a list of factors, got {got}")
     specs = []
-    for e in entries:
+    for i, e in enumerate(entries):
+        where = f"{path}[{i}]"
+        if not isinstance(e, dict):
+            raise ValueError(f"{where}: expected object, got {type(e).__name__}")
+        for key in ("name", "unit", "category"):
+            if key not in e:
+                raise ValueError(f"{where}: missing key {key!r}")
+            if not isinstance(e[key], str):
+                got = type(e[key]).__name__
+                raise ValueError(f"{where}.{key}: expected string, got {got}")
         spec = FactorSpec(
             name=e["name"],
             unit=e["unit"],

@@ -1,10 +1,20 @@
 """Regression trees and tree ensembles built from scratch.
 
-Trees grow greedily: at each node every feature's candidate thresholds
-(midpoints between consecutive distinct sorted values) are scored and the
-strictly best gain wins, ties going to the lowest feature index and then
-the lowest threshold. Every node records its cover, the number of
-training rows that reached it, which downstream attribution relies on.
+Trees grow greedily, depth first, left before right: at each node every
+feature's candidate thresholds (midpoints between consecutive distinct
+sorted values) are scored and the best gain wins, ties going to the
+lowest feature index and then the lowest threshold. Every node records
+its cover, the number of training rows that reached it, which downstream
+attribution relies on.
+
+The search is exact and presorted (SLIQ; XGBoost's exact greedy search).
+A tree sorts its rows once, stably, per feature, and a node keeps, for
+each feature, its rows in that order. A child takes the parent's lists
+with the other child's rows removed; removing rows from a stable order
+leaves a stable order, so each node sees the targets in exactly the
+sequence a stable sort of its own rows would give, and so the same
+running sums and the same gains bit for bit. One 2-D pass scores every
+feature of a node at once. Inputs must be finite.
 
 Three ensemble kinds share the grower:
 
@@ -227,98 +237,105 @@ def predict(ensemble: TreeEnsemble, x) -> np.ndarray:
 # --- growing ---------------------------------------------------------------
 
 
-def _variance_gains(ts, pos, n):
-    # sum of squared errors drop when cutting after sorted position pos
-    s1 = np.cumsum(ts)
-    s2 = np.cumsum(ts * ts)
-    total1 = s1[-1]
-    total2 = s2[-1]
-    nl = pos + 1.0
+def _presort(x) -> tuple[np.ndarray, np.ndarray]:
+    """Sort a tree's training rows once, stably, column by column. Returns
+    (features x rows) arrays: row positions in that order, and the values."""
+    order = np.argsort(x, axis=0, kind="stable")
+    values = np.take_along_axis(x, order, axis=0)
+    return np.ascontiguousarray(order.T), np.ascontiguousarray(values.T)
+
+
+def _scan_splits(ts, vs, min_leaf, mode, lam, gamma):
+    """Score the cut after every sorted position of every feature at once.
+    `ts` and `vs` hold each feature's targets and values in that feature's
+    order; a cut must fall between distinct values and leave min_leaf rows
+    each side. Returns (feature row, position, gain) of the best cut, the
+    first in feature-major order among equals; the gain is -inf when no cut
+    is allowed."""
+    n = ts.shape[1]
+    nl = np.arange(1.0, n)
     nr = n - nl
-    l1 = s1[pos]
-    l2 = s2[pos]
-    sse_l = l2 - l1 * l1 / nl
-    sse_r = (total2 - l2) - (total1 - l1) ** 2 / nr
-    sse_p = total2 - total1 * total1 / n
-    return sse_p - sse_l - sse_r
-
-
-def _xgb_gains(gs, pos, n, lam, gamma):
-    # second-order gain for squared loss; hessian is 1 per row
-    s1 = np.cumsum(gs)
-    total = s1[-1]
-    nl = pos + 1.0
-    nr = n - nl
-    gl = s1[pos]
-    gr = total - gl
-    return 0.5 * (
-        gl * gl / (nl + lam) + gr * gr / (nr + lam) - total * total / (n + lam)
-    ) - gamma
-
-
-def _best_split(x, t, idx, feats, min_leaf, mode, lam, gamma):
-    n = idx.size
-    best_gain = -np.inf
-    best = None
-    for f in feats:
-        v = x[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ts = t[idx][order]
-        cut = np.nonzero(vs[1:] > vs[:-1])[0]
-        if cut.size == 0:
-            continue
-        nl = cut + 1
-        ok = (nl >= min_leaf) & (n - nl >= min_leaf)
-        cut = cut[ok]
-        if cut.size == 0:
-            continue
-        if mode == "mean":
-            gains = _variance_gains(ts, cut, n)
-        else:
-            gains = _xgb_gains(ts, cut, n, lam, gamma)
-        i = int(np.argmax(gains))  # first max keeps the lowest threshold
-        if gains[i] > best_gain:
-            best_gain = gains[i]
-            pos = cut[i]
-            best = (f, (vs[pos] + vs[pos + 1]) / 2.0)
-    if best is None:
-        return None
-    return best[0], best[1], best_gain
-
-
-def _leaf_value(t, idx, mode, lam):
+    s1 = np.cumsum(ts, axis=1)
+    total1 = s1[:, -1:]
+    l1 = s1[:, :-1]
     if mode == "mean":
-        return float(np.mean(t[idx]))
+        # drop in the sum of squared errors
+        s2 = np.cumsum(ts * ts, axis=1)
+        total2 = s2[:, -1:]
+        l2 = s2[:, :-1]
+        sse_l = l2 - l1 * l1 / nl
+        sse_r = (total2 - l2) - (total1 - l1) ** 2 / nr
+        sse_p = total2 - total1 * total1 / n
+        gains = sse_p - sse_l - sse_r
+    else:
+        # second-order gain for squared loss; hessian is 1 per row
+        gr = total1 - l1
+        gains = 0.5 * (
+            l1 * l1 / (nl + lam) + gr * gr / (nr + lam) - total1 * total1 / (n + lam)
+        ) - gamma
+    ok = (vs[:, 1:] > vs[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
+    gains[~ok] = -np.inf
+    row, pos = divmod(int(np.argmax(gains)), n - 1)
+    return row, pos, gains[row, pos]
+
+
+def _leaf_value(t, mode, lam):
+    if mode == "mean":
+        return float(np.mean(t))
     # gradient is pred - y, so the optimal leaf weight is -G / (H + lam)
-    return float(-np.sum(t[idx]) / (idx.size + lam))
+    return float(-np.sum(t) / (t.size + lam))
 
 
-def _grow(x, t, idx, depth, hp, rng, mode):
-    n = idx.size
-    node = TreeNode(cover=int(n), value=_leaf_value(t, idx, mode, hp.lam))
+def _grow(t, presorted, hp, rng, mode) -> TreeNode:
+    """Grow one tree on targets `t`, given its rows presorted by _presort."""
+    order, values = presorted
+    return _grow_node(t, np.arange(t.size), order, values, 0, hp, rng, mode)
+
+
+def _grow_node(t, rows, order, values, depth, hp, rng, mode):
+    # rows: the node's positions in the tree's rows, ascending; order and
+    # values: the tree's presorted arrays cut down to the node's rows, which
+    # keeps each feature's order stable, as if the node had sorted its own
+    n = rows.size
+    node = TreeNode(cover=int(n), value=_leaf_value(t[rows], mode, hp.lam))
     if depth >= hp.max_depth or n < 2 * hp.min_samples_leaf:
         return node
-    n_feat = x.shape[1]
+    n_feat = order.shape[0]
     if hp.feature_fraction < 1.0:
         size = math.ceil(hp.feature_fraction * n_feat)
         feats = np.sort(rng.choice(n_feat, size=size, replace=False))
     else:
-        feats = range(n_feat)
-    found = _best_split(x, t, idx, feats, hp.min_samples_leaf, mode, hp.lam, hp.gamma)
-    if found is None:
-        return node
-    f, thr, gain = found
+        feats = slice(None)  # a view, no copy of the node's arrays
+    row, pos, gain = _scan_splits(
+        t[order[feats]], values[feats], hp.min_samples_leaf, mode, hp.lam, hp.gamma
+    )
     if gain <= GAIN_EPS:
         return node
-    mask = x[idx, f] <= thr
-    left = _grow(x, t, idx[mask], depth + 1, hp, rng, mode)
-    right = _grow(x, t, idx[~mask], depth + 1, hp, rng, mode)
+    f = row if isinstance(feats, slice) else int(feats[row])
+    thr = (values[f, pos] + values[f, pos + 1]) / 2.0
+    go_left = np.zeros(t.size, dtype=bool)
+    go_left[order[f]] = values[f] <= thr
+    children = []
+    for side in (go_left, ~go_left):
+        # one index list serves both arrays; a 2-D boolean mask would be
+        # turned into indices once per array
+        keep = np.flatnonzero(side[order])
+        children.append(
+            _grow_node(
+                t,
+                rows[side[rows]],
+                order.take(keep).reshape(n_feat, -1),
+                values.take(keep).reshape(n_feat, -1),
+                depth + 1,
+                hp,
+                rng,
+                mode,
+            )
+        )
+    node.left, node.right = children
     node.value = None
-    node.feature = int(f)
+    node.feature = f
     node.threshold = float(thr)
-    node.left = left
-    node.right = right
     return node
 
 
@@ -328,36 +345,42 @@ def _feature_names(x, names):
     return tuple(f"f{j}" for j in range(x.shape[1]))
 
 
-def fit_tree(x, y, hp: HyperParams | None = None, feature_names=None) -> TreeNode:
-    """Grow a single variance-reduction regression tree on all rows."""
-    hp = hp or HyperParams()
+def _training_set(x, y):
+    """x as a sample matrix and y as floats, refused with a ValueError
+    unless they are a non-empty, finite training set with matching rows."""
     x = _as_matrix(x)
     y = np.asarray(y, dtype=float)
     if y.shape[0] != x.shape[0]:
         raise ValueError("x and y row counts differ")
     if y.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
+    if not np.isfinite(x).all():
+        raise ValueError("x holds a NaN or infinite value")
+    if not np.isfinite(y).all():
+        raise ValueError("y holds a NaN or infinite value")
+    return x, y
+
+
+def fit_tree(x, y, hp: HyperParams | None = None, feature_names=None) -> TreeNode:
+    """Grow a single variance-reduction regression tree on all rows."""
+    hp = hp or HyperParams()
+    x, y = _training_set(x, y)
     rng = subseed_rng(hp.seed, _RF_TREE_TAG, 0)
-    return _grow(x, y, np.arange(x.shape[0]), 0, hp, rng, "mean")
+    return _grow(y, _presort(x), hp, rng, "mean")
 
 
 def fit_rf(x, y, hp: HyperParams | None = None, feature_names=None, bootstrap=True):
     """Random forest: each tree sees a bootstrap resample and, when
     feature_fraction < 1, an independent feature subset per split."""
     hp = hp or HyperParams()
-    x = _as_matrix(x)
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("x and y row counts differ")
+    x, y = _training_set(x, y)
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot fit on an empty dataset")
     size = math.ceil(hp.subsample_fraction * n)
     trees = []
     for t in range(hp.n_trees):
         rng = subseed_rng(hp.seed, _RF_TREE_TAG, t)
         idx = rng.integers(0, n, size=size) if bootstrap else np.arange(n)
-        trees.append(_grow(x, y, idx, 0, hp, rng, "mean"))
+        trees.append(_grow(y[idx], _presort(x[idx]), hp, rng, "mean"))
     return TreeEnsemble(
         kind="RF",
         trees=tuple(trees),
@@ -368,26 +391,23 @@ def fit_rf(x, y, hp: HyperParams | None = None, feature_names=None, bootstrap=Tr
 
 
 def _boost(x, y, hp, mode, feature_names):
-    x = _as_matrix(x)
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("x and y row counts differ")
+    x, y = _training_set(x, y)
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot fit on an empty dataset")
     base = float(np.mean(y))
     pred = np.full(n, base)
     size = math.ceil(hp.subsample_fraction * n)
+    # every stage of a full-sample fit grows on all rows: sort them once
+    presorted = _presort(x) if hp.subsample_fraction == 1.0 else None
     trees = []
     losses = [float(np.mean((y - pred) ** 2))]
     for t in range(hp.n_trees):
         rng = subseed_rng(hp.seed, _BOOST_STAGE_TAG, t)
-        if hp.subsample_fraction < 1.0:
-            idx = rng.choice(n, size=size, replace=False)
-        else:
-            idx = np.arange(n)
         target = (y - pred) if mode == "mean" else (pred - y)
-        tree = _grow(x, target, idx, 0, hp, rng, mode)
+        if presorted is None:
+            idx = rng.choice(n, size=size, replace=False)
+            tree = _grow(target[idx], _presort(x[idx]), hp, rng, mode)
+        else:
+            tree = _grow(target, presorted, hp, rng, mode)
         pred = pred + hp.learning_rate * compile_trees((tree,)).leaf_values(x)[0]
         trees.append(tree)
         losses.append(float(np.mean((y - pred) ** 2)))
@@ -573,6 +593,12 @@ def _node_from_json(obj, n_features, where) -> TreeNode:
 
 
 def ensemble_to_json(ensemble: TreeEnsemble) -> dict:
+    """The ensemble as a JSON value; trees nested deeper than the
+    recursion limit raise a ValueError."""
+    try:
+        trees = [_node_to_json(t) for t in ensemble.trees]
+    except RecursionError:
+        raise ValueError("model.trees: nested deeper than the recursion limit") from None
     return {
         "kind": ensemble.kind,
         "base_score": ensemble.base_score,
@@ -581,7 +607,7 @@ def ensemble_to_json(ensemble: TreeEnsemble) -> dict:
         "train_loss": (
             None if ensemble.train_loss is None else list(ensemble.train_loss)
         ),
-        "trees": [_node_to_json(t) for t in ensemble.trees],
+        "trees": trees,
     }
 
 

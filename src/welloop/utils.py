@@ -91,10 +91,14 @@ def write_rows(path, header, rows) -> None:
 
 def write_json(path, obj, indent=2) -> None:
     """Sorted-key JSON and a newline, streamed; `indent=None` is the
-    compact form."""
-    with _replacing(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=indent)
-        fh.write("\n")
+    compact form. A value nested too deep to encode is a ValueError, and
+    leaves `path` as it was."""
+    try:
+        with _replacing(path) as fh:
+            json.dump(obj, fh, sort_keys=True, indent=indent)
+            fh.write("\n")
+    except RecursionError:
+        raise ValueError(f"{path}: nested deeper than the recursion limit") from None
 
 
 def read_json(path):

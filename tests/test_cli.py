@@ -677,6 +677,19 @@ def test_validate_subcommand_reports_problems(tmp_path, capsys):
     assert "seed" in out
 
 
+@pytest.mark.parametrize(
+    "entries, problem",
+    [([1], "[0]: expected object, got int"), ({}, ": expected a list of factors, got dict")],
+)
+def test_validate_reports_a_malformed_schema_file(tmp_path, capsys, entries, problem):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(entries), encoding="utf-8")
+    config = base_config()
+    config["data"] = dict(config["data"], schema=str(schema))
+    assert main(["validate", "--config", write_config(tmp_path, config)]) == 1
+    assert capsys.readouterr().out == f"problem: data.schema: {schema}{problem}\n"
+
+
 def test_validate_subcommand_without_config(capsys):
     assert main(["validate"]) == 1
     assert "seed" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -121,6 +122,27 @@ def test_schema_warns_on_unknown_unit(tmp_path):
     save_schema((FactorSpec("a", "furlongs", "geologic"),
                  FactorSpec("y", "-", "production")), path)
     with pytest.warns(DataWarning, match="furlongs"):
+        load_schema(path)
+
+
+@pytest.mark.parametrize(
+    "entries, problem",
+    [
+        ({}, r"schema.json: expected a list of factors, got dict"),
+        ([1], r"schema.json\[0\]: expected object, got int"),
+        ([{"unit": "m", "category": "geologic"}], r"\[0\]: missing key 'name'"),
+        ([{"name": "a", "unit": 3, "category": "geologic"}], r"\[0\].unit: expected string"),
+        (
+            [{"name": "y", "unit": "-", "category": "production"}, {"name": "a", "unit": "m"}],
+            r"\[1\]: missing key 'category'",
+        ),
+        ([{"name": "a", "unit": "m", "category": None}], r"category: expected string, got NoneType"),
+    ],
+)
+def test_malformed_schema_names_its_problem(tmp_path, entries, problem):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    with pytest.raises(ValueError, match=problem):
         load_schema(path)
 
 

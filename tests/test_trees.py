@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -14,8 +15,10 @@ from conftest import (
     ordered_predict,
     random_fitted_ensemble,
 )
+from welloop.stack import fit_stacked
 from welloop.trees import (
     FIT_FUNCTIONS,
+    GAIN_EPS,
     KINDS,
     HyperParams,
     TreeEnsemble,
@@ -131,6 +134,88 @@ def test_tree_covers_and_leaf_values_reconcile(rng):
     for leaf, idx in leaf_partitions(root, x, np.arange(50)):
         assert leaf.cover == len(idx)
         assert leaf.value == pytest.approx(y[idx].mean(), abs=1e-12)
+
+
+def exhaustive_root_gains(x, t, min_leaf, mode, lam, gamma):
+    """{(feature, threshold): gain} for every allowed root split, each gain
+    computed from the rows on either side directly (sums of squared errors,
+    or G^2 / (H + lam) with unit hessians) rather than from running sums."""
+
+    def score(side):
+        if mode == "mean":
+            return -float(np.sum((side - np.mean(side)) ** 2))
+        return 0.5 * float(np.sum(side)) ** 2 / (side.size + lam)
+
+    gains = {}
+    for f in range(x.shape[1]):
+        distinct = np.unique(x[:, f])
+        for lo, hi in zip(distinct[:-1], distinct[1:]):
+            thr = (lo + hi) / 2.0
+            left = x[:, f] <= thr
+            if min(left.sum(), (~left).sum()) >= min_leaf:
+                gain = score(t[left]) + score(t[~left]) - score(t)
+                gains[(f, thr)] = gain - (gamma if mode == "xgb" else 0.0)
+    return gains
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 16))
+    m = draw(st.integers(1, 3))
+    cell = st.integers(-6, 6).map(lambda v: v / 4)  # coarse, so values tie
+    x = draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n))
+    y = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["mean", "xgb"]))
+    hp = HyperParams(
+        n_trees=1,
+        max_depth=1,
+        min_samples_leaf=draw(st.integers(1, 4)),
+        lam=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        gamma=draw(st.sampled_from([0.0, 0.01])),
+    )
+    return np.array(x), np.array(y), mode, hp
+
+
+@given(split_problems())
+@settings(max_examples=300, deadline=None)
+def test_the_root_split_has_the_best_gain_of_an_exhaustive_scan(problem):
+    x, y, mode, hp = problem
+    if mode == "mean":
+        root, t = fit_tree(x, y, hp), y
+    else:
+        # the first stage fits gradients pred - y around the mean base score
+        root, t = fit_xgb(x, y, hp).trees[0], float(np.mean(y)) - y
+    gains = exhaustive_root_gains(x, t, hp.min_samples_leaf, mode, hp.lam, hp.gamma)
+    tol = 1e-9 * max(1.0, float(np.sum(t * t)))
+    best = max(gains.values(), default=-np.inf)
+    if root.is_leaf:
+        assert best <= GAIN_EPS + tol
+        return
+    picked = (root.feature, root.threshold)
+    assert picked in gains
+    assert gains[picked] >= best - tol
+    leader = max(gains, key=gains.get)
+    if all(g < best - tol for k, g in gains.items() if k != leader):
+        assert picked == leader
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_refuse_non_finite_input(rng, bad):
+    x = rng.normal(size=(20, 3))
+    y = rng.normal(size=20)
+    bad_x, bad_y = x.copy(), y.copy()
+    bad_x[4, 1] = bad
+    bad_y[7] = bad
+    hp = HyperParams(n_trees=2, max_depth=2)
+    for fit in (fit_tree, fit_rf, fit_gbdt, fit_xgb):
+        with pytest.raises(ValueError, match="^x holds a NaN or infinite value"):
+            fit(bad_x, y, hp)
+        with pytest.raises(ValueError, match="^y holds a NaN or infinite value"):
+            fit(x, bad_y, hp)
+    with pytest.raises(ValueError, match="^y holds"):
+        cv_mse(x, bad_y, "XGB", hp, k=2, seed=0)
+    with pytest.raises(ValueError, match="^x holds"):
+        fit_stacked(bad_x, y, {"RF": hp}, k=2, seed=0)
 
 
 # --- prediction --------------------------------------------------------------------
@@ -390,6 +475,91 @@ def test_tune_random_search_returns_the_cv_argmin(rng):
     assert best_score == cv_mse(x, y, "GBDT", best_hp, k=3, seed=11)
 
 
+# --- golden models -----------------------------------------------------------------
+
+
+def golden_data():
+    """Seeded rows with ties: an integer-valued column (and a copy of it,
+    so two features tie on every cut), a constant column and a column
+    rounded to one decimal."""
+    rng = np.random.default_rng(424242)
+    n = 240
+    x = np.column_stack([
+        rng.normal(size=n),
+        rng.integers(0, 6, size=n).astype(float),
+        np.full(n, 2.5),
+        np.round(rng.normal(size=n), 1),
+        rng.uniform(-3, 3, size=n),
+    ])
+    x = np.column_stack([x, x[:, 1]])
+    y = (
+        2.0 * x[:, 0]
+        + np.sin(x[:, 4])
+        + 0.5 * x[:, 1] * (x[:, 3] > 0)
+        + rng.normal(size=n) * 0.3
+    )
+    return x, y
+
+
+# sha256 of json.dumps(ensemble_to_json(model), sort_keys=True), pinned from
+# models grown by a search that sorted every node's rows afresh for each
+# feature; the presorted search must reproduce those models byte for byte
+GOLDEN_MODELS = {
+    "RF-default": "5f4296c2459d3b0f3402e2a7cb3dc382f53b955325dd59d02a559fbb9e16b1b9",
+    "GBDT-default": "c85632938e95063393b6024f3c97966546bc0d8fdfe7cb79c98e72ab8c6a2798",
+    "XGB-default": "ed73c158529a8ad8a9bc9f9e5bfcb33f2241afd4cd5ee20976c54552c9365113",
+    "RF-tweaked": "c22ac16abe7d3bec8321e25ba3d77608d7851e28cb570312ddccae7d440fbf7d",
+    "GBDT-tweaked": "6caa1e72b71b68621495572b2317c1cfe27f161b2b7bbd522cb2cae095dfeed0",
+    "XGB-tweaked": "861962a3f64801a120115d5a1e415b806bf01c3b7c492d6b7e98c9d61a9ee22a",
+    "stacked-RF-0": "3a2cdfbb9b7e9f6745755f286a94e71d71f07b2fb86d937aa0bdeb6fae249b5e",
+    "stacked-RF-1": "fb4cc5289f4bf746695b8d6ee141d7ef16d337d1f142b51dfeab8eddee143ac6",
+    "stacked-RF-2": "de7c456cd28db8984491adef9d00cbff23b7b85ec056872912d4d908dda414c7",
+    "stacked-RF-3": "fefef6962751573c8d740c862e1a100e1eda56ceaf6b2d82c6b878098969122e",
+    "stacked-RF-4": "ed0bab6a70a472952f54152b066aaf4b76dcd968f71c17d660372961bf077604",
+    "stacked-GBDT-0": "0606c2085c145507e706dc603266b196639ebd70afbc17fc0c49e993e7b8525e",
+    "stacked-GBDT-1": "0216bc59e864a590d2570b03309dd7d9430379e56728dca22a119bdfd88a153e",
+    "stacked-GBDT-2": "5328be45131c6347cf724f961e07db45ca9f7aa1fe6f29e4efd4de320a28125a",
+    "stacked-GBDT-3": "4d24a3af983be1b1df2922bdf8a8e9f56280c9b499f98eb266fb0ad9d9970bf7",
+    "stacked-GBDT-4": "7b6ec11a3d08014d993a0939944a67534cd40850d02c2a6435d18e8ebadaaafe",
+    "stacked-XGB-0": "53fc858950e37c8951974ac1018d27db742a9120092635fa6935b6827931cb58",
+    "stacked-XGB-1": "a660d77a43dcf9a2620b831c2c348004f2d13b47d0ed730338f42fa3ded6245b",
+    "stacked-XGB-2": "5fbfaa718c51675e0047aaaa21aa6b0ccd1edb635221af02850502ec9abc405a",
+    "stacked-XGB-3": "16951f9f70c201776d8aced5441c4240d5b64a6132a6490871933b8a61ea5730",
+    "stacked-XGB-4": "8b9b49ec2b6c554a028cf221d8b67949a42f5ba92bd3e85cf7d73675f5905338",
+    "stacked-meta": "a8bb6fd5b57872ae7e3fa09b813c3da09d792856544e72d4f33ce70b6bc091b4",
+}
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_grown_models_match_the_golden_hashes():
+    x, y = golden_data()
+    base = HyperParams(n_trees=8, max_depth=4, seed=7)
+    tweaked = replace(
+        base,
+        feature_fraction=0.6,
+        subsample_fraction=0.7,
+        min_samples_leaf=3,
+        lam=0.5,
+        gamma=0.01,
+    )
+    got = {}
+    for label, hp in (("default", base), ("tweaked", tweaked)):
+        for kind, fit in FIT_FUNCTIONS.items():
+            got[f"{kind}-{label}"] = _digest(ensemble_to_json(fit(x, y, hp)))
+    hps = {kind: HyperParams(n_trees=5, max_depth=4, seed=0) for kind in FIT_FUNCTIONS}
+    stacked = fit_stacked(x, y, hps, k=5, seed=5)
+    for kind, per_fold in zip(stacked.base_kinds, stacked.sub_models):
+        for j, model in enumerate(per_fold):
+            got[f"stacked-{kind}-{j}"] = _digest(ensemble_to_json(model))
+    got["stacked-meta"] = _digest(
+        [float(w) for w in stacked.meta_weights] + [stacked.meta_intercept]
+    )
+    assert got == GOLDEN_MODELS
+
+
 # --- serialization -----------------------------------------------------------------
 
 
@@ -538,6 +708,13 @@ def test_any_json_value_loads_or_raises_value_error(obj):
     except ValueError:
         return
     assert isinstance(model, TreeEnsemble)
+
+
+def test_saving_a_tree_nested_too_deep_raises_value_error(tmp_path):
+    model = TreeEnsemble("RF", (chain_tree(3000),), 0.0, 1.0, ("a",))
+    with pytest.raises(ValueError, match="model.trees: nested deeper"):
+        save_ensemble(model, tmp_path / "deep.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_model_file_nested_too_deep_raises_value_error(tmp_path):

@@ -125,6 +125,11 @@ def test_a_value_json_cannot_encode_leaves_the_old_file_whole(tmp_path):
     write_json(path, {"ok": 1})
     with pytest.raises(TypeError):
         write_json(path, {"bad": object()})
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(ValueError, match="v.json: nested deeper"):
+        write_json(path, deep)
     assert read_json(path) == {"ok": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
 
