@@ -494,7 +494,7 @@ def golden_data():
     x = np.column_stack([x, x[:, 1]])
     y = (
         2.0 * x[:, 0]
-        + np.sin(x[:, 4])
+        + np.abs(x[:, 4])
         + 0.5 * x[:, 1] * (x[:, 3] > 0)
         + rng.normal(size=n) * 0.3
     )
@@ -505,28 +505,28 @@ def golden_data():
 # models grown by a search that sorted every node's rows afresh for each
 # feature; the presorted search must reproduce those models byte for byte
 GOLDEN_MODELS = {
-    "RF-default": "5f4296c2459d3b0f3402e2a7cb3dc382f53b955325dd59d02a559fbb9e16b1b9",
-    "GBDT-default": "c85632938e95063393b6024f3c97966546bc0d8fdfe7cb79c98e72ab8c6a2798",
-    "XGB-default": "ed73c158529a8ad8a9bc9f9e5bfcb33f2241afd4cd5ee20976c54552c9365113",
-    "RF-tweaked": "c22ac16abe7d3bec8321e25ba3d77608d7851e28cb570312ddccae7d440fbf7d",
-    "GBDT-tweaked": "6caa1e72b71b68621495572b2317c1cfe27f161b2b7bbd522cb2cae095dfeed0",
-    "XGB-tweaked": "861962a3f64801a120115d5a1e415b806bf01c3b7c492d6b7e98c9d61a9ee22a",
-    "stacked-RF-0": "3a2cdfbb9b7e9f6745755f286a94e71d71f07b2fb86d937aa0bdeb6fae249b5e",
-    "stacked-RF-1": "fb4cc5289f4bf746695b8d6ee141d7ef16d337d1f142b51dfeab8eddee143ac6",
-    "stacked-RF-2": "de7c456cd28db8984491adef9d00cbff23b7b85ec056872912d4d908dda414c7",
-    "stacked-RF-3": "fefef6962751573c8d740c862e1a100e1eda56ceaf6b2d82c6b878098969122e",
-    "stacked-RF-4": "ed0bab6a70a472952f54152b066aaf4b76dcd968f71c17d660372961bf077604",
-    "stacked-GBDT-0": "0606c2085c145507e706dc603266b196639ebd70afbc17fc0c49e993e7b8525e",
-    "stacked-GBDT-1": "0216bc59e864a590d2570b03309dd7d9430379e56728dca22a119bdfd88a153e",
-    "stacked-GBDT-2": "5328be45131c6347cf724f961e07db45ca9f7aa1fe6f29e4efd4de320a28125a",
-    "stacked-GBDT-3": "4d24a3af983be1b1df2922bdf8a8e9f56280c9b499f98eb266fb0ad9d9970bf7",
-    "stacked-GBDT-4": "7b6ec11a3d08014d993a0939944a67534cd40850d02c2a6435d18e8ebadaaafe",
-    "stacked-XGB-0": "53fc858950e37c8951974ac1018d27db742a9120092635fa6935b6827931cb58",
-    "stacked-XGB-1": "a660d77a43dcf9a2620b831c2c348004f2d13b47d0ed730338f42fa3ded6245b",
-    "stacked-XGB-2": "5fbfaa718c51675e0047aaaa21aa6b0ccd1edb635221af02850502ec9abc405a",
-    "stacked-XGB-3": "16951f9f70c201776d8aced5441c4240d5b64a6132a6490871933b8a61ea5730",
-    "stacked-XGB-4": "8b9b49ec2b6c554a028cf221d8b67949a42f5ba92bd3e85cf7d73675f5905338",
-    "stacked-meta": "a8bb6fd5b57872ae7e3fa09b813c3da09d792856544e72d4f33ce70b6bc091b4",
+    "RF-default": "60d392eae0d1b002ca6395f048baa860a7b7cf236bcc7d95cdee1857bfe44299",
+    "GBDT-default": "f406cd05f94762ad921b400d6e74c9d27141c149cb41d7cd1b8df96f31d573f7",
+    "XGB-default": "29f5045f72ed463f0f0e20e46b18b314abbe8fab051bdd162fcc346c18b0a564",
+    "RF-tweaked": "b8937cbc756bf88e0c49457e78e0e661d9c1f2d934e5b9c37821e2015b0513cf",
+    "GBDT-tweaked": "b499aa220523e1db93e5e74665277cb1912a4afef627df2036d1af62e003d432",
+    "XGB-tweaked": "30bf1c67a381afb5c118ff4e8fd6a0ed8c45e1320ad743f0cd8e23cea948021c",
+    "stacked-RF-0": "7667fb1bd6f17c58ed3e7b870caec80eb395ffd80cb219e6435bc9febcfb6cf4",
+    "stacked-RF-1": "be5fa1fd4df731e6ef40ae375f40567b2e49bb89524fa210752bdffd49fd5195",
+    "stacked-RF-2": "400e34b817efa53742e5db82dea2482b3b321da13ebb874fc07fd5adbe535667",
+    "stacked-RF-3": "995ef2b35a86c8890940f7ee7416f4a482e131ba2d3a04a6c580eaf729c61636",
+    "stacked-RF-4": "574b8e46058c306d24d59e1b0ae051ee8681b8d8c90db59c49ff355cce278558",
+    "stacked-GBDT-0": "10d5285c3958e306bdc1f58fe524e3ba5f614b1f0cbb9627cf470e1cd874abe8",
+    "stacked-GBDT-1": "5f6f5cf5d5ed20a1b079cb22b675cf0a9169a812d6053f7b6602056938966efb",
+    "stacked-GBDT-2": "4b5ee941bcc780719845bf7d7262454b5926e187065a2e5e0be0a6614d406992",
+    "stacked-GBDT-3": "c822bdd10776d401a07c17918b74a30c487b89e1f0ece6f543e660ce98d8063f",
+    "stacked-GBDT-4": "3d87efeea2d53179997fb21e45e5965965fc186a268cd93bcdedbbbaa6bb69f0",
+    "stacked-XGB-0": "938d0205a3ce906b7a81a3e357955d802419d8300d364e8e5b6bcd19efa898d1",
+    "stacked-XGB-1": "6f96579154b40d7c3d13efe5bf054baa96cf5a173f6e9ce28e1d17b429c8a442",
+    "stacked-XGB-2": "dc313eaea5fa8c157bf0b56fbeb5500c02ef9d80f4cea6df3dc8fbd376bf56d8",
+    "stacked-XGB-3": "470ad4aea8fda6849cff1b95a4da93276dd6e4063ad32933dde774b7e489f6f0",
+    "stacked-XGB-4": "8e9258adfcf782dd9e779d27ee1c68c01f5ecee34eebff2b878fd8217c83c834",
+    "stacked-meta": "19d4c4833e816d55a67bd54491d64789145cda24497b1fc6458d9b739dd51c87",
 }
 
 
