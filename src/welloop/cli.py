@@ -570,7 +570,11 @@ class Pipeline:
                 self.statuses[stage] = ("failed", f"{type(exc).__name__}: {exc}")
                 print(f"[{stage}] failed: {exc}", file=sys.stderr)
                 failed = True
-        self.write_manifest()
+        try:
+            self.write_manifest()
+        except OSError as exc:
+            print(f"[manifest] failed: {exc}", file=sys.stderr)
+            return 2
         return 2 if failed else 0
 
     # -- stage inputs reloaded for standalone subcommands --

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import rankdata
 
-from welloop.trees import TreeEnsemble, _as_matrix, predict
+from welloop.trees import _BLOCK_CELLS, TreeEnsemble, _as_matrix
 from welloop.utils import fmt, subseed_rng, write_rows
 from welloop.data import WellTable
 
@@ -143,21 +143,19 @@ def tree_game(ensemble: TreeEnsemble, x) -> CoalitionalGame:
 # v * prod_{d in D}(o_d - z_d) * sum_s c_s * s!(q-s-1)!/q!, with
 # q = p - |D| + 1 and c_s the t^s coefficient of prod_{i not in D}(z_i + o_i t).
 
-_BLOCK_CELLS = 1 << 14  # elements in the largest array of one block
-
-
-def _decompose(ensemble):
+def _decompose(model):
     """Cut every tree into its root-to-leaf paths with an explicit stack.
     Paths with the same number p >= 1 of unique features form one group
     (feature, zero, lo, hi, value), by increasing p: slot j of path i is
     feature[i, j] with zero fraction zero[i, j]; a sample takes every
     branch on it when not x <= lo[i, j] and x <= hi[i, j] (a NaN bound is
-    no bound); value[i] is the leaf value times its tree's weight. Also
-    returns the base value, sum(value * prod(zero)) plus any base score."""
-    weight = 1.0 / len(ensemble.trees) if ensemble.kind == "RF" else ensemble.learning_rate
+    no bound); value[i] is the leaf value times its tree's weight over the
+    divisor of the model's terms(). Also returns the base value,
+    sum(value * prod(zero)) plus the constant over the divisor."""
+    weights, constant, divisor = model.terms()
     by_p = {}
     empty = []
-    for root in ensemble.trees:
+    for root, weight in zip(model.trees, weights / divisor):
         stack = [(root, {})]  # node, {feature: (zero, lo, hi)} on its path
         while stack:
             node, path = stack.pop()
@@ -183,8 +181,7 @@ def _decompose(ensemble):
             feature = np.array([list(path) for path, _ in leaves], dtype=np.intp)
             value = np.array([v for _, v in leaves])
             groups.append((feature, *np.moveaxis(slots, 2, 0), value))
-    base = math.fsum(empty)
-    return groups, base if ensemble.kind == "RF" else base + ensemble.base_score
+    return groups, math.fsum(empty) + constant / divisor
 
 
 def _subset_weights(one, zero, drop, weights):
@@ -207,14 +204,14 @@ def _subset_weights(one, zero, drop, weights):
     return total
 
 
-def _path_sums(ensemble, x, order):
+def _path_sums(model, x, order):
     """The per-path terms above for every set D of `order` path features,
     summed over all paths into (rows, M**order) at the cell that spells
     D's features in base M; and the base value. Rows x paths go in blocks
     of at most _BLOCK_CELLS cells, tiled along the paths independently of
     the row count, and bincount adds in input order, so a row's sums never
     depend on the other rows."""
-    groups, base = _decompose(ensemble)
+    groups, base = _decompose(model)
     n, m = x.shape
     size = m**order
     out = np.zeros((n, size))
@@ -288,45 +285,45 @@ class InteractionTensor:
         }
 
 
-def tree_shap(ensemble: TreeEnsemble, x) -> AttributionMatrix:
-    """Polynomial-time attribution of every sample in x.
+def tree_shap(model, x) -> AttributionMatrix:
+    """Polynomial-time attribution of every sample in x by a TreeEnsemble
+    or a StackedModel.
 
     Matches shapley_exact applied to the path-dependent expectation game
-    feature for feature, at polynomial rather than exponential cost.
+    feature for feature, at polynomial rather than exponential cost. The
+    game of a weighted sum of trees is the same weighted sum of the trees'
+    games, so a stacked model needs nothing more than its terms().
     """
-    x = _as_matrix(x, ensemble.n_features)
-    if not ensemble.trees:
-        raise ValueError("ensemble has no trees")
-    values, base = _path_sums(ensemble, x, 1)
+    x = _as_matrix(x, len(model.feature_names))
+    values, base = _path_sums(model, x, 1)
     return AttributionMatrix(
-        values=values, base_value=float(base), feature_names=ensemble.feature_names
+        values=values, base_value=float(base), feature_names=model.feature_names
     )
 
 
 def shap_interactions(
-    ensemble: TreeEnsemble, x, attr: AttributionMatrix | None = None
+    model, x, attr: AttributionMatrix | None = None
 ) -> InteractionTensor:
-    """Pairwise interaction attribution for every sample in x.
+    """Pairwise interaction attribution for every sample in x by a
+    TreeEnsemble or a StackedModel.
 
     The (i, j) entry is half the Shapley interaction value of features i
     and j; the diagonal is the remainder of i's total attribution after
-    removing all pairwise terms. Pass tree_shap(ensemble, x) as `attr`
-    when it is already at hand, so the rows are not attributed twice.
+    removing all pairwise terms. Pass tree_shap(model, x) as `attr` when
+    it is already at hand, so the rows are not attributed twice.
     """
-    x = _as_matrix(x, ensemble.n_features)
-    if not ensemble.trees:
-        raise ValueError("ensemble has no trees")
+    x = _as_matrix(x, len(model.feature_names))
     n, m = x.shape
     if attr is None:
-        attr = tree_shap(ensemble, x)
+        attr = tree_shap(model, x)
     elif attr.values.shape != (n, m):
         raise ValueError("attributions do not match the sample matrix")
-    pairs, _ = _path_sums(ensemble, x, 2)
+    pairs, _ = _path_sums(model, x, 2)
     half = 0.5 * pairs.reshape(n, m, m)  # each pair at (i, j) or at (j, i)
     values = half + half.transpose(0, 2, 1)
     diag = np.arange(m)
     values[:, diag, diag] = attr.values - values.sum(axis=2)
-    return InteractionTensor(values=values, feature_names=ensemble.feature_names)
+    return InteractionTensor(values=values, feature_names=model.feature_names)
 
 
 # --- downstream summaries ------------------------------------------------------

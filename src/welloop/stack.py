@@ -5,13 +5,15 @@ out-of-fold predictions form one meta feature. Because sub-model (z, j)
 never sees fold j, the meta features carry no training-row leakage. The
 meta model is ordinary least squares with an intercept on the raw
 out-of-fold predictions. At prediction time a kind's k sub-models are
-averaged before the meta model combines the kinds.
+averaged before the meta model combines the kinds. That meta model is
+linear, so a stacked model is one weighted sum of all its sub-models'
+trees, which prediction and attribution read like any tree ensemble.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,8 +22,10 @@ from welloop.trees import (
     HyperParams,
     TreeEnsemble,
     _as_matrix,
+    _feature_names,
     _take,
     _take_list,
+    _training_set,
     _typed,
     load_ensemble,
     predict,
@@ -48,6 +52,29 @@ class StackedModel:
     meta_weights: np.ndarray
     meta_intercept: float
     feature_names: tuple
+    # every sub-model's trees in kind, fold, tree order
+    trees: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        subs = [sub for per_fold in self.sub_models for sub in per_fold]
+        names = {tuple(self.feature_names)} | {sub.feature_names for sub in subs}
+        if not 0 < len(self.meta_weights) == len(self.sub_models) or len(names) > 1:
+            raise ValueError("need a kind, a meta weight per kind, one list of feature names")
+        self.trees = tuple(tree for sub in subs for tree in sub.trees)
+
+    def terms(self) -> tuple[np.ndarray, float, int]:
+        """(per-tree weights, constant, divisor) over `trees`, as
+        TreeEnsemble.terms: kind z's sub-models are averaged under meta
+        weight z, so each sub-model's terms are scaled by that weight over
+        the fold count and folded into one sum with divisor 1."""
+        weights, constant = [], self.meta_intercept
+        for meta_weight, per_fold in zip(self.meta_weights, self.sub_models):
+            scale = meta_weight / len(per_fold)
+            for sub in per_fold:
+                sub_weights, sub_constant, divisor = sub.terms()
+                weights.append(scale * sub_weights / divisor)
+                constant += scale * sub_constant / divisor
+        return np.concatenate(weights), float(constant), 1
 
     def predict(self, x) -> np.ndarray:
         return predict_stacked(self, x)
@@ -63,10 +90,7 @@ def fit_stacked(
 ) -> StackedModel:
     """Train the base kinds per fold, collect out-of-fold predictions,
     and fit the least-squares meta model on them."""
-    x = _as_matrix(x)
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("x and y row counts differ")
+    x, y = _training_set(x, y)
     n = x.shape[0]
     if not base_hps:
         raise ValueError("need at least one base kind")
@@ -84,9 +108,7 @@ def fit_stacked(
         )
 
     kinds = tuple(base_hps)
-    names = tuple(feature_names) if feature_names is not None else tuple(
-        f"f{j}" for j in range(x.shape[1])
-    )
+    names = _feature_names(x, feature_names)
     oof = np.empty((n, len(kinds)))
     sub_models = []
     for z, kind in enumerate(kinds):
@@ -112,31 +134,18 @@ def fit_stacked(
     )
 
 
-def stacked_features(model: StackedModel, x) -> np.ndarray:
-    """Per-kind base predictions (each kind's sub-models averaged)."""
-    x = _as_matrix(x, len(model.feature_names))
-    cols = []
-    for per_fold in model.sub_models:
-        acc = np.zeros(x.shape[0])
-        for sub in per_fold:
-            acc += predict(sub, x)
-        cols.append(acc / len(per_fold))
-    return np.column_stack(cols)
-
-
 def predict_stacked(model: StackedModel, x) -> np.ndarray:
-    feats = stacked_features(model, x)
-    return model.meta_intercept + feats @ model.meta_weights
+    """The meta model over each kind's averaged sub-models, predicted as
+    the one weighted sum of trees that StackedModel.terms states."""
+    return predict(model, x)
 
 
 def as_predictor(model):
     """(predict function, feature names) of a stacked model or a tree
     ensemble; any other callable is its own predict function and has no
     feature names."""
-    if isinstance(model, StackedModel):
-        return lambda x: predict_stacked(model, x), model.feature_names
-    if isinstance(model, TreeEnsemble):
-        return lambda x: predict(model, x), model.feature_names
+    if isinstance(model, (StackedModel, TreeEnsemble)):
+        return model.predict, model.feature_names
     if callable(model):
         return model, None
     raise TypeError(f"cannot predict with object of type {type(model).__name__}")

@@ -42,6 +42,8 @@ _BOOST_STAGE_TAG = 12
 _TUNE_DRAW_TAG = 13
 _TUNE_FOLD_TAG = 14
 
+_BLOCK_CELLS = 1 << 14  # elements in the largest array of one block
+
 
 @dataclass
 class TreeNode:
@@ -127,6 +129,16 @@ class TreeEnsemble:
     def n_features(self) -> int:
         return len(self.feature_names)
 
+    def terms(self) -> tuple[np.ndarray, float, int]:
+        """(per-tree weights, constant, divisor) of the sum predict and
+        attribution take: a mean vote for RF, a shrunken sum on top of the
+        base score for boosting kinds."""
+        if self.kind == "RF":
+            if not self.trees:
+                raise ValueError("RF ensemble has no trees")
+            return np.ones(len(self.trees)), 0.0, len(self.trees)
+        return np.full(len(self.trees), self.learning_rate), self.base_score, 1
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         return predict(self, x)
 
@@ -201,37 +213,38 @@ def compile_trees(trees) -> FlatTrees:
     )
 
 
-def compiled(ensemble: TreeEnsemble) -> FlatTrees:
-    """The ensemble's node arrays, compiled on first use and cached on the
-    instance for as long as its `trees` attribute is the same object.
-    Nothing changes a fitted or loaded tree's nodes in place."""
-    cached = getattr(ensemble, "_compiled", None)
-    if cached is None or cached[0] is not ensemble.trees:
-        cached = (ensemble.trees, compile_trees(ensemble.trees))
-        ensemble._compiled = cached
-    return cached[1]
+def compiled(model):
+    """The node arrays of a TreeEnsemble's or a StackedModel's `trees`
+    and its terms(), compiled on first use and cached on the instance for
+    as long as its `trees` attribute is the same object. Nothing changes a
+    fitted or loaded model's nodes or scaling in place."""
+    cached = getattr(model, "_compiled", None)
+    if cached is None or cached[0] is not model.trees:
+        cached = (model.trees, compile_trees(model.trees), model.terms())
+        model._compiled = cached
+    return cached[1:]
 
 
-def predict(ensemble: TreeEnsemble, x) -> np.ndarray:
-    """Ensemble prediction: mean vote for RF, shrunken sum on top of the
-    base score for boosting kinds. Per-tree values are added one tree at a
-    time in tree order, so the float result does not depend on how many
-    rows are predicted together."""
-    x = _as_matrix(x, ensemble.n_features)
-    if ensemble.kind == "RF" and not ensemble.trees:
-        raise ValueError("RF ensemble has no trees")
-    leaves = compiled(ensemble).leaf_values(x)
-    terms = np.empty((leaves.shape[0] + 1, x.shape[0]))
-    if ensemble.kind == "RF":
-        terms[0] = 0.0
-        terms[1:] = leaves
-    else:
-        terms[0] = ensemble.base_score
-        np.multiply(ensemble.learning_rate, leaves, out=terms[1:])
-    # accumulate adds the rows strictly one after another; a reduction
-    # such as np.sum may pair terms up and change the last bits
-    total = np.add.accumulate(terms, axis=0)[-1]
-    return total / len(ensemble.trees) if ensemble.kind == "RF" else total
+def predict(model, x) -> np.ndarray:
+    """The output of a TreeEnsemble or a StackedModel: with (weight,
+    constant, divisor) from its terms(), (constant + sum of weight[t] times
+    tree t's leaf value) / divisor. The terms are added one tree at a time
+    in tree order, and rows go in blocks of at most _BLOCK_CELLS cells, so
+    the float result does not depend on how many rows are predicted
+    together."""
+    x = _as_matrix(x, len(model.feature_names))
+    flat, (weight, constant, divisor) = compiled(model)
+    out = np.empty(x.shape[0])
+    step = max(1, _BLOCK_CELLS // (len(weight) + 1))
+    for r0 in range(0, x.shape[0], step):
+        leaves = flat.leaf_values(x[r0 : r0 + step])
+        terms = np.empty((len(weight) + 1, leaves.shape[1]))
+        terms[0] = constant
+        np.multiply(weight[:, None], leaves, out=terms[1:])
+        # accumulate adds the rows strictly one after another; a reduction
+        # such as np.sum may pair terms up and change the last bits
+        out[r0 : r0 + step] = np.add.accumulate(terms, axis=0)[-1] / divisor
+    return out
 
 
 # --- growing ---------------------------------------------------------------
@@ -297,9 +310,8 @@ def _grow_node(t, rows, order, values, depth, hp, rng, mode):
     # values: the tree's presorted arrays cut down to the node's rows, which
     # keeps each feature's order stable, as if the node had sorted its own
     n = rows.size
-    node = TreeNode(cover=int(n), value=_leaf_value(t[rows], mode, hp.lam))
     if depth >= hp.max_depth or n < 2 * hp.min_samples_leaf:
-        return node
+        return TreeNode(cover=int(n), value=_leaf_value(t[rows], mode, hp.lam))
     n_feat = order.shape[0]
     if hp.feature_fraction < 1.0:
         size = math.ceil(hp.feature_fraction * n_feat)
@@ -310,7 +322,7 @@ def _grow_node(t, rows, order, values, depth, hp, rng, mode):
         t[order[feats]], values[feats], hp.min_samples_leaf, mode, hp.lam, hp.gamma
     )
     if gain <= GAIN_EPS:
-        return node
+        return TreeNode(cover=int(n), value=_leaf_value(t[rows], mode, hp.lam))
     f = row if isinstance(feats, slice) else int(feats[row])
     thr = (values[f, pos] + values[f, pos + 1]) / 2.0
     go_left = np.zeros(t.size, dtype=bool)
@@ -332,11 +344,8 @@ def _grow_node(t, rows, order, values, depth, hp, rng, mode):
                 mode,
             )
         )
-    node.left, node.right = children
-    node.value = None
-    node.feature = f
-    node.threshold = float(thr)
-    return node
+    left, right = children
+    return TreeNode(cover=int(n), feature=f, threshold=float(thr), left=left, right=right)
 
 
 def _feature_names(x, names):
@@ -479,8 +488,7 @@ def cv_mse(x, y, kind: str, hp: HyperParams, k: int, seed: int) -> float:
     """Pooled out-of-fold MSE of `kind` under k-fold cross-validation."""
     if kind not in FIT_FUNCTIONS:
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    x = _as_matrix(x)
-    y = np.asarray(y, dtype=float)
+    x, y = _training_set(x, y)
     fold = kfold_assignments(x.shape[0], k, subseed_rng(seed, _TUNE_FOLD_TAG))
     oof = np.empty_like(y)
     for j in range(k):

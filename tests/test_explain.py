@@ -35,6 +35,7 @@ from welloop.explain import (
     write_dependency_csv,
     write_summary_csv,
 )
+from welloop.stack import fit_stacked, predict_stacked
 from welloop.trees import HyperParams, TreeEnsemble, TreeNode, fit_rf, predict
 
 
@@ -316,12 +317,80 @@ def test_tree_expectation_walks_a_very_deep_tree_without_recursion():
         assert tree_expectation(model, x, set()) == pytest.approx(base, abs=1e-9)
 
 
-def test_tree_shap_rejects_empty_ensembles():
-    empty = TreeEnsemble("GBDT", (), 1.0, 0.1, ("a",))
-    with pytest.raises(ValueError):
-        tree_shap(empty, [[0.0]])
-    with pytest.raises(ValueError):
-        shap_interactions(empty, [[0.0]])
+def test_an_empty_gbdt_attributes_zeros_on_its_base_score():
+    empty = TreeEnsemble("GBDT", (), 1.5, 0.1, ("a", "b"))
+    x = [[0.0, 2.0], [-1.0, 3.0]]
+    attr = tree_shap(empty, x)
+    assert attr.base_value == 1.5 == tree_expectation(empty, x[0], set())
+    assert np.array_equal(attr.values, np.zeros((2, 2)))
+    assert np.array_equal(shap_interactions(empty, x, attr).values, np.zeros((2, 2, 2)))
+    rf = TreeEnsemble("RF", (), 0.0, 1.0, ("a", "b"))
+    with pytest.raises(ValueError, match="RF ensemble has no trees"):
+        tree_shap(rf, x)
+    with pytest.raises(ValueError, match="RF ensemble has no trees"):
+        shap_interactions(rf, x)
+
+
+# --- stacked models ----------------------------------------------------------------
+
+STACK_HPS = {
+    "RF": HyperParams(n_trees=4, max_depth=3),
+    "GBDT": HyperParams(n_trees=3, max_depth=2, learning_rate=0.3),
+    "XGB": HyperParams(n_trees=4, max_depth=3, learning_rate=0.3),
+}
+
+
+@pytest.fixture(scope="module")
+def small_stacked():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(45, 4))
+    y = x[:, 0] * x[:, 1] + np.abs(x[:, 2]) - x[:, 3] + 0.1 * rng.normal(size=45)
+    probe = np.vstack([x[:3], rng.normal(size=(3, 4))])
+    return fit_stacked(x, y, STACK_HPS, k=3, seed=4), probe
+
+
+def stacked_game(model, x):
+    """The stacked model's game summed the way stacking defines it, from
+    each sub-model's expectation: intercept + sum over kinds z of
+    meta weight z times the mean over folds j of sub-model (z, j)'s game."""
+
+    def payoff(s):
+        total = model.meta_intercept
+        for weight, per_fold in zip(model.meta_weights, model.sub_models):
+            total += weight * np.mean([tree_expectation(sub, x, s) for sub in per_fold])
+        return total
+
+    return CoalitionalGame(n_players=len(model.feature_names), payoff=payoff)
+
+
+def test_stacked_attribution_adds_up_to_the_stacked_prediction(small_stacked):
+    model, x = small_stacked
+    attr = tree_shap(model, x)
+    recon = attr.base_value + attr.values.sum(axis=1)
+    assert np.allclose(recon, predict_stacked(model, x), rtol=0, atol=1e-9)
+    assert attr.base_value == pytest.approx(
+        stacked_game(model, x[0]).payoff(frozenset()), rel=0, abs=1e-9
+    )
+
+
+def test_stacked_attribution_matches_enumeration_of_the_sub_model_games(small_stacked):
+    model, x = small_stacked
+    attr = tree_shap(model, x)
+    tensor = shap_interactions(model, x, attr)
+    for i in range(x.shape[0]):
+        game = stacked_game(model, x[i])
+        phi = shapley_exact(game)
+        assert np.allclose(attr.values[i], phi, rtol=0, atol=1e-9)
+        want = interaction_oracle(game.payoff, game.n_players, phi)
+        assert np.allclose(tensor.values[i], want, rtol=0, atol=1e-9)
+
+
+def test_stacked_interactions_are_symmetric_and_sum_to_attributions(small_stacked):
+    model, x = small_stacked
+    attr = tree_shap(model, x)
+    tensor = shap_interactions(model, x)
+    assert np.allclose(tensor.values, tensor.values.transpose(0, 2, 1), rtol=0, atol=1e-9)
+    assert np.allclose(tensor.values.sum(axis=2), attr.values, rtol=0, atol=1e-9)
 
 
 # --- pairwise interactions -----------------------------------------------------------

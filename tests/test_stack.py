@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import deep_model_text, naive_predict, ordered_predict
+import welloop.trees
+from conftest import deep_model_text, naive_predict
 from welloop.stack import (
     as_predictor,
     evaluate,
@@ -12,7 +13,6 @@ from welloop.stack import (
     load_stacked,
     predict_stacked,
     save_stacked,
-    stacked_features,
     sub_model_seed,
 )
 from welloop.trees import FIT_FUNCTIONS, HyperParams, predict
@@ -89,24 +89,23 @@ def test_predict_stacked_matches_hand_reimplementation(rng):
     got = predict_stacked(model, probe)
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(model.predict(probe), got, atol=0)
-    feats = stacked_features(model, probe)
-    assert feats.shape == (7, len(model.base_kinds))
 
 
-def test_stacked_features_are_batch_independent_and_in_tree_order(rng):
+@pytest.mark.parametrize("cells", [40, 300])
+def test_a_row_predicts_alike_alone_and_in_a_many_block_batch(cells, rng, monkeypatch):
     x, y = synthetic(6)
     model = fit_stacked(x, y, SMALL_HPS, k=3, seed=2)
     probe = np.vstack([rng.normal(size=(9, x.shape[1])), x[:3]])
-    want = np.empty((probe.shape[0], len(model.base_kinds)))
-    for z, per_fold in enumerate(model.sub_models):
-        acc = np.zeros(probe.shape[0])
-        for sub in per_fold:
-            acc += ordered_predict(sub, probe)
-        want[:, z] = acc / len(per_fold)
-    assert np.array_equal(stacked_features(model, probe), want)
-    for i in range(probe.shape[0]):
-        assert np.array_equal(stacked_features(model, probe[i]), want[i : i + 1])
-    assert np.array_equal(stacked_features(model, probe[:0]), want[:0])
+    forest = model.sub_models[0][0]
+    whole = (predict_stacked(model, probe), predict(forest, probe))
+    # 40 cells a block hold 1 row of the 96 stacked trees and 4 rows of
+    # the 8-tree forest; 300 cells hold 3 and 33
+    monkeypatch.setattr(welloop.trees, "_BLOCK_CELLS", cells)
+    for target, want in zip((model, forest), whole):
+        assert np.array_equal(target.predict(probe), want)
+        for i in range(probe.shape[0]):
+            assert np.array_equal(target.predict(probe[i]), want[i : i + 1])
+        assert target.predict(probe[:0]).shape == (0,)
 
 
 def test_as_predictor_dispatches_on_the_model_type():
@@ -204,6 +203,15 @@ def test_fit_stacked_validates_inputs():
         fit_stacked(x2, y2[:-1], SMALL_HPS)
 
 
+def test_fit_stacked_refuses_nan_before_the_first_sub_fit(monkeypatch):
+    x, y = synthetic(7)
+    x[4, 1] = np.nan
+    for kind in SMALL_HPS:
+        monkeypatch.setitem(FIT_FUNCTIONS, kind, None)  # a sub-fit raises TypeError
+    with pytest.raises(ValueError, match="x holds a NaN or infinite value"):
+        fit_stacked(x, y, SMALL_HPS)
+
+
 def test_fit_stacked_rejects_folds_smaller_than_leaves():
     x, y = synthetic(8, n=10)
     hps = {"RF": HyperParams(n_trees=2, min_samples_leaf=3)}
@@ -230,6 +238,9 @@ def _saved_meta(tmp_path):
         (lambda m: {**m, "meta_weights": None}, "meta.json.meta_weights: expected list"),
         (lambda m: {**m, "fold_assignment": [0, None]}, r"assignment\[1\]: expected integer"),
         (lambda m: {k: m[k] for k in m if k != "meta_intercept"}, "key 'meta_intercept'"),
+        (lambda m: {**m, "meta_weights": [1.0, 2.0]}, "a meta weight per kind"),
+        (lambda m: {**m, "base_kinds": [], "meta_weights": []}, "need a kind"),
+        (lambda m: {**m, "feature_names": list("abcd")}, "one list of feature names"),
     ],
 )
 def test_malformed_stacked_meta_names_its_problem(tmp_path, change, problem):

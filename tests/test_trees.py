@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import welloop.trees
 from conftest import (
     chain_tree,
     deep_model_text,
@@ -237,6 +238,18 @@ def test_predict_equals_the_ordered_per_row_sum_bit_for_bit(case):
     assert np.array_equal(predict(model, x), want)
     for i in range(x.shape[0]):
         assert np.array_equal(predict(model, x[i]), want[i : i + 1])
+
+
+def test_predict_keeps_the_ordered_sum_across_row_blocks(rng, monkeypatch):
+    # 30 cells a block hold 4 rows of the 6 trees, so 25 rows take 7 blocks
+    monkeypatch.setattr(welloop.trees, "_BLOCK_CELLS", 30)
+    x = rng.normal(size=(25, 3))
+    for kind in KINDS:
+        model = FIT_FUNCTIONS[kind](x, x[:, 0] * x[:, 1], HyperParams(n_trees=6))
+        want = ordered_predict(model, x)
+        assert np.array_equal(predict(model, x), want)
+        for i in range(x.shape[0]):
+            assert np.array_equal(predict(model, x[i]), want[i : i + 1])
 
 
 def test_predict_on_no_rows_returns_an_empty_array(rng):
