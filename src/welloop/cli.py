@@ -49,7 +49,17 @@ from welloop.trees import (
     save_ensemble,
     tune_random_search,
 )
-from welloop.utils import fmt, mix_seed, read_json, subseed_rng, write_json, write_rows
+from welloop.utils import (
+    fmt,
+    mix_seed,
+    read_json,
+    subseed_rng,
+    take,
+    take_list,
+    typed,
+    write_json,
+    write_rows,
+)
 
 _SPLIT_TAG = 61
 _TRAIN_TAG = 62
@@ -479,15 +489,34 @@ class Pipeline:
         self.models: dict = {}
         self.hps: dict = {}
         self.stacked = None
-        self.prev_manifest = self._load_prev_manifest()
+        # the previous manifest's (path, stage) artifacts and name -> (status,
+        # detail) stages; both empty when there is none
+        self.prev_artifacts, self.prev_stages = self._load_prev_manifest()
 
     # -- bookkeeping --
 
     def _load_prev_manifest(self):
+        """The previous manifest, read once. One that is unreadable, not of
+        the shape write_manifest gives, or names a path that is anchored
+        (absolute, or on a drive) or steps up with `..` counts as absent,
+        so a re-run never deletes or records a file outside `out`."""
+        where = "manifest.json"
         try:
-            return read_json(self.out / "manifest.json")
+            prev = typed(read_json(self.out / where), "object", where)
+            artifacts = []
+            for art in take_list(prev, "artifacts", "object", where):
+                rel = take(art, "path", "string", where)
+                if Path(rel).anchor or ".." in Path(rel).parts:
+                    raise ValueError(f"{where}: {rel!r} is not inside the output directory")
+                artifacts.append((rel, take(art, "stage", "string", where)))
+            stages = {}
+            for entry in take_list(prev, "stages", "object", where):
+                detail = typed(entry.get("detail", ""), "string", where, "detail")
+                status = take(entry, "status", "string", where)
+                stages[take(entry, "name", "string", where)] = (status, detail)
         except (ValueError, OSError):
-            return None
+            return [], {}
+        return artifacts, stages
 
     def _path(self, rel) -> Path:
         path = self.out / rel
@@ -511,24 +540,16 @@ class Pipeline:
         self._record(rel, stage)
 
     def _clear_stage(self, stage):
-        if not self.prev_manifest:
-            return
-        for art in self.prev_manifest.get("artifacts", []):
-            if art.get("stage") == stage:
-                path = self.out / art.get("path", "")
-                if path.is_file():
-                    path.unlink()
+        for rel, art_stage in self.prev_artifacts:
+            path = self.out / rel
+            if art_stage == stage and path.is_file():
+                path.unlink()
 
     def _carry_stage(self, stage, detail=""):
-        status = ("skipped", detail)
-        if self.prev_manifest:
-            for art in self.prev_manifest.get("artifacts", []):
-                if art.get("stage") == stage and (self.out / art["path"]).is_file():
-                    self._record(art["path"], stage)
-            for entry in self.prev_manifest.get("stages", []):
-                if entry.get("name") == stage:
-                    status = (entry.get("status", "skipped"), entry.get("detail", ""))
-        self.statuses[stage] = status
+        for rel, art_stage in self.prev_artifacts:
+            if art_stage == stage and (self.out / rel).is_file():
+                self._record(rel, stage)
+        self.statuses[stage] = self.prev_stages.get(stage, ("skipped", detail))
 
     def write_manifest(self):
         arts = []
@@ -589,9 +610,9 @@ class Pipeline:
             raise RuntimeError("no data artifacts found; run the data stage first")
         specs = load_schema(schema_path)
         self.table = load_csv(clean_path, specs)
-        split = read_json(split_path)
-        self.train_idx = np.array(split["train"], dtype=int)
-        self.test_idx = np.array(split["test"], dtype=int)
+        split = typed(read_json(split_path), "object", split_path)
+        self.train_idx = np.array(take_list(split, "train", "integer", split_path), dtype=int)
+        self.test_idx = np.array(take_list(split, "test", "integer", split_path), dtype=int)
 
     def _ensure_models(self):
         if self.models:
@@ -880,7 +901,7 @@ class Pipeline:
                 self._save(path, "optimize", result.trace.write_csv, variable_names=variables)
                 self._write_json(
                     f"optimize/result_w{row}_{method}.json",
-                    result.to_json(bounds=result.bounds),
+                    result.to_json(),
                     "optimize",
                 )
                 gain = ""

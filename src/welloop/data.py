@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from welloop.utils import read_json, write_json, write_rows
+from welloop.utils import read_json, take, typed, write_json, write_rows
 
 CATEGORIES = ("geologic", "drilling", "completion", "production")
 
@@ -183,18 +183,11 @@ def load_schema(path) -> tuple[FactorSpec, ...]:
     specs = []
     for i, e in enumerate(entries):
         where = f"{path}[{i}]"
-        if not isinstance(e, dict):
-            raise ValueError(f"{where}: expected object, got {type(e).__name__}")
-        for key in ("name", "unit", "category"):
-            if key not in e:
-                raise ValueError(f"{where}: missing key {key!r}")
-            if not isinstance(e[key], str):
-                got = type(e[key]).__name__
-                raise ValueError(f"{where}.{key}: expected string, got {got}")
+        typed(e, "object", where)
         spec = FactorSpec(
-            name=e["name"],
-            unit=e["unit"],
-            category=e["category"],
+            name=take(e, "name", "string", where),
+            unit=take(e, "unit", "string", where),
+            category=take(e, "category", "string", where),
             optimizable=bool(e.get("optimizable", False)),
         )
         if spec.unit not in KNOWN_UNITS:

@@ -1,7 +1,8 @@
 """Bounded maximization of predicted recovery.
 
-Three search strategies share one budgeted, trace-recording objective
-wrapper: particle swarm (inertia plus cognitive and social pulls with
+Three search strategies run under one budget handler, which evaluates
+through a budgeted, trace-recording objective wrapper until the budget
+is spent: particle swarm (inertia plus cognitive and social pulls with
 fresh uniform diagonal matrices every iteration), differential evolution
 (rand/1 mutation, per-dimension crossover, strictly greedy selection),
 and Bayesian optimization (Matern-5/2 Gaussian process surrogate with
@@ -142,6 +143,38 @@ class _Evaluator:
         return value
 
 
+def _search(problem: SearchProblem, start, step):
+    """The budget handler every search runs under: `start(ev)` evaluates
+    the initial design, then `step(ev)`, which evaluates at least once,
+    repeats until the budget is spent, `ev` being the budgeted objective.
+    A budget that runs out mid-step marks the trace truncated. Returns
+    (best point, trace)."""
+    ev = _Evaluator(problem)
+    try:
+        start(ev)
+        while len(ev.trace.entries) < problem.budget:
+            step(ev)
+    except BudgetExhausted:
+        ev.trace.truncated = True
+    return ev.trace.best().point.copy(), ev.trace
+
+
+def _start_population(rng, problem: SearchProblem, size: int, initial, what: str):
+    """`size` uniform points in the box; `initial` pins the first point
+    (1-D) or the whole population (2-D), clamped to the box."""
+    lower, upper = problem.lower, problem.upper
+    points = lower + rng.random((size, problem.dim)) * (upper - lower)
+    if initial is None:
+        return points
+    initial = np.asarray(initial, dtype=float)
+    if initial.ndim == 1:
+        points[0] = np.clip(initial, lower, upper)
+        return points
+    if initial.shape != points.shape:
+        raise ValueError(f"initial {what} has the wrong shape")
+    return np.clip(initial, lower, upper)
+
+
 # --- particle swarm ------------------------------------------------------------
 
 
@@ -186,10 +219,8 @@ def pso(
     inertia: float = 0.729,
     cognitive: float = 1.494,
     social: float = 1.494,
-    iterations: int | None = None,
     seed: int = 0,
     initial=None,
-    rng=None,
 ):
     """Particle swarm maximization; returns (best point, trace).
 
@@ -199,25 +230,13 @@ def pso(
     """
     if swarm_size < 2:
         raise ValueError("swarm_size must be >= 2")
-    rng = rng if rng is not None else subseed_rng(seed, _PSO_TAG)
-    ev = _Evaluator(problem)
+    rng = subseed_rng(seed, _PSO_TAG)
     lower, upper = problem.lower, problem.upper
-    dim = problem.dim
-    if iterations is None:
-        iterations = max(1, math.ceil(problem.budget / swarm_size))
 
-    positions = lower + rng.random((swarm_size, dim)) * (upper - lower)
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.ndim == 1:
-            positions[0] = np.clip(initial, lower, upper)
-        else:
-            if initial.shape != positions.shape:
-                raise ValueError("initial swarm has the wrong shape")
-            positions = np.clip(initial, lower, upper)
+    positions = _start_population(rng, problem, swarm_size, initial, "swarm")
     state = SwarmState(
         positions=positions,
-        velocities=np.zeros((swarm_size, dim)),
+        velocities=np.zeros((swarm_size, problem.dim)),
         personal_best_positions=positions.copy(),
         personal_best_values=np.full(swarm_size, -np.inf),
         global_best_position=positions[0].copy(),
@@ -227,7 +246,7 @@ def pso(
         social=social,
     )
 
-    def evaluate_swarm():
+    def evaluate_swarm(ev):
         for p in range(swarm_size):
             value = ev(state.positions[p])
             if value > state.personal_best_values[p]:
@@ -238,23 +257,17 @@ def pso(
             state.global_best_value = float(state.personal_best_values[best])
             state.global_best_position = state.personal_best_positions[best].copy()
 
-    try:
-        evaluate_swarm()
-        for _ in range(iterations):
-            if len(ev.trace.entries) >= problem.budget:
-                break
-            pso_move(state, lower, upper, rng)
-            evaluate_swarm()
-            ev.trace.iteration_log.append(
-                {
-                    "personal_best_values": state.personal_best_values.copy(),
-                    "global_best_value": state.global_best_value,
-                }
-            )
-    except BudgetExhausted:
-        ev.trace.truncated = True
-    best = ev.trace.best()
-    return best.point.copy(), ev.trace
+    def step(ev):
+        pso_move(state, lower, upper, rng)
+        evaluate_swarm(ev)
+        ev.trace.iteration_log.append(
+            {
+                "personal_best_values": state.personal_best_values.copy(),
+                "global_best_value": state.global_best_value,
+            }
+        )
+
+    return _search(problem, evaluate_swarm, step)
 
 
 # --- differential evolution -----------------------------------------------------
@@ -279,10 +292,8 @@ def de(
     population_size: int = 10,
     amplification: float = 0.8,
     crossover_rate: float = 0.7,
-    iterations: int | None = None,
     seed: int = 0,
     initial=None,
-    rng=None,
 ):
     """Differential evolution maximization; returns (best point, trace).
 
@@ -291,47 +302,29 @@ def de(
     """
     if population_size < 4:
         raise ValueError("population_size must be >= 4 for three distinct donors")
-    rng = rng if rng is not None else subseed_rng(seed, _DE_TAG)
-    ev = _Evaluator(problem)
+    rng = subseed_rng(seed, _DE_TAG)
     lower, upper = problem.lower, problem.upper
-    dim = problem.dim
-    if iterations is None:
-        iterations = max(1, math.ceil(problem.budget / population_size))
 
-    population = lower + rng.random((population_size, dim)) * (upper - lower)
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.ndim == 1:
-            population[0] = np.clip(initial, lower, upper)
-        else:
-            if initial.shape != population.shape:
-                raise ValueError("initial population has the wrong shape")
-            population = np.clip(initial, lower, upper)
+    population = _start_population(rng, problem, population_size, initial, "population")
     fitness = np.full(population_size, -np.inf)
 
-    try:
+    def start(ev):
         for p in range(population_size):
             fitness[p] = ev(population[p])
-        for _ in range(iterations):
-            if len(ev.trace.entries) >= problem.budget:
-                break
-            new_population = population.copy()
-            new_fitness = fitness.copy()
-            for p in range(population_size):
-                trial = de_trial(
-                    population, p, amplification, crossover_rate, lower, upper, rng
-                )
-                value = ev(trial)
-                if value > fitness[p]:
-                    new_population[p] = trial
-                    new_fitness[p] = value
-            population = new_population
-            fitness = new_fitness
-            ev.trace.iteration_log.append({"member_values": fitness.copy()})
-    except BudgetExhausted:
-        ev.trace.truncated = True
-    best = ev.trace.best()
-    return best.point.copy(), ev.trace
+
+    def step(ev):
+        # every trial of a generation draws its donors from the generation
+        # before; a member's own fitness is read only by its own trial
+        parents = population.copy()
+        for p in range(population_size):
+            trial = de_trial(parents, p, amplification, crossover_rate, lower, upper, rng)
+            value = ev(trial)
+            if value > fitness[p]:
+                population[p] = trial
+                fitness[p] = value
+        ev.trace.iteration_log.append({"member_values": fitness.copy()})
+
+    return _search(problem, start, step)
 
 
 # --- Bayesian optimization --------------------------------------------------------
@@ -430,7 +423,6 @@ class _GaussianProcess:
 def bayes_opt(
     problem: SearchProblem,
     n_init: int = 8,
-    iterations: int | None = None,
     seed: int = 0,
     initial=None,
 ):
@@ -444,15 +436,11 @@ def bayes_opt(
     if n_init < 2:
         raise ValueError("n_init must be >= 2")
     rng = subseed_rng(seed, _BO_TAG)
-    ev = _Evaluator(problem)
     lower, upper = problem.lower, problem.upper
     span = upper - lower
     dim = problem.dim
-    if iterations is None:
-        iterations = max(0, problem.budget - n_init)
 
-    sampler = qmc.LatinHypercube(d=dim, seed=rng)
-    points01 = sampler.random(n_init)
+    points01 = qmc.LatinHypercube(d=dim, seed=rng).random(n_init)
     if initial is not None:
         initial = np.asarray(initial, dtype=float).reshape(-1)
         points01[0] = np.clip((initial - lower) / span, 0.0, 1.0)
@@ -460,39 +448,32 @@ def bayes_opt(
     x01 = []
     y = []
 
-    def evaluate01(q01):
+    def evaluate01(ev, q01):
         u = np.clip(lower + np.asarray(q01) * span, lower, upper)
-        value = ev(u)
+        y.append(ev(u))
         x01.append(np.asarray(q01, dtype=float))
-        y.append(value)
-        return value
 
-    try:
+    def start(ev):
         for q in points01:
-            evaluate01(q)
-        for _ in range(iterations):
-            if len(ev.trace.entries) >= problem.budget:
-                break
-            gp = _GaussianProcess(np.array(x01), np.array(y), rng)
-            best_val = max(y)
+            evaluate01(ev, q)
 
-            def neg_ei(q):
-                mu, sigma = gp.predict(q)
-                return -float(expected_improvement(mu, sigma, best_val)[0])
+    def step(ev):
+        gp = _GaussianProcess(np.array(x01), np.array(y), rng)
+        best_val = max(y)
 
-            candidates = rng.random((256, dim))
-            mu, sigma = gp.predict(candidates)
-            ei = expected_improvement(mu, sigma, best_val)
-            start = candidates[int(np.argmax(ei))]
-            res = minimize(
-                neg_ei, start, bounds=[(0.0, 1.0)] * dim, method="L-BFGS-B"
-            )
-            pick = res.x if res.fun <= -max(ei.max(), 0.0) else start
-            evaluate01(np.clip(pick, 0.0, 1.0))
-    except BudgetExhausted:
-        ev.trace.truncated = True
-    best = ev.trace.best()
-    return best.point.copy(), ev.trace
+        def neg_ei(q):
+            mu, sigma = gp.predict(q)
+            return -float(expected_improvement(mu, sigma, best_val)[0])
+
+        candidates = rng.random((256, dim))
+        mu, sigma = gp.predict(candidates)
+        ei = expected_improvement(mu, sigma, best_val)
+        first = candidates[int(np.argmax(ei))]
+        res = minimize(neg_ei, first, bounds=[(0.0, 1.0)] * dim, method="L-BFGS-B")
+        pick = res.x if res.fun <= -max(ei.max(), 0.0) else first
+        evaluate01(ev, np.clip(pick, 0.0, 1.0))
+
+    return _search(problem, start, step)
 
 
 # --- closed-loop well optimization -------------------------------------------------
@@ -511,8 +492,20 @@ class WellOptimization:
     trace: Trace
     bounds: dict  # variable -> (lower, upper) the search ran within
 
-    def to_json(self, bounds=None) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        """The result record; `radar` gives each variable's original and
+        optimized values scaled to the bounds the search ran within."""
+        radar = []
+        for name, orig, opt in zip(self.variable_names, self.original, self.optimized):
+            lo, hi = self.bounds[name]
+            radar.append(
+                {
+                    "variable": name,
+                    "original_norm": float((orig - lo) / (hi - lo)),
+                    "optimized_norm": float((opt - lo) / (hi - lo)),
+                }
+            )
+        return {
             "method": self.method,
             "variables": list(self.variable_names),
             "original": [float(v) for v in self.original],
@@ -521,25 +514,14 @@ class WellOptimization:
             "optimized_eur": float(self.optimized_eur),
             "evaluations": len(self.trace.entries),
             "truncated": self.trace.truncated,
+            "radar": radar,
         }
-        if bounds is not None:
-            radar = []
-            for name, orig, opt in zip(
-                self.variable_names, self.original, self.optimized
-            ):
-                lo, hi = bounds[name]
-                radar.append(
-                    {
-                        "variable": name,
-                        "original_norm": float((orig - lo) / (hi - lo)),
-                        "optimized_norm": float((opt - lo) / (hi - lo)),
-                    }
-                )
-            out["radar"] = radar
-        return out
 
 
-METHODS = ("pso", "de", "bayes")
+# method -> name of its search function, looked up at each call so that a
+# wrapper set on the module attribute (loopbench's tracing probes) sees it
+_SEARCHES = {"pso": "pso", "de": "de", "bayes": "bayes_opt"}
+METHODS = tuple(_SEARCHES)
 
 
 def optimize_well(
@@ -600,12 +582,14 @@ def optimize_well(
     int_mask = np.array([name in integer_variables for name in variables])
     var_cols = np.array([col[name] for name in variables])
 
-    def objective(u):
+    def rounded(u):
         z = np.array(u, dtype=float)
-        if int_mask.any():
-            z[int_mask] = np.round(z[int_mask])
+        z[int_mask] = np.round(z[int_mask])
+        return z
+
+    def objective(u):
         point = np.array(x0)
-        point[var_cols] = z
+        point[var_cols] = rounded(u)
         return float(np.asarray(predictor(point[None, :]), dtype=float)[0])
 
     problem = SearchProblem(
@@ -616,24 +600,13 @@ def optimize_well(
         budget=budget,
     )
     u0 = np.clip(x0[var_cols], problem.lower, problem.upper)
-
-    if method == "pso":
-        _, trace = pso(problem, seed=seed, initial=u0)
-    elif method == "de":
-        _, trace = de(problem, seed=seed, initial=u0)
-    else:
-        _, trace = bayes_opt(problem, seed=seed, initial=u0)
-
+    search = globals()[_SEARCHES[method]]
+    _, trace = search(problem, seed=seed, initial=u0)
     best = trace.best()
-    optimized = best.point.copy()
-    original = u0.copy()
-    if int_mask.any():
-        optimized[int_mask] = np.round(optimized[int_mask])
-        original[int_mask] = np.round(original[int_mask])
     return WellOptimization(
         variable_names=tuple(variables),
-        original=original,
-        optimized=optimized,
+        original=rounded(u0),
+        optimized=rounded(best.point),
         original_eur=float(trace.entries[0].value),
         optimized_eur=float(best.value),
         method=method,

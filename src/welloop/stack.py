@@ -23,15 +23,21 @@ from welloop.trees import (
     TreeEnsemble,
     _as_matrix,
     _feature_names,
-    _take,
-    _take_list,
     _training_set,
-    _typed,
     load_ensemble,
     predict,
     save_ensemble,
 )
-from welloop.utils import kfold_assignments, mix_seed, read_json, subseed_rng, write_json
+from welloop.utils import (
+    kfold_assignments,
+    mix_seed,
+    read_json,
+    subseed_rng,
+    take,
+    take_list,
+    typed,
+    write_json,
+)
 
 _FOLD_TAG = 31
 _SUB_SEED_TAG = 32
@@ -119,6 +125,8 @@ def fit_stacked(
             model = FIT_FUNCTIONS[kind](x[tr], y[tr], hp, feature_names=names)
             per_fold.append(model)
             oof[~tr, z] = predict(model, x[~tr])
+            # later predicts read the stacked model's own compilation of these trees
+            del model._compiled
         sub_models.append(tuple(per_fold))
 
     design = np.column_stack([np.ones(n), oof])
@@ -200,20 +208,20 @@ def save_stacked(model: StackedModel, directory) -> list[str]:
 def load_stacked(directory) -> StackedModel:
     """The model save_stacked wrote. A missing or wrongly typed meta.json
     key, or a malformed sub-model, raises a ValueError naming it."""
-    meta = _typed(read_json(os.path.join(directory, "meta.json")), "object", "meta.json")
-    kinds = _take_list(meta, "base_kinds", "string", "meta.json")
-    folds = _take(meta, "folds", "integer", "meta.json")
+    meta = typed(read_json(os.path.join(directory, "meta.json")), "object", "meta.json")
+    kinds = take_list(meta, "base_kinds", "string", "meta.json")
+    folds = take(meta, "folds", "integer", "meta.json")
     if folds < 2:
         raise ValueError(f"meta.json.folds: need at least 2 folds, got {folds}")
     return StackedModel(
         base_kinds=kinds,
         folds=folds,
         fold_assignment=np.array(
-            _take_list(meta, "fold_assignment", "integer", "meta.json"), dtype=int
+            take_list(meta, "fold_assignment", "integer", "meta.json"), dtype=int
         ),
-        meta_weights=np.array(_take_list(meta, "meta_weights", "number", "meta.json")),
-        meta_intercept=_take(meta, "meta_intercept", "number", "meta.json"),
-        feature_names=_take_list(meta, "feature_names", "string", "meta.json"),
+        meta_weights=np.array(take_list(meta, "meta_weights", "number", "meta.json")),
+        meta_intercept=take(meta, "meta_intercept", "number", "meta.json"),
+        feature_names=take_list(meta, "feature_names", "string", "meta.json"),
         sub_models=tuple(
             tuple(
                 load_ensemble(os.path.join(directory, f"sub_{kind.lower()}_{j}.json"))

@@ -32,7 +32,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from welloop.utils import kfold_assignments, mix_seed, read_json, subseed_rng, write_json
+from welloop.utils import (
+    kfold_assignments,
+    mix_seed,
+    read_json,
+    subseed_rng,
+    take,
+    take_list,
+    typed,
+    write_json,
+)
 
 # gains below this are treated as zero so constant targets stay unsplit
 GAIN_EPS = 1e-12
@@ -542,56 +551,21 @@ def _node_to_json(node: TreeNode) -> dict:
     }
 
 
-_JSON_TYPES = {
-    "integer": int,
-    "number": (int, float),
-    "string": str,
-    "list": list,
-    "object": dict,
-}
-
-
-def _typed(value, kind, where, key=None):
-    """value, refused with a ValueError naming where it sits (`where`,
-    then `key`) unless it has the JSON type `kind`; numbers come back as
-    floats."""
-    try:
-        if not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]):
-            return float(value) if kind == "number" else value
-        problem = f"expected {kind}, got {type(value).__name__}"
-    except OverflowError:
-        problem = "number out of range"
-    raise ValueError(f"{where if key is None else f'{where}.{key}'}: {problem}")
-
-
-def _take(obj, key, kind, where):
-    """obj[key], checked by _typed; a missing key raises a ValueError."""
-    if key not in obj:
-        raise ValueError(f"{where}: missing key {key!r}")
-    return _typed(obj[key], kind, where, key)
-
-
-def _take_list(obj, key, kind, where):
-    """obj[key] as a tuple of items, the list and each item checked by _typed."""
-    items = _take(obj, key, "list", where)
-    return tuple(_typed(v, kind, f"{where}.{key}[{i}]") for i, v in enumerate(items))
-
-
 def _node_from_json(obj, n_features, where) -> TreeNode:
-    cover = _take(obj, "cover", "integer", where)
+    cover = take(obj, "cover", "integer", where)
     if cover < 1:
         raise ValueError(f"{where}: node cover must be >= 1")
     if "value" in obj:
-        return TreeNode(cover=cover, value=_take(obj, "value", "number", where))
+        return TreeNode(cover=cover, value=take(obj, "value", "number", where))
     if obj.keys().isdisjoint(("feature", "threshold", "left", "right")):
         raise ValueError(f"{where}: node has neither a value nor a split")
-    feature = _take(obj, "feature", "integer", where)
+    feature = take(obj, "feature", "integer", where)
     if not 0 <= feature < n_features:
         raise ValueError(f"{where}.feature: {feature} is not one of {n_features} features")
-    threshold = _take(obj, "threshold", "number", where)
-    left = _take(obj, "left", "object", where)
+    threshold = take(obj, "threshold", "number", where)
+    left = take(obj, "left", "object", where)
     left = _node_from_json(left, n_features, f"{where}.left")
-    right = _take(obj, "right", "object", where)
+    right = take(obj, "right", "object", where)
     right = _node_from_json(right, n_features, f"{where}.right")
     if left.cover + right.cover != cover:
         raise ValueError(f"{where}: child covers do not sum to the parent cover")
@@ -623,24 +597,24 @@ def ensemble_from_json(obj) -> TreeEnsemble:
     """The ensemble a JSON value describes. A malformed value, from a
     missing key or a wrong type to trees nested deeper than the recursion
     limit, raises a ValueError that names the problem."""
-    _typed(obj, "object", "model")
-    kind = _take(obj, "kind", "string", "model")
-    names = _take_list(obj, "feature_names", "string", "model")
+    typed(obj, "object", "model")
+    kind = take(obj, "kind", "string", "model")
+    names = take_list(obj, "feature_names", "string", "model")
     loss = obj.get("train_loss")
     if loss is not None:
-        loss = _take_list(obj, "train_loss", "number", "model")
+        loss = take_list(obj, "train_loss", "number", "model")
     trees = []
     try:
-        for i, root in enumerate(_take(obj, "trees", "list", "model")):
+        for i, root in enumerate(take(obj, "trees", "list", "model")):
             where = f"model.trees[{i}]"
-            trees.append(_node_from_json(_typed(root, "object", where), len(names), where))
+            trees.append(_node_from_json(typed(root, "object", where), len(names), where))
     except RecursionError:
         raise ValueError("model.trees: nested deeper than the recursion limit") from None
     return TreeEnsemble(
         kind=kind,
         trees=trees,
-        base_score=_take(obj, "base_score", "number", "model"),
-        learning_rate=_take(obj, "learning_rate", "number", "model"),
+        base_score=take(obj, "base_score", "number", "model"),
+        learning_rate=take(obj, "learning_rate", "number", "model"),
         feature_names=names,
         train_loss=loss,
     )

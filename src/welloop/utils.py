@@ -1,5 +1,6 @@
 """Small shared helpers: seeded RNG derivation, fold assignment,
-formatting, and the one place files are read and written."""
+formatting, the one place files are read and written, and the typed
+reads every loader applies to decoded JSON."""
 
 from __future__ import annotations
 
@@ -109,3 +110,40 @@ def read_json(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: nested deeper than the recursion limit") from None
+
+
+# --- typed reads of decoded JSON ---------------------------------------------------
+
+_JSON_TYPES = {
+    "integer": int,
+    "number": (int, float),
+    "string": str,
+    "list": list,
+    "object": dict,
+}
+
+
+def typed(value, kind, where, key=None):
+    """value, refused with a ValueError naming where it sits (`where`,
+    then `key`) unless it has the JSON type `kind`; numbers come back as
+    floats."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]):
+            return float(value) if kind == "number" else value
+        problem = f"expected {kind}, got {type(value).__name__}"
+    except OverflowError:
+        problem = "number out of range"
+    raise ValueError(f"{where if key is None else f'{where}.{key}'}: {problem}")
+
+
+def take(obj, key, kind, where):
+    """obj[key], checked by typed; a missing key raises a ValueError."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return typed(obj[key], kind, where, key)
+
+
+def take_list(obj, key, kind, where):
+    """obj[key] as a tuple of items, the list and each item checked by typed."""
+    items = take(obj, key, "list", where)
+    return tuple(typed(v, kind, f"{where}.{key}[{i}]") for i, v in enumerate(items))

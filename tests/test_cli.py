@@ -1,7 +1,10 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import welloop.cli
 import welloop.explain
 import welloop.utils
 from welloop.cli import RunConfig, main, parse_config, validate_config
+from welloop.data import DEFAULT_SCHEMA
 
 
 def base_config():
@@ -660,6 +664,75 @@ def test_parse_config_reports_problems_for_any_json_value(obj):
     assert all(isinstance(p, str) for p in problems)
 
 
+_FEATURES = [s.name for s in DEFAULT_SCHEMA if s.category != "production"]
+_OPTIMIZABLE = [s.name for s in DEFAULT_SCHEMA if s.optimizable]
+_ROWS = st.integers(0, 40)  # clean-table rows; past the end now and then
+
+
+@st.composite
+def _ice_jobs(draw):
+    names = draw(st.lists(st.sampled_from(_FEATURES), min_size=1, max_size=3, unique=True))
+    job = {"factors": [{"name": n, "steps": draw(st.integers(2, 4))} for n in names]}
+    anchors = draw(st.sampled_from(["all", "sample", "anchors"]))
+    if anchors == "sample":
+        job["sample"] = draw(st.integers(1, 5))
+    elif anchors == "anchors":
+        job["anchors"] = draw(st.lists(_ROWS, min_size=1, max_size=3))
+    return job
+
+
+@st.composite
+def _tiny_configs(draw):
+    """Configs over the documented surface at tiny sizes."""
+    kinds = draw(st.lists(st.sampled_from(["rf", "gbdt", "xgb"]), min_size=1, unique=True))
+    trees = st.fixed_dictionaries({"n_trees": st.integers(1, 3), "max_depth": st.integers(1, 3)})
+    bound = st.tuples(st.sampled_from(_OPTIMIZABLE), st.floats(0, 50), st.floats(1, 50))
+    bounds = {name: [lo, lo + width] for name, lo, width in draw(st.lists(bound, max_size=2))}
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "data": {"rows": draw(st.integers(20, 40)), "noise_sd": draw(st.sampled_from([0.0, 0.1]))},
+        "train": {
+            "kinds": kinds,
+            "hyperparams": {kind: draw(trees) for kind in kinds},
+            "test_fraction": draw(st.sampled_from([0.1, 0.25, 0.5])),
+        },
+        "stack": {"enabled": draw(st.booleans()), "k": draw(st.integers(2, 3))},
+        "explain": {
+            "kind": draw(st.sampled_from([None, *kinds])),
+            "interactions": draw(st.booleans()),
+            "clusters": draw(st.sampled_from([0, 2, 3])),
+            "waterfalls": draw(st.lists(st.integers(0, 8), max_size=2)),
+            "max_rows": draw(st.sampled_from([None, 2, 8])),
+        },
+        "ice": draw(st.lists(_ice_jobs(), max_size=2)),
+        "optimize": {
+            "methods": draw(st.lists(st.sampled_from(["pso", "de", "bayes"]), min_size=1, unique=True)),
+            "wells": draw(st.lists(_ROWS, max_size=2, unique=True)),
+            "variables": draw(
+                st.none() | st.lists(st.sampled_from(_OPTIMIZABLE), min_size=1, max_size=3, unique=True)
+            ),
+            "budget": draw(st.integers(1, 4)),
+            "bounds": bounds,
+        },
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tiny_configs())
+def test_accepted_configs_run_to_success_or_a_domain_error(obj):
+    """A config that validation accepts either runs (exit 0) or fails a
+    stage (exit 2); no exception escapes, and the manifest matches the disk."""
+    if parse_config(obj)[1]:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), obj)
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", path, "--out", str(out)])
+        status = stage_status(assert_manifest_reconciles(out))
+    assert code == (2 if "failed" in status.values() else 0)
+
+
 # --- validate subcommand --------------------------------------------------------------
 
 
@@ -1011,6 +1084,52 @@ def test_a_stage_writer_failing_mid_rows_leaves_no_partial_file(tmp_path, monkey
     assert not (out / "shap/summary_rf.csv").exists()
     manifest = assert_manifest_reconciles(out)
     assert stage_status(manifest)["explain"] == "failed"
+
+
+# --- previous manifests -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+@pytest.mark.parametrize("command, stage", [("run", "data"), ("synthesize", "train")])
+def test_a_previous_manifest_never_touches_files_outside_the_output(
+    tmp_path, command, stage, absolute
+):
+    """`run` would delete the data stage's files, `synthesize` carry the
+    train stage's; neither may reach a file outside the directory."""
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep", encoding="utf-8")
+    manifest = read_manifest(out)
+    listed = str(victim) if absolute else "../victim.txt"
+    manifest["artifacts"].append({"path": listed, "sha256": "0", "stage": stage})
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main([command, "--config", path, "--out", str(out)]) == 0
+    assert victim.read_text(encoding="utf-8") == "keep"
+    assert listed not in {a["path"] for a in read_manifest(out)["artifacts"]}
+
+
+@pytest.mark.parametrize(
+    "previous", [[1], {"artifacts": [{"stage": "config", "path": 5}]}]
+)
+def test_a_malformed_previous_manifest_counts_as_absent(tmp_path, previous):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps(previous), encoding="utf-8")
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert set(stage_status(assert_manifest_reconciles(out)).values()) == {"ok", "skipped"}
+
+
+def test_a_split_file_without_its_keys_fails_naming_them(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    (out / "data/split.json").write_text("{}", encoding="utf-8")
+    assert main(["explain", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"[explain] failed: {out / 'data/split.json'}: missing key 'train'" in err
 
 
 # --- richer configurations ------------------------------------------------------------

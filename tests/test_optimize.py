@@ -469,7 +469,7 @@ def test_optimize_well_json_includes_normalized_radar(well_table):
         bounds={"stage count": (12.0, 32.0)},
         seed=5,
     )
-    obj = out.to_json(bounds={"stage count": (12.0, 32.0)})
+    obj = out.to_json()
     assert obj["method"] == "pso"
     assert obj["evaluations"] == 15
     radar = obj["radar"][0]
@@ -478,8 +478,6 @@ def test_optimize_well_json_includes_normalized_radar(well_table):
         (out.original[0] - 12.0) / 20.0, abs=1e-12
     )
     assert 0.0 <= radar["optimized_norm"] <= 1.0
-    plain = out.to_json()
-    assert "radar" not in plain
 
 
 def test_optimize_well_reports_the_bounds_it_searched(well_table):

@@ -122,6 +122,17 @@ def test_as_predictor_dispatches_on_the_model_type():
         as_predictor(object())
 
 
+def test_sub_models_keep_no_compiled_arrays_after_a_stacked_fit():
+    x, y = synthetic(5)
+    model = fit_stacked(x, y, SMALL_HPS, k=3, seed=8)
+    subs = [sub for per_fold in model.sub_models for sub in per_fold]
+    assert not any(hasattr(sub, "_compiled") for sub in subs)
+    fresh = predict_stacked(model, x)
+    for sub in subs:
+        predict(sub, x)  # compiles and caches each sub-model again
+    assert np.array_equal(predict_stacked(model, x), fresh)
+
+
 def test_stacking_is_deterministic():
     x, y = synthetic(4)
     a = fit_stacked(x, y, SMALL_HPS, k=4, seed=9)
