@@ -42,6 +42,7 @@ from welloop.optimize import METHODS, optimize_well
 from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked
 from welloop.trees import (
     FIT_FUNCTIONS,
+    INTEGER_FIELDS,
     KINDS,
     MODEL_FORMAT,
     HyperParams,
@@ -469,6 +470,32 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_hyperparams(path: Path) -> dict:
+    """kind -> HyperParams from the train stage's record, every field
+    checked; a malformed file is a ValueError naming it and the key."""
+    hps = {}
+    for kind, record in typed(read_json(path), "object", path).items():
+        where = f"{path}.{kind}"
+        record = typed(record, "object", path, kind)
+        values = {
+            f.name: take(record, f.name, "integer" if f.name in INTEGER_FIELDS else "number", where)
+            for f in fields(HyperParams)
+        }
+        try:
+            hps[kind] = HyperParams(**values)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return hps
+
+
+def _cached_hash(path: Path):
+    """The hash a model cache file records, or None if it holds none."""
+    try:
+        return take(typed(read_json(path), "object", path), "hash", "string", path)
+    except (OSError, ValueError):
+        return None
+
+
 class Pipeline:
     """Sequential stage runner over one output directory.
 
@@ -624,8 +651,7 @@ class Pipeline:
             self.models[kind] = load_ensemble(path)
         hp_path = self.out / "models/hyperparams.json"
         if hp_path.is_file():
-            raw = read_json(hp_path)
-            self.hps = {kind: HyperParams(**fields) for kind, fields in raw.items()}
+            self.hps = _read_hyperparams(hp_path)
 
     def _final_model(self):
         """The model the ICE and optimize stages interrogate: the stacked
@@ -698,12 +724,17 @@ class Pipeline:
         cache_path = self.out / "models/cache.json"
         model_paths = {kind: self.out / f"models/{kind.lower()}.json" for kind in cfg.kinds}
         hp_path = self.out / "models/hyperparams.json"
-        if cfg.cached and cache_path.is_file() and hp_path.is_file():
-            cached = read_json(cache_path)
-            if cached.get("hash") == key and all(
-                p.is_file() for p in model_paths.values()
-            ):
+        if (
+            cfg.cached
+            and hp_path.is_file()
+            and all(p.is_file() for p in model_paths.values())
+            and _cached_hash(cache_path) == key
+        ):
+            try:
                 self._ensure_models()
+            except ValueError:  # a cached file that no longer parses: retrain
+                pass
+            else:
                 for kind in cfg.kinds:
                     self._record(f"models/{kind.lower()}.json", "train")
                 self._record("models/hyperparams.json", "train")

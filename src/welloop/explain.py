@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import rankdata
 
 from welloop.trees import _BLOCK_CELLS, TreeEnsemble, _as_matrix
 from welloop.utils import fmt, subseed_rng, write_rows
@@ -453,6 +452,20 @@ def _pearson_pair(a, b):
     return float(ac @ bc) / denom
 
 
+def _average_ranks(a):
+    """1-based ranks of a 1-D array, each run of ties given the mean of
+    the positions it spans (scipy.stats.rankdata's 'average'). The ranks
+    are half-integers, so they are exact."""
+    a = np.asarray(a)
+    order = np.argsort(a, kind="mergesort")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _minmax(a):
     lo = a.min()
     hi = a.max()
@@ -504,7 +517,7 @@ def baseline_correlations(table: WellTable) -> CorrelationReport:
         if pearson is None or np.std(y) == 0:
             spearman = None
         else:
-            spearman = _pearson_pair(rankdata(xj), rankdata(y))
+            spearman = _pearson_pair(_average_ranks(xj), _average_ranks(y))
         if not defined[j]:
             gra = None
         elif gap_max == 0:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
-from scipy.stats import norm, qmc
+from scipy.special import ndtr
 
 from welloop.data import WellTable
 from welloop.stack import as_predictor
@@ -31,6 +31,7 @@ _DE_TAG = 52
 _BO_TAG = 53
 _GP_NOISE = 1e-6
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class SurrogateError(RuntimeError):
@@ -341,8 +342,21 @@ def expected_improvement(mu, sigma, best) -> np.ndarray:
     if np.any(live):
         g = (mu[live] - best) / sigma[live]
         out = np.array(out, dtype=float)
-        out[live] = sigma[live] * (g * norm.cdf(g) + norm.pdf(g))
+        out[live] = sigma[live] * (g * ndtr(g) + np.exp(-g**2 / 2.0) / _SQRT_2PI)
     return out
+
+
+def _latin_hypercube(rng, n, d):
+    """n points of a scrambled Latin hypercube in [0, 1)^d, bit for bit
+    those of scipy.stats.qmc.LatinHypercube(d=d, seed=rng).random(n): one
+    child generator spawned from rng draws the offsets within each cell,
+    then shuffles the cells of each dimension. rng itself does not advance."""
+    child = rng.spawn(1)[0]
+    u = child.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for cells in perms:
+        child.shuffle(cells)
+    return (perms.T - u) / n
 
 
 def _matern52(dists, length_scale, signal_var):
@@ -353,7 +367,9 @@ def _matern52(dists, length_scale, signal_var):
 def _chol_with_jitter(gram):
     for jitter in _JITTERS:
         try:
-            return cholesky(gram + jitter * np.eye(gram.shape[0]), lower=True)
+            return cholesky(
+                gram + jitter * np.eye(gram.shape[0]), lower=True, check_finite=False
+            )
         except np.linalg.LinAlgError:
             continue
     raise SurrogateError("surrogate ill-conditioned")
@@ -368,6 +384,8 @@ class _GaussianProcess:
     def __init__(self, x01, y, rng):
         self.x = np.asarray(x01, dtype=float)
         y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("surrogate targets must be finite")
         self.y_mean = float(y.mean())
         self.y_sd = float(y.std())
         if self.y_sd == 0:
@@ -380,10 +398,10 @@ class _GaussianProcess:
         ell, sig2 = np.exp(log_params)
         gram = _matern52(self.dists, ell, sig2) + _GP_NOISE * np.eye(len(self.yn))
         try:
-            low = cholesky(gram, lower=True)
+            low = cholesky(gram, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             return 1e12
-        alpha = cho_solve((low, True), self.yn)
+        alpha = cho_solve((low, True), self.yn, check_finite=False)
         return float(
             0.5 * self.yn @ alpha
             + np.log(np.diag(low)).sum()
@@ -406,13 +424,13 @@ class _GaussianProcess:
         gram = _matern52(self.dists, self.length_scale, self.signal_var)
         gram = gram + _GP_NOISE * np.eye(len(self.yn))
         self._low = _chol_with_jitter(gram)
-        self._alpha = cho_solve((self._low, True), self.yn)
+        self._alpha = cho_solve((self._low, True), self.yn, check_finite=False)
 
     def predict(self, q01):
         q = np.atleast_2d(np.asarray(q01, dtype=float))
         cross = _matern52(cdist(q, self.x), self.length_scale, self.signal_var)
         mu_n = cross @ self._alpha
-        v = cho_solve((self._low, True), cross.T)
+        v = cho_solve((self._low, True), cross.T, check_finite=False)
         var = self.signal_var - np.einsum("ij,ji->i", cross, v)
         var = np.clip(var, 0.0, None)
         mu = mu_n * self.y_sd + self.y_mean
@@ -440,7 +458,7 @@ def bayes_opt(
     span = upper - lower
     dim = problem.dim
 
-    points01 = qmc.LatinHypercube(d=dim, seed=rng).random(n_init)
+    points01 = _latin_hypercube(rng, n_init, dim)
     if initial is not None:
         initial = np.asarray(initial, dtype=float).reshape(-1)
         points01[0] = np.clip((initial - lower) / span, 0.0, 1.0)

@@ -3,6 +3,8 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
@@ -18,6 +20,7 @@ import welloop.explain
 import welloop.utils
 from welloop.cli import RunConfig, main, parse_config, validate_config
 from welloop.data import DEFAULT_SCHEMA
+from welloop.trees import HyperParams
 
 
 def base_config():
@@ -1018,6 +1021,72 @@ def test_models_cached_by_older_code_are_retrained(tmp_path, monkeypatch, name):
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert model_path.read_bytes() == original
     assert_manifest_reconciles(out)
+
+
+@pytest.mark.parametrize("cache", ["[1]", "{}", '{"hash": 5}', "not json"])
+def test_a_malformed_model_cache_counts_as_a_miss(tmp_path, cache):
+    obj = base_config()
+    obj["train"]["cached"] = True
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    (out / "models/cache.json").write_text(cache, encoding="utf-8")
+    for _ in range(2):
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert_manifest_reconciles(out)
+
+
+def test_cached_models_with_a_malformed_hyperparameter_record_are_retrained(tmp_path):
+    obj = base_config()
+    obj["train"]["cached"] = True
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    hp_path = out / "models/hyperparams.json"
+    original = hp_path.read_bytes()
+    hp_path.write_text("[1]", encoding="utf-8")
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert hp_path.read_bytes() == original
+    assert_manifest_reconciles(out)
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ([1], ": expected object, got list"),
+        ({"RF": 3}, ".RF: expected object, got int"),
+        ({"RF": {"n_trees": 3}}, ".RF: missing key 'max_depth'"),
+        ({"RF": dict(asdict(HyperParams()), max_depth="4")}, ".RF.max_depth: expected integer, got str"),
+        ({"RF": dict(asdict(HyperParams()), n_trees=0)}, ".RF: n_trees must be >= 1"),
+    ],
+)
+def test_a_malformed_hyperparameter_record_fails_naming_file_and_key(
+    tmp_path, capsys, record, problem
+):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    hp_path = out / "models/hyperparams.json"
+    hp_path.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["explain", "--config", path, "--out", str(out)]) == 2
+    assert f"[explain] failed: {hp_path}{problem}" in capsys.readouterr().err
+
+
+# --- start-up cost ----------------------------------------------------------------------
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """scipy.stats costs every CLI process a few tenths of a second and
+    about 20 MB; welloop needs nothing from it."""
+    code = "import sys, welloop.cli; print('scipy.stats' in sys.modules)"
+    paths = [str(Path(welloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # --- crash safety ---------------------------------------------------------------------

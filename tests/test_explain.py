@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import pearsonr, spearmanr
+from scipy.stats import pearsonr, rankdata, spearmanr
 
 import welloop.explain
 from conftest import (
@@ -526,6 +526,29 @@ def test_correlations_match_scipy(rng):
     report = baseline_correlations(table)
     for j, (name, d) in enumerate(report.factors):
         assert d["pearson"] == pytest.approx(pearsonr(x[:, j], y)[0], abs=1e-12)
+        assert d["spearman"] == pytest.approx(spearmanr(x[:, j], y)[0], abs=1e-12)
+
+
+def test_average_ranks_are_scipys_bit_for_bit(rng):
+    cases = [
+        rng.normal(size=25),
+        rng.integers(0, 4, size=30).astype(float),
+        np.array([2.0]),
+        np.array([1.0, 1.0, 1.0]),
+        np.array([3.0, -1.0, 3.0, 0.5, -1.0, 3.0]),
+    ]
+    for a in cases:
+        want = rankdata(a)
+        got = welloop.explain._average_ranks(a)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_spearman_with_ties_matches_scipy(rng):
+    x = rng.integers(0, 5, size=(40, 2)).astype(float)
+    y = x[:, 0] + rng.integers(0, 3, size=40)
+    report = baseline_correlations(make_table({"f0": x[:, 0], "f1": x[:, 1], "y": y}))
+    for j, (_, d) in enumerate(report.factors):
         assert d["spearman"] == pytest.approx(spearmanr(x[:, j], y)[0], abs=1e-12)
 
 

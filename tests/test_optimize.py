@@ -14,6 +14,7 @@ from welloop.optimize import (
     TraceEntry,
     _chol_with_jitter,
     _GaussianProcess,
+    _latin_hypercube,
     bayes_opt,
     de,
     de_trial,
@@ -243,6 +244,29 @@ def test_expected_improvement_hand_values():
     )
     assert mixed[0] == 1.0
     assert mixed[1] > 2.0 - 1e-9  # positive sigma only adds value
+
+
+def test_expected_improvement_is_the_scipy_normal_formula_bit_for_bit():
+    from scipy.stats import norm
+
+    mu = np.linspace(-9.0, 9.0, 100_001)
+    sigma = np.full_like(mu, 0.7)
+    g = (mu - 0.3) / sigma
+    want = sigma * (g * norm.cdf(g) + norm.pdf(g))
+    assert np.array_equal(expected_improvement(mu, sigma, 0.3), want)
+
+
+@pytest.mark.parametrize("n, d", [(8, 4), (2, 1), (13, 3)])
+def test_latin_hypercube_is_scipys_bit_for_bit(n, d):
+    from scipy.stats import qmc
+
+    for seed in range(20):
+        ours = np.random.default_rng([seed, 53])
+        want = qmc.LatinHypercube(d=d, seed=np.random.default_rng([seed, 53])).random(n)
+        assert np.array_equal(_latin_hypercube(ours, n, d), want)
+        # the design comes from a spawned child; the caller's stream is untouched
+        fresh = np.random.default_rng([seed, 53])
+        assert ours.bit_generator.state == fresh.bit_generator.state
 
 
 def test_gaussian_process_reproduces_training_points(rng):
