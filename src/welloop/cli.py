@@ -478,7 +478,9 @@ def _read_hyperparams(path: Path) -> dict:
         where = f"{path}.{kind}"
         record = typed(record, "object", path, kind)
         values = {
-            f.name: take(record, f.name, "integer" if f.name in INTEGER_FIELDS else "number", where)
+            f.name: take(
+                record, f.name, "integer" if f.name in INTEGER_FIELDS else "number", where
+            )
             for f in fields(HyperParams)
         }
         try:

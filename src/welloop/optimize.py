@@ -6,7 +6,8 @@ is spent: particle swarm (inertia plus cognitive and social pulls with
 fresh uniform diagonal matrices every iteration), differential evolution
 (rand/1 mutation, per-dimension crossover, strictly greedy selection),
 and Bayesian optimization (Matern-5/2 Gaussian process surrogate with
-expected improvement). All candidates are clamped to the search box
+expected improvement; its likelihood fit and its acquisition polish
+follow analytic gradients). All candidates are clamped to the search box
 before evaluation, and the wrapper asserts feasibility, counts
 evaluations against the budget, and keeps the best-so-far record.
 """
@@ -331,19 +332,31 @@ def de(
 # --- Bayesian optimization --------------------------------------------------------
 
 
+def _improvement(mu, sigma, best):
+    """Expected improvement over the incumbent best, for maximization,
+    with the weights of its gradient: returns (ei, cdf, pdf) such that
+    d ei = cdf * d mu + pdf * d sigma, where cdf = Phi(g), pdf = phi(g)
+    and g = (mu - best) / sigma. Where sigma vanishes, ei is
+    max(mu - best, 0), cdf is its slope in mu and pdf is 0."""
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    out = np.array(np.maximum(mu - best, 0.0), dtype=float)
+    cdf = np.array(mu > best, dtype=float)
+    pdf = np.zeros_like(out)
+    live = sigma > 1e-12
+    if np.any(live):
+        g = (mu[live] - best) / sigma[live]
+        cdf[live] = ndtr(g)
+        pdf[live] = np.exp(-g**2 / 2.0) / _SQRT_2PI
+        out[live] = sigma[live] * (g * cdf[live] + pdf[live])
+    return out, cdf, pdf
+
+
 def expected_improvement(mu, sigma, best) -> np.ndarray:
     """Expected improvement of a Gaussian posterior over the incumbent
     best, for maximization. Non-negative; tends to max(mu - best, 0) as
     sigma vanishes."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    out = np.maximum(mu - best, 0.0)
-    live = sigma > 1e-12
-    if np.any(live):
-        g = (mu[live] - best) / sigma[live]
-        out = np.array(out, dtype=float)
-        out[live] = sigma[live] * (g * ndtr(g) + np.exp(-g**2 / 2.0) / _SQRT_2PI)
-    return out
+    return _improvement(mu, sigma, best)[0]
 
 
 def _latin_hypercube(rng, n, d):
@@ -395,18 +408,29 @@ class _GaussianProcess:
         self._fit(rng)
 
     def _neg_lml(self, log_params):
+        """Negative log marginal likelihood at (log length scale, log
+        signal variance), and its gradient 0.5 tr((K^-1 - alpha alpha^T)
+        dK) per parameter, alpha = K^-1 y (Rasmussen & Williams 2006,
+        eq. 5.9). With a = sqrt(5) d / l, dK / dlog l is
+        s2 a^2 (1 + a) / 3 exp(-a) and dK / dlog s2 the signal part of K."""
         ell, sig2 = np.exp(log_params)
-        gram = _matern52(self.dists, ell, sig2) + _GP_NOISE * np.eye(len(self.yn))
+        n = len(self.yn)
+        signal = _matern52(self.dists, ell, sig2)
         try:
-            low = cholesky(gram, lower=True, check_finite=False)
+            low = cholesky(signal + _GP_NOISE * np.eye(n), lower=True, check_finite=False)
         except np.linalg.LinAlgError:
-            return 1e12
+            return 1e12, np.zeros(2)
         alpha = cho_solve((low, True), self.yn, check_finite=False)
-        return float(
+        value = (
             0.5 * self.yn @ alpha
             + np.log(np.diag(low)).sum()
-            + 0.5 * len(self.yn) * math.log(2.0 * math.pi)
+            + 0.5 * n * math.log(2.0 * math.pi)
         )
+        inner = cho_solve((low, True), np.eye(n), check_finite=False) - np.outer(alpha, alpha)
+        a = math.sqrt(5.0) * self.dists / ell
+        d_ell = sig2 * a * a * (1.0 + a) / 3.0 * np.exp(-a)
+        grad = 0.5 * np.array([np.sum(inner * d_ell), np.sum(inner * signal)])
+        return float(value), grad
 
     def _fit(self, rng):
         log_bounds = [(math.log(0.02), math.log(10.0)), (math.log(0.05), math.log(50.0))]
@@ -417,7 +441,9 @@ class _GaussianProcess:
             )
         best = None
         for s in starts:
-            res = minimize(self._neg_lml, s, bounds=log_bounds, method="L-BFGS-B")
+            res = minimize(
+                self._neg_lml, s, jac=True, bounds=log_bounds, method="L-BFGS-B"
+            )
             if best is None or res.fun < best.fun:
                 best = res
         self.length_scale, self.signal_var = np.exp(best.x)
@@ -426,16 +452,40 @@ class _GaussianProcess:
         self._low = _chol_with_jitter(gram)
         self._alpha = cho_solve((self._low, True), self.yn, check_finite=False)
 
-    def predict(self, q01):
-        q = np.atleast_2d(np.asarray(q01, dtype=float))
-        cross = _matern52(cdist(q, self.x), self.length_scale, self.signal_var)
+    def _posterior(self, q):
+        """Posterior mean and sd at the rows of q, with the distances to
+        the data and v = K^-1 k that the gradient reuses."""
+        dists = cdist(q, self.x)
+        cross = _matern52(dists, self.length_scale, self.signal_var)
         mu_n = cross @ self._alpha
         v = cho_solve((self._low, True), cross.T, check_finite=False)
         var = self.signal_var - np.einsum("ij,ji->i", cross, v)
         var = np.clip(var, 0.0, None)
         mu = mu_n * self.y_sd + self.y_mean
         sigma = np.sqrt(var) * self.y_sd
+        return mu, sigma, dists, v
+
+    def predict(self, q01):
+        q = np.atleast_2d(np.asarray(q01, dtype=float))
+        mu, sigma, _, _ = self._posterior(q)
         return mu, sigma
+
+    def predict_gradient(self, q01):
+        """Posterior mean and sd at one point, each with its gradient in
+        q01. With a = sqrt(5) d / l, dk_i / dq is
+        -s2 5 / (3 l^2) (1 + a_i) exp(-a_i) (q - x_i); then
+        dmu = y_sd alpha^T dk and, as sigma = y_sd sqrt(var),
+        dsigma = -y_sd^2 v^T dk / sigma, taken as 0 where sigma is 0."""
+        q = np.asarray(q01, dtype=float).reshape(1, -1)
+        mu, sigma, dists, v = self._posterior(q)
+        a = math.sqrt(5.0) * dists[0] / self.length_scale
+        slope = -self.signal_var * 5.0 / (3.0 * self.length_scale**2) * (1.0 + a) * np.exp(-a)
+        d_cross = slope[:, None] * (q - self.x)
+        d_mu = self.y_sd * (self._alpha @ d_cross)
+        d_sigma = np.zeros(q.shape[1])
+        if sigma[0] > 0.0:
+            d_sigma = -self.y_sd**2 * (v[:, 0] @ d_cross) / sigma[0]
+        return mu[0], sigma[0], d_mu, d_sigma
 
 
 def bayes_opt(
@@ -480,14 +530,17 @@ def bayes_opt(
         best_val = max(y)
 
         def neg_ei(q):
-            mu, sigma = gp.predict(q)
-            return -float(expected_improvement(mu, sigma, best_val)[0])
+            mu, sigma, d_mu, d_sigma = gp.predict_gradient(q)
+            ei, cdf, pdf = _improvement(mu, sigma, best_val)
+            return -float(ei), -(cdf * d_mu + pdf * d_sigma)
 
         candidates = rng.random((256, dim))
         mu, sigma = gp.predict(candidates)
         ei = expected_improvement(mu, sigma, best_val)
         first = candidates[int(np.argmax(ei))]
-        res = minimize(neg_ei, first, bounds=[(0.0, 1.0)] * dim, method="L-BFGS-B")
+        res = minimize(
+            neg_ei, first, jac=True, bounds=[(0.0, 1.0)] * dim, method="L-BFGS-B"
+        )
         pick = res.x if res.fun <= -max(ei.max(), 0.0) else first
         evaluate01(ev, np.clip(pick, 0.0, 1.0))
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import welloop.optimize
 from welloop.data import FactorSpec, WellTable, ground_truth_eur, synthesize
 from welloop.optimize import (
     METHODS,
@@ -14,6 +15,7 @@ from welloop.optimize import (
     TraceEntry,
     _chol_with_jitter,
     _GaussianProcess,
+    _improvement,
     _latin_hypercube,
     bayes_opt,
     de,
@@ -279,6 +281,79 @@ def test_gaussian_process_reproduces_training_points(rng):
     # uncertainty grows away from the data
     far_mu, far_sigma = gp.predict(np.array([[0.055]]))
     assert far_sigma[0] >= 0.0
+
+
+def _surrogate(n=12, dim=3, seed=3):
+    rng = np.random.default_rng(seed)
+    x01 = rng.random((n, dim))
+    y = np.sin(4.0 * x01[:, 0]) + x01[:, 1] ** 2 - x01[:, 2]
+    return _GaussianProcess(x01, y, np.random.default_rng(1)), x01, y
+
+
+def _central_difference(f, x, h=1e-6):
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
+
+@pytest.mark.parametrize("length_scale", [0.02, 0.5, 10.0])
+@pytest.mark.parametrize("signal_var", [0.05, 1.0, 50.0])
+def test_neg_lml_gradient_matches_central_differences(length_scale, signal_var):
+    gp, _, _ = _surrogate()
+    at = np.log([length_scale, signal_var])
+    value, grad = gp._neg_lml(at)
+    assert np.isfinite(value) and grad.shape == (2,)
+    want = _central_difference(lambda p: gp._neg_lml(p)[0], at)
+    # at l = 10 the Gram matrix is nearly singular and the differences
+    # carry its rounding, so the tolerance is relative to the gradient
+    assert np.max(np.abs(grad - want)) <= 1e-4 * max(1.0, np.max(np.abs(want)))
+
+
+def test_neg_lml_reports_a_failed_factorization_as_a_flat_wall(monkeypatch):
+    gp, _, _ = _surrogate()
+
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(welloop.optimize, "cholesky", refuse)
+    value, grad = gp._neg_lml(np.zeros(2))
+    assert value == 1e12
+    assert grad.tolist() == [0.0, 0.0]
+
+
+def test_ei_gradient_matches_central_differences_and_the_screen():
+    gp, _, y = _surrogate()
+    best = float(y.max())
+
+    def ei_at(q):
+        mu, sigma = gp.predict(q)
+        return expected_improvement(mu, sigma, best)[0]
+
+    for q in np.random.default_rng(7).random((6, 3)):
+        mu, sigma, d_mu, d_sigma = gp.predict_gradient(q)
+        ei, cdf, pdf = _improvement(mu, sigma, best)
+        assert ei == ei_at(q)
+        grad = cdf * d_mu + pdf * d_sigma
+        want = _central_difference(ei_at, q)
+        assert np.max(np.abs(grad - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+
+
+def test_ei_gradient_where_sigma_vanishes_is_that_of_the_plain_improvement():
+    mu = np.array([1.0, -1.0])
+    ei, cdf, pdf = _improvement(mu, np.zeros(2), 0.0)
+    assert ei.tolist() == [1.0, 0.0]
+    assert pdf.tolist() == [0.0, 0.0]
+    slope = _central_difference(lambda m: _improvement(m, np.zeros(2), 0.0)[0].sum(), mu)
+    assert cdf == pytest.approx(slope, abs=1e-9)
+    # a surrogate whose posterior variance clips to zero at a data point
+    # (its signal variance inflated after the fit) gives sigma 0 and a
+    # finite, zero sigma gradient
+    gp, x01, _ = _surrogate()
+    gp.signal_var *= 2.0
+    mu, sigma, d_mu, d_sigma = gp.predict_gradient(x01[0])
+    assert sigma == 0.0
+    assert d_sigma.tolist() == [0.0, 0.0, 0.0]
+    assert np.all(np.isfinite(d_mu))
+    ei, cdf, pdf = _improvement(mu, sigma, mu - 1.0)
+    assert ei == 1.0 and cdf == 1.0 and pdf == 0.0
 
 
 def test_cholesky_jitter_ladder_gives_up_cleanly():
