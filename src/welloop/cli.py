@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -470,16 +471,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _read_hyperparams(path: Path) -> dict:
-    """kind -> HyperParams from the train stage's record, every field
-    checked; a malformed file is a ValueError naming it and the key."""
+def _read_hyperparams(path: Path, kinds) -> dict:
+    """kind -> HyperParams of each of `kinds` from the train stage's record,
+    every field checked; a malformed file is a ValueError naming it and the
+    key."""
+    record = typed(read_json(path), "object", path)
     hps = {}
-    for kind, record in typed(read_json(path), "object", path).items():
+    for kind in kinds:
         where = f"{path}.{kind}"
-        record = typed(record, "object", path, kind)
+        entry = take(record, kind, "object", path)
         values = {
             f.name: take(
-                record, f.name, "integer" if f.name in INTEGER_FIELDS else "number", where
+                entry, f.name, "integer" if f.name in INTEGER_FIELDS else "number", where
             )
             for f in fields(HyperParams)
         }
@@ -501,10 +504,13 @@ def _cached_hash(path: Path):
 class Pipeline:
     """Sequential stage runner over one output directory.
 
-    Stages record each file as they write it, so a failing stage leaves
-    its partial artifacts both on disk and in the manifest. Re-runs first
-    delete the files the previous manifest attributed to the stages being
-    executed, keeping manifest and disk reconciled.
+    A stage takes its inputs from the stage that produced them earlier in
+    the run, or else reads them back from that stage's files on first use.
+    Stages record each file as they write it, so a failing stage leaves its
+    partial artifacts both on disk and in the manifest. After the stages,
+    run() deletes the files the previous manifest gave to a stage that ran
+    and that this run did not write again, keeping manifest and disk
+    reconciled.
     """
 
     def __init__(self, config: RunConfig, out_dir):
@@ -512,12 +518,7 @@ class Pipeline:
         self.out = Path(out_dir)
         self.artifacts: list[dict] = []
         self.statuses: dict[str, tuple[str, str]] = {}
-        self.table: WellTable | None = None
-        self.train_idx = None
-        self.test_idx = None
-        self.models: dict = {}
-        self.hps: dict = {}
-        self.stacked = None
+        self.models: dict = {}  # kind -> TreeEnsemble, trained or read by model()
         # the previous manifest's (path, stage) artifacts and name -> (status,
         # detail) stages; both empty when there is none
         self.prev_artifacts, self.prev_stages = self._load_prev_manifest()
@@ -568,12 +569,6 @@ class Pipeline:
         write_rows(self._path(rel), header, rows)
         self._record(rel, stage)
 
-    def _clear_stage(self, stage):
-        for rel, art_stage in self.prev_artifacts:
-            path = self.out / rel
-            if art_stage == stage and path.is_file():
-                path.unlink()
-
     def _carry_stage(self, stage, detail=""):
         for rel, art_stage in self.prev_artifacts:
             if art_stage == stage and (self.out / rel).is_file():
@@ -598,18 +593,19 @@ class Pipeline:
         write_json(self._path("manifest.json"), {"stages": stages, "artifacts": arts})
 
     def run(self, selected=None) -> int:
-        """Execute the selected stages (all by default) in pipeline order
-        and write the manifest; returns the process exit code."""
+        """Execute the selected stages (all by default) in pipeline order,
+        write the manifest and drop the stale files of the stages that ran;
+        returns the process exit code."""
         selected = set(STAGES if selected is None else selected)
         self.out.mkdir(parents=True, exist_ok=True)
-        self._clear_stage("config")
         self._write_json("config.json", asdict(self.config), "config")
-        failed = False
+        ran, failed = {"config"}, False
         for stage in STAGES:
             if stage not in selected or failed:
                 detail = "earlier stage failed" if failed and stage in selected else ""
                 self._carry_stage(stage, detail)
                 continue
+            ran.add(stage)
             try:
                 outcome = getattr(self, f"stage_{stage}")()
                 self.statuses[stage] = (
@@ -622,56 +618,61 @@ class Pipeline:
                 failed = True
         try:
             self.write_manifest()
+            written = {Path(art["path"]) for art in self.artifacts}
+            for rel, stage in self.prev_artifacts:
+                path = self.out / rel
+                if stage in ran and Path(rel) not in written and path.is_file():
+                    path.unlink()
         except OSError as exc:
             print(f"[manifest] failed: {exc}", file=sys.stderr)
             return 2
         return 2 if failed else 0
 
-    # -- stage inputs reloaded for standalone subcommands --
+    # -- stage inputs: set by the stage that produces them, else read back --
 
-    def _ensure_data(self):
-        if self.table is not None:
-            return
-        schema_path = self.out / "data/schema.json"
-        clean_path = self.out / "data/clean.csv"
-        split_path = self.out / "data/split.json"
-        if not (schema_path.is_file() and clean_path.is_file() and split_path.is_file()):
-            raise RuntimeError("no data artifacts found; run the data stage first")
-        specs = load_schema(schema_path)
-        self.table = load_csv(clean_path, specs)
-        split = typed(read_json(split_path), "object", split_path)
-        self.train_idx = np.array(take_list(split, "train", "integer", split_path), dtype=int)
-        self.test_idx = np.array(take_list(split, "test", "integer", split_path), dtype=int)
+    def _input(self, rel, stage) -> Path:
+        path = self.out / rel
+        if not path.is_file():
+            raise RuntimeError(f"missing {rel}; run the {stage} stage first")
+        return path
 
-    def _ensure_models(self):
-        if self.models:
-            return
-        for kind in self.config.train.kinds:
-            path = self.out / f"models/{kind.lower()}.json"
-            if not path.is_file():
-                raise RuntimeError(f"missing model file {path.name}; run training first")
+    @cached_property
+    def table(self) -> WellTable:
+        specs = load_schema(self._input("data/schema.json", "data"))
+        return load_csv(self._input("data/clean.csv", "data"), specs)
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The clean table's (train rows, test rows)."""
+        path = self._input("data/split.json", "data")
+        split = typed(read_json(path), "object", path)
+        return tuple(
+            np.array(take_list(split, key, "integer", path), dtype=int)
+            for key in ("train", "test")
+        )
+
+    @cached_property
+    def hps(self) -> dict:
+        path = self._input("models/hyperparams.json", "train")
+        return _read_hyperparams(path, self.config.train.kinds)
+
+    def model(self, kind):
+        if kind not in self.models:
+            path = self._input(f"models/{kind.lower()}.json", "train")
             self.models[kind] = load_ensemble(path)
-        hp_path = self.out / "models/hyperparams.json"
-        if hp_path.is_file():
-            self.hps = _read_hyperparams(hp_path)
+        return self.models[kind]
 
-    def _final_model(self):
-        """The model the ICE and optimize stages interrogate: the stacked
+    @cached_property
+    def final_model(self):
+        """The model parity, ICE and optimize interrogate: the stacked
         fusion when enabled, otherwise the first base ensemble."""
         if self.config.stack.enabled:
-            if self.stacked is None:
-                directory = self.out / "models/stacked"
-                if not directory.is_dir():
-                    raise RuntimeError("no stacked model saved; run the stack stage first")
-                self.stacked = load_stacked(directory)
-            return self.stacked
-        self._ensure_models()
-        return self.models[self.config.train.kinds[0]]
+            return load_stacked(self._input("models/stacked/meta.json", "stack").parent)
+        return self.model(self.config.train.kinds[0])
 
     # -- stages --
 
     def stage_data(self):
-        self._clear_stage("data")
         cfg = self.config.data
         if cfg.csv is not None:
             specs = load_schema(cfg.schema) if cfg.schema else DEFAULT_SCHEMA
@@ -694,14 +695,10 @@ class Pipeline:
         rng = subseed_rng(self.config.seed, _SPLIT_TAG)
         perm = rng.permutation(n)
         n_test = min(max(int(round(n * self.config.train.test_fraction)), 1), n - 2)
-        split = {
-            "test": sorted(int(i) for i in perm[:n_test]),
-            "train": sorted(int(i) for i in perm[n_test:]),
-        }
-        self._write_json("data/split.json", split, "data")
+        test, train = sorted(perm[:n_test].tolist()), sorted(perm[n_test:].tolist())
+        self._write_json("data/split.json", {"test": test, "train": train}, "data")
         self.table = clean
-        self.train_idx = np.array(split["train"], dtype=int)
-        self.test_idx = np.array(split["test"], dtype=int)
+        self.split = (np.array(train, dtype=int), np.array(test, dtype=int))
 
     def _cache_key(self) -> str:
         """Hash of everything the trained models depend on, the code that
@@ -721,20 +718,13 @@ class Pipeline:
 
     def stage_train(self):
         cfg = self.config.train
-        self._ensure_data()
         key = self._cache_key()
-        cache_path = self.out / "models/cache.json"
-        model_paths = {kind: self.out / f"models/{kind.lower()}.json" for kind in cfg.kinds}
-        hp_path = self.out / "models/hyperparams.json"
-        if (
-            cfg.cached
-            and hp_path.is_file()
-            and all(p.is_file() for p in model_paths.values())
-            and _cached_hash(cache_path) == key
-        ):
+        if cfg.cached and _cached_hash(self.out / "models/cache.json") == key:
             try:
-                self._ensure_models()
-            except ValueError:  # a cached file that no longer parses: retrain
+                self.hps  # read back like each model, so that a bad record retrains
+                for kind in cfg.kinds:
+                    self.model(kind)
+            except (RuntimeError, ValueError):  # a cached file missing or unparsable
                 pass
             else:
                 for kind in cfg.kinds:
@@ -743,12 +733,11 @@ class Pipeline:
                 self._record("models/cache.json", "train")
                 return
 
-        self._clear_stage("train")
-        self.models = {}
-        self.hps = {}
-        x = self.table.feature_matrix()[self.train_idx]
-        y = self.table.target()[self.train_idx]
+        train_rows, _ = self.split
+        x = self.table.feature_matrix()[train_rows]
+        y = self.table.target()[train_rows]
         names = list(self.table.feature_names)
+        hps = {}
         for z, kind in enumerate(cfg.kinds):
             hp = cfg.hyperparams.get(kind, HyperParams())
             if cfg.tune is not None and cfg.tune.budget > 0:
@@ -762,26 +751,24 @@ class Pipeline:
                     seed=mix_seed(self.config.seed, _TUNE_TAG, z),
                     base=hp,
                 )
-            hp = replace(hp, seed=mix_seed(self.config.seed, _TRAIN_TAG, z))
-            model = FIT_FUNCTIONS[kind](x, y, hp, feature_names=names)
+            hps[kind] = replace(hp, seed=mix_seed(self.config.seed, _TRAIN_TAG, z))
+            model = FIT_FUNCTIONS[kind](x, y, hps[kind], feature_names=names)
             self._save(f"models/{kind.lower()}.json", "train", save_ensemble, model)
             self.models[kind] = model
-            self.hps[kind] = hp
+        self.hps = hps
         self._write_json(
             "models/hyperparams.json",
-            {kind: asdict(hp) for kind, hp in self.hps.items()},
+            {kind: asdict(hp) for kind, hp in hps.items()},
             "train",
         )
         self._write_json("models/cache.json", {"hash": key}, "train")
 
     def stage_explain(self):
-        self._clear_stage("explain")
         cfg = self.config.explain
-        self._ensure_data()
-        self._ensure_models()
-        kind = cfg.kind if cfg.kind is not None else self.config.train.kinds[0]
-        model = self.models[kind]
         x = self.table.feature_matrix()
+        kind = cfg.kind if cfg.kind is not None else self.config.train.kinds[0]
+        model = self.model(kind)
+        self.table.check_feature_names(model.feature_names)
         if cfg.max_rows is not None:
             x = x[: cfg.max_rows]
         for row in cfg.waterfalls:
@@ -834,36 +821,27 @@ class Pipeline:
             self._write_csv("shap/clusters.csv", ["sample", "cluster"], rows, "explain")
 
     def stage_stack(self):
-        self._clear_stage("stack")
         cfg = self.config.stack
-        self._ensure_data()
-        self._ensure_models()
-        features = self.table.feature_matrix()
-        target = self.table.target()
-        x_train, y_train = features[self.train_idx], target[self.train_idx]
-        x_test, y_test = features[self.test_idx], target[self.test_idx]
-
-        scored = dict(self.models)
+        features, target = self.table.feature_matrix(), self.table.target()
+        splits = [
+            (name, idx, features[idx], target[idx])
+            for name, idx in zip(("train", "test"), self.split)
+        ]
+        scored = {kind: self.model(kind) for kind in self.config.train.kinds}
         if cfg.enabled:
-            if not self.hps:
-                raise RuntimeError("hyperparameter record missing; re-run training")
-            base_hps = {kind: self.hps[kind] for kind in self.config.train.kinds}
-            self.stacked = fit_stacked(
+            _, _, x_train, y_train = splits[0]
+            stacked = fit_stacked(
                 x_train,
                 y_train,
-                base_hps,
+                self.hps,
                 k=cfg.k,
                 seed=mix_seed(self.config.seed, _STACK_TAG),
                 feature_names=list(self.table.feature_names),
             )
-            for name in save_stacked(self.stacked, self._path("models/stacked")):
+            for name in save_stacked(stacked, self._path("models/stacked")):
                 self._record(f"models/stacked/{name}", "stack")
-            scored["stacked"] = self.stacked
+            self.final_model = scored["stacked"] = stacked
 
-        splits = (
-            ("train", self.train_idx, x_train, y_train),
-            ("test", self.test_idx, x_test, y_test),
-        )
         rows = []
         for name, model in scored.items():
             for split, _, sx, sy in splits:
@@ -871,20 +849,16 @@ class Pipeline:
                 rows.append([name.lower(), split, fmt(m["r2"]), fmt(m["mse"]), fmt(m["mae"])])
         self._write_csv("metrics.csv", ["model", "split", "r2", "mse", "mae"], rows, "stack")
 
-        final = scored["stacked"] if cfg.enabled else scored[self.config.train.kinds[0]]
         rows = []
         for split, idx, sx, sy in splits:
-            pred = final.predict(sx)
+            pred = self.final_model.predict(sx)
             rows += [[int(i), split, fmt(a), fmt(p)] for i, a, p in zip(idx, sy, pred)]
         self._write_csv("parity.csv", ["sample", "split", "actual", "predicted"], rows, "stack")
 
     def stage_ice(self):
-        self._clear_stage("ice")
         jobs = self.config.ice
         if not jobs:
             return "skip"
-        self._ensure_data()
-        model = self._final_model()
         for i, job in enumerate(jobs):
             varied = []
             for f in job.factors:
@@ -893,7 +867,7 @@ class Pipeline:
                 upper = f.upper if f.upper is not None else float(np.max(column))
                 varied.append(VariedFactor(name=f.name, lower=lower, upper=upper, steps=f.steps))
             grid = ice(
-                model,
+                self.final_model,
                 self.table,
                 varied,
                 anchor_rows=job.anchors,
@@ -904,12 +878,9 @@ class Pipeline:
             self._save(f"ice/ice_{i}.meta.json", "ice", grid.write_meta)
 
     def stage_optimize(self):
-        self._clear_stage("optimize")
         cfg = self.config.optimize
         if not cfg.wells:
             return "skip"
-        self._ensure_data()
-        model = self._final_model()
         specs = self.table.feature_specs
         if cfg.variables is not None:
             variables = list(cfg.variables)
@@ -921,7 +892,7 @@ class Pipeline:
         for row in cfg.wells:
             for m_index, method in enumerate(cfg.methods):
                 result = optimize_well(
-                    model,
+                    self.final_model,
                     self.table,
                     row,
                     variables,

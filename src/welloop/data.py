@@ -113,6 +113,12 @@ class WellTable:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index(name)]
 
+    def check_feature_names(self, names) -> None:
+        """Refuse a model whose feature columns are not this table's, in
+        order; `names` is None for a model that names none."""
+        if names is not None and tuple(names) != self.feature_names:
+            raise ValueError("model and table disagree on feature columns")
+
     def feature_matrix(self) -> np.ndarray:
         t = self.target_index
         cols = [j for j in range(len(self.specs)) if j != t]
@@ -188,7 +194,7 @@ def load_schema(path) -> tuple[FactorSpec, ...]:
             name=take(e, "name", "string", where),
             unit=take(e, "unit", "string", where),
             category=take(e, "category", "string", where),
-            optimizable=bool(e.get("optimizable", False)),
+            optimizable=typed(e.get("optimizable", False), "boolean", where, "optimizable"),
         )
         if spec.unit not in KNOWN_UNITS:
             warnings.warn(

@@ -105,8 +105,7 @@ def ice(
         if v.name not in feature_names:
             raise ValueError(f"no feature named {v.name!r}")
     predictor, model_names = as_predictor(model)
-    if model_names is not None and tuple(model_names) != tuple(feature_names):
-        raise ValueError("model and table disagree on feature columns")
+    table.check_feature_names(model_names)
 
     features = table.feature_matrix()
     if np.isnan(features).any():

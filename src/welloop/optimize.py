@@ -631,7 +631,8 @@ def optimize_well(
     if not 0 <= row < table.n_rows:
         raise IndexError(f"row {row} outside the table")
 
-    predictor, _ = as_predictor(model)
+    predictor, model_names = as_predictor(model)
+    table.check_feature_names(model_names)
 
     features = table.feature_matrix()
     x0 = features[row]

@@ -115,6 +115,7 @@ def read_json(path):
 # --- typed reads of decoded JSON ---------------------------------------------------
 
 _JSON_TYPES = {
+    "boolean": bool,
     "integer": int,
     "number": (int, float),
     "string": str,
@@ -126,9 +127,10 @@ _JSON_TYPES = {
 def typed(value, kind, where, key=None):
     """value, refused with a ValueError naming where it sits (`where`,
     then `key`) unless it has the JSON type `kind`; numbers come back as
-    floats."""
+    floats. Only "boolean" takes a bool."""
     try:
-        if not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]):
+        is_bool = isinstance(value, bool)
+        if is_bool == (kind == "boolean") and isinstance(value, _JSON_TYPES[kind]):
             return float(value) if kind == "number" else value
         problem = f"expected {kind}, got {type(value).__name__}"
     except OverflowError:

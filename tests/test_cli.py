@@ -18,7 +18,7 @@ import welloop
 import welloop.cli
 import welloop.explain
 import welloop.utils
-from welloop.cli import RunConfig, main, parse_config, validate_config
+from welloop.cli import Pipeline, RunConfig, main, parse_config, validate_config
 from welloop.data import DEFAULT_SCHEMA
 from welloop.trees import HyperParams
 
@@ -755,7 +755,14 @@ def test_validate_subcommand_reports_problems(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entries, problem",
-    [([1], "[0]: expected object, got int"), ({}, ": expected a list of factors, got dict")],
+    [
+        ([1], "[0]: expected object, got int"),
+        ({}, ": expected a list of factors, got dict"),
+        (
+            [{"name": "a", "unit": "m", "category": "completion", "optimizable": 1}],
+            "[0].optimizable: expected boolean, got int",
+        ),
+    ],
 )
 def test_validate_reports_a_malformed_schema_file(tmp_path, capsys, entries, problem):
     schema = tmp_path / "schema.json"
@@ -956,6 +963,108 @@ def test_standalone_ice_and_optimize(tmp_path):
     assert_manifest_reconciles(out)
 
 
+def three_kind_config(stack):
+    obj = base_config()
+    obj["train"] = {
+        "kinds": ["rf", "gbdt", "xgb"],
+        "hyperparams": {k: {"n_trees": 3, "max_depth": 2} for k in ("rf", "gbdt", "xgb")},
+    }
+    obj["stack"] = {"enabled": stack, "k": 3}
+    obj["explain"] = {
+        "kind": "rf",
+        "interactions": True,
+        "clusters": 2,
+        "waterfalls": [0, 1],
+        "max_rows": 8,
+    }
+    return obj
+
+
+def run_then_drop_the_other_kinds(tmp_path, obj):
+    """A full run, its hashes, and the directory with every train file
+    but the first kind's model deleted."""
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    full = tree_hashes(out)
+    for rel in ("models/gbdt.json", "models/xgb.json", "models/hyperparams.json"):
+        (out / rel).unlink()
+    return path, out, full
+
+
+def under(hashes, prefix):
+    return {rel: digest for rel, digest in hashes.items() if rel.startswith(prefix)}
+
+
+def test_standalone_explain_reads_only_its_own_kind(tmp_path):
+    path, out, full = run_then_drop_the_other_kinds(tmp_path, three_kind_config(stack=True))
+    assert main(["explain", "--config", path, "--out", str(out)]) == 0
+    assert len(under(full, "shap/")) == 6
+    assert under(tree_hashes(out), "shap/") == under(full, "shap/")
+    assert_manifest_reconciles(out)
+
+
+def test_standalone_ice_and_optimize_read_only_the_first_kind(tmp_path):
+    obj = three_kind_config(stack=False)
+    obj["ice"] = [{"factors": [{"name": "stimulated length", "steps": 4}], "sample": 3}]
+    obj["optimize"] = {"methods": ["pso"], "wells": [1], "budget": 5}
+    path, out, full = run_then_drop_the_other_kinds(tmp_path, obj)
+    for command in ("ice", "optimize"):
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+    after = tree_hashes(out)
+    for prefix in ("ice/", "optimize/"):
+        assert under(full, prefix) and under(after, prefix) == under(full, prefix)
+    assert_manifest_reconciles(out)
+
+
+def test_a_rerun_in_place_leaves_no_stale_file(tmp_path):
+    wide = three_kind_config(stack=True)
+    wide["ice"] = [{"factors": [{"name": "stimulated length", "steps": 3}], "sample": 2}]
+    shrunk = base_config()  # one kind, stacking off, no ICE
+    shrunk["explain"]["waterfalls"] = [2]
+    failing = copy.deepcopy(shrunk)  # explain fails before writing anything
+    failing["explain"]["waterfalls"] = [9999]
+
+    def run(obj, out):
+        return main(["run", "--config", write_config(tmp_path, obj), "--out", str(tmp_path / out)])
+
+    assert run(wide, "out") == 0
+    assert run(shrunk, "out") == 0
+    assert_manifest_reconciles(tmp_path / "out")
+    assert run(shrunk, "fresh") == 0
+    shrunk_files = tree_hashes(tmp_path / "out")
+    assert shrunk_files == tree_hashes(tmp_path / "fresh")
+
+    assert run(failing, "out") == 2
+    status = stage_status(assert_manifest_reconciles(tmp_path / "out"))
+    assert status["explain"] == "failed" and status["stack"] == "ok"  # carried
+    assert run(failing, "fresh_failing") == 2
+    # the stack stage did not run, so its files stay
+    expected = tree_hashes(tmp_path / "fresh_failing")
+    expected.update({rel: shrunk_files[rel] for rel in ("metrics.csv", "parity.csv")})
+    del expected["manifest.json"]
+    after = tree_hashes(tmp_path / "out")
+    del after["manifest.json"]
+    assert after == expected
+
+
+def test_explain_refuses_a_model_of_other_columns(tmp_path, capsys):
+    """The stage labels the table's columns with the model's names."""
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    model_path = out / "models/rf.json"
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    names = model["feature_names"]
+    names[0], names[1] = names[1], names[0]
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["explain", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[explain] failed: model and table disagree on feature columns" in err
+    assert_manifest_reconciles(out)
+
+
 # --- model cache -------------------------------------------------------------------
 
 
@@ -1063,14 +1172,16 @@ def test_cached_models_with_a_malformed_hyperparameter_record_are_retrained(tmp_
 def test_a_malformed_hyperparameter_record_fails_naming_file_and_key(
     tmp_path, capsys, record, problem
 ):
-    path = write_config(tmp_path, base_config())
+    obj = base_config()
+    obj["stack"] = {"enabled": True, "k": 3}
+    path = write_config(tmp_path, obj)
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     hp_path = out / "models/hyperparams.json"
     hp_path.write_text(json.dumps(record), encoding="utf-8")
     capsys.readouterr()
-    assert main(["explain", "--config", path, "--out", str(out)]) == 2
-    assert f"[explain] failed: {hp_path}{problem}" in capsys.readouterr().err
+    assert Pipeline(parse_config(obj)[0], out).run({"stack"}) == 2
+    assert f"[stack] failed: {hp_path}{problem}" in capsys.readouterr().err
 
 
 # --- start-up cost ----------------------------------------------------------------------
@@ -1191,14 +1302,28 @@ def test_a_malformed_previous_manifest_counts_as_absent(tmp_path, previous):
     assert set(stage_status(assert_manifest_reconciles(out)).values()) == {"ok", "skipped"}
 
 
-def test_a_split_file_without_its_keys_fails_naming_them(tmp_path, capsys):
+def test_a_previous_path_spelled_another_way_is_not_deleted(tmp_path):
+    """`data/./raw.csv` is the file this run writes as `data/raw.csv`."""
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    manifest["artifacts"].append({"path": "data/./raw.csv", "sha256": "0", "stage": "data"})
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert_manifest_reconciles(out)
+
+
+def test_a_split_file_without_its_keys_fails_naming_them(tmp_path, capsys):
+    obj = base_config()
+    obj["stack"] = {"enabled": True, "k": 3}
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
     (out / "data/split.json").write_text("{}", encoding="utf-8")
-    assert main(["explain", "--config", path, "--out", str(out)]) == 2
+    assert Pipeline(parse_config(obj)[0], out).run({"stack"}) == 2
     err = capsys.readouterr().err
-    assert f"[explain] failed: {out / 'data/split.json'}: missing key 'train'" in err
+    assert f"[stack] failed: {out / 'data/split.json'}: missing key 'train'" in err
 
 
 # --- richer configurations ------------------------------------------------------------

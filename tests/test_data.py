@@ -137,6 +137,10 @@ def test_schema_warns_on_unknown_unit(tmp_path):
             r"\[1\]: missing key 'category'",
         ),
         ([{"name": "a", "unit": "m", "category": None}], r"category: expected string, got NoneType"),
+        (
+            [{"name": "a", "unit": "m", "category": "completion", "optimizable": "false"}],
+            r"\[0\].optimizable: expected boolean, got str",
+        ),
     ],
 )
 def test_malformed_schema_names_its_problem(tmp_path, entries, problem):

@@ -25,6 +25,7 @@ from welloop.optimize import (
     pso,
     pso_move,
 )
+from welloop.trees import HyperParams, fit_rf
 
 
 def quad_problem(budget=60, center=3.0):
@@ -542,6 +543,15 @@ def test_optimize_well_validation(well_table):
         )
     with pytest.raises(TypeError):
         optimize_well(object(), well_table, 0, variables)
+
+
+def test_optimize_well_refuses_a_model_of_other_columns(well_table):
+    names = list(well_table.feature_names)
+    names[0], names[1] = names[1], names[0]
+    x, y = well_table.feature_matrix(), well_table.target()
+    model = fit_rf(x, y, HyperParams(n_trees=3, max_depth=2), feature_names=names)
+    with pytest.raises(ValueError, match="model and table disagree on feature columns"):
+        optimize_well(model, well_table, 0, engineering_vars(well_table), budget=3)
 
 
 def test_optimize_well_rejects_rows_with_missing_values():

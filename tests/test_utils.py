@@ -16,9 +16,31 @@ from welloop.utils import (
     mix_seed,
     read_json,
     subseed_rng,
+    typed,
     write_json,
     write_rows,
 )
+
+
+@pytest.mark.parametrize(
+    "value, kind, ok",
+    [
+        (True, "boolean", True),
+        (False, "boolean", True),
+        ("false", "boolean", False),
+        (0, "boolean", False),
+        (None, "boolean", False),
+        (True, "integer", False),
+        (False, "number", False),
+        (1, "integer", True),
+    ],
+)
+def test_typed_takes_a_bool_only_as_a_boolean(value, kind, ok):
+    if ok:
+        assert typed(value, kind, "f.json") is value
+    else:
+        with pytest.raises(ValueError, match=f"f.json.k: expected {kind}, got "):
+            typed(value, kind, "f.json", "k")
 
 
 def test_subseed_rng_is_deterministic_and_tag_sensitive():
