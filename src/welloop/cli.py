@@ -38,7 +38,7 @@ from welloop.explain import (
     write_dependency_csv,
     write_summary_csv,
 )
-from welloop.ice import VariedFactor, ice
+from welloop.ice import default_varied, ice
 from welloop.optimize import METHODS, optimize_well
 from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked
 from welloop.trees import (
@@ -662,6 +662,13 @@ class Pipeline:
             self.models[kind] = load_ensemble(path)
         return self.models[kind]
 
+    def _check_kept(self, names):
+        """Refuse factors the clean table lacks: validate found each in the
+        schema, so preprocessing dropped it."""
+        for name in names:
+            if name not in self.table.feature_names:
+                raise ValueError(f"factor {name!r} was dropped by preprocessing")
+
     @cached_property
     def final_model(self):
         """The model parity, ICE and optimize interrogate: the stacked
@@ -859,13 +866,12 @@ class Pipeline:
         jobs = self.config.ice
         if not jobs:
             return "skip"
+        self._check_kept(f.name for job in jobs for f in job.factors)
         for i, job in enumerate(jobs):
-            varied = []
-            for f in job.factors:
-                column = self.table.column(f.name)
-                lower = f.lower if f.lower is not None else float(np.min(column))
-                upper = f.upper if f.upper is not None else float(np.max(column))
-                varied.append(VariedFactor(name=f.name, lower=lower, upper=upper, steps=f.steps))
+            varied = [
+                default_varied(self.table, f.name, f.steps, f.lower, f.upper)
+                for f in job.factors
+            ]
             grid = ice(
                 self.final_model,
                 self.table,
@@ -888,6 +894,7 @@ class Pipeline:
             variables = [s.name for s in specs if s.optimizable]
         if not variables:
             raise RuntimeError("no optimizable factors survived preprocessing")
+        self._check_kept(variables)
         rows = []
         for row in cfg.wells:
             for m_index, method in enumerate(cfg.methods):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from welloop.trees import _BLOCK_CELLS, TreeEnsemble, _as_matrix
+from welloop.trees import _BLOCK_CELLS, _as_matrix
 from welloop.utils import fmt, subseed_rng, write_rows
 from welloop.data import WellTable
 
@@ -100,35 +100,31 @@ def _expect_node(root, x, subset):
     return total
 
 
-def _combine(per_tree, ensemble):
-    if ensemble.kind == "RF":
-        return sum(per_tree) / len(ensemble.trees)
-    return ensemble.base_score + ensemble.learning_rate * sum(per_tree)
-
-
-def tree_expectation(ensemble: TreeEnsemble, x, subset) -> float:
-    """Expected ensemble output when only the features in `subset` are
-    known to equal x's values; all other splits blend children by cover."""
+def tree_expectation(model, x, subset) -> float:
+    """Expected output of a TreeEnsemble or a StackedModel when only the
+    features in `subset` are known to equal x's values; all other splits
+    blend children by cover. The per-tree expectations are summed the way
+    the model's terms() sum its trees."""
+    m = len(model.feature_names)
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != ensemble.n_features:
-        raise ValueError(f"expected {ensemble.n_features} feature values")
+    if x.shape[0] != m:
+        raise ValueError(f"expected {m} feature values")
     s = frozenset(int(i) for i in subset)
-    if s and (min(s) < 0 or max(s) >= ensemble.n_features):
+    if s and (min(s) < 0 or max(s) >= m):
         raise ValueError("subset contains an out-of-range feature index")
-    if not ensemble.trees:
-        if ensemble.kind == "RF":
-            raise ValueError("RF ensemble has no trees")
-        return ensemble.base_score
-    vals = [_expect_node(t, x, s) for t in ensemble.trees]
-    return float(_combine(vals, ensemble))
+    weights, total, divisor = model.terms()
+    for tree, weight in zip(model.trees, weights):
+        total += weight * _expect_node(tree, x, s)
+    return float(total / divisor)
 
 
-def tree_game(ensemble: TreeEnsemble, x) -> CoalitionalGame:
-    """The coalitional game a single sample induces on the features."""
+def tree_game(model, x) -> CoalitionalGame:
+    """The coalitional game a single sample induces on the features of a
+    TreeEnsemble or a StackedModel."""
     x = np.asarray(x, dtype=float).reshape(-1)
     return CoalitionalGame(
-        n_players=ensemble.n_features,
-        payoff=lambda s: tree_expectation(ensemble, x, s),
+        n_players=len(model.feature_names),
+        payoff=lambda s: tree_expectation(model, x, s),
     )
 
 
@@ -254,17 +250,6 @@ class AttributionMatrix:
     base_value: float
     feature_names: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "base_value": float(self.base_value),
-            "feature_names": list(self.feature_names),
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-
-    def write_csv(self, path) -> None:
-        rows = ([i] + [fmt(v) for v in row] for i, row in enumerate(self.values))
-        write_rows(path, ["sample"] + list(self.feature_names), rows)
-
 
 @dataclass
 class InteractionTensor:
@@ -274,14 +259,6 @@ class InteractionTensor:
 
     values: np.ndarray  # (n samples, M, M)
     feature_names: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "values": [
-                [[float(v) for v in row] for row in mat] for mat in self.values
-            ],
-        }
 
 
 def tree_shap(model, x) -> AttributionMatrix:
@@ -346,15 +323,6 @@ class WellExplanation:
     base_value: float
     contributions: tuple  # ((name, value), ...) sorted by |value| desc
     prediction: float
-
-    def to_json(self) -> dict:
-        return {
-            "base_value": float(self.base_value),
-            "contributions": [
-                {"factor": n, "value": float(v)} for n, v in self.contributions
-            ],
-            "prediction": float(self.prediction),
-        }
 
 
 def explain_well(attr: AttributionMatrix, row: int) -> WellExplanation:
@@ -432,15 +400,6 @@ class CorrelationReport:
 
     factors: tuple  # ((name, {"pearson": .., "spearman": .., "gra": ..}), ...)
     rankings: dict
-
-    def to_json(self) -> dict:
-        return {
-            "factors": [
-                {"name": n, **{k: (None if v is None else float(v)) for k, v in d.items()}}
-                for n, d in self.factors
-            ],
-            "rankings": {m: list(names) for m, names in self.rankings.items()},
-        }
 
 
 def _pearson_pair(a, b):

@@ -39,12 +39,15 @@ class VariedFactor:
         return np.linspace(self.lower, self.upper, self.steps)
 
 
-def default_varied(table: WellTable, name: str, steps: int = 25) -> VariedFactor:
-    """Sweep a factor over its observed range."""
+def default_varied(
+    table: WellTable, name: str, steps: int = 25, lower=None, upper=None
+) -> VariedFactor:
+    """Sweep a factor from `lower` to `upper`, each end defaulting to that
+    end of the factor's observed range."""
     col = table.column(name)
-    lo = float(np.nanmin(col))
-    hi = float(np.nanmax(col))
-    if not lo < hi:
+    lo = float(np.nanmin(col)) if lower is None else lower
+    hi = float(np.nanmax(col)) if upper is None else upper
+    if lower is None and upper is None and not lo < hi:
         raise ValueError(f"factor {name!r} is constant; nothing to sweep")
     return VariedFactor(name, lo, hi, steps)
 

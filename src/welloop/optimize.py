@@ -30,6 +30,11 @@ from welloop.utils import fmt, subseed_rng, write_rows
 _PSO_TAG = 51
 _DE_TAG = 52
 _BO_TAG = 53
+_SWARM_SIZE = 10
+_DE_SIZE = 10
+_DE_AMPLIFICATION = 0.8
+_DE_CROSSOVER = 0.7
+_BO_INIT = 8  # Latin-hypercube points before the surrogate takes over
 _GP_NOISE = 1e-6
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -111,15 +116,12 @@ class Trace:
         values = self.values
         return self.entries[int(np.argmax(values))]
 
-    def write_csv(self, path, variable_names=None) -> None:
-        names = variable_names or [
-            f"u{j}" for j in range(self.entries[0].point.size)
-        ]
+    def write_csv(self, path, variable_names) -> None:
         rows = (
             [e.index] + [fmt(v) for v in e.point] + [fmt(e.value), fmt(b)]
             for e, b in zip(self.entries, self.best_so_far())
         )
-        write_rows(path, ["evaluation"] + list(names) + ["value", "best_so_far"], rows)
+        write_rows(path, ["evaluation", *variable_names, "value", "best_so_far"], rows)
 
 
 class _Evaluator:
@@ -161,20 +163,14 @@ def _search(problem: SearchProblem, start, step):
     return ev.trace.best().point.copy(), ev.trace
 
 
-def _start_population(rng, problem: SearchProblem, size: int, initial, what: str):
-    """`size` uniform points in the box; `initial` pins the first point
-    (1-D) or the whole population (2-D), clamped to the box."""
+def _start_population(rng, problem: SearchProblem, size: int, initial):
+    """`size` uniform points in the box; `initial`, when given, pins the
+    first point, clamped to the box."""
     lower, upper = problem.lower, problem.upper
     points = lower + rng.random((size, problem.dim)) * (upper - lower)
-    if initial is None:
-        return points
-    initial = np.asarray(initial, dtype=float)
-    if initial.ndim == 1:
-        points[0] = np.clip(initial, lower, upper)
-        return points
-    if initial.shape != points.shape:
-        raise ValueError(f"initial {what} has the wrong shape")
-    return np.clip(initial, lower, upper)
+    if initial is not None:
+        points[0] = np.clip(np.asarray(initial, dtype=float), lower, upper)
+    return points
 
 
 # --- particle swarm ------------------------------------------------------------
@@ -215,41 +211,28 @@ def pso_move(state: SwarmState, lower, upper, rng) -> None:
         )
 
 
-def pso(
-    problem: SearchProblem,
-    swarm_size: int = 10,
-    inertia: float = 0.729,
-    cognitive: float = 1.494,
-    social: float = 1.494,
-    seed: int = 0,
-    initial=None,
-):
-    """Particle swarm maximization; returns (best point, trace).
+def pso(problem: SearchProblem, seed: int = 0, initial=None):
+    """Particle swarm maximization with _SWARM_SIZE particles and
+    SwarmState's coefficients; returns (best point, trace).
 
-    `initial` may pin the first particle (1-D) or the whole swarm (2-D).
-    Personal and global bests only move on strict improvement, so the
-    global best value never decreases.
+    `initial` may pin the first particle. Personal and global bests only
+    move on strict improvement, so the global best value never decreases.
     """
-    if swarm_size < 2:
-        raise ValueError("swarm_size must be >= 2")
     rng = subseed_rng(seed, _PSO_TAG)
     lower, upper = problem.lower, problem.upper
 
-    positions = _start_population(rng, problem, swarm_size, initial, "swarm")
+    positions = _start_population(rng, problem, _SWARM_SIZE, initial)
     state = SwarmState(
         positions=positions,
-        velocities=np.zeros((swarm_size, problem.dim)),
+        velocities=np.zeros((_SWARM_SIZE, problem.dim)),
         personal_best_positions=positions.copy(),
-        personal_best_values=np.full(swarm_size, -np.inf),
+        personal_best_values=np.full(_SWARM_SIZE, -np.inf),
         global_best_position=positions[0].copy(),
         global_best_value=-np.inf,
-        inertia=inertia,
-        cognitive=cognitive,
-        social=social,
     )
 
     def evaluate_swarm(ev):
-        for p in range(swarm_size):
+        for p in range(_SWARM_SIZE):
             value = ev(state.positions[p])
             if value > state.personal_best_values[p]:
                 state.personal_best_values[p] = value
@@ -289,37 +272,31 @@ def de_trial(population, p, amplification, crossover_rate, lower, upper, rng):
     return np.where(cross, mutant, pop[p])
 
 
-def de(
-    problem: SearchProblem,
-    population_size: int = 10,
-    amplification: float = 0.8,
-    crossover_rate: float = 0.7,
-    seed: int = 0,
-    initial=None,
-):
-    """Differential evolution maximization; returns (best point, trace).
+def de(problem: SearchProblem, seed: int = 0, initial=None):
+    """Differential evolution maximization with _DE_SIZE members,
+    amplification _DE_AMPLIFICATION and crossover rate _DE_CROSSOVER;
+    returns (best point, trace).
 
-    Selection is strictly greedy: a trial replaces its parent only when
-    it scores strictly higher, so each member's value never decreases.
+    `initial` may pin the first member. Selection is strictly greedy: a
+    trial replaces its parent only when it scores strictly higher, so
+    each member's value never decreases.
     """
-    if population_size < 4:
-        raise ValueError("population_size must be >= 4 for three distinct donors")
     rng = subseed_rng(seed, _DE_TAG)
     lower, upper = problem.lower, problem.upper
 
-    population = _start_population(rng, problem, population_size, initial, "population")
-    fitness = np.full(population_size, -np.inf)
+    population = _start_population(rng, problem, _DE_SIZE, initial)
+    fitness = np.full(_DE_SIZE, -np.inf)
 
     def start(ev):
-        for p in range(population_size):
+        for p in range(_DE_SIZE):
             fitness[p] = ev(population[p])
 
     def step(ev):
         # every trial of a generation draws its donors from the generation
         # before; a member's own fitness is read only by its own trial
         parents = population.copy()
-        for p in range(population_size):
-            trial = de_trial(parents, p, amplification, crossover_rate, lower, upper, rng)
+        for p in range(_DE_SIZE):
+            trial = de_trial(parents, p, _DE_AMPLIFICATION, _DE_CROSSOVER, lower, upper, rng)
             value = ev(trial)
             if value > fitness[p]:
                 population[p] = trial
@@ -488,27 +465,20 @@ class _GaussianProcess:
         return mu[0], sigma[0], d_mu, d_sigma
 
 
-def bayes_opt(
-    problem: SearchProblem,
-    n_init: int = 8,
-    seed: int = 0,
-    initial=None,
-):
+def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
     """Gaussian-process maximization; returns (best point, trace).
 
-    Starts from a Latin hypercube design (optionally with a pinned first
-    point), then repeatedly fits the surrogate and evaluates the point
-    that maximizes expected improvement, found by seeded random
-    multistart plus a local bounded polish.
+    Starts from a Latin hypercube design of _BO_INIT points (optionally
+    with a pinned first point), then repeatedly fits the surrogate and
+    evaluates the point that maximizes expected improvement, found by
+    seeded random multistart plus a local bounded polish.
     """
-    if n_init < 2:
-        raise ValueError("n_init must be >= 2")
     rng = subseed_rng(seed, _BO_TAG)
     lower, upper = problem.lower, problem.upper
     span = upper - lower
     dim = problem.dim
 
-    points01 = _latin_hypercube(rng, n_init, dim)
+    points01 = _latin_hypercube(rng, _BO_INIT, dim)
     if initial is not None:
         initial = np.asarray(initial, dtype=float).reshape(-1)
         points01[0] = np.clip((initial - lower) / span, 0.0, 1.0)

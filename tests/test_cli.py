@@ -911,6 +911,21 @@ def test_stage_failure_exits_2_and_keeps_partials(tmp_path, capsys):
     assert (out / "models/rf.json").is_file()
 
 
+def test_a_factor_preprocessing_dropped_fails_ice_and_optimize_by_name(tmp_path):
+    obj = base_config()
+    obj["data"]["redundancy_r"] = 0.2  # prunes "stage count" from these 30 rows
+    obj["ice"] = [{"factors": [{"name": "stage count", "steps": 3}]}]
+    obj["optimize"] = {"methods": ["pso"], "wells": [0], "budget": 3, "variables": ["stage count"]}
+    assert validate_config(obj) == []
+    path = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2  # ice fails
+    assert main(["optimize", "--config", path, "--out", str(out)]) == 2
+    detail = {s["name"]: s.get("detail", "") for s in assert_manifest_reconciles(out)["stages"]}
+    message = "ValueError: factor 'stage count' was dropped by preprocessing"
+    assert detail["ice"] == detail["optimize"] == message
+
+
 def test_standalone_stages_require_their_inputs(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"

@@ -52,6 +52,10 @@ def test_default_varied_uses_observed_range(table):
     flat = make_table({"a": [2.0, 2.0, 2.0], "y": [1.0, 2.0, 3.0]})
     with pytest.raises(ValueError, match="constant"):
         default_varied(flat, "a")
+    # a configured end replaces that end of the observed range
+    v = default_varied(table, "a", 7, lower=-1.0)
+    assert (v.lower, v.upper) == (-1.0, table.column("a").max())
+    assert default_varied(flat, "a", 7, 0.0, 5.0).grid()[-1] == 5.0
 
 
 def test_curves_pass_through_each_anchor(table):

@@ -18,6 +18,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("compare_optimizers.py", "--rows 30 --budget 12 --bayes-budget 10 --trace-dir {out}"),
         ("shap_vs_exact.py", "--max-features 4"),
         ("run_demo.py", "--out {out} --rows 40 --budget 10"),
+        ("count_lines.py", ""),
     ],
 )
 def test_script_exits_0(tmp_path, script, args):
