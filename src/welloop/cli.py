@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -17,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-import welloop
 from welloop.data import (
     DEFAULT_SCHEMA,
     WellTable,
@@ -45,7 +43,6 @@ from welloop.trees import (
     FIT_FUNCTIONS,
     INTEGER_FIELDS,
     KINDS,
-    MODEL_FORMAT,
     HyperParams,
     load_ensemble,
     save_ensemble,
@@ -104,7 +101,6 @@ class TrainConfig:
     hyperparams: dict = field(default_factory=dict)
     tune: TuneConfig | None = None
     test_fraction: float = 0.25
-    cached: bool = False
 
 
 @dataclass
@@ -257,14 +253,26 @@ def _indices(value, path, problems):
     return ()
 
 
+def _distinct(noun, check):
+    """`check`, then a problem for each entry of the value it keeps that
+    repeats an earlier one."""
+
+    def distinct(value, path, problems):
+        value = check(value, path, problems)
+        for i, v in enumerate(value):
+            if v in value[:i]:
+                problems.append(f"{path}: duplicate {noun} {v!r}")
+        return value
+
+    return distinct
+
+
 def _kinds(value, path, problems):
     kinds = []
     for kind in value:
         name = kind.upper() if isinstance(kind, str) else kind
         if name not in KINDS:
             problems.append(f"{path}: unknown kind {kind!r} (choose from {KINDS})")
-        elif name in kinds:
-            problems.append(f"{path}: duplicate kind {kind!r}")
         else:
             kinds.append(name)
     if not kinds:
@@ -371,7 +379,7 @@ _CHECKS = {
     (DataConfig, "missing_ratio_max"): _check(lambda v: 0 <= v < 1, "must be in [0, 1)"),
     (DataConfig, "outlier_z"): _check(lambda v: v > 0, "must be > 0"),
     (DataConfig, "redundancy_r"): _check(lambda v: 0 < v <= 1, "must be in (0, 1]"),
-    (TrainConfig, "kinds"): _kinds,
+    (TrainConfig, "kinds"): _distinct("kind", _kinds),
     (TrainConfig, "hyperparams"): _hyperparams,
     (TrainConfig, "test_fraction"): _check(lambda v: 0 < v < 1, "must be in (0, 1)"),
     (TuneConfig, "space"): _tune_space,
@@ -380,13 +388,14 @@ _CHECKS = {
     (StackConfig, "k"): _at_least(2),
     (ExplainConfig, "kind"): lambda value, path, problems: value.upper(),
     (ExplainConfig, "clusters"): _at_least(0),
-    (ExplainConfig, "waterfalls"): _indices,
+    (ExplainConfig, "waterfalls"): _distinct("row", _indices),
     (ExplainConfig, "max_rows"): _at_least(1),
     (IceJob, "factors"): _ice_factors,
     (IceJob, "sample"): _at_least(1),
     (IceJob, "anchors"): _indices,
-    (OptimizeConfig, "methods"): _methods,
-    (OptimizeConfig, "wells"): _indices,
+    (OptimizeConfig, "methods"): _distinct("method", _methods),
+    (OptimizeConfig, "wells"): _distinct("well", _indices),
+    (OptimizeConfig, "variables"): _distinct("factor", lambda value, path, problems: value),
     (OptimizeConfig, "budget"): _at_least(1),
     (OptimizeConfig, "bounds"): _bounds,
 }
@@ -491,14 +500,6 @@ def _read_hyperparams(path: Path, kinds) -> dict:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return hps
-
-
-def _cached_hash(path: Path):
-    """The hash a model cache file records, or None if it holds none."""
-    try:
-        return take(typed(read_json(path), "object", path), "hash", "string", path)
-    except (OSError, ValueError):
-        return None
 
 
 class Pipeline:
@@ -707,39 +708,8 @@ class Pipeline:
         self.table = clean
         self.split = (np.array(train, dtype=int), np.array(test, dtype=int))
 
-    def _cache_key(self) -> str:
-        """Hash of everything the trained models depend on, the code that
-        grows and stores them included."""
-        train = asdict(self.config.train)
-        train.pop("cached")
-        payload = {
-            "seed": self.config.seed,
-            "data": asdict(self.config.data),
-            "train": train,
-            "version": welloop.__version__,
-            "model_format": MODEL_FORMAT,
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-
     def stage_train(self):
         cfg = self.config.train
-        key = self._cache_key()
-        if cfg.cached and _cached_hash(self.out / "models/cache.json") == key:
-            try:
-                self.hps  # read back like each model, so that a bad record retrains
-                for kind in cfg.kinds:
-                    self.model(kind)
-            except (RuntimeError, ValueError):  # a cached file missing or unparsable
-                pass
-            else:
-                for kind in cfg.kinds:
-                    self._record(f"models/{kind.lower()}.json", "train")
-                self._record("models/hyperparams.json", "train")
-                self._record("models/cache.json", "train")
-                return
-
         train_rows, _ = self.split
         x = self.table.feature_matrix()[train_rows]
         y = self.table.target()[train_rows]
@@ -768,7 +738,6 @@ class Pipeline:
             {kind: asdict(hp) for kind, hp in hps.items()},
             "train",
         )
-        self._write_json("models/cache.json", {"hash": key}, "train")
 
     def stage_explain(self):
         cfg = self.config.explain

@@ -91,10 +91,6 @@ class WellTable:
         )
 
     @property
-    def target_name(self) -> str:
-        return self.specs[self.target_index].name
-
-    @property
     def feature_names(self) -> tuple[str, ...]:
         t = self.target_index
         return tuple(s.name for i, s in enumerate(self.specs) if i != t)

@@ -534,11 +534,6 @@ def tune_random_search(
 
 # --- serialization -----------------------------------------------------------
 
-# Part of the train stage's cache key: bump it whenever the model files or
-# the models grown from the same inputs change, so no cache serves old ones.
-MODEL_FORMAT = 1
-
-
 def _node_to_json(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"cover": node.cover, "value": node.value}

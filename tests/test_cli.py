@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import welloop
-import welloop.cli
 import welloop.explain
 import welloop.utils
 from welloop.cli import Pipeline, RunConfig, main, parse_config, validate_config
@@ -51,12 +50,13 @@ def stage_status(manifest):
 
 
 def assert_manifest_reconciles(out):
-    """Every listed artifact exists with the recorded hash, and no file
-    besides the manifest itself goes unlisted."""
+    """Every listed artifact exists with the recorded hash, no path is
+    listed twice, and no file besides the manifest itself goes unlisted."""
     manifest = read_manifest(out)
-    listed = {a["path"] for a in manifest["artifacts"]}
+    listed = [a["path"] for a in manifest["artifacts"]]
+    assert len(set(listed)) == len(listed), "a path is listed twice"
     disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
-    assert disk - {"manifest.json"} == listed
+    assert disk - {"manifest.json"} == set(listed)
     for art in manifest["artifacts"]:
         digest = hashlib.sha256((out / art["path"]).read_bytes()).hexdigest()
         assert digest == art["sha256"], art["path"]
@@ -293,7 +293,7 @@ INVALID_CONFIGS = [
     pytest.param(
         with_seed(train={"hyperparams": [], "test_fraction": 1, "cached": "yes"}),
         [
-            "train.cached: expected bool",
+            "train.cached: unknown key",
             "train.hyperparams: expected dict",
             "train.test_fraction: must be in (0, 1)",
         ],
@@ -387,6 +387,11 @@ INVALID_CONFIGS = [
         with_seed(explain={"waterfalls": [0, "a", True]}),
         ["explain.waterfalls: entries must be non-negative integers"],
         id="explain-waterfalls-not-integers",
+    ),
+    pytest.param(
+        with_seed(explain={"waterfalls": [0, 2, 0, 0]}),
+        ["explain.waterfalls: duplicate row 0", "explain.waterfalls: duplicate row 0"],
+        id="explain-waterfalls-repeated",
     ),
     pytest.param(
         with_seed(ice={"factors": [{"name": "stage count"}]}),
@@ -500,6 +505,16 @@ INVALID_CONFIGS = [
         id="optimize-no-methods",
     ),
     pytest.param(
+        with_seed(optimize={"methods": ["pso", "ga", "de", "pso", "ga"], "wells": [1, 3, 1]}),
+        [
+            "optimize.methods: duplicate method 'pso'",
+            "optimize.methods: unknown method 'ga' (choose from ('pso', 'de', 'bayes'))",
+            "optimize.methods: unknown method 'ga' (choose from ('pso', 'de', 'bayes'))",
+            "optimize.wells: duplicate well 1",
+        ],
+        id="optimize-methods-and-wells-repeated",
+    ),
+    pytest.param(
         with_seed(optimize={"methods": "pso", "wells": 0, "variables": "x", "bounds": []}),
         [
             "optimize.bounds: expected dict",
@@ -546,6 +561,17 @@ INVALID_CONFIGS = [
         ],
         id="optimize-variables",
     ),
+    pytest.param(
+        with_seed(optimize={"variables": ["stage count", "TOC", "stage count", "nope", "nope"]}),
+        [
+            "optimize.variables: 'TOC' is not flagged optimizable",
+            "optimize.variables: duplicate factor 'nope'",
+            "optimize.variables: duplicate factor 'stage count'",
+            "optimize.variables: unknown factor 'nope'",
+            "optimize.variables: unknown factor 'nope'",
+        ],
+        id="optimize-variables-repeated",
+    ),
 ]
 
 
@@ -586,7 +612,6 @@ def every_key_config():
             "hyperparams": {"XGB": {"n_trees": 4, "learning_rate": 1, "lam": 0}},
             "tune": {"space": {"max_depth": {"range": [1, 3]}}, "budget": 0, "folds": 4},
             "test_fraction": 0.5,
-            "cached": True,
         },
         "stack": {"enabled": True, "k": 2},
         "explain": {
@@ -619,14 +644,14 @@ def every_key_config():
 # sha256 of json.dumps(asdict(config), sort_keys=True): the RunConfig each
 # valid config parses to, which is also what the run writes to config.json
 PARSED_CONFIG_SHA256 = {
-    "base": "7c3722e4427ef1da741166ee28a563c34bb2fce83984231fe9e8d10dd282797d",
-    "full-surface": "868e7033444d3ad285a2ad7b391b28bd8cf9aafac732d7bf8b2c41f275ed759b",
-    "every-key": "4f4ae04f6cc240d51e4e22e84ed50bca89147832c60a6649164f14ab3617380f",
-    "design-search/setup": "95d36a2584734ea5847846496a2bc290a456ace782a91c9e949fdef6a0139af5",
-    "design-search/pass": "7f1d408a9933ec0d220e8797516aa5519dea9232e0b90c7ef1ea11c74d893e85",
-    "attribution/setup": "df66bd4f09ce0c8face9d1dfbd2e0009a4943a2ffce1119c89c5c69a2a7c75a0",
-    "attribution/pass": "b4155745ce04363417c730bddb5d5ebc61ea8ffbf686112f1ed576627fbe00a6",
-    "field-1k/run": "0e470dc4e27a0070ca9f0b441ba9805fb19035d1b1caf5f30f8ce068536e8147",
+    "base": "f5ccb683abb40741f782ffd6ef6ed7cb08fe31faf0a58bdbe47cd64e6b6822f6",
+    "full-surface": "25b207ffa331af6c84bd2a99460a4eb3a2ad0e970ea3f3d8241ea136017c1a21",
+    "every-key": "e60dd27f3c7728cb7df9270f3942d1e9c7daa0a45e91da78ee2cb07516d2db10",
+    "design-search/setup": "10cc5a21725e7585c6210ea6105f4b2c1679dabf87ffc2d5ddc2119b23438090",
+    "design-search/pass": "420601772886afd390de6ee57325db635cee7844cd1f2358e98df0acd7e3dee5",
+    "attribution/setup": "3d4564ac7936962d29c6c180648cb80d943f2fa271710ba967c558164635c4b7",
+    "attribution/pass": "cbb247931835580ea0d27715d4528099e1a318dd40ac7b8f1464d86ffae50cc8",
+    "field-1k/run": "cf086c1727f60c8fdbf278f667685ad9b12cf324b4ca57193f0be989e0fb02bb",
 }
 
 
@@ -645,7 +670,7 @@ def test_valid_configs_parse_to_the_pinned_run_config():
 
 _CONFIG_KEYS = st.sampled_from(
     "seed out data csv schema rows noise_sd missing_ratio_max outlier_z redundancy_r "
-    "train kinds hyperparams tune space budget folds test_fraction cached rf GBDT "
+    "train kinds hyperparams tune space budget folds test_fraction rf GBDT "
     "n_trees max_depth learning_rate range choices stack enabled k explain kind "
     "interactions clusters waterfalls max_rows ice factors name lower upper steps "
     "sample anchors optimize methods wells variables bounds".split()
@@ -704,7 +729,7 @@ def _tiny_configs(draw):
             "kind": draw(st.sampled_from([None, *kinds])),
             "interactions": draw(st.booleans()),
             "clusters": draw(st.sampled_from([0, 2, 3])),
-            "waterfalls": draw(st.lists(st.integers(0, 8), max_size=2)),
+            "waterfalls": draw(st.lists(st.integers(0, 8), max_size=2, unique=True)),
             "max_rows": draw(st.sampled_from([None, 2, 8])),
         },
         "ice": draw(st.lists(_ice_jobs(), max_size=2)),
@@ -1080,42 +1105,11 @@ def test_explain_refuses_a_model_of_other_columns(tmp_path, capsys):
     assert_manifest_reconciles(out)
 
 
-# --- model cache -------------------------------------------------------------------
-
-
-def test_cached_models_are_reused_not_retrained(tmp_path):
-    obj = base_config()
-    obj["train"]["cached"] = True
-    path = write_config(tmp_path, obj)
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    model_path = out / "models/rf.json"
-    tampered = json.loads(model_path.read_text(encoding="utf-8"))
-
-    def first_leaf(node):
-        if node.get("feature") is None:
-            return node
-        return first_leaf(node["left"])
-
-    first_leaf(tampered["trees"][0])["value"] += 0.5
-    model_path.write_text(json.dumps(tampered, sort_keys=True) + "\n", encoding="utf-8")
-    tampered_hash = hashlib.sha256(model_path.read_bytes()).hexdigest()
-
-    # config hash still matches, so the tampered file survives the rerun
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    assert hashlib.sha256(model_path.read_bytes()).hexdigest() == tampered_hash
-    assert_manifest_reconciles(out)
-
-    # a hyperparameter change invalidates the cache and retrains
-    changed = copy.deepcopy(obj)
-    changed["train"]["hyperparams"]["rf"]["n_trees"] = 4
-    path2 = write_config(tmp_path, changed, name="changed.json")
-    assert main(["run", "--config", path2, "--out", str(out)]) == 0
-    retrained = json.loads(model_path.read_text(encoding="utf-8"))
-    assert len(retrained["trees"]) == 4
+# --- reruns ---------------------------------------------------------------------
 
 
 def test_cache_flag_off_always_retrains(tmp_path):
+    """Every rerun trains afresh, so a damaged model file is written anew."""
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
@@ -1126,52 +1120,6 @@ def test_cache_flag_off_always_retrains(tmp_path):
     model_path.write_text(json.dumps(broken, sort_keys=True) + "\n", encoding="utf-8")
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert model_path.read_bytes() == original
-
-
-@pytest.mark.parametrize("name", ["__version__", "MODEL_FORMAT"])
-def test_models_cached_by_older_code_are_retrained(tmp_path, monkeypatch, name):
-    obj = base_config()
-    obj["train"]["cached"] = True
-    path = write_config(tmp_path, obj)
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    model_path = out / "models/rf.json"
-    original = model_path.read_bytes()
-    tampered = json.loads(original)
-    tampered["base_score"] = 99.0
-    model_path.write_text(json.dumps(tampered, sort_keys=True) + "\n", encoding="utf-8")
-    owner = welloop if name == "__version__" else welloop.cli
-    monkeypatch.setattr(owner, name, "newer")
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    assert model_path.read_bytes() == original
-    assert_manifest_reconciles(out)
-
-
-@pytest.mark.parametrize("cache", ["[1]", "{}", '{"hash": 5}', "not json"])
-def test_a_malformed_model_cache_counts_as_a_miss(tmp_path, cache):
-    obj = base_config()
-    obj["train"]["cached"] = True
-    path = write_config(tmp_path, obj)
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    (out / "models/cache.json").write_text(cache, encoding="utf-8")
-    for _ in range(2):
-        assert main(["run", "--config", path, "--out", str(out)]) == 0
-        assert_manifest_reconciles(out)
-
-
-def test_cached_models_with_a_malformed_hyperparameter_record_are_retrained(tmp_path):
-    obj = base_config()
-    obj["train"]["cached"] = True
-    path = write_config(tmp_path, obj)
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    hp_path = out / "models/hyperparams.json"
-    original = hp_path.read_bytes()
-    hp_path.write_text("[1]", encoding="utf-8")
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    assert hp_path.read_bytes() == original
-    assert_manifest_reconciles(out)
 
 
 @pytest.mark.parametrize(
