@@ -41,7 +41,6 @@ from welloop.optimize import METHODS, optimize_well
 from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked
 from welloop.trees import (
     FIT_FUNCTIONS,
-    INTEGER_FIELDS,
     KINDS,
     HyperParams,
     load_ensemble,
@@ -67,6 +66,15 @@ _STACK_TAG = 64
 _OPT_TAG = 65
 
 STAGES = ("data", "train", "explain", "stack", "ice", "optimize")
+
+# command -> the stages it runs, in pipeline order; validate runs none
+_SUBCOMMAND_STAGES = {
+    "run": STAGES,
+    "synthesize": ("data",),
+    "explain": ("explain",),
+    "ice": ("ice",),
+    "optimize": ("optimize",),
+}
 
 
 # --- configuration ---------------------------------------------------------------
@@ -395,19 +403,10 @@ _CHECKS = {
     (IceJob, "anchors"): _indices,
     (OptimizeConfig, "methods"): _distinct("method", _methods),
     (OptimizeConfig, "wells"): _distinct("well", _indices),
-    (OptimizeConfig, "variables"): _distinct("factor", lambda value, path, problems: value),
+    (OptimizeConfig, "variables"): _distinct("factor", _check(bool, "need at least one factor")),
     (OptimizeConfig, "budget"): _at_least(1),
     (OptimizeConfig, "bounds"): _bounds,
 }
-
-
-def _sample_space(space: dict) -> dict:
-    """The config's tune space in sample_space's form: a choice list stays
-    a list, and a [low, high] range becomes a (low, high) tuple."""
-    return {
-        name: list(entry["choices"]) if "choices" in entry else tuple(entry["range"])
-        for name, entry in space.items()
-    }
 
 
 def parse_config(obj) -> tuple[RunConfig, list[str]]:
@@ -430,21 +429,25 @@ def parse_config(obj) -> tuple[RunConfig, list[str]]:
 
 def _reference_schema(config, problems):
     """The schema factor names are checked against, or None when there is
-    none to check; a schema file that does not load is a problem."""
-    if config.data.schema is not None and Path(config.data.schema).is_file():
+    none to check; a schema file that does not load is a problem, and so
+    is one without a CSV, as synthesis uses DEFAULT_SCHEMA."""
+    cfg = config.data
+    if cfg.schema is not None and cfg.csv is None:
+        problems.append("data.schema: only read with data.csv")
+    if cfg.schema is None or cfg.csv is None:
+        return DEFAULT_SCHEMA
+    if Path(cfg.schema).is_file():
         try:
-            return load_schema(config.data.schema)
+            return load_schema(cfg.schema)
         except ValueError as exc:
             problems.append(f"data.schema: {exc}")
-            return None
-    if config.data.csv is None or config.data.schema is None:
-        return DEFAULT_SCHEMA
     return None
 
 
 def _check_factor_references(config, problems):
     """Every factor name mentioned in ice/optimize sections must exist in
-    the schema; optimize variables must also carry the optimizable flag."""
+    the schema; optimize variables must also carry the optimizable flag,
+    and a bound must be on a factor the search varies."""
     specs = _reference_schema(config, problems)
     if specs is None:
         return
@@ -463,9 +466,12 @@ def _check_factor_references(config, problems):
                 problems.append(
                     f"optimize.variables: {name!r} is not flagged optimizable"
                 )
+    searched = named if named is not None else [s.name for s in specs if s.optimizable]
     for name in config.optimize.bounds:
         if name not in features:
             problems.append(f"optimize.bounds: unknown factor {name!r}")
+        elif name not in searched:
+            problems.append(f"optimize.bounds: {name!r} is not searched")
 
 
 def validate_config(obj) -> list[str]:
@@ -480,33 +486,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _read_hyperparams(path: Path, kinds) -> dict:
-    """kind -> HyperParams of each of `kinds` from the train stage's record,
-    every field checked; a malformed file is a ValueError naming it and the
-    key."""
-    record = typed(read_json(path), "object", path)
-    hps = {}
-    for kind in kinds:
-        where = f"{path}.{kind}"
-        entry = take(record, kind, "object", path)
-        values = {
-            f.name: take(
-                entry, f.name, "integer" if f.name in INTEGER_FIELDS else "number", where
-            )
-            for f in fields(HyperParams)
-        }
-        try:
-            hps[kind] = HyperParams(**values)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    return hps
-
-
 class Pipeline:
     """Sequential stage runner over one output directory.
 
-    A stage takes its inputs from the stage that produced them earlier in
-    the run, or else reads them back from that stage's files on first use.
+    Within `run`, a stage takes its inputs from the stage that produced
+    them. The `explain`, `ice` and `optimize` commands read the clean
+    table and the models they query back from the files on first use.
     Stages record each file as they write it, so a failing stage leaves its
     partial artifacts both on disk and in the manifest. After the stages,
     run() deletes the files the previous manifest gave to a stage that ran
@@ -593,11 +578,11 @@ class Pipeline:
             stages.append(entry)
         write_json(self._path("manifest.json"), {"stages": stages, "artifacts": arts})
 
-    def run(self, selected=None) -> int:
-        """Execute the selected stages (all by default) in pipeline order,
-        write the manifest and drop the stale files of the stages that ran;
-        returns the process exit code."""
-        selected = set(STAGES if selected is None else selected)
+    def run(self, command="run") -> int:
+        """Execute the stages of `command` in pipeline order, write the
+        manifest and drop the stale files of the stages that ran; returns
+        the process exit code."""
+        selected = _SUBCOMMAND_STAGES[command]
         self.out.mkdir(parents=True, exist_ok=True)
         self._write_json("config.json", asdict(self.config), "config")
         ran, failed = {"config"}, False
@@ -641,21 +626,6 @@ class Pipeline:
     def table(self) -> WellTable:
         specs = load_schema(self._input("data/schema.json", "data"))
         return load_csv(self._input("data/clean.csv", "data"), specs)
-
-    @cached_property
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """The clean table's (train rows, test rows)."""
-        path = self._input("data/split.json", "data")
-        split = typed(read_json(path), "object", path)
-        return tuple(
-            np.array(take_list(split, key, "integer", path), dtype=int)
-            for key in ("train", "test")
-        )
-
-    @cached_property
-    def hps(self) -> dict:
-        path = self._input("models/hyperparams.json", "train")
-        return _read_hyperparams(path, self.config.train.kinds)
 
     def model(self, kind):
         if kind not in self.models:
@@ -722,7 +692,7 @@ class Pipeline:
                     x,
                     y,
                     kind,
-                    _sample_space(cfg.tune.space),
+                    cfg.tune.space,
                     budget=cfg.tune.budget,
                     k=cfg.tune.folds,
                     seed=mix_seed(self.config.seed, _TUNE_TAG, z),
@@ -907,15 +877,6 @@ class Pipeline:
 # --- entry point --------------------------------------------------------------------
 
 
-_SUBCOMMAND_STAGES = {
-    "run": None,
-    "synthesize": ("data",),
-    "explain": ("explain",),
-    "ice": ("ice",),
-    "optimize": ("optimize",),
-}
-
-
 def _load_config_obj(path):
     if path is None:
         return {}, []
@@ -969,7 +930,7 @@ def main(argv=None) -> int:
 
     out = args.out or os.environ.get("WELLOOP_OUT") or config.out
     pipeline = Pipeline(config, out)
-    code = pipeline.run(_SUBCOMMAND_STAGES[args.command])
+    code = pipeline.run(args.command)
     if code == 0:
         print(f"artifacts written to {out}")
     return code

@@ -463,10 +463,11 @@ FIT_FUNCTIONS = {"RF": fit_rf, "GBDT": fit_gbdt, "XGB": fit_xgb}
 def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
     """Draw `budget` hyperparameter combinations uniformly from `space`.
 
-    A list entry means a uniform choice; a (low, high) tuple means a
-    uniform float, or a uniform integer for an integer HyperParams field
-    whose ends are both ints. Draw order follows the space's key order, so
-    the same seed always yields the same sequence.
+    Each entry is written as in the config's tune space: {"choices": [...]}
+    means a uniform choice; {"range": [low, high]} means a uniform float,
+    or a uniform integer for an integer HyperParams field whose ends are
+    both ints. Draw order follows the space's key order, so the same seed
+    always yields the same sequence.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -474,9 +475,10 @@ def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
     draws = []
     for _ in range(budget):
         combo = {}
-        for name, rnge in space.items():
-            if isinstance(rnge, tuple) and len(rnge) == 2:
-                lo, hi = rnge
+        for name, entry in space.items():
+            form = set(entry) if isinstance(entry, dict) else None
+            if form == {"range"}:
+                lo, hi = entry["range"]
                 if lo > hi:
                     raise ValueError(f"reversed range for {name!r}")
                 ints = isinstance(lo, int) and isinstance(hi, int)
@@ -484,11 +486,13 @@ def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
                     combo[name] = int(rng.integers(lo, hi + 1))
                 else:
                     combo[name] = float(rng.uniform(lo, hi))
-            else:
-                choices = list(rnge)
+            elif form == {"choices"}:
+                choices = list(entry["choices"])
                 if not choices:
-                    raise ValueError(f"empty range for {name!r}")
+                    raise ValueError(f"no choices for {name!r}")
                 combo[name] = choices[int(rng.integers(len(choices)))]
+            else:
+                raise ValueError(f"{name!r}: expected range or choices")
         draws.append(combo)
     return draws
 

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 import welloop
 import welloop.explain
 import welloop.utils
-from welloop.cli import Pipeline, RunConfig, main, parse_config, validate_config
+from welloop.cli import RunConfig, main, parse_config, validate_config
 from welloop.data import DEFAULT_SCHEMA
-from welloop.trees import HyperParams
 
 
 def base_config():
@@ -247,6 +246,16 @@ INVALID_CONFIGS = [
         with_seed(data={"csv": "no/such.csv", "schema": "no/such.json", "rows": 5}),
         ["data.csv: file not found: no/such.csv", "data.schema: file not found: no/such.json"],
         id="data-missing-files",
+    ),
+    pytest.param(
+        # synthesis uses DEFAULT_SCHEMA, so names are checked against it
+        with_seed(data={"schema": "no/such.json"}, ice=[{"factors": [{"name": "a"}]}]),
+        [
+            "data.schema: file not found: no/such.json",
+            "data.schema: only read with data.csv",
+            "ice[0]: unknown factor 'a'",
+        ],
+        id="data-schema-without-csv",
     ),
     pytest.param(
         with_seed(train={"kinds": ["lgbm", "rf", "RF", 1]}),
@@ -548,9 +557,23 @@ INVALID_CONFIGS = [
             "optimize.bounds.proppant intensity: expected [lower, upper]",
             "optimize.bounds.stage count: lower must be < upper",
             "optimize.bounds.stimulated length: expected [lower, upper]",
+            "optimize.bounds: 'TOC' is not searched",
             "optimize.bounds: unknown factor 'nope'",
         ],
         id="optimize-bounds",
+    ),
+    pytest.param(
+        with_seed(
+            optimize={
+                "variables": ["stage count"],
+                "bounds": {"stage count": [10, 20], "TOC": [1, 2], "proppant intensity": [1, 2]},
+            }
+        ),
+        [
+            "optimize.bounds: 'TOC' is not searched",
+            "optimize.bounds: 'proppant intensity' is not searched",
+        ],
+        id="optimize-bounds-not-searched",
     ),
     pytest.param(
         with_seed(optimize={"variables": ["porosity", "nope", 3, "stage count"]}),
@@ -571,6 +594,11 @@ INVALID_CONFIGS = [
             "optimize.variables: unknown factor 'nope'",
         ],
         id="optimize-variables-repeated",
+    ),
+    pytest.param(
+        with_seed(optimize={"variables": []}),
+        ["optimize.variables: need at least one factor"],
+        id="optimize-no-variables",
     ),
 ]
 
@@ -714,7 +742,11 @@ def _tiny_configs(draw):
     """Configs over the documented surface at tiny sizes."""
     kinds = draw(st.lists(st.sampled_from(["rf", "gbdt", "xgb"]), min_size=1, unique=True))
     trees = st.fixed_dictionaries({"n_trees": st.integers(1, 3), "max_depth": st.integers(1, 3)})
-    bound = st.tuples(st.sampled_from(_OPTIMIZABLE), st.floats(0, 50), st.floats(1, 50))
+    variables = draw(
+        st.none() | st.lists(st.sampled_from(_OPTIMIZABLE), min_size=1, max_size=3, unique=True)
+    )
+    # a bound is only accepted on a factor the search varies
+    bound = st.tuples(st.sampled_from(variables or _OPTIMIZABLE), st.floats(0, 50), st.floats(1, 50))
     bounds = {name: [lo, lo + width] for name, lo, width in draw(st.lists(bound, max_size=2))}
     return {
         "seed": draw(st.integers(0, 2**16)),
@@ -736,9 +768,7 @@ def _tiny_configs(draw):
         "optimize": {
             "methods": draw(st.lists(st.sampled_from(["pso", "de", "bayes"]), min_size=1, unique=True)),
             "wells": draw(st.lists(_ROWS, max_size=2, unique=True)),
-            "variables": draw(
-                st.none() | st.lists(st.sampled_from(_OPTIMIZABLE), min_size=1, max_size=3, unique=True)
-            ),
+            "variables": variables,
             "budget": draw(st.integers(1, 4)),
             "bounds": bounds,
         },
@@ -792,8 +822,10 @@ def test_validate_subcommand_reports_problems(tmp_path, capsys):
 def test_validate_reports_a_malformed_schema_file(tmp_path, capsys, entries, problem):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps(entries), encoding="utf-8")
+    csv = tmp_path / "wells.csv"
+    csv.write_text("", encoding="utf-8")
     config = base_config()
-    config["data"] = dict(config["data"], schema=str(schema))
+    config["data"] = dict(config["data"], csv=str(csv), schema=str(schema))
     assert main(["validate", "--config", write_config(tmp_path, config)]) == 1
     assert capsys.readouterr().out == f"problem: data.schema: {schema}{problem}\n"
 
@@ -1021,13 +1053,14 @@ def three_kind_config(stack):
 
 
 def run_then_drop_the_other_kinds(tmp_path, obj):
-    """A full run, its hashes, and the directory with every train file
-    but the first kind's model deleted."""
+    """A full run, its hashes, and the directory with the split and every
+    train file but the first kind's model deleted."""
     path = write_config(tmp_path, obj)
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     full = tree_hashes(out)
-    for rel in ("models/gbdt.json", "models/xgb.json", "models/hyperparams.json"):
+    dropped = ("data/split.json", "models/gbdt.json", "models/xgb.json", "models/hyperparams.json")
+    for rel in dropped:
         (out / rel).unlink()
     return path, out, full
 
@@ -1108,7 +1141,7 @@ def test_explain_refuses_a_model_of_other_columns(tmp_path, capsys):
 # --- reruns ---------------------------------------------------------------------
 
 
-def test_cache_flag_off_always_retrains(tmp_path):
+def test_every_rerun_retrains(tmp_path):
     """Every rerun trains afresh, so a damaged model file is written anew."""
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
@@ -1120,31 +1153,6 @@ def test_cache_flag_off_always_retrains(tmp_path):
     model_path.write_text(json.dumps(broken, sort_keys=True) + "\n", encoding="utf-8")
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert model_path.read_bytes() == original
-
-
-@pytest.mark.parametrize(
-    "record, problem",
-    [
-        ([1], ": expected object, got list"),
-        ({"RF": 3}, ".RF: expected object, got int"),
-        ({"RF": {"n_trees": 3}}, ".RF: missing key 'max_depth'"),
-        ({"RF": dict(asdict(HyperParams()), max_depth="4")}, ".RF.max_depth: expected integer, got str"),
-        ({"RF": dict(asdict(HyperParams()), n_trees=0)}, ".RF: n_trees must be >= 1"),
-    ],
-)
-def test_a_malformed_hyperparameter_record_fails_naming_file_and_key(
-    tmp_path, capsys, record, problem
-):
-    obj = base_config()
-    obj["stack"] = {"enabled": True, "k": 3}
-    path = write_config(tmp_path, obj)
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    hp_path = out / "models/hyperparams.json"
-    hp_path.write_text(json.dumps(record), encoding="utf-8")
-    capsys.readouterr()
-    assert Pipeline(parse_config(obj)[0], out).run({"stack"}) == 2
-    assert f"[stack] failed: {hp_path}{problem}" in capsys.readouterr().err
 
 
 # --- start-up cost ----------------------------------------------------------------------
@@ -1275,18 +1283,6 @@ def test_a_previous_path_spelled_another_way_is_not_deleted(tmp_path):
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert_manifest_reconciles(out)
-
-
-def test_a_split_file_without_its_keys_fails_naming_them(tmp_path, capsys):
-    obj = base_config()
-    obj["stack"] = {"enabled": True, "k": 3}
-    path = write_config(tmp_path, obj)
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    (out / "data/split.json").write_text("{}", encoding="utf-8")
-    assert Pipeline(parse_config(obj)[0], out).run({"stack"}) == 2
-    err = capsys.readouterr().err
-    assert f"[stack] failed: {out / 'data/split.json'}: missing key 'train'" in err
 
 
 # --- richer configurations ------------------------------------------------------------

@@ -416,9 +416,9 @@ def test_boosting_subsample_is_deterministic_and_distinct(rng):
 
 def test_sample_space_types_and_determinism():
     space = {
-        "max_depth": (2, 5),
-        "learning_rate": (0.05, 0.5),
-        "n_trees": [10, 20, 40],
+        "max_depth": {"range": [2, 5]},
+        "learning_rate": {"range": [0.05, 0.5]},
+        "n_trees": {"choices": [10, 20, 40]},
     }
     combos = sample_space(space, budget=12, seed=7)
     again = sample_space(space, budget=12, seed=7)
@@ -433,17 +433,18 @@ def test_sample_space_types_and_determinism():
 
 
 def test_float_fields_draw_floats_even_from_integer_range_ends():
-    combos = sample_space({"gamma": (0, 1), "lam": (1, 3)}, budget=6, seed=0)
+    space = {"gamma": {"range": [0, 1]}, "lam": {"range": [1, 3]}}
+    combos = sample_space(space, budget=6, seed=0)
     for combo in combos:
         assert isinstance(combo["gamma"], float) and 0 <= combo["gamma"] <= 1
         assert isinstance(combo["lam"], float) and 1 <= combo["lam"] <= 3
     assert not all(c["gamma"].is_integer() and c["lam"].is_integer() for c in combos)
     # integer fields and float-ended ranges draw what they always drew
     space = {
-        "max_depth": (2, 5),
-        "learning_rate": (0.05, 0.5),
-        "n_trees": [10, 20, 40],
-        "seed": (0, 9),
+        "max_depth": {"range": [2, 5]},
+        "learning_rate": {"range": [0.05, 0.5]},
+        "n_trees": {"choices": [10, 20, 40]},
+        "seed": {"range": [0, 9]},
     }
     draws = sample_space(space, budget=4, seed=3)
     assert [tuple(d.values()) for d in draws] == [
@@ -456,9 +457,12 @@ def test_float_fields_draw_floats_even_from_integer_range_ends():
 
 def test_sample_space_rejects_bad_ranges():
     with pytest.raises(ValueError):
-        sample_space({"max_depth": (5, 2)}, budget=3, seed=0)
+        sample_space({"max_depth": {"range": [5, 2]}}, budget=3, seed=0)
     with pytest.raises(ValueError):
-        sample_space({"n_trees": []}, budget=3, seed=0)
+        sample_space({"n_trees": {"choices": []}}, budget=3, seed=0)
+    for entry in ([10, 20], (2, 5), {"range": [2, 5], "choices": [3]}):
+        with pytest.raises(ValueError, match="'n_trees': expected range or choices"):
+            sample_space({"n_trees": entry}, budget=3, seed=0)
 
 
 def test_hyperparams_refuse_non_integral_sizes():
@@ -472,7 +476,7 @@ def test_hyperparams_refuse_non_integral_sizes():
 def test_tune_random_search_returns_the_cv_argmin(rng):
     x = rng.normal(size=(30, 3))
     y = x[:, 0] + 0.1 * rng.normal(size=30)
-    space = {"max_depth": (1, 3), "n_trees": [2, 5]}
+    space = {"max_depth": {"range": [1, 3]}, "n_trees": {"choices": [2, 5]}}
     best_hp, best_score = tune_random_search(
         x, y, "GBDT", space, budget=6, k=3, seed=11
     )
