@@ -49,7 +49,7 @@ from welloop.explain import (
     tree_game,
     tree_shap,
 )
-from welloop.stack import StackedModel, evaluate, fit_stacked, predict_stacked
+from welloop.stack import StackedModel, evaluate, fit_stacked
 from welloop.ice import IceGrid, VariedFactor, ice, project
 from welloop.optimize import (
     BoundedVariable,
@@ -103,7 +103,6 @@ __all__ = [
     "StackedModel",
     "evaluate",
     "fit_stacked",
-    "predict_stacked",
     "IceGrid",
     "VariedFactor",
     "ice",

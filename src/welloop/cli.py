@@ -44,6 +44,7 @@ from welloop.trees import (
     KINDS,
     HyperParams,
     load_ensemble,
+    predict,
     save_ensemble,
     tune_random_search,
 )
@@ -261,6 +262,12 @@ def _indices(value, path, problems):
     return ()
 
 
+def _anchors(value, path, problems):
+    if not value:
+        problems.append(f"{path}: need at least one anchor row")
+    return _indices(value, path, problems)
+
+
 def _distinct(noun, check):
     """`check`, then a problem for each entry of the value it keeps that
     repeats an earlier one."""
@@ -343,6 +350,8 @@ def _ice_jobs(value, path, problems):
         job = _read(IceJob, raw, f"{path}[{i}]", problems)
         if not 1 <= len(job.factors) <= 3:
             problems.append(f"{path}[{i}]: needs 1 to 3 factors, got {len(job.factors)}")
+        if job.anchors is not None and job.sample is not None:
+            problems.append(f"{path}[{i}]: give anchors or sample, not both")
         jobs.append(job)
     return tuple(jobs)
 
@@ -400,7 +409,7 @@ _CHECKS = {
     (ExplainConfig, "max_rows"): _at_least(1),
     (IceJob, "factors"): _ice_factors,
     (IceJob, "sample"): _at_least(1),
-    (IceJob, "anchors"): _indices,
+    (IceJob, "anchors"): _anchors,
     (OptimizeConfig, "methods"): _distinct("method", _methods),
     (OptimizeConfig, "wells"): _distinct("well", _indices),
     (OptimizeConfig, "variables"): _distinct("factor", _check(bool, "need at least one factor")),
@@ -714,7 +723,7 @@ class Pipeline:
         x = self.table.feature_matrix()
         kind = cfg.kind if cfg.kind is not None else self.config.train.kinds[0]
         model = self.model(kind)
-        self.table.check_feature_names(model.feature_names)
+        self.table.check_feature_names(model)
         if cfg.max_rows is not None:
             x = x[: cfg.max_rows]
         for row in cfg.waterfalls:
@@ -788,18 +797,16 @@ class Pipeline:
                 self._record(f"models/stacked/{name}", "stack")
             self.final_model = scored["stacked"] = stacked
 
-        rows = []
+        metrics, parity = [], []
         for name, model in scored.items():
-            for split, _, sx, sy in splits:
-                m = evaluate(model, sx, sy)
-                rows.append([name.lower(), split, fmt(m["r2"]), fmt(m["mse"]), fmt(m["mae"])])
-        self._write_csv("metrics.csv", ["model", "split", "r2", "mse", "mae"], rows, "stack")
-
-        rows = []
-        for split, idx, sx, sy in splits:
-            pred = self.final_model.predict(sx)
-            rows += [[int(i), split, fmt(a), fmt(p)] for i, a, p in zip(idx, sy, pred)]
-        self._write_csv("parity.csv", ["sample", "split", "actual", "predicted"], rows, "stack")
+            for split, idx, sx, sy in splits:
+                pred = predict(model, sx)
+                m = evaluate(sy, pred)
+                metrics.append([name.lower(), split, fmt(m["r2"]), fmt(m["mse"]), fmt(m["mae"])])
+                if model is self.final_model:
+                    parity += [[int(i), split, fmt(a), fmt(p)] for i, a, p in zip(idx, sy, pred)]
+        self._write_csv("metrics.csv", ["model", "split", "r2", "mse", "mae"], metrics, "stack")
+        self._write_csv("parity.csv", ["sample", "split", "actual", "predicted"], parity, "stack")
 
     def stage_ice(self):
         jobs = self.config.ice

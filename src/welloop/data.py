@@ -109,9 +109,10 @@ class WellTable:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index(name)]
 
-    def check_feature_names(self, names) -> None:
+    def check_feature_names(self, model) -> None:
         """Refuse a model whose feature columns are not this table's, in
-        order; `names` is None for a model that names none."""
+        order; a plain callable names none."""
+        names = getattr(model, "feature_names", None)
         if names is not None and tuple(names) != self.feature_names:
             raise ValueError("model and table disagree on feature columns")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from welloop.data import WellTable
-from welloop.stack import as_predictor
+from welloop.trees import as_predictor
 from welloop.utils import fmt, subseed_rng, write_json, write_rows
 
 _ANCHOR_TAG = 41
@@ -107,8 +107,8 @@ def ice(
     for v in varied:
         if v.name not in feature_names:
             raise ValueError(f"no feature named {v.name!r}")
-    predictor, model_names = as_predictor(model)
-    table.check_feature_names(model_names)
+    predictor = as_predictor(model)
+    table.check_feature_names(model)
 
     features = table.feature_matrix()
     if np.isnan(features).any():

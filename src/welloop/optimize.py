@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from welloop.data import WellTable
-from welloop.stack import as_predictor
+from welloop.trees import as_predictor
 from welloop.utils import fmt, subseed_rng, write_rows
 
 _PSO_TAG = 51
@@ -581,7 +581,8 @@ def optimize_well(
 
     Only factors flagged optimizable may be varied. Bounds default to each
     variable's observed range. Integer-valued variables are searched
-    continuously, rounded at every evaluation, and reported rounded. The
+    continuously between the outermost integers inside their bounds,
+    rounded at every evaluation, and reported rounded. The
     well's own design is always evaluated first, so the optimized value
     can never fall below the original.
     """
@@ -601,8 +602,8 @@ def optimize_well(
     if not 0 <= row < table.n_rows:
         raise IndexError(f"row {row} outside the table")
 
-    predictor, model_names = as_predictor(model)
-    table.check_feature_names(model_names)
+    predictor = as_predictor(model)
+    table.check_feature_names(model)
 
     features = table.feature_matrix()
     x0 = features[row]
@@ -617,6 +618,8 @@ def optimize_well(
         else:
             column = features[:, col[name]]
             lo, hi = float(np.min(column)), float(np.max(column))
+        if name in integer_variables:  # the integers inside the bounds
+            lo, hi = float(math.ceil(lo)), float(math.floor(hi))
         if not lo < hi:
             raise ValueError(f"degenerate bounds for {name!r}")
         resolved[name] = (lo, hi)

@@ -20,8 +20,6 @@ import numpy as np
 from welloop.trees import (
     FIT_FUNCTIONS,
     HyperParams,
-    TreeEnsemble,
-    _as_matrix,
     _feature_names,
     _training_set,
     load_ensemble,
@@ -82,9 +80,6 @@ class StackedModel:
                 constant += scale * sub_constant / divisor
         return np.concatenate(weights), float(constant), 1
 
-    def predict(self, x) -> np.ndarray:
-        return predict_stacked(self, x)
-
 
 def fit_stacked(
     x,
@@ -142,31 +137,14 @@ def fit_stacked(
     )
 
 
-def predict_stacked(model: StackedModel, x) -> np.ndarray:
-    """The meta model over each kind's averaged sub-models, predicted as
-    the one weighted sum of trees that StackedModel.terms states."""
-    return predict(model, x)
-
-
-def as_predictor(model):
-    """(predict function, feature names) of a stacked model or a tree
-    ensemble; any other callable is its own predict function and has no
-    feature names."""
-    if isinstance(model, (StackedModel, TreeEnsemble)):
-        return model.predict, model.feature_names
-    if callable(model):
-        return model, None
-    raise TypeError(f"cannot predict with object of type {type(model).__name__}")
-
-
-def evaluate(model, x, y) -> dict:
-    """r2, mse, and mae of a stacked model, a tree ensemble, or any
-    callable returning predictions."""
+def evaluate(y, pred) -> dict:
+    """r2, mse, and mae of predictions `pred` of targets `y`."""
     y = np.asarray(y, dtype=float)
+    pred = np.asarray(pred, dtype=float)
     if y.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    predictor, _ = as_predictor(model)
-    pred = np.asarray(predictor(_as_matrix(x)), dtype=float)
+    if pred.shape != y.shape:
+        raise ValueError("predictions and targets differ in shape")
     err = y - pred
     mse = float(np.mean(err**2))
     mae = float(np.mean(np.abs(err)))

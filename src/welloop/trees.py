@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -134,10 +135,6 @@ class TreeEnsemble:
         self.trees = tuple(self.trees)
         self.feature_names = tuple(self.feature_names)
 
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
-
     def terms(self) -> tuple[np.ndarray, float, int]:
         """(per-tree weights, constant, divisor) of the sum predict and
         attribution take: a mean vote for RF, a shrunken sum on top of the
@@ -147,9 +144,6 @@ class TreeEnsemble:
                 raise ValueError("RF ensemble has no trees")
             return np.ones(len(self.trees)), 0.0, len(self.trees)
         return np.full(len(self.trees), self.learning_rate), self.base_score, 1
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return predict(self, x)
 
 
 def _as_matrix(x, n_features=None) -> np.ndarray:
@@ -254,6 +248,17 @@ def predict(model, x) -> np.ndarray:
         # such as np.sum may pair terms up and change the last bits
         out[r0 : r0 + step] = np.add.accumulate(terms, axis=0)[-1] / divisor
     return out
+
+
+def as_predictor(model):
+    """The function that maps rows to `model`'s outputs: `predict` bound to
+    a model, which is anything with terms() (a TreeEnsemble or a
+    StackedModel); any other callable is its own predict function."""
+    if callable(getattr(model, "terms", None)):
+        return partial(predict, model)
+    if callable(model):
+        return model
+    raise TypeError(f"cannot predict with object of type {type(model).__name__}")
 
 
 # --- growing ---------------------------------------------------------------
@@ -387,7 +392,7 @@ def fit_tree(x, y, hp: HyperParams | None = None, feature_names=None) -> TreeNod
     return _grow(y, _presort(x), hp, rng, "mean")
 
 
-def fit_rf(x, y, hp: HyperParams | None = None, feature_names=None, bootstrap=True):
+def fit_rf(x, y, hp: HyperParams | None = None, feature_names=None):
     """Random forest: each tree sees a bootstrap resample and, when
     feature_fraction < 1, an independent feature subset per split."""
     hp = hp or HyperParams()
@@ -397,7 +402,7 @@ def fit_rf(x, y, hp: HyperParams | None = None, feature_names=None, bootstrap=Tr
     trees = []
     for t in range(hp.n_trees):
         rng = subseed_rng(hp.seed, _RF_TREE_TAG, t)
-        idx = rng.integers(0, n, size=size) if bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=size)
         trees.append(_grow(y[idx], _presort(x[idx]), hp, rng, "mean"))
     return TreeEnsemble(
         kind="RF",

@@ -71,7 +71,7 @@ def corpus():
             n_trees=int(rng.integers(1, 11)),
             depth=int(rng.integers(1, 5)),
         )
-        out.append((model, rng.normal(size=model.n_features)))
+        out.append((model, rng.normal(size=len(model.feature_names))))
     for _ in range(40):
         model, xs = random_fitted_ensemble(rng)
         out.append((model, xs[int(rng.integers(xs.shape[0]))]))
@@ -144,7 +144,7 @@ def test_attribution_additivity_everywhere(corpus, field_table):
         rng = np.random.default_rng(7)
         models = [(m, np.atleast_2d(x)) for m, x in corpus]
         for m, _ in list(models):
-            models.append((m, rng.normal(size=(8, m.n_features))))
+            models.append((m, rng.normal(size=(8, len(m.feature_names)))))
         x_field = field_table.feature_matrix()
         y_field = field_table.target()
         for kind in ("RF", "GBDT", "XGB"):
@@ -289,9 +289,9 @@ def test_stacking_has_no_leakage_and_stays_competitive():
             tr, te = perm[:60], perm[60:]
             for kind, hp in hps.items():
                 base = FIT_FUNCTIONS[kind](x[tr], y[tr], replace(hp, seed=seed))
-                base_mses[kind].append(evaluate(base, x[te], y[te])["mse"])
+                base_mses[kind].append(evaluate(y[te], predict(base, x[te]))["mse"])
             stacked = fit_stacked(x[tr], y[tr], hps, k=5, seed=seed)
-            stacked_mses.append(evaluate(stacked, x[te], y[te])["mse"])
+            stacked_mses.append(evaluate(y[te], predict(stacked, x[te]))["mse"])
         best_base = min(float(np.mean(v)) for v in base_mses.values())
         stacked_mean = float(np.mean(stacked_mses))
         if stacked_mean > 1.05 * best_base:

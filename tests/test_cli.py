@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import hashlib
@@ -10,12 +11,16 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import welloop
+import welloop.cli
 import welloop.explain
+import welloop.stack
+import welloop.trees
 import welloop.utils
 from welloop.cli import RunConfig, main, parse_config, validate_config
 from welloop.data import DEFAULT_SCHEMA
@@ -494,11 +499,22 @@ INVALID_CONFIGS = [
         [
             "ice[0].anchors: entries must be non-negative integers",
             "ice[0].sample: must be >= 1",
+            "ice[0]: give anchors or sample, not both",
             "ice[1].anchors: expected list",
             "ice[1].sample: expected int",
             "ice[2].anchors: entries must be non-negative integers",
         ],
         id="ice-anchors-and-sample",
+    ),
+    pytest.param(
+        with_seed(ice=[{"factors": [{"name": "stage count"}], "anchors": []}]),
+        ["ice[0].anchors: need at least one anchor row"],
+        id="ice-no-anchors",
+    ),
+    pytest.param(
+        with_seed(ice=[{"factors": [{"name": "stage count"}], "anchors": [0, 1], "sample": 2}]),
+        ["ice[0]: give anchors or sample, not both"],
+        id="ice-anchors-with-sample",
     ),
     pytest.param(
         with_seed(optimize={"methods": ["ga", "pso", 3]}),
@@ -655,9 +671,9 @@ def every_key_config():
                     {"name": "stage count", "lower": 5, "upper": 20, "steps": 3},
                     {"name": "TOC", "lower": None},
                 ],
-                "sample": 2,
                 "anchors": [0, 3],
-            }
+            },
+            {"factors": [{"name": "stage count"}], "sample": 2},
         ],
         "optimize": {
             "methods": ["de", "bayes"],
@@ -674,7 +690,7 @@ def every_key_config():
 PARSED_CONFIG_SHA256 = {
     "base": "f5ccb683abb40741f782ffd6ef6ed7cb08fe31faf0a58bdbe47cd64e6b6822f6",
     "full-surface": "25b207ffa331af6c84bd2a99460a4eb3a2ad0e970ea3f3d8241ea136017c1a21",
-    "every-key": "e60dd27f3c7728cb7df9270f3942d1e9c7daa0a45e91da78ee2cb07516d2db10",
+    "every-key": "e26ffa82c052d1bd7ce65eb765c3d410d3191b9c3cedbcd4be25eba1a8b4657a",
     "design-search/setup": "10cc5a21725e7585c6210ea6105f4b2c1679dabf87ffc2d5ddc2119b23438090",
     "design-search/pass": "420601772886afd390de6ee57325db635cee7844cd1f2358e98df0acd7e3dee5",
     "attribution/setup": "3d4564ac7936962d29c6c180648cb80d943f2fa271710ba967c558164635c4b7",
@@ -1088,6 +1104,28 @@ def test_standalone_ice_and_optimize_read_only_the_first_kind(tmp_path):
     for prefix in ("ice/", "optimize/"):
         assert under(full, prefix) and under(after, prefix) == under(full, prefix)
     assert_manifest_reconciles(out)
+
+
+def test_a_run_predicts_each_model_once_on_each_split(tmp_path, monkeypatch):
+    """metrics.csv and parity.csv are written from one prediction per
+    (model, split), counted through a wrapper at every module that binds
+    trees.predict."""
+    original = welloop.trees.predict
+    calls = collections.Counter()
+    models = {}
+
+    def counting(model, x):
+        models[id(model)] = model
+        calls[id(model), np.asarray(x, dtype=float).tobytes()] += 1
+        return original(model, x)
+
+    for module in (welloop.trees, welloop.stack, welloop.cli):
+        monkeypatch.setattr(module, "predict", counting, raising=False)
+    path = write_config(tmp_path, three_kind_config(stack=True))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert set(calls.values()) == {1}
+    stacked = [key for key in calls if isinstance(models[key[0]], welloop.stack.StackedModel)]
+    assert len(stacked) == 2  # the train rows and the test rows
 
 
 def test_a_rerun_in_place_leaves_no_stale_file(tmp_path):

@@ -35,7 +35,7 @@ from welloop.explain import (
     write_dependency_csv,
     write_summary_csv,
 )
-from welloop.stack import fit_stacked, predict_stacked
+from welloop.stack import fit_stacked
 from welloop.trees import HyperParams, TreeEnsemble, TreeNode, fit_rf, predict
 
 
@@ -182,7 +182,7 @@ def test_expectation_applies_base_and_learning_rate():
 def test_expectation_with_all_features_equals_prediction(rng):
     for _ in range(15):
         model = random_manual_ensemble(rng)
-        m = model.n_features
+        m = len(model.feature_names)
         x = rng.normal(size=m)
         full = tree_expectation(model, x, set(range(m)))
         assert full == pytest.approx(naive_predict(model, x)[0], abs=1e-12)
@@ -233,7 +233,7 @@ def test_non_positive_cover_is_rejected():
 def test_tree_shap_matches_exact_on_manual_ensembles(rng):
     for _ in range(20):
         model = random_manual_ensemble(rng)
-        x = rng.normal(size=model.n_features)
+        x = rng.normal(size=len(model.feature_names))
         attr = tree_shap(model, x[None, :])
         exact = shapley_exact(tree_game(model, x))
         assert np.allclose(attr.values[0], exact, atol=1e-10)
@@ -275,7 +275,7 @@ def test_path_attribution_matches_enumeration_on_drawn_ensembles(case):
         game = tree_game(model, x[i])
         phi = shapley_exact(game)
         assert np.allclose(attr.values[i], phi, rtol=0, atol=1e-9)
-        want = interaction_oracle(game.payoff, model.n_features, phi)
+        want = interaction_oracle(game.payoff, len(model.feature_names), phi)
         assert np.allclose(tensor.values[i], want, rtol=0, atol=1e-9)
 
 
@@ -367,7 +367,7 @@ def test_stacked_attribution_adds_up_to_the_stacked_prediction(small_stacked):
     model, x = small_stacked
     attr = tree_shap(model, x)
     recon = attr.base_value + attr.values.sum(axis=1)
-    assert np.allclose(recon, predict_stacked(model, x), rtol=0, atol=1e-9)
+    assert np.allclose(recon, predict(model, x), rtol=0, atol=1e-9)
     assert attr.base_value == pytest.approx(
         stacked_game(model, x[0]).payoff(frozenset()), rel=0, abs=1e-9
     )
@@ -404,11 +404,11 @@ def test_stacked_interactions_are_symmetric_and_sum_to_attributions(small_stacke
 def test_interactions_match_direct_enumeration(rng):
     for _ in range(8):
         model = random_manual_ensemble(rng, n_features=int(rng.integers(2, 6)))
-        x = rng.normal(size=model.n_features)
+        x = rng.normal(size=len(model.feature_names))
         tensor = shap_interactions(model, x[None, :])
         game = tree_game(model, x)
         phi = shapley_exact(game)
-        want = interaction_oracle(game.payoff, model.n_features, phi)
+        want = interaction_oracle(game.payoff, len(model.feature_names), phi)
         assert np.allclose(tensor.values[0], want, atol=1e-9)
 
 

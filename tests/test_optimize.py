@@ -514,6 +514,30 @@ def test_optimize_well_default_bounds_are_the_observed_range(well_table):
         assert col.min() - 1e-9 <= e.point[0] <= col.max() + 1e-9
 
 
+def test_optimize_well_searches_integers_only_inside_their_bounds(well_table):
+    # row 2 has 12 stages, below the bounds
+    out = optimize_well(
+        ground_truth_eur,
+        well_table,
+        row=2,
+        variables=["stage count"],
+        method="pso",
+        budget=30,
+        bounds={"stage count": (12.4, 19.6)},
+        seed=6,
+    )
+    assert out.bounds == {"stage count": (13.0, 19.0)}
+    for e in out.trace.entries:
+        assert 12.4 <= np.round(e.point[0]) <= 19.6
+    radar = out.to_json()["radar"][0]
+    assert 0.0 <= radar["original_norm"] <= 1.0
+    assert 0.0 <= radar["optimized_norm"] <= 1.0
+    with pytest.raises(ValueError, match="degenerate bounds"):
+        optimize_well(
+            ground_truth_eur, well_table, 0, ["stage count"], bounds={"stage count": (20.2, 20.4)}
+        )
+
+
 def test_optimize_well_validation(well_table):
     variables = engineering_vars(well_table)
     with pytest.raises(ValueError, match="unknown method"):

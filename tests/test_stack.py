@@ -6,16 +6,8 @@ import pytest
 
 import welloop.trees
 from conftest import deep_model_text, naive_predict
-from welloop.stack import (
-    as_predictor,
-    evaluate,
-    fit_stacked,
-    load_stacked,
-    predict_stacked,
-    save_stacked,
-    sub_model_seed,
-)
-from welloop.trees import FIT_FUNCTIONS, HyperParams, predict
+from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked, sub_model_seed
+from welloop.trees import FIT_FUNCTIONS, HyperParams, as_predictor, predict
 
 
 def synthetic(seed, n=60, m=4):
@@ -76,7 +68,7 @@ def test_meta_model_is_least_squares_on_out_of_fold_predictions():
     assert np.allclose(model.meta_weights, coef[1:], atol=1e-10)
 
 
-def test_predict_stacked_matches_hand_reimplementation(rng):
+def test_stacked_predict_matches_hand_reimplementation(rng):
     x, y = synthetic(3)
     model = fit_stacked(x, y, SMALL_HPS, k=3, seed=5)
     probe = rng.normal(size=(7, x.shape[1]))
@@ -86,9 +78,7 @@ def test_predict_stacked_matches_hand_reimplementation(rng):
             [naive_predict(sub, probe) for sub in model.sub_models[z]], axis=0
         )
         want = want + model.meta_weights[z] * per_kind
-    got = predict_stacked(model, probe)
-    assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(model.predict(probe), got, atol=0)
+    assert np.allclose(predict(model, probe), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("cells", [40, 300])
@@ -97,27 +87,25 @@ def test_a_row_predicts_alike_alone_and_in_a_many_block_batch(cells, rng, monkey
     model = fit_stacked(x, y, SMALL_HPS, k=3, seed=2)
     probe = np.vstack([rng.normal(size=(9, x.shape[1])), x[:3]])
     forest = model.sub_models[0][0]
-    whole = (predict_stacked(model, probe), predict(forest, probe))
+    whole = (predict(model, probe), predict(forest, probe))
     # 40 cells a block hold 1 row of the 96 stacked trees and 4 rows of
     # the 8-tree forest; 300 cells hold 3 and 33
     monkeypatch.setattr(welloop.trees, "_BLOCK_CELLS", cells)
     for target, want in zip((model, forest), whole):
-        assert np.array_equal(target.predict(probe), want)
+        assert np.array_equal(predict(target, probe), want)
         for i in range(probe.shape[0]):
-            assert np.array_equal(target.predict(probe[i]), want[i : i + 1])
-        assert target.predict(probe[:0]).shape == (0,)
+            assert np.array_equal(predict(target, probe[i]), want[i : i + 1])
+        assert predict(target, probe[:0]).shape == (0,)
 
 
 def test_as_predictor_dispatches_on_the_model_type():
     x, y = synthetic(7)
     model = fit_stacked(x, y, SMALL_HPS, k=3, seed=4)
     sub = model.sub_models[0][0]
-    for target, want in ((model, predict_stacked(model, x)), (sub, predict(sub, x))):
-        predictor, names = as_predictor(target)
-        assert np.array_equal(predictor(x), want)
-        assert names == model.feature_names
+    for target in (model, sub):
+        assert np.array_equal(as_predictor(target)(x), predict(target, x))
     fn = lambda rows: rows[:, 0]
-    assert as_predictor(fn) == (fn, None)
+    assert as_predictor(fn) is fn
     with pytest.raises(TypeError, match="object"):
         as_predictor(object())
 
@@ -127,10 +115,10 @@ def test_sub_models_keep_no_compiled_arrays_after_a_stacked_fit():
     model = fit_stacked(x, y, SMALL_HPS, k=3, seed=8)
     subs = [sub for per_fold in model.sub_models for sub in per_fold]
     assert not any(hasattr(sub, "_compiled") for sub in subs)
-    fresh = predict_stacked(model, x)
+    fresh = predict(model, x)
     for sub in subs:
         predict(sub, x)  # compiles and caches each sub-model again
-    assert np.array_equal(predict_stacked(model, x), fresh)
+    assert np.array_equal(predict(model, x), fresh)
 
 
 def test_stacking_is_deterministic():
@@ -138,10 +126,10 @@ def test_stacking_is_deterministic():
     a = fit_stacked(x, y, SMALL_HPS, k=4, seed=9)
     b = fit_stacked(x, y, SMALL_HPS, k=4, seed=9)
     probe = x[:10]
-    assert np.array_equal(predict_stacked(a, probe), predict_stacked(b, probe))
+    assert np.array_equal(predict(a, probe), predict(b, probe))
     assert np.array_equal(a.fold_assignment, b.fold_assignment)
     c = fit_stacked(x, y, SMALL_HPS, k=4, seed=10)
-    assert not np.array_equal(predict_stacked(a, probe), predict_stacked(c, probe))
+    assert not np.array_equal(predict(a, probe), predict(c, probe))
 
 
 def test_stacked_model_is_competitive_on_held_out_data():
@@ -152,8 +140,8 @@ def test_stacked_model_is_competitive_on_held_out_data():
     base_mses = []
     for kind, hp in SMALL_HPS.items():
         base = FIT_FUNCTIONS[kind](x_tr, y_tr, replace(hp, seed=1))
-        base_mses.append(evaluate(base, x_te, y_te)["mse"])
-    stacked_mse = evaluate(model, x_te, y_te)["mse"]
+        base_mses.append(evaluate(y_te, predict(base, x_te))["mse"])
+    stacked_mse = evaluate(y_te, predict(model, x_te))["mse"]
     assert stacked_mse <= 1.10 * min(base_mses)
 
 
@@ -162,7 +150,7 @@ def test_stacked_model_is_competitive_on_held_out_data():
 
 def test_evaluate_hand_values():
     y = np.array([1.0, 2.0, 3.0])
-    scores = evaluate(lambda x: np.array([1.0, 2.0, 4.0]), np.zeros((3, 1)), y)
+    scores = evaluate(y, [1.0, 2.0, 4.0])
     assert scores["mse"] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert scores["mae"] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert scores["r2"] == pytest.approx(0.5, abs=1e-15)
@@ -170,13 +158,12 @@ def test_evaluate_hand_values():
 
 def test_evaluate_degenerate_targets():
     y = np.array([2.0, 2.0])
-    x = np.zeros((2, 1))
-    assert evaluate(lambda _: np.array([2.0, 2.0]), x, y)["r2"] == 1.0
-    assert evaluate(lambda _: np.array([2.0, 3.0]), x, y)["r2"] == 0.0
-    with pytest.raises(ValueError):
-        evaluate(lambda _: np.array([]), np.zeros((0, 1)), np.array([]))
-    with pytest.raises(TypeError):
-        evaluate(object(), x, y)
+    assert evaluate(y, [2.0, 2.0])["r2"] == 1.0
+    assert evaluate(y, [2.0, 3.0])["r2"] == 0.0
+    with pytest.raises(ValueError, match="empty"):
+        evaluate([], [])
+    with pytest.raises(ValueError, match="shape"):
+        evaluate(y, [2.0])
 
 
 # --- serialization ----------------------------------------------------------------
@@ -195,7 +182,7 @@ def test_save_load_round_trip(tmp_path, rng):
     assert back.feature_names == model.feature_names
     assert np.array_equal(back.fold_assignment, model.fold_assignment)
     probe = rng.normal(size=(9, x.shape[1]))
-    assert np.array_equal(predict_stacked(back, probe), predict_stacked(model, probe))
+    assert np.array_equal(predict(back, probe), predict(model, probe))
 
 
 # --- validation -------------------------------------------------------------------

@@ -304,16 +304,6 @@ def test_predict_validates_column_count(rng):
 # --- random forest -----------------------------------------------------------------
 
 
-def test_rf_without_bootstrap_single_tree_equals_fit_tree(rng):
-    x = rng.normal(size=(40, 3))
-    y = rng.normal(size=40)
-    hp = HyperParams(n_trees=1, max_depth=3, min_samples_leaf=1, seed=4)
-    forest = fit_rf(x, y, hp, bootstrap=False)
-    single = fit_tree(x, y, hp)
-    assert np.array_equal(predict(forest, x), naive_predict(
-        TreeEnsemble("RF", (single,), 0.0, 1.0, forest.feature_names), x))
-
-
 def test_rf_is_deterministic_per_seed(rng):
     x = rng.normal(size=(30, 3))
     y = rng.normal(size=30)
