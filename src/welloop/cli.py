@@ -36,7 +36,7 @@ from welloop.explain import (
     write_dependency_csv,
     write_summary_csv,
 )
-from welloop.ice import default_varied, ice
+from welloop.ice import VariedFactor, ice
 from welloop.optimize import METHODS, optimize_well
 from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked
 from welloop.trees import (
@@ -128,16 +128,8 @@ class ExplainConfig:
 
 
 @dataclass
-class IceFactor:
-    name: str
-    lower: float | None = None
-    upper: float | None = None
-    steps: int = 25
-
-
-@dataclass
 class IceJob:
-    factors: tuple = ()
+    factors: tuple = ()  # of welloop.ice.VariedFactor
     sample: int | None = None
     anchors: tuple | None = None
 
@@ -304,6 +296,8 @@ def _hyperparams(value, path, problems):
             problems.append(f"{where}: unknown kind")
         elif not isinstance(overrides, dict):
             problems.append(f"{where}: expected an object")
+        elif "seed" in overrides:  # the train and stack stages set it
+            problems.append(f"{where}: seed is derived from the run seed")
         else:
             try:
                 hyperparams[name] = HyperParams(**overrides)
@@ -318,6 +312,9 @@ def _tune_space(value, path, problems):
         where = f"{path}.{name}"
         if name not in tunable:
             problems.append(f"{where}: not a hyperparameter")
+            continue
+        if name == "seed":
+            problems.append(f"{where}: seed is derived from the run seed")
             continue
         if not isinstance(entry, dict) or set(entry) not in ({"range"}, {"choices"}):
             problems.append(f"{where}: expected range or choices")
@@ -357,7 +354,7 @@ def _ice_jobs(value, path, problems):
 
 
 def _ice_factors(value, path, problems):
-    read = (_read(IceFactor, raw, f"{path}[{j}]", problems) for j, raw in enumerate(value))
+    read = (_read(VariedFactor, raw, f"{path}[{j}]", problems) for j, raw in enumerate(value))
     factors = tuple(f for f in read if f is not None)
     for f in factors:
         if f.steps < 2:
@@ -502,10 +499,10 @@ class Pipeline:
     them. The `explain`, `ice` and `optimize` commands read the clean
     table and the models they query back from the files on first use.
     Stages record each file as they write it, so a failing stage leaves its
-    partial artifacts both on disk and in the manifest. After the stages,
-    run() deletes the files the previous manifest gave to a stage that ran
-    and that this run did not write again, keeping manifest and disk
-    reconciled.
+    partial artifacts both on disk and in the manifest; the selected
+    stages after it are skipped. After the stages, run() deletes the files
+    the previous manifest gave to a selected stage and that this run did
+    not write again, keeping manifest and disk reconciled.
     """
 
     def __init__(self, config: RunConfig, out_dir):
@@ -564,19 +561,14 @@ class Pipeline:
         write_rows(self._path(rel), header, rows)
         self._record(rel, stage)
 
-    def _carry_stage(self, stage, detail=""):
+    def _carry_stage(self, stage):
         for rel, art_stage in self.prev_artifacts:
             if art_stage == stage and (self.out / rel).is_file():
                 self._record(rel, stage)
-        self.statuses[stage] = self.prev_stages.get(stage, ("skipped", detail))
+        self.statuses[stage] = self.prev_stages.get(stage, ("skipped", ""))
 
     def write_manifest(self):
-        arts = []
-        for art in self.artifacts:
-            path = self.out / art["path"]
-            arts.append(
-                {"path": art["path"], "sha256": _sha256(path), "stage": art["stage"]}
-            )
+        arts = [{**art, "sha256": _sha256(self.out / art["path"])} for art in self.artifacts]
         arts.sort(key=lambda a: a["path"])
         stages = []
         for name in STAGES:
@@ -596,11 +588,13 @@ class Pipeline:
         self._write_json("config.json", asdict(self.config), "config")
         ran, failed = {"config"}, False
         for stage in STAGES:
-            if stage not in selected or failed:
-                detail = "earlier stage failed" if failed and stage in selected else ""
-                self._carry_stage(stage, detail)
+            if stage not in selected:
+                self._carry_stage(stage)
                 continue
-            ran.add(stage)
+            ran.add(stage)  # its previous files go stale even if it is skipped
+            if failed:
+                self.statuses[stage] = ("skipped", "earlier stage failed")
+                continue
             try:
                 outcome = getattr(self, f"stage_{stage}")()
                 self.statuses[stage] = (
@@ -770,7 +764,7 @@ class Pipeline:
             path = f"shap/dependency_{kind.lower()}.csv"
             self._save(path, "explain", write_dependency_csv, tensor, x)
 
-        if cfg.clusters >= 2:
+        if cfg.clusters:
             labels = supervised_cluster(attr, cfg.clusters, seed=self.config.seed)
             rows = [[i, int(label)] for i, label in enumerate(labels)]
             self._write_csv("shap/clusters.csv", ["sample", "cluster"], rows, "explain")
@@ -814,14 +808,10 @@ class Pipeline:
             return "skip"
         self._check_kept(f.name for job in jobs for f in job.factors)
         for i, job in enumerate(jobs):
-            varied = [
-                default_varied(self.table, f.name, f.steps, f.lower, f.upper)
-                for f in job.factors
-            ]
             grid = ice(
                 self.final_model,
                 self.table,
-                varied,
+                job.factors,
                 anchor_rows=job.anchors,
                 sample=job.sample,
                 seed=self.config.seed,
@@ -896,7 +886,7 @@ def _load_config_obj(path):
         return None, [f"config: invalid JSON: {exc}"]
 
 
-def main(argv=None) -> int:
+def _parser():
     parser = argparse.ArgumentParser(
         prog="welloop",
         description="Train, explain, stack, and optimize well-productivity models.",
@@ -914,7 +904,16 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: a parser per call would leave its reference cycles to the
+# cyclic collector on every call
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     obj, problems = _load_config_obj(args.config)
     if obj is not None:

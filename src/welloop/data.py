@@ -442,6 +442,9 @@ FACTOR_RANGES = {
     "proppant intensity": (0.3, 1.8),
 }
 
+# factors that only take whole values: drawn as integers, searched rounded
+INTEGER_FACTORS = ("stage count",)
+
 # Ground truth: EUR = base + saturating terms + plateau bumps + one
 # pairwise synergy + noise. Saturating terms are logistic steps
 # coef * sigmoid((x - knot) / width); bump terms are products of two
@@ -531,7 +534,7 @@ def synthesize(seed: int, n: int = 120, noise_sd: float = 0.1) -> WellTable:
     cols = []
     for name in _FEATURE_ORDER:
         lo, hi = FACTOR_RANGES[name]
-        if name == "stage count":
+        if name in INTEGER_FACTORS:
             cols.append(rng.integers(int(lo), int(hi) + 1, size=n).astype(float))
         else:
             cols.append(rng.uniform(lo, hi, size=n))

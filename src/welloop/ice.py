@@ -22,34 +22,25 @@ _ANCHOR_TAG = 41
 
 @dataclass(frozen=True)
 class VariedFactor:
-    """One swept axis: `steps` evenly spaced values from lower to upper."""
+    """One swept axis: `steps` evenly spaced values from lower to upper,
+    a missing end taken from that end of the factor's observed range."""
 
     name: str
-    lower: float
-    upper: float
+    lower: float | None = None
+    upper: float | None = None
     steps: int = 25
 
-    def __post_init__(self):
+    def grid(self, table: WellTable) -> np.ndarray:
+        col = table.column(self.name)
+        lo = float(np.nanmin(col)) if self.lower is None else self.lower
+        hi = float(np.nanmax(col)) if self.upper is None else self.upper
+        if self.lower is None and self.upper is None and not lo < hi:
+            raise ValueError(f"factor {self.name!r} is constant; nothing to sweep")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
-        if not self.lower < self.upper:
+        if not lo < hi:
             raise ValueError(f"bounds reversed for {self.name!r}")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.lower, self.upper, self.steps)
-
-
-def default_varied(
-    table: WellTable, name: str, steps: int = 25, lower=None, upper=None
-) -> VariedFactor:
-    """Sweep a factor from `lower` to `upper`, each end defaulting to that
-    end of the factor's observed range."""
-    col = table.column(name)
-    lo = float(np.nanmin(col)) if lower is None else lower
-    hi = float(np.nanmax(col)) if upper is None else upper
-    if lower is None and upper is None and not lo < hi:
-        raise ValueError(f"factor {name!r} is constant; nothing to sweep")
-    return VariedFactor(name, lo, hi, steps)
+        return np.linspace(lo, hi, self.steps)
 
 
 @dataclass
@@ -128,7 +119,7 @@ def ice(
     else:
         anchors = np.arange(n)
 
-    grids = tuple(v.grid() for v in varied)
+    grids = tuple(v.grid(table) for v in varied)
     cols = [feature_names.index(v.name) for v in varied]
     shape = tuple(g.size for g in grids)
     base = features[anchors]
@@ -148,22 +139,10 @@ def ice(
     )
 
 
-@dataclass
-class IceSection:
-    """One slice of a higher-dimensional grid at a fixed axis value."""
-
-    fixed_factor: str
-    fixed_value: float
-    factor_names: tuple
-    grids: tuple
-    anchor_rows: np.ndarray
-    predictions: np.ndarray
-    average: np.ndarray
-
-
-def project(grid: IceGrid, axis: str, values=None) -> list[IceSection]:
+def project(grid: IceGrid, axis: str, values=None) -> list[tuple[float, IceGrid]]:
     """Slice a 2-D or 3-D grid along `axis` at the given grid values
-    (default all of them). Pure indexing, no model calls."""
+    (default all of them) into (axis value, grid over the other axes)
+    pairs. Pure indexing, no model calls."""
     if axis not in grid.factor_names:
         raise ValueError(f"no grid axis named {axis!r}")
     if len(grid.factor_names) < 2:
@@ -183,19 +162,12 @@ def project(grid: IceGrid, axis: str, values=None) -> list[IceSection]:
     rest_grids = tuple(g for i, g in enumerate(grid.grids) if i != ax)
     sections = []
     for i in picks:
-        take = [slice(None)] * grid.predictions.ndim
-        take[1 + ax] = i
-        avg_take = [slice(None)] * grid.average.ndim
-        avg_take[ax] = i
-        sections.append(
-            IceSection(
-                fixed_factor=axis,
-                fixed_value=float(axis_values[i]),
-                factor_names=rest_names,
-                grids=rest_grids,
-                anchor_rows=grid.anchor_rows,
-                predictions=grid.predictions[tuple(take)],
-                average=grid.average[tuple(avg_take)],
-            )
+        section = IceGrid(
+            factor_names=rest_names,
+            grids=rest_grids,
+            anchor_rows=grid.anchor_rows,
+            predictions=np.take(grid.predictions, i, axis=1 + ax),
+            average=np.take(grid.average, i, axis=ax),
         )
+        sections.append((float(axis_values[i]), section))
     return sections

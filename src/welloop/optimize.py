@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from welloop.data import WellTable
+from welloop.data import INTEGER_FACTORS, WellTable
 from welloop.trees import as_predictor
 from welloop.utils import fmt, subseed_rng, write_rows
 
@@ -574,17 +574,16 @@ def optimize_well(
     budget: int = 400,
     bounds: dict | None = None,
     seed: int = 0,
-    integer_variables=("stage count",),
 ) -> WellOptimization:
     """Search the given engineering parameters of one well for the design
     the model rates best, holding every other factor at the well's values.
 
     Only factors flagged optimizable may be varied. Bounds default to each
-    variable's observed range. Integer-valued variables are searched
-    continuously between the outermost integers inside their bounds,
-    rounded at every evaluation, and reported rounded. The
-    well's own design is always evaluated first, so the optimized value
-    can never fall below the original.
+    variable's observed range. INTEGER_FACTORS are searched continuously
+    between the outermost integers inside their bounds, rounded at every
+    evaluation, and reported rounded. The well's own design is always
+    evaluated first, so the optimized value can never fall below the
+    original.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -618,13 +617,13 @@ def optimize_well(
         else:
             column = features[:, col[name]]
             lo, hi = float(np.min(column)), float(np.max(column))
-        if name in integer_variables:  # the integers inside the bounds
+        if name in INTEGER_FACTORS:  # the integers inside the bounds
             lo, hi = float(math.ceil(lo)), float(math.floor(hi))
         if not lo < hi:
             raise ValueError(f"degenerate bounds for {name!r}")
         resolved[name] = (lo, hi)
 
-    int_mask = np.array([name in integer_variables for name in variables])
+    int_mask = np.array([name in INTEGER_FACTORS for name in variables])
     var_cols = np.array([col[name] for name in variables])
 
     def rounded(u):

@@ -305,6 +305,14 @@ INVALID_CONFIGS = [
         id="train-hyperparams",
     ),
     pytest.param(
+        with_seed(train={"hyperparams": {"rf": {"seed": 99}, "gbdt": {"seed": 1, "n_trees": 0}}}),
+        [
+            "train.hyperparams.gbdt: seed is derived from the run seed",
+            "train.hyperparams.rf: seed is derived from the run seed",
+        ],
+        id="train-hyperparams-seed",
+    ),
+    pytest.param(
         with_seed(train={"hyperparams": [], "test_fraction": 1, "cached": "yes"}),
         [
             "train.cached: unknown key",
@@ -363,7 +371,7 @@ INVALID_CONFIGS = [
             "train.tune.space.max_depth: expected range or choices",
             "train.tune.space.min_samples_leaf: min_samples_leaf must be >= 1",
             "train.tune.space.n_trees: expected range or choices",
-            "train.tune.space.seed.range: expected [low, high] with low <= high",
+            "train.tune.space.seed: seed is derived from the run seed",
             "train.tune.space.subsample_fraction: expected range or choices",
         ],
         id="tune-space",
@@ -851,6 +859,15 @@ def test_validate_subcommand_without_config(capsys):
     assert "seed" in capsys.readouterr().out
 
 
+def test_a_call_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(welloop.cli.argparse, "ArgumentParser", no_new_parser)
+    assert main(["validate"]) == 1
+    assert "seed" in capsys.readouterr().out
+
+
 def test_missing_or_broken_config_file(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().out
@@ -1148,15 +1165,30 @@ def test_a_rerun_in_place_leaves_no_stale_file(tmp_path):
 
     assert run(failing, "out") == 2
     status = stage_status(assert_manifest_reconciles(tmp_path / "out"))
-    assert status["explain"] == "failed" and status["stack"] == "ok"  # carried
+    assert status["explain"] == "failed" and status["stack"] == "skipped"
     assert run(failing, "fresh_failing") == 2
-    # the stack stage did not run, so its files stay
-    expected = tree_hashes(tmp_path / "fresh_failing")
-    expected.update({rel: shrunk_files[rel] for rel in ("metrics.csv", "parity.csv")})
-    del expected["manifest.json"]
-    after = tree_hashes(tmp_path / "out")
-    del after["manifest.json"]
-    assert after == expected
+    # the skipped stack stage's old files are dropped with the rest
+    assert tree_hashes(tmp_path / "out") == tree_hashes(tmp_path / "fresh_failing")
+
+
+def test_a_failed_rerun_leaves_no_later_stage_marked_ok(tmp_path):
+    """Retrained models make the later stages' old files stale, so a rerun
+    that fails before those stages skips them and drops their files."""
+    obj = base_config()
+    obj["ice"] = [{"factors": [{"name": "stimulated length", "steps": 3}], "sample": 2}]
+    obj["optimize"] = {"methods": ["pso"], "wells": [0], "budget": 3}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 0
+    obj["train"]["hyperparams"]["rf"]["n_trees"] = 5
+    obj["explain"]["waterfalls"] = [500]  # explain fails after train
+    assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 2
+    manifest = assert_manifest_reconciles(out)
+    assert len(welloop.trees.load_ensemble(out / "models/rf.json").trees) == 5
+    stages = {s["name"]: (s["status"], s.get("detail", "")) for s in manifest["stages"]}
+    assert stages["explain"][0] == "failed"
+    for stage in ("stack", "ice", "optimize"):
+        assert stages[stage] == ("skipped", "earlier stage failed")
+    assert {a["stage"] for a in manifest["artifacts"]} == {"config", "data", "train"}
 
 
 def test_explain_refuses_a_model_of_other_columns(tmp_path, capsys):
@@ -1324,6 +1356,16 @@ def test_a_previous_path_spelled_another_way_is_not_deleted(tmp_path):
 
 
 # --- richer configurations ------------------------------------------------------------
+
+
+def test_one_cluster_writes_a_one_cluster_file(tmp_path):
+    obj = base_config()
+    obj["explain"]["clusters"] = 1
+    assert validate_config(obj) == []
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 0
+    text = (out / "shap/clusters.csv").read_text(encoding="utf-8")
+    assert text.splitlines() == ["sample,cluster"] + [f"{i},0" for i in range(8)]
 
 
 def test_multi_kind_run_with_stack_interactions_and_clusters(tmp_path):

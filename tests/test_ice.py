@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from welloop.data import FactorSpec, WellTable, ground_truth_eur, synthesize
-from welloop.ice import VariedFactor, default_varied, ice, project
+from welloop.ice import IceGrid, VariedFactor, ice, project
 from welloop.trees import HyperParams, fit_gbdt
 
 
@@ -35,27 +35,32 @@ def table(rng):
     )
 
 
-def test_varied_factor_grid_and_validation():
+def test_varied_factor_grid_and_validation(table):
+    """The checks run when the grid is resolved against a table; a
+    factor with bad settings still constructs."""
     v = VariedFactor("a", 0.0, 1.0, steps=5)
-    assert np.allclose(v.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        VariedFactor("a", 1.0, 0.0)
-    with pytest.raises(ValueError):
-        VariedFactor("a", 0.0, 1.0, steps=1)
+    assert np.allclose(v.grid(table), [0.0, 0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(ValueError, match="bounds reversed for 'a'"):
+        VariedFactor("a", 1.0, 0.0).grid(table)
+    with pytest.raises(ValueError, match="steps must be >= 2"):
+        VariedFactor("a", 0.0, 1.0, steps=1).grid(table)
 
 
-def test_default_varied_uses_observed_range(table):
-    v = default_varied(table, "a", steps=7)
-    assert v.lower == table.column("a").min()
-    assert v.upper == table.column("a").max()
-    assert v.steps == 7
+def test_varied_factor_ends_default_to_the_observed_range(table):
+    a = table.column("a")
+    v = VariedFactor("a", steps=7)
+    assert (v.lower, v.upper) == (None, None)
+    grid = v.grid(table)
+    assert (grid.size, grid[0], grid[-1]) == (7, a.min(), a.max())
     flat = make_table({"a": [2.0, 2.0, 2.0], "y": [1.0, 2.0, 3.0]})
-    with pytest.raises(ValueError, match="constant"):
-        default_varied(flat, "a")
+    with pytest.raises(ValueError, match="factor 'a' is constant; nothing to sweep"):
+        VariedFactor("a").grid(flat)
     # a configured end replaces that end of the observed range
-    v = default_varied(table, "a", 7, lower=-1.0)
-    assert (v.lower, v.upper) == (-1.0, table.column("a").max())
-    assert default_varied(flat, "a", 7, 0.0, 5.0).grid()[-1] == 5.0
+    grid = VariedFactor("a", lower=-1.0, steps=7).grid(table)
+    assert (grid[0], grid[-1]) == (-1.0, a.max())
+    assert VariedFactor("a", 0.0, 5.0, 7).grid(flat)[-1] == 5.0
+    with pytest.raises(ValueError, match="bounds reversed for 'a'"):
+        VariedFactor("a", upper=1.0).grid(flat)
 
 
 def test_curves_pass_through_each_anchor(table):
@@ -193,11 +198,13 @@ def test_projection_is_pure_indexing(table):
         [VariedFactor("a", 0.0, 1.0, steps=3), VariedFactor("b", 0.0, 2.0, steps=4)],
     )
     sections = project(grid, "b")
-    assert len(sections) == 4
-    sec = sections[2]
-    assert sec.fixed_factor == "b"
-    assert sec.fixed_value == grid.grids[1][2]
+    assert [value for value, _ in sections] == list(grid.grids[1])
+    value, sec = sections[2]
+    assert isinstance(sec, IceGrid)
+    assert value == grid.grids[1][2]
     assert sec.factor_names == ("a",)
+    assert sec.grids == (grid.grids[0],)
+    assert np.array_equal(sec.anchor_rows, grid.anchor_rows)
     assert np.array_equal(sec.predictions, grid.predictions[:, :, 2])
     assert np.array_equal(sec.average, grid.average[:, 2])
 
@@ -208,9 +215,9 @@ def test_projection_picks_named_values(table):
         table,
         [VariedFactor("a", 0.0, 1.0, steps=3), VariedFactor("b", 0.0, 2.0, steps=5)],
     )
-    sections = project(grid, "a", values=[0.5])
-    assert len(sections) == 1
-    assert sections[0].fixed_value == 0.5
+    ((value, sec),) = project(grid, "a", values=[0.5])
+    assert value == 0.5
+    assert np.array_equal(sec.average, grid.average[1])
     with pytest.raises(ValueError, match="grid value"):
         project(grid, "a", values=[0.3])
     with pytest.raises(ValueError, match="axis"):

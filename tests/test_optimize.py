@@ -579,9 +579,7 @@ def test_optimize_well_rejects_rows_with_missing_values():
     vals = np.array([[np.nan, 1.0], [2.0, 2.0], [3.0, 1.5]])
     table = WellTable(specs, vals)
     with pytest.raises(ValueError, match="missing"):
-        optimize_well(
-            lambda x: x[:, 0], table, 0, ["knob"], integer_variables=()
-        )
+        optimize_well(lambda x: x[:, 0], table, 0, ["knob"])
 
 
 def test_optimize_well_json_includes_normalized_radar(well_table):
