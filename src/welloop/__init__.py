@@ -50,7 +50,7 @@ from welloop.explain import (
     tree_shap,
 )
 from welloop.stack import StackedModel, evaluate, fit_stacked
-from welloop.ice import IceGrid, VariedFactor, ice, project
+from welloop.ice import IceGrid, VariedFactor, ice
 from welloop.optimize import (
     BoundedVariable,
     SearchProblem,
@@ -106,7 +106,6 @@ __all__ = [
     "IceGrid",
     "VariedFactor",
     "ice",
-    "project",
     "BoundedVariable",
     "SearchProblem",
     "SurrogateError",

@@ -3,18 +3,21 @@
 An ICE grid varies one to three factors over evenly spaced values while
 every other factor stays frozen at each anchor well's observed values.
 The result is one response curve (or surface) per anchor plus their
-pointwise average; projecting a grid onto fewer axes is pure indexing.
+pointwise average. A model with terms() is evaluated by
+`trees.predict_grid`, which walks each tree once per grid cell it
+distinguishes; a plain callable is called once per grid point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from welloop.data import WellTable
-from welloop.trees import as_predictor
+from welloop.trees import as_predictor, predict_grid
 from welloop.utils import fmt, subseed_rng, write_json, write_rows
 
 _ANCHOR_TAG = 41
@@ -54,14 +57,18 @@ class IceGrid:
     def write_csv(self, path) -> None:
         """Long format: one row per (anchor, grid point), then the same
         grid points again for the AVERAGE pseudo-sample."""
-        coords = list(np.ndindex(*self.average.shape))
+        points = [
+            [fmt(g[i]) for g, i in zip(self.grids, c)]
+            for c in np.ndindex(*self.average.shape)
+        ]
         curves = itertools.chain(
             zip(map(int, self.anchor_rows), self.predictions), [("AVERAGE", self.average)]
         )
+        # one curve at a time to Python floats, whose repr is their fmt
         rows = (
-            [sample] + [fmt(self.grids[ax][i]) for ax, i in enumerate(c)] + [fmt(values[c])]
+            [sample, *point, repr(value)]
             for sample, values in curves
-            for c in coords
+            for point, value in zip(points, values.ravel().tolist())
         )
         write_rows(path, ["sample"] + list(self.factor_names) + ["prediction"], rows)
 
@@ -87,6 +94,11 @@ def ice(
     Anchors default to every table row; pass `anchor_rows` to pin them or
     `sample` to draw that many rows without replacement (seeded). The
     average curve is the pointwise mean over anchors.
+
+    A model with terms() (a TreeEnsemble or a StackedModel) goes through
+    `trees.predict_grid`, which walks each tree once per grid cell it
+    distinguishes and gives predict's bits at every point; any other
+    callable is called on all anchors once per grid point.
     """
     varied = tuple(varied)
     if not 1 <= len(varied) <= 3:
@@ -98,7 +110,7 @@ def ice(
     for v in varied:
         if v.name not in feature_names:
             raise ValueError(f"no feature named {v.name!r}")
-    predictor = as_predictor(model)
+    predict_on_grid = _grid_predictor(model)
     table.check_feature_names(model)
 
     features = table.feature_matrix()
@@ -121,14 +133,7 @@ def ice(
 
     grids = tuple(v.grid(table) for v in varied)
     cols = [feature_names.index(v.name) for v in varied]
-    shape = tuple(g.size for g in grids)
-    base = features[anchors]
-    predictions = np.empty((anchors.size,) + shape)
-    for c in np.ndindex(*shape):
-        block = np.array(base)
-        for ax, i in enumerate(c):
-            block[:, cols[ax]] = grids[ax][i]
-        predictions[(slice(None),) + c] = np.asarray(predictor(block), dtype=float)
+    predictions = predict_on_grid(features[anchors], cols, grids)
     average = predictions.mean(axis=0)
     return IceGrid(
         factor_names=tuple(names),
@@ -139,35 +144,22 @@ def ice(
     )
 
 
-def project(grid: IceGrid, axis: str, values=None) -> list[tuple[float, IceGrid]]:
-    """Slice a 2-D or 3-D grid along `axis` at the given grid values
-    (default all of them) into (axis value, grid over the other axes)
-    pairs. Pure indexing, no model calls."""
-    if axis not in grid.factor_names:
-        raise ValueError(f"no grid axis named {axis!r}")
-    if len(grid.factor_names) < 2:
-        raise ValueError("projection needs a 2-D or 3-D grid")
-    ax = grid.factor_names.index(axis)
-    axis_values = grid.grids[ax]
-    if values is None:
-        picks = list(range(axis_values.size))
-    else:
-        picks = []
-        for v in values:
-            matches = np.nonzero(axis_values == float(v))[0]
-            if matches.size == 0:
-                raise ValueError(f"{v!r} is not a grid value of axis {axis!r}")
-            picks.append(int(matches[0]))
-    rest_names = tuple(n for i, n in enumerate(grid.factor_names) if i != ax)
-    rest_grids = tuple(g for i, g in enumerate(grid.grids) if i != ax)
-    sections = []
-    for i in picks:
-        section = IceGrid(
-            factor_names=rest_names,
-            grids=rest_grids,
-            anchor_rows=grid.anchor_rows,
-            predictions=np.take(grid.predictions, i, axis=1 + ax),
-            average=np.take(grid.average, i, axis=ax),
-        )
-        sections.append((float(axis_values[i]), section))
-    return sections
+def _grid_predictor(model):
+    """The function that maps (rows, columns, grids) to the model's
+    outputs over the grid, shaped (rows, steps_1[, steps_2[, steps_3]]):
+    `predict_grid` for a model with terms(), else a loop over the grid
+    points that calls the model on all rows at each."""
+    if callable(getattr(model, "terms", None)):
+        return partial(predict_grid, model)
+    return partial(_predict_by_points, as_predictor(model))
+
+
+def _predict_by_points(predictor, rows, columns, grids) -> np.ndarray:
+    shape = tuple(g.size for g in grids)
+    out = np.empty((rows.shape[0],) + shape)
+    for c in np.ndindex(*shape):
+        block = np.array(rows)
+        for col, g, i in zip(columns, grids, c):
+            block[:, col] = g[i]
+        out[(slice(None),) + c] = np.asarray(predictor(block), dtype=float)
+    return out

@@ -170,6 +170,7 @@ class FlatTrees:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    tree: np.ndarray  # the tree each node belongs to
     roots: np.ndarray
     depth: int
 
@@ -180,10 +181,29 @@ class FlatTrees:
         flat_x = x.ravel()
         row_start = np.arange(n) * m
         node = np.repeat(self.roots[:, None], n, axis=1)
+        return self.value[self.descend(node, lambda f: flat_x[row_start + f])]
+
+    def descend(self, node: np.ndarray, column_value) -> np.ndarray:
+        """The leaf each walk reaches from its start in `node`, where
+        column_value(f) is each walk's value in its column f."""
         for _ in range(self.depth):
-            go = flat_x[row_start + self.feature[node]] <= self.threshold[node]
+            go = column_value(self.feature[node]) <= self.threshold[node]
             node = np.where(go, self.left[node], self.right[node])
-        return self.value[node]
+        return node
+
+    def thresholds(self, column: int) -> list[np.ndarray]:
+        """Each tree's sorted distinct split thresholds on `column`, one
+        array per tree in tree order (empty where a tree never splits on
+        it)."""
+        split = (self.feature == column) & (self.left != np.arange(self.left.size))
+        tree, threshold = self.tree[split], self.threshold[split]
+        order = np.lexsort((threshold, tree))
+        tree, threshold = tree[order], threshold[order]
+        new = np.ones(tree.size, dtype=bool)
+        new[1:] = (tree[1:] != tree[:-1]) | (threshold[1:] != threshold[:-1])
+        tree, threshold = tree[new], threshold[new]
+        bounds = np.searchsorted(tree, np.arange(self.roots.size + 1))
+        return [threshold[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def compile_trees(trees) -> FlatTrees:
@@ -191,6 +211,7 @@ def compile_trees(trees) -> FlatTrees:
     roots first; built without recursion, so no tree is too deep."""
     nodes = list(trees)
     level = [0] * len(nodes)
+    tree = list(range(len(nodes)))
     left, right = [], []
     for i, node in enumerate(nodes):  # grows as children are numbered
         if node.is_leaf:
@@ -201,6 +222,7 @@ def compile_trees(trees) -> FlatTrees:
         right.append(len(nodes) + 1)
         nodes += (node.left, node.right)
         level += (level[i] + 1, level[i] + 1)
+        tree += (tree[i], tree[i])
     return FlatTrees(
         feature=np.array(
             [0 if n.is_leaf else n.feature for n in nodes], dtype=np.intp
@@ -211,6 +233,7 @@ def compile_trees(trees) -> FlatTrees:
         left=np.array(left, dtype=np.intp),
         right=np.array(right, dtype=np.intp),
         value=np.array([n.value if n.is_leaf else 0.0 for n in nodes], dtype=float),
+        tree=np.array(tree, dtype=np.intp),
         roots=np.arange(len(trees), dtype=np.intp),
         depth=max(level, default=0),
     )
@@ -236,18 +259,101 @@ def predict(model, x) -> np.ndarray:
     the float result does not depend on how many rows are predicted
     together."""
     x = _as_matrix(x, len(model.feature_names))
-    flat, (weight, constant, divisor) = compiled(model)
+    flat, terms = compiled(model)
     out = np.empty(x.shape[0])
-    step = max(1, _BLOCK_CELLS // (len(weight) + 1))
+    step = max(1, _BLOCK_CELLS // (len(terms[0]) + 1))
     for r0 in range(0, x.shape[0], step):
-        leaves = flat.leaf_values(x[r0 : r0 + step])
-        terms = np.empty((len(weight) + 1, leaves.shape[1]))
-        terms[0] = constant
-        np.multiply(weight[:, None], leaves, out=terms[1:])
-        # accumulate adds the rows strictly one after another; a reduction
-        # such as np.sum may pair terms up and change the last bits
-        out[r0 : r0 + step] = np.add.accumulate(terms, axis=0)[-1] / divisor
+        out[r0 : r0 + step] = _add_terms(flat.leaf_values(x[r0 : r0 + step]), *terms)
     return out
+
+
+def _add_terms(leaves, weight, constant, divisor) -> np.ndarray:
+    """(constant + sum of weight[t] * leaves[t]) / divisor per column of
+    the (trees, rows) `leaves`, the terms added one tree at a time in tree
+    order."""
+    terms = np.empty((len(weight) + 1, leaves.shape[1]))
+    terms[0] = constant
+    np.multiply(weight[:, None], leaves, out=terms[1:])
+    # accumulate adds the rows strictly one after another; a reduction
+    # such as np.sum may pair terms up and change the last bits
+    return np.add.accumulate(terms, axis=0)[-1] / divisor
+
+
+def predict_grid(model, rows, columns, grids) -> np.ndarray:
+    """`predict` over a product grid: out[r, i, j, ...] is the output of
+    a TreeEnsemble or a StackedModel for row r of `rows` with column
+    columns[0] set to grids[0][i], columns[1] to grids[1][j], and so on,
+    bit for bit what predict gives for that row. Each grid is strictly
+    increasing.
+
+    Each (tree, cell) pair of _grid_cells is walked once per row, from
+    the tree's root, at the cell's first grid point; each point then
+    reads its leaf from its cell, and the terms are added as predict adds
+    them. Rows go in blocks that keep the walk, pairs x rows, and the sum,
+    (trees + 1) x rows, within _BLOCK_CELLS cells each."""
+    x = _as_matrix(rows, len(model.feature_names))
+    flat, terms = compiled(model)
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    pair_root, swept, pair_index = _grid_cells(flat, columns, grids)
+    m = x.shape[1]
+    # a walk reads a swept column from `sweep` and any other from the row;
+    # the other is 0 there, and adding 0 is exact
+    sweep = np.zeros((pair_root.size, m))
+    sweep[:, columns] = swept
+    flat_sweep = sweep.ravel()
+    pair_start = np.arange(pair_root.size)[:, None] * m
+    out = np.empty((x.shape[0],) + tuple(g.size for g in grids))
+    step = max(1, _BLOCK_CELLS // max(pair_root.size, len(terms[0]) + 1))
+    for r0 in range(0, x.shape[0], step):
+        base = np.array(x[r0 : r0 + step])
+        base[:, columns] = 0.0
+        n = base.shape[0]
+        flat_base = base.ravel()
+        row_start = np.arange(n) * m
+        node = flat.descend(
+            np.repeat(pair_root[:, None], n, axis=1),
+            lambda f: flat_base[row_start + f] + flat_sweep[pair_start + f],
+        )
+        leaves = flat.value[node]
+        for point in np.ndindex(*out.shape[1:]):
+            pairs = sum(index[i] for index, i in zip(pair_index, point))
+            out[(slice(r0, r0 + step),) + point] = _add_terms(leaves[pairs], *terms)
+    return out
+
+
+def _grid_cells(flat: FlatTrees, columns, grids):
+    """The (tree, cell) pairs of a product grid, in tree order: each
+    pair's root and swept values (the first grid point of its cell), and
+    per axis a (steps, trees) array; its rows at a grid point's steps,
+    summed over the axes, give each tree's pair for that point.
+
+    Along the swept columns a tree's leaf changes only at its own
+    thresholds on them, and x <= t goes left, so np.searchsorted puts each
+    grid value in the tree's cell, and every grid point in one cell
+    reaches one leaf. A strictly increasing grid meets a tree's cells in
+    runs of steps, and on a product grid a tree's cells are the product of
+    its runs per axis, numbered with the last axis fastest."""
+    n_trees = flat.roots.size
+    thresholds = [flat.thresholds(c) for c in columns]
+    pair_index = [np.empty((g.size, n_trees), dtype=np.intp) for g in grids]
+    n_pairs, cells, swept = 0, [], [np.empty((0, len(grids)))]
+    for t in range(n_trees):
+        firsts = []
+        for g, by_tree, index in zip(grids, thresholds, pair_index):
+            cell = np.searchsorted(by_tree[t], g, side="left")
+            new = np.ones(g.size, dtype=bool)
+            new[1:] = cell[1:] != cell[:-1]
+            index[:, t] = np.cumsum(new) - 1
+            firsts.append(g[new])
+        size = 1  # the tree's cells over the axes after this one
+        for index, first in zip(reversed(pair_index), reversed(firsts)):
+            index[:, t] *= size
+            size *= first.size
+        pair_index[0][:, t] += n_pairs
+        swept.append(np.stack([v.ravel() for v in np.meshgrid(*firsts, indexing="ij")], 1))
+        cells.append(size)
+        n_pairs += size
+    return np.repeat(flat.roots, cells), np.concatenate(swept), pair_index
 
 
 def as_predictor(model):

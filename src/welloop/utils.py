@@ -91,15 +91,16 @@ def write_rows(path, header, rows) -> None:
 
 
 def write_json(path, obj, indent=2) -> None:
-    """Sorted-key JSON and a newline, streamed; `indent=None` is the
-    compact form. A value nested too deep to encode is a ValueError, and
-    leaves `path` as it was."""
+    """Sorted-key JSON and a newline, encoded whole and then written in one
+    go; `indent=None` is the compact form, which json.dumps (unlike the
+    streaming json.dump) encodes in C. A value nested too deep to encode
+    is a ValueError, and leaves `path` as it was."""
     try:
-        with _replacing(path) as fh:
-            json.dump(obj, fh, sort_keys=True, indent=indent)
-            fh.write("\n")
+        text = json.dumps(obj, sort_keys=True, indent=indent)
     except RecursionError:
         raise ValueError(f"{path}: nested deeper than the recursion limit") from None
+    with _replacing(path) as fh:
+        fh.write(text + "\n")
 
 
 def read_json(path):

@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+import welloop.trees
 from welloop.data import FactorSpec, WellTable, ground_truth_eur, synthesize
-from welloop.ice import IceGrid, VariedFactor, ice, project
-from welloop.trees import HyperParams, fit_gbdt
+from welloop.ice import VariedFactor, ice
+from welloop.stack import fit_stacked
+from welloop.trees import HyperParams, fit_gbdt, predict
 
 
 def make_table(columns):
@@ -188,46 +190,38 @@ def test_missing_values_are_rejected():
         ice(linear_model, table, [VariedFactor("a", 0.0, 1.0)])
 
 
-# --- projection -------------------------------------------------------------------
+# --- which path a model takes ----------------------------------------------------
 
 
-def test_projection_is_pure_indexing(table):
-    grid = ice(
-        linear_model,
-        table,
-        [VariedFactor("a", 0.0, 1.0, steps=3), VariedFactor("b", 0.0, 2.0, steps=4)],
+def test_a_model_with_terms_skips_predict_and_a_callable_is_called_per_point(
+    table, monkeypatch
+):
+    hp = HyperParams(n_trees=4, max_depth=2)
+    model = fit_stacked(
+        table.feature_matrix(),
+        table.target(),
+        {"RF": hp, "GBDT": hp},
+        k=3,
+        seed=1,
+        feature_names=table.feature_names,
     )
-    sections = project(grid, "b")
-    assert [value for value, _ in sections] == list(grid.grids[1])
-    value, sec = sections[2]
-    assert isinstance(sec, IceGrid)
-    assert value == grid.grids[1][2]
-    assert sec.factor_names == ("a",)
-    assert sec.grids == (grid.grids[0],)
-    assert np.array_equal(sec.anchor_rows, grid.anchor_rows)
-    assert np.array_equal(sec.predictions, grid.predictions[:, :, 2])
-    assert np.array_equal(sec.average, grid.average[:, 2])
+    varied = [VariedFactor("a", 0.0, 10.0, steps=3), VariedFactor("b", -5.0, 5.0, steps=2)]
+    calls = []
 
+    def by_point(x):
+        calls.append(x.shape[0])
+        return predict(model, x)
 
-def test_projection_picks_named_values(table):
-    grid = ice(
-        linear_model,
-        table,
-        [VariedFactor("a", 0.0, 1.0, steps=3), VariedFactor("b", 0.0, 2.0, steps=5)],
-    )
-    ((value, sec),) = project(grid, "a", values=[0.5])
-    assert value == 0.5
-    assert np.array_equal(sec.average, grid.average[1])
-    with pytest.raises(ValueError, match="grid value"):
-        project(grid, "a", values=[0.3])
-    with pytest.raises(ValueError, match="axis"):
-        project(grid, "zz")
+    want = ice(by_point, table, varied, anchor_rows=[0, 4, 9])
+    assert calls == [3] * 6
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("ICE called trees.predict")
 
-def test_projection_requires_multiple_axes(table):
-    grid = ice(linear_model, table, [VariedFactor("a", 0.0, 1.0, steps=3)])
-    with pytest.raises(ValueError, match="2-D or 3-D"):
-        project(grid, "a")
+    monkeypatch.setattr(welloop.trees, "predict", refuse)
+    got = ice(model, table, varied, anchor_rows=[0, 4, 9])
+    assert np.array_equal(got.predictions, want.predictions)
+    assert np.array_equal(got.average, want.average)
 
 
 # --- CSV --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import functools
 import hashlib
+import itertools
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,14 +12,18 @@ from hypothesis import strategies as st
 
 import welloop.trees
 from conftest import (
+    GRID,
+    LEAF,
     chain_tree,
     deep_model_text,
     drawn_case,
+    drawn_tree,
     naive_predict,
     ordered_predict,
     random_fitted_ensemble,
 )
-from welloop.stack import fit_stacked
+from welloop.data import synthesize
+from welloop.stack import StackedModel, fit_stacked
 from welloop.trees import (
     FIT_FUNCTIONS,
     GAIN_EPS,
@@ -33,6 +40,7 @@ from welloop.trees import (
     fit_xgb,
     load_ensemble,
     predict,
+    predict_grid,
     sample_space,
     save_ensemble,
     tune_random_search,
@@ -299,6 +307,152 @@ def test_predict_validates_column_count(rng):
     model, x = random_fitted_ensemble(rng, n_features=3)
     with pytest.raises(ValueError):
         predict(model, np.zeros((2, 5)))
+
+
+# --- predicting over a grid --------------------------------------------------------
+
+
+def test_thresholds_are_each_trees_sorted_distinct_splits(rng):
+    leaf = TreeNode(cover=1, value=1.0)
+    # f0 splits at 2.0 twice on one path and at -1.0 below; f1 once
+    first = TreeNode(
+        cover=4,
+        feature=0,
+        threshold=2.0,
+        left=TreeNode(
+            cover=2,
+            feature=0,
+            threshold=2.0,
+            left=leaf,
+            right=leaf,
+        ),
+        right=TreeNode(
+            cover=2,
+            feature=1,
+            threshold=5.0,
+            left=leaf,
+            right=TreeNode(cover=1, feature=0, threshold=-1.0, left=leaf, right=leaf),
+        ),
+    )
+    flat = welloop.trees.compile_trees((first, leaf, chain_tree(3)))
+    # a leaf's placeholder feature 0 and threshold 0.0 are no split
+    assert [t.tolist() for t in flat.thresholds(0)] == [[-1.0, 2.0], [], [0.0, 1.0, 2.0]]
+    assert [t.tolist() for t in flat.thresholds(1)] == [[5.0], [], []]
+    model, _ = random_fitted_ensemble(rng, n_features=3)
+    flat = welloop.trees.compile_trees(model.trees)
+    for column in range(3):
+        for tree, got in zip(model.trees, flat.thresholds(column)):
+            splits = {n.threshold for n in walk(tree) if n.feature == column}
+            assert got.tolist() == sorted(splits)
+
+
+@st.composite
+def grid_case(draw):
+    """A drawn RF, GBDT, XGB or stacked forest, rows, 1 to 3 swept
+    columns and their strictly increasing grids, whose values often equal
+    a split threshold, and a block size that rarely divides the rows."""
+    n_features = draw(st.integers(1, 4))
+    names = tuple(f"f{j}" for j in range(n_features))
+
+    def forest(kind):
+        boosting = kind != "RF"
+        return TreeEnsemble(
+            kind=kind,
+            trees=tuple(draw(st.lists(drawn_tree(n_features, 4), min_size=1, max_size=6))),
+            base_score=draw(LEAF) if boosting else 0.0,
+            learning_rate=draw(st.floats(0.01, 1.0)) if boosting else 1.0,
+            feature_names=names,
+        )
+
+    kind = draw(st.sampled_from(KINDS + ("stacked",)))
+    if kind == "stacked":
+        kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True))
+        folds = draw(st.integers(1, 2))
+        model = StackedModel(
+            base_kinds=tuple(kinds),
+            folds=folds,
+            sub_models=tuple(tuple(forest(k) for _ in range(folds)) for k in kinds),
+            fold_assignment=np.zeros(1, dtype=int),
+            meta_weights=np.array([draw(st.floats(-2.0, 2.0)) for _ in kinds]),
+            meta_intercept=draw(LEAF),
+            feature_names=names,
+        )
+    else:
+        model = forest(kind)
+    columns = draw(st.lists(st.integers(0, n_features - 1), min_size=1, max_size=3, unique=True))
+    grids = [
+        np.array(sorted(set(draw(st.lists(GRID | LEAF, min_size=1, max_size=6)))))
+        for _ in columns
+    ]
+    rows = draw(
+        st.lists(
+            st.lists(GRID | LEAF, min_size=n_features, max_size=n_features),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    cells = draw(st.sampled_from([1, 7, 40, 1 << 14]))
+    return model, np.array(rows, dtype=float), columns, grids, cells
+
+
+def predict_each_point(model, rows, columns, grids):
+    """predict called once per grid point on all rows."""
+    out = np.empty((rows.shape[0],) + tuple(g.size for g in grids))
+    for point in itertools.product(*(range(g.size) for g in grids)):
+        x = np.array(rows)
+        x[:, columns] = [g[i] for g, i in zip(grids, point)]
+        out[(slice(None),) + point] = predict(model, x)
+    return out
+
+
+@given(grid_case())
+@settings(max_examples=300, deadline=None)
+def test_predict_grid_equals_predict_at_every_point_bit_for_bit(case):
+    model, rows, columns, grids, cells = case
+    want = predict_each_point(model, rows, columns, grids)
+    with mock.patch.object(welloop.trees, "_BLOCK_CELLS", cells):
+        got = predict_grid(model, rows, columns, grids)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@functools.cache
+def models_of_a_field():
+    table = synthesize(seed=7, n=40, noise_sd=0.1)
+    x, y, names = table.feature_matrix(), table.target(), table.feature_names
+    hp = HyperParams(n_trees=5, max_depth=3)
+    models = [FIT_FUNCTIONS[kind](x, y, hp, names) for kind in KINDS]
+    models.append(fit_stacked(x, y, dict.fromkeys(KINDS, hp), k=3, seed=7, feature_names=names))
+    return x, names, models
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_predict_grid_equals_predict_on_fitted_models_with_an_integer_axis(data):
+    """Fitted forests swept over `stage count`, an integer factor split
+    at half-integers, beside axes whose grids hold their split thresholds."""
+    x, names, models = models_of_a_field()
+    model = data.draw(st.sampled_from(models))
+    stages = names.index("stage count")
+    others = [j for j in range(len(names)) if j != stages]
+    extra = data.draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    columns = data.draw(st.permutations([stages] + extra))
+    flat, _ = welloop.trees.compiled(model)
+    grids = []
+    for j in columns:
+        if j == stages:
+            grids.append(np.arange(x[:, j].min(), x[:, j].max() + 1.0))
+            continue
+        splits = np.concatenate(flat.thresholds(j)).tolist()
+        picked = data.draw(st.lists(st.sampled_from(splits), max_size=6)) if splits else []
+        grids.append(np.unique(np.r_[np.linspace(x[:, j].min(), x[:, j].max(), 4), picked]))
+    anchors = data.draw(st.lists(st.integers(0, x.shape[0] - 1), min_size=1, max_size=40))
+    rows = x[anchors]
+    want = predict_each_point(model, rows, columns, grids)
+    cells = data.draw(st.sampled_from([50, 1 << 14]))
+    with mock.patch.object(welloop.trees, "_BLOCK_CELLS", cells):
+        got = predict_grid(model, rows, columns, grids)
+    assert np.array_equal(got, want)
 
 
 # --- random forest -----------------------------------------------------------------

@@ -152,6 +152,8 @@ def test_a_value_json_cannot_encode_leaves_the_old_file_whole(tmp_path):
         deep = [deep]
     with pytest.raises(ValueError, match="v.json: nested deeper"):
         write_json(path, deep)
+    with pytest.raises(ValueError, match="v.json: nested deeper"):
+        write_json(path, deep, indent=None)
     assert read_json(path) == {"ok": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
 
