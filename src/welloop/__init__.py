@@ -15,7 +15,6 @@ from welloop.data import (
     PreprocessError,
     PreprocessReport,
     WellTable,
-    derive_intensity,
     ground_truth_eur,
     load_csv,
     load_schema,
@@ -71,7 +70,6 @@ __all__ = [
     "PreprocessError",
     "PreprocessReport",
     "WellTable",
-    "derive_intensity",
     "ground_truth_eur",
     "load_csv",
     "load_schema",

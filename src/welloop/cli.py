@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -160,18 +161,17 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite float, or an integer a float can hold. json.load also
+    reads NaN and Infinity, and no config number may be either."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) <= sys.float_info.max
 
 
 # annotation -> (JSON type named in problems, test, conversion)
 _JSON_TYPES = {
     "int": ("int", _is_int, None),
-    # an integer too large for a float is refused, not converted
-    "float": (
-        "float",
-        lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max,
-        float,
-    ),
+    "float": ("float", _is_number, float),
     "str": ("str", lambda v: isinstance(v, str), None),
     "bool": ("bool", lambda v: isinstance(v, bool), None),
     "tuple": ("list", lambda v: isinstance(v, list), tuple),

@@ -172,7 +172,8 @@ def load_csv(path, schema) -> WellTable:
 
 def write_csv(table: WellTable, path) -> None:
     """Write a table back out; missing cells become empty strings."""
-    rows = (["" if np.isnan(v) else repr(float(v)) for v in row] for row in table.values)
+    # Python floats, whose repr is a numpy float64's; NaN is the one v != v
+    rows = (["" if v != v else repr(v) for v in row] for row in table.values.tolist())
     write_rows(path, table.names, rows)
 
 
@@ -361,50 +362,6 @@ def preprocess(
     ]
     cleaned = WellTable(tuple(specs[j] for j in keep2), vals[:, keep2])
     return cleaned, report
-
-
-def derive_intensity(
-    table: WellTable,
-    numerator: str,
-    denominator: str,
-    new_name: str,
-    unit: str | None = None,
-    drop_sources: bool = False,
-) -> WellTable:
-    """Append a per-length style ratio column numerator / denominator.
-
-    The denominator must be strictly positive wherever it is present;
-    missing cells in either source propagate to the ratio. The new factor
-    inherits the numerator's category and optimizable flag.
-    """
-    if new_name in table.names:
-        raise ValueError(f"factor {new_name!r} already exists")
-    num_idx = table.index(numerator)
-    den_idx = table.index(denominator)
-    num_spec = table.specs[num_idx]
-    den_spec = table.specs[den_idx]
-    if drop_sources and "production" in (num_spec.category, den_spec.category):
-        raise ValueError("cannot drop the production column")
-    num = table.values[:, num_idx]
-    den = table.values[:, den_idx]
-    bad = np.nonzero(~np.isnan(den) & (den <= 0))[0]
-    if bad.size:
-        raise ValueError(
-            f"non-positive denominator {denominator!r} at row {int(bad[0])}"
-        )
-    with np.errstate(invalid="ignore"):
-        ratio = num / den
-    spec = FactorSpec(
-        name=new_name,
-        unit=unit if unit is not None else f"{num_spec.unit}/{den_spec.unit}",
-        category=num_spec.category,
-        optimizable=num_spec.optimizable,
-    )
-    drop = {num_idx, den_idx} if drop_sources else set()
-    keep = [j for j in range(len(table.specs)) if j not in drop]
-    specs = [table.specs[j] for j in keep] + [spec]
-    vals = np.column_stack([table.values[:, keep], ratio])
-    return WellTable(tuple(specs), vals)
 
 
 # --- synthetic desk-scale data -------------------------------------------

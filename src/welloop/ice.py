@@ -11,6 +11,7 @@ distinguishes; a plain callable is called once per grid point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,6 +42,8 @@ class VariedFactor:
             raise ValueError(f"factor {self.name!r} is constant; nothing to sweep")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds of {self.name!r} must be finite")
         if not lo < hi:
             raise ValueError(f"bounds reversed for {self.name!r}")
         return np.linspace(lo, hi, self.steps)

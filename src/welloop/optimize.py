@@ -18,10 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
-from scipy.special import ndtr
 
 from welloop.data import INTEGER_FACTORS, WellTable
 from welloop.trees import as_predictor
@@ -56,6 +52,8 @@ class BoundedVariable:
     upper: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"bounds of {self.name!r} must be finite")
         if not self.lower < self.upper:
             raise ValueError(f"bounds reversed for {self.name!r}")
 
@@ -309,12 +307,27 @@ def de(problem: SearchProblem, seed: int = 0, initial=None):
 # --- Bayesian optimization --------------------------------------------------------
 
 
+def _load_scipy():
+    """Bind the surrogate's five scipy functions into this module, once.
+    Importing scipy costs a process over half a second and some 40 MB, and
+    only the Bayesian search uses it, so every surrogate entry point calls
+    this first and the rest of welloop starts without scipy."""
+    global cho_solve, cholesky, minimize, cdist, ndtr
+    if "ndtr" in globals():
+        return
+    from scipy.linalg import cho_solve, cholesky
+    from scipy.optimize import minimize
+    from scipy.spatial.distance import cdist
+    from scipy.special import ndtr
+
+
 def _improvement(mu, sigma, best):
     """Expected improvement over the incumbent best, for maximization,
     with the weights of its gradient: returns (ei, cdf, pdf) such that
     d ei = cdf * d mu + pdf * d sigma, where cdf = Phi(g), pdf = phi(g)
     and g = (mu - best) / sigma. Where sigma vanishes, ei is
     max(mu - best, 0), cdf is its slope in mu and pdf is 0."""
+    _load_scipy()
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     out = np.array(np.maximum(mu - best, 0.0), dtype=float)
@@ -355,6 +368,7 @@ def _matern52(dists, length_scale, signal_var):
 
 
 def _chol_with_jitter(gram):
+    _load_scipy()
     for jitter in _JITTERS:
         try:
             return cholesky(
@@ -372,6 +386,7 @@ class _GaussianProcess:
     from several seeded starts."""
 
     def __init__(self, x01, y, rng):
+        _load_scipy()
         self.x = np.asarray(x01, dtype=float)
         y = np.asarray(y, dtype=float)
         if not np.all(np.isfinite(y)):
@@ -473,6 +488,7 @@ def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
     evaluates the point that maximizes expected improvement, found by
     seeded random multistart plus a local bounded polish.
     """
+    _load_scipy()
     rng = subseed_rng(seed, _BO_TAG)
     lower, upper = problem.lower, problem.upper
     span = upper - lower

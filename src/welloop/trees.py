@@ -110,6 +110,9 @@ class HyperParams:
             raise ValueError("lam must be >= 0")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
+        for name in ("learning_rate", "lam", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -477,6 +477,34 @@ INVALID_CONFIGS = [
     ),
     pytest.param(
         with_seed(
+            data={"noise_sd": float("nan"), "outlier_z": float("inf")},
+            train={
+                "hyperparams": {"rf": {"lam": float("nan")}, "xgb": {"learning_rate": float("inf")}},
+                "tune": {
+                    "space": {
+                        "gamma": {"range": [0, float("inf")]},
+                        "lam": {"choices": [1.0, float("inf")]},
+                    }
+                },
+            },
+            ice=[{"factors": [{"name": "TOC", "lower": float("-inf"), "upper": float("nan")}]}],
+            optimize={"bounds": {"stimulated length": [float("-inf"), 3000]}},
+        ),
+        [
+            "data.noise_sd: expected float",
+            "data.outlier_z: expected float",
+            "ice[0].factors[0].lower: expected float",
+            "ice[0].factors[0].upper: expected float",
+            "optimize.bounds.stimulated length: expected [lower, upper]",
+            "train.hyperparams.rf: lam must be finite",
+            "train.hyperparams.xgb: learning_rate must be finite",
+            "train.tune.space.gamma.range: expected [low, high] with low <= high",
+            "train.tune.space.lam: lam must be finite",
+        ],
+        id="non-finite-numbers",
+    ),
+    pytest.param(
+        with_seed(
             ice=[
                 {
                     "factors": [
@@ -877,6 +905,41 @@ def test_missing_or_broken_config_file(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "section, problem, written",
+    [
+        (
+            {"ice": [{"factors": [{"name": "stimulated length", "lower": float("-inf")}]}]},
+            "ice[0].factors[0].lower: expected float",
+            "ice/ice_0.csv",
+        ),
+        (
+            {
+                "optimize": {
+                    "methods": ["pso"],
+                    "wells": [0],
+                    "budget": 5,
+                    "bounds": {"stimulated length": [float("-inf"), 3000]},
+                }
+            },
+            "optimize.bounds.stimulated length: expected [lower, upper]",
+            "optimize/trace_w0_pso.csv",
+        ),
+    ],
+    ids=["ice-lower", "optimize-bounds"],
+)
+def test_a_non_finite_number_in_the_config_file_is_refused(
+    tmp_path, capsys, section, problem, written
+):
+    path = write_config(tmp_path, {**base_config(), **section})
+    assert "-Infinity" in Path(path).read_text(encoding="utf-8")  # as json.load reads it
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == f"problem: {problem}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    assert not (out / written).exists()
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     path = write_config(tmp_path, {"typo": 1})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
@@ -1228,17 +1291,62 @@ def test_every_rerun_retrains(tmp_path):
 # --- start-up cost ----------------------------------------------------------------------
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    """scipy.stats costs every CLI process a few tenths of a second and
-    about 20 MB; welloop needs nothing from it."""
-    code = "import sys, welloop.cli; print('scipy.stats' in sys.modules)"
+def _fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports this welloop.
+    Only a fresh process shows what an import loads: the test modules
+    import scipy themselves."""
     paths = [str(Path(welloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """Importing scipy costs every CLI process over half a second and some
+    40 MB, and only the Bayesian search needs it: no scipy module at all
+    loads with the CLI."""
+    code = (
+        "import sys, welloop.cli\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    assert _fresh_python(code).strip() == "[]"
+
+
+_BAYES_RUN = """
+import welloop.optimize as o
+problem = o.SearchProblem(
+    objective=lambda u: -float((u[0] - 3.0) ** 2 + (u[1] - 1.0) ** 2),
+    variables=(o.BoundedVariable("u", 0.0, 6.0), o.BoundedVariable("v", -2.0, 2.0)),
+    budget=12,
+)
+best, trace = o.bayes_opt(problem, seed=4)
+rows = [[e.index, *map(float, e.point), e.value] for e in trace.entries]
+"""
+
+
+def test_the_first_bayes_run_in_a_fresh_process_loads_scipy_and_matches():
+    code = (
+        "import sys, welloop.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        + _BAYES_RUN
+        + "print('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg, scipy.optimize, scipy.spatial.distance, scipy.special\n"
+        "own = (o.cholesky is scipy.linalg.cholesky, o.cho_solve is scipy.linalg.cho_solve,\n"
+        "       o.minimize is scipy.optimize.minimize, o.ndtr is scipy.special.ndtr,\n"
+        "       o.cdist is scipy.spatial.distance.cdist)\n"
+        "print(repr(rows))\n"
+        "print(all(own))\n"
+    )
+    loaded, rows, own = _fresh_python(code).splitlines()
+    assert loaded == "True"
+    here = {}
+    exec(_BAYES_RUN, here)
+    assert len(here["rows"]) == 12
+    assert rows == repr(here["rows"])
+    assert own == "True"  # the module calls scipy's functions, not wrappers
 
 
 # --- crash safety ---------------------------------------------------------------------

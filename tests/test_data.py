@@ -19,7 +19,6 @@ from welloop.data import (
     FactorSpec,
     PreprocessError,
     WellTable,
-    derive_intensity,
     ground_truth_eur,
     load_csv,
     load_schema,
@@ -81,6 +80,21 @@ def test_csv_round_trip_preserves_values_and_missing_cells(tmp_path):
     back = load_csv(path, t.specs)
     assert back.names == t.names
     assert np.array_equal(back.values, t.values, equal_nan=True)
+
+
+def test_csv_cells_are_the_shortest_repr_of_each_float(tmp_path):
+    t = make_table(
+        {
+            "f0": [np.nan, -0.0, 3.0, 5e-324, 1.7976931348623157e308],
+            "y": [1e-7, 2.5, 1e16, -12.0, 0.1],
+        }
+    )
+    path = tmp_path / "t.csv"
+    write_csv(t, path)
+    assert path.read_bytes() == (
+        b"f0,y\r\n,1e-07\r\n-0.0,2.5\r\n3.0,1e+16\r\n5e-324,-12.0\r\n"
+        b"1.7976931348623157e+308,0.1\r\n"
+    )
 
 
 def test_load_csv_accepts_header_superset_by_name(tmp_path):
@@ -280,56 +294,6 @@ def test_preprocess_report_reconciles_dimensions(rng):
     clean, report = preprocess(t)
     assert clean.n_rows + len(report.dropped_rows) == t.n_rows
     assert len(clean.names) + len(report.dropped_features) == len(t.names)
-
-
-# --- derived features ---------------------------------------------------------------
-
-
-def _intensity_table():
-    return WellTable(
-        (
-            FactorSpec("volume", "m3", "completion", optimizable=True),
-            FactorSpec("length", "m", "completion"),
-            FactorSpec("y", "1e8 m3", "production"),
-        ),
-        np.array([[300.0, 100.0, 1.0], [500.0, 200.0, 2.0]]),
-    )
-
-
-def test_derive_intensity_computes_ratio_and_inherits_flags():
-    t = _intensity_table()
-    out = derive_intensity(t, "volume", "length", "volume intensity", unit="m3/m")
-    assert out.column("volume intensity").tolist() == [3.0, 2.5]
-    spec = out.specs[out.index("volume intensity")]
-    assert spec.category == "completion"
-    assert spec.optimizable is True
-    assert "volume" in out.names  # sources kept by default
-
-
-def test_derive_intensity_drop_sources_and_nan_propagation():
-    t = _intensity_table()
-    vals = np.array(t.values)
-    vals[1, 0] = np.nan
-    t = WellTable(t.specs, vals)
-    out = derive_intensity(t, "volume", "length", "vi", drop_sources=True)
-    assert "volume" not in out.names and "length" not in out.names
-    assert math.isnan(out.column("vi")[1])
-    assert out.column("vi")[0] == 3.0
-
-
-def test_derive_intensity_rejects_nonpositive_denominator():
-    t = _intensity_table()
-    vals = np.array(t.values)
-    vals[1, 1] = 0.0
-    t = WellTable(t.specs, vals)
-    with pytest.raises(ValueError, match="1"):
-        derive_intensity(t, "volume", "length", "vi")
-
-
-def test_derive_intensity_never_drops_the_target():
-    t = _intensity_table()
-    with pytest.raises(ValueError):
-        derive_intensity(t, "volume", "y", "vi", drop_sources=True)
 
 
 # --- synthetic data -------------------------------------------------------------------

@@ -46,6 +46,9 @@ def test_varied_factor_grid_and_validation(table):
         VariedFactor("a", 1.0, 0.0).grid(table)
     with pytest.raises(ValueError, match="steps must be >= 2"):
         VariedFactor("a", 0.0, 1.0, steps=1).grid(table)
+    for lower, upper in [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)]:
+        with pytest.raises(ValueError, match="bounds of 'a' must be finite"):
+            VariedFactor("a", lower, upper).grid(table)
 
 
 def test_varied_factor_ends_default_to_the_observed_range(table):

@@ -60,6 +60,9 @@ class OnesRng:
 def test_problem_and_variable_validation():
     with pytest.raises(ValueError):
         BoundedVariable("u", 2.0, 1.0)
+    for lower, upper in [(-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="bounds of 'u' must be finite"):
+            BoundedVariable("u", lower, upper)
     with pytest.raises(ValueError):
         SearchProblem(lambda u: 0.0, (), budget=5)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -615,6 +616,16 @@ def test_hyperparams_refuse_non_integral_sizes():
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 HyperParams(**{name: bad})
         assert getattr(HyperParams(**{name: np.int64(3)}), name) == 3
+
+
+def test_hyperparams_refuse_non_finite_rates():
+    for name in ("learning_rate", "lam", "gamma"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                HyperParams(**{name: bad})
+    # a non-finite fraction already falls outside (0, 1]
+    with pytest.raises(ValueError, match="subsample_fraction must be in"):
+        HyperParams(subsample_fraction=math.nan)
 
 
 def test_tune_random_search_returns_the_cv_argmin(rng):
