@@ -9,6 +9,8 @@ bounded engineering parameters for the design that maximizes predicted
 recovery.
 """
 
+import types as _types
+
 from welloop.data import (
     DEFAULT_SCHEMA,
     FactorSpec,
@@ -64,53 +66,10 @@ from welloop.optimize import (
 
 __version__ = "0.1.0"
 
+# the public names are those imported above; the submodules that importing
+# them binds on the package are not
 __all__ = [
-    "DEFAULT_SCHEMA",
-    "FactorSpec",
-    "PreprocessError",
-    "PreprocessReport",
-    "WellTable",
-    "ground_truth_eur",
-    "load_csv",
-    "load_schema",
-    "pearson_matrix",
-    "preprocess",
-    "synthesize",
-    "HyperParams",
-    "TreeEnsemble",
-    "TreeNode",
-    "fit_gbdt",
-    "fit_rf",
-    "fit_tree",
-    "fit_xgb",
-    "predict",
-    "tune_random_search",
-    "AttributionMatrix",
-    "CoalitionalGame",
-    "InteractionTensor",
-    "ModelIntegrityError",
-    "baseline_correlations",
-    "explain_well",
-    "rank_factors",
-    "shap_interactions",
-    "shapley_exact",
-    "supervised_cluster",
-    "tree_expectation",
-    "tree_game",
-    "tree_shap",
-    "StackedModel",
-    "evaluate",
-    "fit_stacked",
-    "IceGrid",
-    "VariedFactor",
-    "ice",
-    "BoundedVariable",
-    "SearchProblem",
-    "SurrogateError",
-    "Trace",
-    "WellOptimization",
-    "bayes_opt",
-    "de",
-    "optimize_well",
-    "pso",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]

@@ -11,6 +11,7 @@ pair. The same call applied twice is a no-op.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -130,18 +131,21 @@ def _parse_cell(cell: str) -> float:
     if not text:
         return float("nan")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"unparseable numeric {cell!r}") from None
+    if math.isinf(value):
+        raise ValueError(f"infinite numeric {cell!r}")
+    return value
 
 
 def load_csv(path, schema) -> WellTable:
     """Read a CSV whose header contains at least the schema's column names.
 
     Columns are picked by name, so header order does not matter. Empty
-    cells become missing values. Rows with the wrong cell count or a
-    non-numeric cell are rejected with a warning naming the row index
-    (0-based, counted below the header).
+    cells and `nan` become missing values. Rows with the wrong cell count
+    or a non-numeric or infinite cell are rejected with a warning naming
+    the row index (0-based, counted below the header).
     """
     specs = tuple(schema)
     with open(path, newline="", encoding="utf-8") as fh:

@@ -308,17 +308,43 @@ def de(problem: SearchProblem, seed: int = 0, initial=None):
 
 
 def _load_scipy():
-    """Bind the surrogate's five scipy functions into this module, once.
+    """Bind the surrogate's scipy functions into this module, once.
     Importing scipy costs a process over half a second and some 40 MB, and
     only the Bayesian search uses it, so every surrogate entry point calls
     this first and the rest of welloop starts without scipy."""
-    global cho_solve, cholesky, minimize, cdist, ndtr
+    global dpotrf, dpotrs, minimize, cdist, ndtr
     if "ndtr" in globals():
         return
-    from scipy.linalg import cho_solve, cholesky
+    from scipy.linalg.lapack import dpotrf, dpotrs
     from scipy.optimize import minimize
     from scipy.spatial.distance import cdist
     from scipy.special import ndtr
+
+
+def _chol(a):
+    """Lower Cholesky factor of the symmetric matrix a, bit for bit that of
+    scipy.linalg.cholesky(a, lower=True): the same LAPACK dpotrf call,
+    without the per-call argument handling around it, which costs more
+    than the factorization at the surrogate's sizes. A matrix that is not
+    positive definite raises np.linalg.LinAlgError."""
+    low, info = dpotrf(a, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return low
+
+
+def _solve(low, b):
+    """K^-1 b from the lower Cholesky factor of K, bit for bit
+    scipy.linalg.cho_solve((low, True), b) through LAPACK dpotrs; b is a
+    vector or a matrix of right-hand sides and is left unchanged."""
+    x, info = dpotrs(low, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return x
 
 
 def _improvement(mu, sigma, best):
@@ -371,9 +397,7 @@ def _chol_with_jitter(gram):
     _load_scipy()
     for jitter in _JITTERS:
         try:
-            return cholesky(
-                gram + jitter * np.eye(gram.shape[0]), lower=True, check_finite=False
-            )
+            return _chol(gram + jitter * np.eye(gram.shape[0]))
         except np.linalg.LinAlgError:
             continue
     raise SurrogateError("surrogate ill-conditioned")
@@ -397,6 +421,10 @@ class _GaussianProcess:
             self.y_sd = 1.0
         self.yn = (y - self.y_mean) / self.y_sd
         self.dists = cdist(self.x, self.x)
+        # the likelihood's fixed terms, computed once for all its calls
+        self._root5_dists = math.sqrt(5.0) * self.dists
+        self._eye = np.eye(len(self.yn))
+        self._noise = _GP_NOISE * self._eye
         self._fit(rng)
 
     def _neg_lml(self, log_params):
@@ -407,20 +435,21 @@ class _GaussianProcess:
         s2 a^2 (1 + a) / 3 exp(-a) and dK / dlog s2 the signal part of K."""
         ell, sig2 = np.exp(log_params)
         n = len(self.yn)
-        signal = _matern52(self.dists, ell, sig2)
+        a = self._root5_dists / ell
+        decay = np.exp(-a)
+        signal = sig2 * (1.0 + a + a * a / 3.0) * decay
         try:
-            low = cholesky(signal + _GP_NOISE * np.eye(n), lower=True, check_finite=False)
+            low = _chol(signal + self._noise)
         except np.linalg.LinAlgError:
             return 1e12, np.zeros(2)
-        alpha = cho_solve((low, True), self.yn, check_finite=False)
+        alpha = _solve(low, self.yn)
         value = (
             0.5 * self.yn @ alpha
             + np.log(np.diag(low)).sum()
             + 0.5 * n * math.log(2.0 * math.pi)
         )
-        inner = cho_solve((low, True), np.eye(n), check_finite=False) - np.outer(alpha, alpha)
-        a = math.sqrt(5.0) * self.dists / ell
-        d_ell = sig2 * a * a * (1.0 + a) / 3.0 * np.exp(-a)
+        inner = _solve(low, self._eye) - np.outer(alpha, alpha)
+        d_ell = sig2 * a * a * (1.0 + a) / 3.0 * decay
         grad = 0.5 * np.array([np.sum(inner * d_ell), np.sum(inner * signal)])
         return float(value), grad
 
@@ -440,9 +469,8 @@ class _GaussianProcess:
                 best = res
         self.length_scale, self.signal_var = np.exp(best.x)
         gram = _matern52(self.dists, self.length_scale, self.signal_var)
-        gram = gram + _GP_NOISE * np.eye(len(self.yn))
-        self._low = _chol_with_jitter(gram)
-        self._alpha = cho_solve((self._low, True), self.yn, check_finite=False)
+        self._low = _chol_with_jitter(gram + self._noise)
+        self._alpha = _solve(self._low, self.yn)
 
     def _posterior(self, q):
         """Posterior mean and sd at the rows of q, with the distances to
@@ -450,7 +478,7 @@ class _GaussianProcess:
         dists = cdist(q, self.x)
         cross = _matern52(dists, self.length_scale, self.signal_var)
         mu_n = cross @ self._alpha
-        v = cho_solve((self._low, True), cross.T, check_finite=False)
+        v = _solve(self._low, cross.T)
         var = self.signal_var - np.einsum("ij,ji->i", cross, v)
         var = np.clip(var, 0.0, None)
         mu = mu_n * self.y_sd + self.y_mean

@@ -422,19 +422,28 @@ def _leaf_value(t, mode, lam):
     return float(-np.sum(t) / (t.size + lam))
 
 
-def _grow(t, presorted, hp, rng, mode) -> TreeNode:
-    """Grow one tree on targets `t`, given its rows presorted by _presort."""
+def _leaf(t, rows, hp, mode, row_value) -> TreeNode:
+    value = _leaf_value(t[rows], mode, hp.lam)
+    if row_value is not None:
+        row_value[rows] = value
+    return TreeNode(cover=int(rows.size), value=value)
+
+
+def _grow(t, presorted, hp, rng, mode, row_value=None) -> TreeNode:
+    """Grow one tree on targets `t`, given its rows presorted by _presort.
+    When `row_value` is given, each leaf writes its value into it at the
+    positions of its rows: the tree's output on its own training rows."""
     order, values = presorted
-    return _grow_node(t, np.arange(t.size), order, values, 0, hp, rng, mode)
+    return _grow_node(t, np.arange(t.size), order, values, 0, hp, rng, mode, row_value)
 
 
-def _grow_node(t, rows, order, values, depth, hp, rng, mode):
+def _grow_node(t, rows, order, values, depth, hp, rng, mode, row_value):
     # rows: the node's positions in the tree's rows, ascending; order and
     # values: the tree's presorted arrays cut down to the node's rows, which
     # keeps each feature's order stable, as if the node had sorted its own
     n = rows.size
     if depth >= hp.max_depth or n < 2 * hp.min_samples_leaf:
-        return TreeNode(cover=int(n), value=_leaf_value(t[rows], mode, hp.lam))
+        return _leaf(t, rows, hp, mode, row_value)
     n_feat = order.shape[0]
     if hp.feature_fraction < 1.0:
         size = math.ceil(hp.feature_fraction * n_feat)
@@ -445,7 +454,7 @@ def _grow_node(t, rows, order, values, depth, hp, rng, mode):
         t[order[feats]], values[feats], hp.min_samples_leaf, mode, hp.lam, hp.gamma
     )
     if gain <= GAIN_EPS:
-        return TreeNode(cover=int(n), value=_leaf_value(t[rows], mode, hp.lam))
+        return _leaf(t, rows, hp, mode, row_value)
     f = row if isinstance(feats, slice) else int(feats[row])
     thr = (values[f, pos] + values[f, pos + 1]) / 2.0
     go_left = np.zeros(t.size, dtype=bool)
@@ -465,6 +474,7 @@ def _grow_node(t, rows, order, values, depth, hp, rng, mode):
                 hp,
                 rng,
                 mode,
+                row_value,
             )
         )
     left, right = children
@@ -538,9 +548,12 @@ def _boost(x, y, hp, mode, feature_names):
         if presorted is None:
             idx = rng.choice(n, size=size, replace=False)
             tree = _grow(target[idx], _presort(x[idx]), hp, rng, mode)
+            # rows outside the sample reach their leaves by a tree walk
+            step = compile_trees((tree,)).leaf_values(x)[0]
         else:
-            tree = _grow(target, presorted, hp, rng, mode)
-        pred = pred + hp.learning_rate * compile_trees((tree,)).leaf_values(x)[0]
+            step = np.empty(n)
+            tree = _grow(target, presorted, hp, rng, mode, step)
+        pred = pred + hp.learning_rate * step
         trees.append(tree)
         losses.append(float(np.mean((y - pred) ** 2)))
     kind = "GBDT" if mode == "mean" else "XGB"

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -23,7 +24,7 @@ import welloop.stack
 import welloop.trees
 import welloop.utils
 from welloop.cli import RunConfig, main, parse_config, validate_config
-from welloop.data import DEFAULT_SCHEMA
+from welloop.data import DEFAULT_SCHEMA, DataWarning, load_csv, synthesize, write_csv
 
 
 def base_config():
@@ -1079,6 +1080,28 @@ def test_a_factor_preprocessing_dropped_fails_ice_and_optimize_by_name(tmp_path)
     assert detail["ice"] == detail["optimize"] == message
 
 
+def test_an_infinite_csv_cell_drops_its_row_with_a_warning(tmp_path):
+    """An infinite cell used to pass the data stage: its column's z-scores
+    became NaN, `inf` reached data/clean.csv and the train stage failed."""
+    path = tmp_path / "wells.csv"
+    write_csv(synthesize(5, n=60), path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[7][rows[0].index("stimulated length")] = "inf"  # data row 6
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    obj = base_config()
+    obj["data"] = {"csv": str(path)}
+    out = tmp_path / "out"
+    with pytest.warns(DataWarning, match=r"row 6 rejected: infinite numeric 'inf'"):
+        code = main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)])
+    assert code == 0
+    status = stage_status(assert_manifest_reconciles(out))
+    assert status["data"] == status["train"] == status["explain"] == "ok"
+    assert load_csv(out / "data/raw.csv", DEFAULT_SCHEMA).n_rows == 59
+    assert "inf" not in (out / "data/clean.csv").read_text(encoding="utf-8")
+
+
 def test_standalone_stages_require_their_inputs(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
@@ -1333,8 +1356,8 @@ def test_the_first_bayes_run_in_a_fresh_process_loads_scipy_and_matches():
         "assert 'scipy' not in sys.modules\n"
         + _BAYES_RUN
         + "print('scipy.linalg' in sys.modules)\n"
-        "import scipy.linalg, scipy.optimize, scipy.spatial.distance, scipy.special\n"
-        "own = (o.cholesky is scipy.linalg.cholesky, o.cho_solve is scipy.linalg.cho_solve,\n"
+        "import scipy.linalg.lapack, scipy.optimize, scipy.spatial.distance, scipy.special\n"
+        "own = (o.dpotrf is scipy.linalg.lapack.dpotrf, o.dpotrs is scipy.linalg.lapack.dpotrs,\n"
         "       o.minimize is scipy.optimize.minimize, o.ndtr is scipy.special.ndtr,\n"
         "       o.cdist is scipy.spatial.distance.cdist)\n"
         "print(repr(rows))\n"

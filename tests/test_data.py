@@ -116,6 +116,24 @@ def test_load_csv_warns_and_skips_malformed_rows(tmp_path):
     assert back.column("f0").tolist() == [1.0, 2.0]
 
 
+def test_load_csv_rejects_infinite_cells_and_reads_nan_as_missing(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "f0,y\n1.0,0.5\ninf,0.1\n-Infinity,0.2\n1e999,0.3\nnan,0.4\n,0.45\n2.0,0.25\n",
+        encoding="utf-8",
+    )
+    t = make_table({"f0": [0.0], "y": [0.0]})
+    with pytest.warns(DataWarning) as record:
+        back = load_csv(path, t.specs)
+    assert [str(w.message) for w in record] == [
+        "row 1 rejected: infinite numeric 'inf'",
+        "row 2 rejected: infinite numeric '-Infinity'",
+        "row 3 rejected: infinite numeric '1e999'",
+    ]
+    assert np.array_equal(back.column("f0"), [1.0, np.nan, np.nan, 2.0], equal_nan=True)
+    assert back.column("y").tolist() == [0.5, 0.4, 0.45, 0.25]
+
+
 def test_load_csv_requires_all_named_columns(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0\n1.0\n", encoding="utf-8")

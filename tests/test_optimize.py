@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from welloop.optimize import (
     SwarmState,
     Trace,
     TraceEntry,
+    _chol,
     _chol_with_jitter,
     _GaussianProcess,
     _improvement,
     _latin_hypercube,
+    _solve,
     bayes_opt,
     de,
     de_trial,
@@ -309,7 +312,7 @@ def test_neg_lml_reports_a_failed_factorization_as_a_flat_wall(monkeypatch):
     def refuse(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(welloop.optimize, "cholesky", refuse)
+    monkeypatch.setattr(welloop.optimize, "_chol", refuse)
     value, grad = gp._neg_lml(np.zeros(2))
     assert value == 1e12
     assert grad.tolist() == [0.0, 0.0]
@@ -353,6 +356,58 @@ def test_ei_gradient_where_sigma_vanishes_is_that_of_the_plain_improvement():
     best = mu - 1.0
     ei, cdf, pdf = _improvement(mu, sigma, best)
     assert ei == mu - best and cdf == 1.0 and pdf == 0.0
+
+
+def test_chol_and_solve_are_scipys_cholesky_and_cho_solve_bit_for_bit():
+    from scipy.linalg import cho_solve, cholesky
+
+    welloop.optimize._load_scipy()
+    rng = np.random.default_rng(18)
+    for n in range(1, 31):
+        root = rng.normal(size=(n, n))
+        gram = root @ root.T + n * np.eye(n)
+        low = _chol(gram)
+        assert np.array_equal(low, cholesky(gram, lower=True, check_finite=False))
+        cross = rng.normal(size=(4, n))
+        for rhs in (rng.normal(size=n), np.eye(n), cross.T):
+            kept = rhs.copy()
+            got = _solve(low, rhs)
+            assert np.array_equal(got, cho_solve((low, True), rhs, check_finite=False))
+            assert np.array_equal(rhs, kept)  # the right-hand side is not overwritten
+        assert cross.T.flags.f_contiguous
+
+
+def test_chol_refuses_a_matrix_that_is_not_positive_definite():
+    welloop.optimize._load_scipy()
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        _chol(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def _trace_digest(trace):
+    rows = np.array([[e.index, *e.point, e.value] for e in trace.entries])
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+def test_bayes_opt_traces_are_pinned():
+    """Every float of two Bayesian searches, as computed through
+    scipy.linalg.cholesky and cho_solve before the surrogate called LAPACK
+    itself."""
+    problem = SearchProblem(
+        objective=lambda u: -float((u[0] - 3.0) ** 2 + (u[1] - 1.0) ** 2),
+        variables=(BoundedVariable("u", 0.0, 6.0), BoundedVariable("v", -2.0, 2.0)),
+        budget=12,
+    )
+    _, trace = bayes_opt(problem, seed=4)
+    assert _trace_digest(trace) == (
+        "b37ecf54ff641ba8a515f873dc14c2c5684229d1fa42bbf2d8563e22ca7df523"
+    )
+    table = synthesize(seed=11, n=40, noise_sd=0.0)
+    variables = engineering_vars(table)
+    assert len(variables) == 6
+    out = optimize_well(ground_truth_eur, table, 6, variables, "bayes", budget=25, seed=8)
+    assert _trace_digest(out.trace) == (
+        "1d7aa403ba25acd32cb63b5d4fc9598b7e9b91da5ad7c22a898819f899bd0a0a"
+    )
 
 
 def test_cholesky_jitter_ladder_gives_up_cleanly():

@@ -556,6 +556,28 @@ def test_boosting_subsample_is_deterministic_and_distinct(rng):
     assert not np.array_equal(predict(a, x), predict(full, x))
 
 
+def test_the_grower_writes_each_training_row_its_leaf_value(rng):
+    """Full-sample boosting takes each stage's output on its training rows
+    from the grower; a walk of the compiled tree is the reference."""
+    trees = welloop.trees
+    for trial in range(30):
+        n = int(rng.integers(2, 120))
+        x = rng.normal(size=(n, int(rng.integers(1, 6))))
+        x[:, 0] = np.round(x[:, 0], 1)  # tied values
+        t = rng.normal(size=n)
+        hp = HyperParams(
+            max_depth=int(rng.integers(0, 6)),
+            min_samples_leaf=int(rng.integers(1, 4)),
+            feature_fraction=float(rng.choice([1.0, 0.5])),
+            lam=float(rng.uniform(0.0, 2.0)),
+        )
+        for mode in ("mean", "xgb"):
+            row_value = np.full(n, np.nan)
+            tree = trees._grow(t, trees._presort(x), hp, rng, mode, row_value)
+            want = trees.compile_trees((tree,)).leaf_values(x)[0]
+            assert np.array_equal(row_value, want)
+
+
 # --- hyperparameter search -------------------------------------------------------------
 
 

@@ -212,3 +212,24 @@ def test_only_utils_writes_files():
         "q.write_text(t)\njson.dump(o, fh)\ncsv.writer(fh)\nfrom json import dump\n"
     )
     assert sorted(line for line, _ in _file_writes(probe)) == [1, 2, 3, 4, 6, 7, 8, 9]
+
+
+def test_the_package_exports_exactly_its_public_names():
+    assert sorted(welloop.__all__) == sorted(
+        [
+            "AttributionMatrix", "BoundedVariable", "CoalitionalGame", "DEFAULT_SCHEMA",
+            "FactorSpec", "HyperParams", "IceGrid", "InteractionTensor",
+            "ModelIntegrityError", "PreprocessError", "PreprocessReport", "SearchProblem",
+            "StackedModel", "SurrogateError", "Trace", "TreeEnsemble", "TreeNode",
+            "VariedFactor", "WellOptimization", "WellTable", "baseline_correlations",
+            "bayes_opt", "de", "evaluate", "explain_well", "fit_gbdt", "fit_rf",
+            "fit_stacked", "fit_tree", "fit_xgb", "ground_truth_eur", "ice", "load_csv",
+            "load_schema", "optimize_well", "pearson_matrix", "predict", "preprocess",
+            "pso", "rank_factors", "shap_interactions", "shapley_exact",
+            "supervised_cluster", "synthesize", "tree_expectation", "tree_game",
+            "tree_shap", "tune_random_search",
+        ]
+    )
+    namespace = {}
+    exec("from welloop import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(welloop.__all__)
