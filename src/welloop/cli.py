@@ -19,6 +19,7 @@ import numpy as np
 
 from welloop.data import (
     DEFAULT_SCHEMA,
+    INTEGER_FACTORS,
     WellTable,
     load_csv,
     load_schema,
@@ -69,91 +70,24 @@ _OPT_TAG = 65
 
 STAGES = ("data", "train", "explain", "stack", "ice", "optimize")
 
-# command -> the stages it runs, in pipeline order; validate runs none
-_SUBCOMMAND_STAGES = {
-    "run": STAGES,
-    "synthesize": ("data",),
-    "explain": ("explain",),
-    "ice": ("ice",),
-    "optimize": ("optimize",),
+# command -> (help text, the stages it runs in pipeline order)
+_COMMANDS = {
+    "run": ("execute the full pipeline", STAGES),
+    "validate": ("check a config file and report problems", ()),
+    "synthesize": ("generate, clean, and split a synthetic dataset", ("data",)),
+    "explain": ("recompute attributions against saved models", ("explain",)),
+    "ice": ("recompute ICE grids against saved models", ("ice",)),
+    "optimize": ("re-optimize wells against saved models", ("optimize",)),
 }
 
 
 # --- configuration ---------------------------------------------------------------
 #
-# Each config key is one field below: its name, its JSON type (the annotation:
-# int, float, str, bool, tuple for a JSON list, dict, or a section dataclass,
-# optionally "| None") and its default. _read builds the dataclasses from the
-# JSON object and _CHECKS holds what a type cannot say.
-
-
-@dataclass
-class DataConfig:
-    csv: str | None = None
-    schema: str | None = None
-    rows: int = 120
-    noise_sd: float = 0.1
-    missing_ratio_max: float = 0.2
-    outlier_z: float = 4.0
-    redundancy_r: float = 0.9
-
-
-@dataclass
-class TuneConfig:
-    space: dict = field(default_factory=dict)
-    budget: int = 0
-    folds: int = 3
-
-
-@dataclass
-class TrainConfig:
-    kinds: tuple = KINDS
-    hyperparams: dict = field(default_factory=dict)
-    tune: TuneConfig | None = None
-    test_fraction: float = 0.25
-
-
-@dataclass
-class StackConfig:
-    enabled: bool = True
-    k: int = 5
-
-
-@dataclass
-class ExplainConfig:
-    kind: str | None = None
-    interactions: bool = False
-    clusters: int = 0
-    waterfalls: tuple = (0,)
-    max_rows: int | None = None
-
-
-@dataclass
-class IceJob:
-    factors: tuple = ()  # of welloop.ice.VariedFactor
-    sample: int | None = None
-    anchors: tuple | None = None
-
-
-@dataclass
-class OptimizeConfig:
-    methods: tuple = METHODS
-    wells: tuple = ()
-    variables: tuple | None = None
-    budget: int = 200
-    bounds: dict = field(default_factory=dict)
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    out: str = "out"
-    data: DataConfig = field(default_factory=DataConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    stack: StackConfig = field(default_factory=StackConfig)
-    explain: ExplainConfig = field(default_factory=ExplainConfig)
-    ice: tuple = ()
-    optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
+# Each config key is one field of the dataclasses below: its name, its JSON
+# type (the annotation: int, float, str, bool, tuple for a JSON list, dict,
+# or a section dataclass, optionally "| None"), its default and, declared
+# with _key, the check for what a type cannot say. _read builds the
+# dataclasses from the JSON object.
 
 
 def _is_int(value) -> bool:
@@ -182,11 +116,11 @@ _JSON_TYPES = {
 def _read(cls, raw, label, problems):
     """Build the config dataclass `cls` from the JSON object `raw`.
 
-    Unknown keys, wrongly typed values and failed _CHECKS are appended to
-    `problems` instead of raised, so validation reports everything at once.
-    A missing, null or wrongly typed key keeps the field's default. A field
-    without a default is required: when it is missing, reading stops and
-    None is returned.
+    Unknown keys, wrongly typed values and failed field checks are appended
+    to `problems` instead of raised, so validation reports everything at
+    once. A missing, null or wrongly typed key keeps the field's default. A
+    field without a default is required: when it is missing, reading stops
+    and None is returned.
     """
     if raw is None:
         raw = {}
@@ -220,7 +154,7 @@ def _read(cls, raw, label, problems):
                 problems.append(f"{where}: required")
                 return None
             continue
-        check = _CHECKS.get((cls, f.name))
+        check = f.metadata.get("check")
         values[f.name] = value if check is None else check(value, path, problems)
     return cls(**values)
 
@@ -274,18 +208,26 @@ def _distinct(noun, check):
     return distinct
 
 
-def _kinds(value, path, problems):
-    kinds = []
-    for kind in value:
-        name = kind.upper() if isinstance(kind, str) else kind
-        if name not in KINDS:
-            problems.append(f"{path}: unknown kind {kind!r} (choose from {KINDS})")
-        else:
-            kinds.append(name)
-    if not kinds:
-        problems.append(f"{path}: need at least one model kind")
-        kinds = ["RF"]
-    return tuple(kinds)
+def _one_of(known, nouns, fold=str):
+    """The check of a list of names from `known`: a string entry is matched
+    after `fold`, an entry that matches nothing and a repeat are problems,
+    and an empty result falls back to (known[0],). `nouns` is what an entry
+    is called and what the list needs at least one of."""
+
+    def one_of(value, path, problems):
+        kept = []
+        for v in value:
+            name = fold(v) if isinstance(v, str) else v
+            if name in known:
+                kept.append(name)
+            else:
+                problems.append(f"{path}: unknown {nouns[0]} {v!r} (choose from {known})")
+        if not kept:
+            problems.append(f"{path}: need at least one {nouns[1]}")
+            kept = known[:1]
+        return tuple(kept)
+
+    return _distinct(nouns[0], one_of)
 
 
 def _hyperparams(value, path, problems):
@@ -364,55 +306,94 @@ def _ice_factors(value, path, problems):
     return factors
 
 
-def _methods(value, path, problems):
-    for m in value:
-        if m not in METHODS:
-            problems.append(f"{path}: unknown method {m!r} (choose from {METHODS})")
-    methods = tuple(m for m in value if m in METHODS)
-    if not methods:
-        problems.append(f"{path}: need at least one method")
-        return ("pso",)
-    return methods
-
-
 def _bounds(value, path, problems):
     for name, pair in value.items():
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
             problems.append(f"{path}.{name}: expected [lower, upper]")
         elif not pair[0] < pair[1]:
             problems.append(f"{path}.{name}: lower must be < upper")
+        elif name in INTEGER_FACTORS and not math.ceil(pair[0]) < math.floor(pair[1]):
+            # optimize_well searches between the integers inside the bounds
+            problems.append(f"{path}.{name}: needs two whole numbers between lower and upper")
     return value
 
 
-_CHECKS = {
-    (RunConfig, "seed"): _at_least(0),
-    (RunConfig, "ice"): _ice_jobs,
-    (DataConfig, "csv"): _file,
-    (DataConfig, "schema"): _file,
-    (DataConfig, "noise_sd"): _at_least(0),
-    (DataConfig, "missing_ratio_max"): _check(lambda v: 0 <= v < 1, "must be in [0, 1)"),
-    (DataConfig, "outlier_z"): _check(lambda v: v > 0, "must be > 0"),
-    (DataConfig, "redundancy_r"): _check(lambda v: 0 < v <= 1, "must be in (0, 1]"),
-    (TrainConfig, "kinds"): _distinct("kind", _kinds),
-    (TrainConfig, "hyperparams"): _hyperparams,
-    (TrainConfig, "test_fraction"): _check(lambda v: 0 < v < 1, "must be in (0, 1)"),
-    (TuneConfig, "space"): _tune_space,
-    (TuneConfig, "budget"): _at_least(0),
-    (TuneConfig, "folds"): _at_least(2),
-    (StackConfig, "k"): _at_least(2),
-    (ExplainConfig, "kind"): lambda value, path, problems: value.upper(),
-    (ExplainConfig, "clusters"): _at_least(0),
-    (ExplainConfig, "waterfalls"): _distinct("row", _indices),
-    (ExplainConfig, "max_rows"): _at_least(1),
-    (IceJob, "factors"): _ice_factors,
-    (IceJob, "sample"): _at_least(1),
-    (IceJob, "anchors"): _anchors,
-    (OptimizeConfig, "methods"): _distinct("method", _methods),
-    (OptimizeConfig, "wells"): _distinct("well", _indices),
-    (OptimizeConfig, "variables"): _distinct("factor", _check(bool, "need at least one factor")),
-    (OptimizeConfig, "budget"): _at_least(1),
-    (OptimizeConfig, "bounds"): _bounds,
-}
+def _key(default, check):
+    """A config field whose typed value must also pass `check`; an empty
+    dict default is given afresh to each config."""
+    default = {"default_factory": dict} if default == {} else {"default": default}
+    return field(**default, metadata={"check": check})
+
+
+@dataclass
+class DataConfig:
+    csv: str | None = _key(None, _file)
+    schema: str | None = _key(None, _file)
+    rows: int = 120
+    noise_sd: float = _key(0.1, _at_least(0))
+    missing_ratio_max: float = _key(0.2, _check(lambda v: 0 <= v < 1, "must be in [0, 1)"))
+    outlier_z: float = _key(4.0, _check(lambda v: v > 0, "must be > 0"))
+    redundancy_r: float = _key(0.9, _check(lambda v: 0 < v <= 1, "must be in (0, 1]"))
+
+
+@dataclass
+class TuneConfig:
+    space: dict = _key({}, _tune_space)
+    budget: int = _key(0, _at_least(0))
+    folds: int = _key(3, _at_least(2))
+
+
+@dataclass
+class TrainConfig:
+    kinds: tuple = _key(KINDS, _one_of(KINDS, ("kind", "model kind"), str.upper))
+    hyperparams: dict = _key({}, _hyperparams)
+    tune: TuneConfig | None = None
+    test_fraction: float = _key(0.25, _check(lambda v: 0 < v < 1, "must be in (0, 1)"))
+
+
+@dataclass
+class StackConfig:
+    enabled: bool = True
+    k: int = _key(5, _at_least(2))
+
+
+@dataclass
+class ExplainConfig:
+    kind: str | None = _key(None, lambda value, path, problems: value.upper())
+    interactions: bool = False
+    clusters: int = _key(0, _at_least(0))
+    waterfalls: tuple = _key((0,), _distinct("row", _indices))
+    max_rows: int | None = _key(None, _at_least(1))
+
+
+@dataclass
+class IceJob:
+    factors: tuple = _key((), _ice_factors)  # of welloop.ice.VariedFactor
+    sample: int | None = _key(None, _at_least(1))
+    anchors: tuple | None = _key(None, _anchors)
+
+
+@dataclass
+class OptimizeConfig:
+    methods: tuple = _key(METHODS, _one_of(METHODS, ("method", "method")))
+    wells: tuple = _key((), _distinct("well", _indices))
+    variables: tuple | None = _key(
+        None, _distinct("factor", _check(bool, "need at least one factor"))
+    )
+    budget: int = _key(200, _at_least(1))
+    bounds: dict = _key({}, _bounds)
+
+
+@dataclass
+class RunConfig:
+    seed: int = _key(0, _at_least(0))
+    out: str = "out"
+    data: DataConfig = field(default_factory=DataConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    stack: StackConfig = field(default_factory=StackConfig)
+    explain: ExplainConfig = field(default_factory=ExplainConfig)
+    ice: tuple = _key((), _ice_jobs)
+    optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
 
 
 def parse_config(obj) -> tuple[RunConfig, list[str]]:
@@ -583,7 +564,7 @@ class Pipeline:
         """Execute the stages of `command` in pipeline order, write the
         manifest and drop the stale files of the stages that ran; returns
         the process exit code."""
-        selected = _SUBCOMMAND_STAGES[command]
+        selected = _COMMANDS[command][1]
         self.out.mkdir(parents=True, exist_ok=True)
         self._write_json("config.json", asdict(self.config), "config")
         ran, failed = {"config"}, False
@@ -892,14 +873,7 @@ def _parser():
         description="Train, explain, stack, and optimize well-productivity models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("run", "execute the full pipeline"),
-        ("validate", "check a config file and report problems"),
-        ("synthesize", "generate, clean, and split a synthetic dataset"),
-        ("explain", "recompute attributions against saved models"),
-        ("ice", "recompute ICE grids against saved models"),
-        ("optimize", "re-optimize wells against saved models"),
-    ):
+    for name, (text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")

@@ -248,7 +248,6 @@ class PreprocessReport:
 
     dropped_features: list = field(default_factory=list)
     dropped_rows: list = field(default_factory=list)
-    derived_features: list = field(default_factory=list)
     pearson_matrix: np.ndarray | None = None
     pearson_features: tuple = ()
 
@@ -259,9 +258,6 @@ class PreprocessReport:
             ],
             "dropped_rows": [
                 {"row": int(i), "reason": r} for i, r in self.dropped_rows
-            ],
-            "derived_features": [
-                {"name": n, "formula": f} for n, f in self.derived_features
             ],
             "pearson_features": list(self.pearson_features),
             "pearson_matrix": (

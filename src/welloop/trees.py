@@ -28,7 +28,7 @@ Three ensemble kinds share the grower:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -73,10 +73,6 @@ class TreeNode:
         return self.feature is None
 
 
-# HyperParams fields that hold integers; every other field is a float
-INTEGER_FIELDS = ("n_trees", "max_depth", "min_samples_leaf", "seed")
-
-
 @dataclass(frozen=True)
 class HyperParams:
     n_trees: int = 150
@@ -116,6 +112,10 @@ class HyperParams:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
+
+# HyperParams fields that hold integers, by annotation (the rule the
+# config reader applies); every other field is a float
+INTEGER_FIELDS = tuple(f.name for f in fields(HyperParams) if f.type == "int")
 
 KINDS = ("RF", "GBDT", "XGB")
 

@@ -128,12 +128,19 @@ _JSON_TYPES = {
 def typed(value, kind, where, key=None):
     """value, refused with a ValueError naming where it sits (`where`,
     then `key`) unless it has the JSON type `kind`; numbers come back as
-    floats. Only "boolean" takes a bool."""
+    floats, and json.load's NaN and ±Infinity are refused. Only "boolean"
+    takes a bool."""
     try:
         is_bool = isinstance(value, bool)
         if is_bool == (kind == "boolean") and isinstance(value, _JSON_TYPES[kind]):
-            return float(value) if kind == "number" else value
-        problem = f"expected {kind}, got {type(value).__name__}"
+            if kind != "number":
+                return value
+            value = float(value)
+            if value - value == 0.0:  # NaN and ±inf leave NaN
+                return value
+            problem = f"expected a finite number, got {value!r}"
+        else:
+            problem = f"expected {kind}, got {type(value).__name__}"
     except OverflowError:
         problem = "number out of range"
     raise ValueError(f"{where if key is None else f'{where}.{key}'}: {problem}")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -652,6 +653,15 @@ INVALID_CONFIGS = [
         with_seed(optimize={"variables": []}),
         ["optimize.variables: need at least one factor"],
         id="optimize-no-variables",
+    ),
+    pytest.param(
+        with_seed(
+            optimize={
+                "bounds": {"stage count": [12.2, 12.8], "stimulated length": [1.2, 1.8]},
+            }
+        ),
+        ["optimize.bounds.stage count: needs two whole numbers between lower and upper"],
+        id="optimize-bounds-integer",
     ),
 ]
 
@@ -1537,3 +1547,65 @@ def test_multi_kind_run_with_stack_interactions_and_clusters(tmp_path):
     assert models == {"rf", "gbdt", "stacked"}
     splits = {r[1] for r in rows[1:]}
     assert splits == {"train", "test"}
+
+
+def test_integer_bounds_without_two_whole_numbers_are_refused_before_the_run(
+    tmp_path, capsys
+):
+    """optimize_well searches a whole-number factor between the outermost
+    integers inside its bounds, so it needs two of them there."""
+    obj = base_config()
+    obj["data"]["rows"] = 40
+    obj["optimize"] = {"methods": ["pso"], "wells": [0], "bounds": {"stage count": [12.2, 12.8]}}
+    path = write_config(tmp_path, obj)
+    problem = "optimize.bounds.stage count: needs two whole numbers between lower and upper"
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == f"problem: {problem}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    assert not out.exists()
+    obj["optimize"].update(bounds={"stage count": [12.2, 13.8]}, budget=5)
+    path = write_config(tmp_path, obj)
+    assert main(["validate", "--config", path]) == 1
+    obj["optimize"]["bounds"] = {"stage count": [11.5, 13.0]}
+    path = write_config(tmp_path, obj)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    result = json.loads((out / "optimize/result_w0_pso.json").read_text(encoding="utf-8"))
+    assert "optimized" in result
+
+
+# command -> help text and the stages it runs
+COMMANDS = {
+    "run": ("execute the full pipeline", ("data", "train", "explain", "stack", "ice", "optimize")),
+    "validate": ("check a config file and report problems", ()),
+    "synthesize": ("generate, clean, and split a synthetic dataset", ("data",)),
+    "explain": ("recompute attributions against saved models", ("explain",)),
+    "ice": ("recompute ICE grids against saved models", ("ice",)),
+    "optimize": ("re-optimize wells against saved models", ("optimize",)),
+}
+
+
+def test_help_lists_the_six_commands_in_order_with_their_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    listed = re.findall(r"^    (\w+) +(\S.*)$", capsys.readouterr().out, re.MULTILINE)
+    assert listed == [(name, text) for name, (text, _) in COMMANDS.items()]
+
+
+def test_each_command_runs_exactly_its_stages(tmp_path, monkeypatch):
+    ran = []
+    for stage in welloop.cli.STAGES:
+        monkeypatch.setattr(
+            welloop.cli.Pipeline, f"stage_{stage}", lambda self, stage=stage: ran.append(stage)
+        )
+    path = write_config(tmp_path, base_config())
+    for command, (_, stages) in COMMANDS.items():
+        ran.clear()
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        assert tuple(ran) == stages, command
+    status = stage_status(read_manifest(tmp_path / "synthesize"))
+    assert status == {stage: "ok" if stage == "data" else "skipped" for stage in status}
+    assert not (tmp_path / "validate").exists()

@@ -397,3 +397,13 @@ def test_ground_truth_peaks_exactly_at_each_midpoint(name, frac):
 def test_ground_truth_validates_column_count():
     with pytest.raises(ValueError):
         ground_truth_eur(np.zeros((2, 5)))
+
+
+def test_the_preprocess_report_has_exactly_its_keys():
+    _, report = preprocess(synthesize(seed=9, n=40))
+    assert sorted(report.to_json()) == [
+        "dropped_features",
+        "dropped_rows",
+        "pearson_features",
+        "pearson_matrix",
+    ]

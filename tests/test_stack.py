@@ -239,6 +239,11 @@ def _saved_meta(tmp_path):
         (lambda m: {**m, "meta_weights": [1.0, 2.0]}, "a meta weight per kind"),
         (lambda m: {**m, "base_kinds": [], "meta_weights": []}, "need a kind"),
         (lambda m: {**m, "feature_names": list("abcd")}, "one list of feature names"),
+        (lambda m: {**m, "meta_intercept": float("nan")}, "meta_intercept: expected a finite"),
+        (
+            lambda m: {**m, "meta_weights": [float("inf")] + m["meta_weights"][1:]},
+            r"meta.json.meta_weights\[0\]: expected a finite number, got inf",
+        ),
     ],
 )
 def test_malformed_stacked_meta_names_its_problem(tmp_path, change, problem):

@@ -849,6 +849,13 @@ def _deep_json(depth):
         (_stump_json(feature=-1), "is not one of 2 features"),
         (_stump_json(left={"cover": 1, "value": 10**400}), "number out of range"),
         (_deep_json(100_000), "nested deeper than the recursion limit"),
+        (_stump_json(threshold=math.nan), r"trees\[0\].threshold: expected a finite number"),
+        (
+            _stump_json(right={"cover": 1, "value": math.inf}),
+            r"trees\[0\].right.value: expected a finite number, got inf",
+        ),
+        (dict(_stump_json(), base_score=-math.inf), "base_score: expected a finite number"),
+        (dict(_stump_json(), train_loss=[1.0, math.nan]), r"train_loss\[1\]: expected a finite"),
     ],
 )
 def test_malformed_model_json_names_its_problem(obj, problem):
@@ -916,3 +923,10 @@ def test_a_model_file_nested_too_deep_raises_value_error(tmp_path):
     path.write_text(deep_model_text(100_000), encoding="utf-8")
     with pytest.raises(ValueError, match="deep.json: nested deeper"):
         load_ensemble(path)
+
+
+def test_integer_hyperparameters_are_the_int_annotated_fields():
+    assert welloop.trees.INTEGER_FIELDS == ("n_trees", "max_depth", "min_samples_leaf", "seed")
+    for name in welloop.trees.INTEGER_FIELDS:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            HyperParams(**{name: 2.0})
