@@ -410,6 +410,18 @@ def parse_config(obj) -> tuple[RunConfig, list[str]]:
     kind = config.explain.kind
     if kind is not None and kind not in config.train.kinds:
         problems.append(f"explain.kind: {kind!r} is not a trained kind")
+    # the explain stage attributes at most max_rows rows; a valid cap bounds
+    # the waterfall rows and the cluster count without reading any data
+    cap = config.explain.max_rows
+    if cap is not None and cap >= 1:
+        for row in config.explain.waterfalls:
+            if row >= cap:
+                problems.append(f"explain.waterfalls: row {row} outside the {cap} rows of max_rows")
+        clusters = config.explain.clusters
+        if clusters > cap:
+            problems.append(
+                f"explain.clusters: cannot form {clusters} clusters from the {cap} rows of max_rows"
+            )
     _check_factor_references(config, problems)
     return config, problems
 

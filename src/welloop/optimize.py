@@ -7,7 +7,8 @@ fresh uniform diagonal matrices every iteration), differential evolution
 (rand/1 mutation, per-dimension crossover, strictly greedy selection),
 and Bayesian optimization (Matern-5/2 Gaussian process surrogate with
 expected improvement; its likelihood fit and its acquisition polish
-follow analytic gradients). All candidates are clamped to the search box
+follow analytic gradients through one in-house bounded quasi-Newton
+minimizer, on numpy alone). All candidates are clamped to the search box
 before evaluation, and the wrapper asserts feasibility, counts
 evaluations against the budget, and keeps the best-so-far record.
 """
@@ -33,6 +34,7 @@ _DE_CROSSOVER = 0.7
 _BO_INIT = 8  # Latin-hypercube points before the surrogate takes over
 _GP_NOISE = 1e-6
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -123,8 +125,9 @@ class Trace:
 
 
 class _Evaluator:
-    """Budgeted objective wrapper; every call is bound-checked, recorded,
-    and counted. Raising BudgetExhausted stops the surrounding search."""
+    """Budgeted objective wrapper; every call is checked (a finite point
+    inside the bounds, a finite value), recorded, and counted. Raising
+    BudgetExhausted stops the surrounding search."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
@@ -136,9 +139,14 @@ class _Evaluator:
         if len(self.trace.entries) >= self.problem.budget:
             raise BudgetExhausted
         u = np.asarray(u, dtype=float).reshape(-1)
+        # NaN compares false both ways, so it is refused before the bounds
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"evaluation point {u} is not finite")
         if np.any(u < self.lower) or np.any(u > self.upper):
             raise ValueError(f"evaluation point {u} violates the bounds")
         value = float(self.problem.objective(u))
+        if not math.isfinite(value):
+            raise ValueError(f"objective value {value} at evaluation point {u} is not finite")
         self.trace.entries.append(
             TraceEntry(index=len(self.trace.entries), point=u.copy(), value=value)
         )
@@ -307,53 +315,152 @@ def de(problem: SearchProblem, seed: int = 0, initial=None):
 # --- Bayesian optimization --------------------------------------------------------
 
 
-def _load_scipy():
-    """Bind the surrogate's scipy functions into this module, once.
-    Importing scipy costs a process over half a second and some 40 MB, and
-    only the Bayesian search uses it, so every surrogate entry point calls
-    this first and the rest of welloop starts without scipy."""
-    global dpotrf, dpotrs, minimize, cdist, ndtr
-    if "ndtr" in globals():
-        return
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    from scipy.optimize import minimize
-    from scipy.spatial.distance import cdist
-    from scipy.special import ndtr
-
-
 def _chol(a):
-    """Lower Cholesky factor of the symmetric matrix a, bit for bit that of
-    scipy.linalg.cholesky(a, lower=True): the same LAPACK dpotrf call,
-    without the per-call argument handling around it, which costs more
-    than the factorization at the surrogate's sizes. A matrix that is not
-    positive definite raises np.linalg.LinAlgError."""
-    low, info = dpotrf(a, lower=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
-    return low
+    """Lower Cholesky factor of the symmetric matrix a, or of each matrix
+    of a stack (..., n, n), from one np.linalg.cholesky call. A matrix
+    that is not positive definite raises np.linalg.LinAlgError; in a
+    stack, any one such matrix makes the whole call raise."""
+    return np.linalg.cholesky(a)
 
 
 def _solve(low, b):
-    """K^-1 b from the lower Cholesky factor of K, bit for bit
-    scipy.linalg.cho_solve((low, True), b) through LAPACK dpotrs; b is a
-    vector or a matrix of right-hand sides and is left unchanged."""
-    x, info = dpotrs(low, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
-    return x
+    """K^-1 b from the lower Cholesky factor low of K, as L^-T (L^-1 b);
+    low may be a stack of factors (..., n, n) and b a matching stack of
+    right-hand sides. b is a vector or a matrix and is left unchanged."""
+    inv_low = np.linalg.inv(low)
+    return np.swapaxes(inv_low, -1, -2) @ (inv_low @ b)
+
+
+def _chol_each(grams):
+    """Lower Cholesky factors of a stack of symmetric matrices, and the
+    mask of those that are positive definite; each of the others gets the
+    identity in place of a factor. One call factors the whole stack; only
+    when that raises is each matrix factored alone."""
+    try:
+        return _chol(grams), np.ones(len(grams), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    lows = np.empty_like(grams)
+    ok = np.ones(len(grams), dtype=bool)
+    for i, gram in enumerate(grams):
+        try:
+            lows[i] = _chol(gram)
+        except np.linalg.LinAlgError:
+            lows[i], ok[i] = np.eye(len(gram)), False
+    return lows, ok
+
+
+# The stopping rules of L-BFGS-B at scipy's defaults: a projected gradient of
+# at most _PGTOL, or a step that lowers the value by at most _FTOL relative
+# to it (factr 1e7 times the machine epsilon).
+_PGTOL = 1e-5
+_FTOL = 2.2e-9
+_MAX_ITER = 200
+_ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking search
+_MAX_HALVINGS = 40
+_TINY = float(np.finfo(float).tiny)
+
+
+def _minimize_box(fun, starts, lower, upper):
+    """Minimize fun over the box [lower, upper] from each row of starts by
+    projected quasi-Newton steps (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., 16.7). Each row keeps its own BFGS Hessian
+    estimate B, moves only the variables whose projected gradient is
+    nonzero, by the Newton step of B restricted to them, and halves that
+    step along the projected path until the Armijo condition holds. B
+    takes a damped update (N & W, procedure 18.2), so it stays positive
+    definite without a curvature condition on the step. A row stops on
+    its own: at a projected gradient of at most _PGTOL, after a step that
+    lowers its value by at most _FTOL relative to it, when _MAX_HALVINGS
+    halvings find no decrease, or after _MAX_ITER steps.
+
+    The rows move in lockstep: fun maps an (m, d) array of points to
+    their m values and (m, d) gradients, and is called once per step and
+    halving with the rows still moving. Returns the final points and
+    their values."""
+    x = np.minimum(np.maximum(np.array(starts, dtype=float), lower), upper)
+    count, dim = x.shape
+    eye = np.eye(dim)
+    f, g = fun(x)
+    final_x, final_f = x.copy(), f.copy()
+    # the first step of each row is at most of unit length; B is rescaled
+    # to the measured curvature before its first update (N & W eq. 6.20)
+    b = eye * np.maximum(1.0, np.sqrt((g * g).sum(axis=1)))[:, None, None]
+    scaled = np.zeros(count, dtype=bool)
+    done = np.zeros(count, dtype=bool)
+    rows = np.arange(count)  # the start each moving row came from
+    for _ in range(_MAX_ITER):
+        gap = np.minimum(np.maximum(x - g, lower), upper) - x
+        going = (np.abs(gap).max(axis=1) > _PGTOL) & ~done
+        if not going.all():
+            final_x[rows], final_f[rows] = x, f
+            x, f, g, gap, b, scaled, rows = (
+                v[going] for v in (x, f, g, gap, b, scaled, rows)
+            )
+            if not len(rows):
+                break
+        # B on the free variables and the identity on the others, whose
+        # step is then zero
+        free = gap != 0.0
+        reduced = np.where(free[:, :, None] & free[:, None, :], b, eye)
+        step = np.linalg.solve(reduced, np.where(free, -g, 0.0)[:, :, None])[:, :, 0]
+        x1 = np.minimum(np.maximum(x + step, lower), upper)
+        f1, g1 = fun(x1)
+        short = f1 > f + _ARMIJO * np.minimum(((x1 - x) * g).sum(axis=1), 0.0)
+        if short.any():
+            x1[short], f1[short], g1[short] = _backtrack(
+                fun, x[short], f[short], g[short], step[short], lower, upper
+            )
+        done = (f - f1) <= _FTOL * np.maximum(np.maximum(np.abs(f), np.abs(f1)), 1.0)
+        s, y = x1 - x, g1 - g
+        sy = (s * y).sum(axis=1)
+        first = ~scaled & (sy > 0.0)
+        if first.any():
+            b[first] = eye * ((y * y).sum(axis=1)[first] / sy[first])[:, None, None]
+            scaled |= first
+        # the denominators are floored for the rows that did not move
+        bs = (b @ s[:, :, None])[:, :, 0]
+        sbs = np.maximum((s * bs).sum(axis=1), _TINY)
+        damp = (0.8 * sbs / np.maximum(sbs - sy, 0.8 * sbs))[:, None]
+        r = damp * y + (1.0 - damp) * bs
+        sr = np.maximum((s * r).sum(axis=1), _TINY)
+        b += (
+            r[:, :, None] * r[:, None, :] / sr[:, None, None]
+            - bs[:, :, None] * bs[:, None, :] / sbs[:, None, None]
+        )
+        x, f, g = x1, f1, g1
+    final_x[rows], final_f[rows] = x, f
+    return final_x, final_f
+
+
+def _backtrack(fun, x, f, g, step, lower, upper):
+    """Armijo backtracking along the projected path from each row of x:
+    the step, whose full length failed, is halved until the value drops
+    enough. A row that finds no decrease in _MAX_HALVINGS halvings keeps
+    its point. Returns the rows' new points, values and gradients."""
+    x1, f1, g1 = x.copy(), f.copy(), g.copy()
+    tries = np.arange(len(x))
+    t = np.ones((len(x), 1))
+    for _ in range(_MAX_HALVINGS):
+        t *= 0.5
+        trial = np.minimum(np.maximum(x[tries] + t * step[tries], lower), upper)
+        ft, gt = fun(trial)
+        slope = ((trial - x[tries]) * g[tries]).sum(axis=1)
+        ok = ft <= f[tries] + _ARMIJO * np.minimum(slope, 0.0)
+        x1[tries[ok]], f1[tries[ok]], g1[tries[ok]] = trial[ok], ft[ok], gt[ok]
+        tries, t = tries[~ok], t[~ok]
+        if not len(tries):
+            break
+    return x1, f1, g1
 
 
 def _improvement(mu, sigma, best):
     """Expected improvement over the incumbent best, for maximization,
     with the weights of its gradient: returns (ei, cdf, pdf) such that
     d ei = cdf * d mu + pdf * d sigma, where cdf = Phi(g), pdf = phi(g)
-    and g = (mu - best) / sigma. Where sigma vanishes, ei is
-    max(mu - best, 0), cdf is its slope in mu and pdf is 0."""
-    _load_scipy()
+    and g = (mu - best) / sigma, Phi(g) being erfc(-g / sqrt 2) / 2. Where
+    sigma vanishes, ei is max(mu - best, 0), cdf is its slope in mu and
+    pdf is 0."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     out = np.array(np.maximum(mu - best, 0.0), dtype=float)
@@ -362,7 +469,7 @@ def _improvement(mu, sigma, best):
     live = sigma > 1e-12
     if np.any(live):
         g = (mu[live] - best) / sigma[live]
-        cdf[live] = ndtr(g)
+        cdf[live] = [0.5 * math.erfc(-z / _SQRT_2) for z in g.tolist()]
         pdf[live] = np.exp(-g**2 / 2.0) / _SQRT_2PI
         out[live] = sigma[live] * (g * cdf[live] + pdf[live])
     return out, cdf, pdf
@@ -393,8 +500,13 @@ def _matern52(dists, length_scale, signal_var):
     return signal_var * (1.0 + a + a * a / 3.0) * np.exp(-a)
 
 
+def _distances(a, b):
+    """Euclidean distances between the rows of a and the rows of b."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
 def _chol_with_jitter(gram):
-    _load_scipy()
     for jitter in _JITTERS:
         try:
             return _chol(gram + jitter * np.eye(gram.shape[0]))
@@ -410,7 +522,6 @@ class _GaussianProcess:
     from several seeded starts."""
 
     def __init__(self, x01, y, rng):
-        _load_scipy()
         self.x = np.asarray(x01, dtype=float)
         y = np.asarray(y, dtype=float)
         if not np.all(np.isfinite(y)):
@@ -420,7 +531,7 @@ class _GaussianProcess:
         if self.y_sd == 0:
             self.y_sd = 1.0
         self.yn = (y - self.y_mean) / self.y_sd
-        self.dists = cdist(self.x, self.x)
+        self.dists = _distances(self.x, self.x)
         # the likelihood's fixed terms, computed once for all its calls
         self._root5_dists = math.sqrt(5.0) * self.dists
         self._eye = np.eye(len(self.yn))
@@ -432,53 +543,56 @@ class _GaussianProcess:
         signal variance), and its gradient 0.5 tr((K^-1 - alpha alpha^T)
         dK) per parameter, alpha = K^-1 y (Rasmussen & Williams 2006,
         eq. 5.9). With a = sqrt(5) d / l, dK / dlog l is
-        s2 a^2 (1 + a) / 3 exp(-a) and dK / dlog s2 the signal part of K."""
-        ell, sig2 = np.exp(log_params)
+        s2 a^2 (1 + a) / 3 exp(-a) and dK / dlog s2 the signal part of K.
+
+        One (2,) vector gives (value, gradient); an (m, 2) stack gives m
+        values and (m, 2) gradients from one factorization of the m Gram
+        matrices. Where K does not factor, the value is 1e12 and the
+        gradient zero: a flat wall the minimizer backs off from."""
+        params = np.asarray(log_params, dtype=float)
+        ell, sig2 = np.exp(params.reshape(-1, 2)).T
         n = len(self.yn)
-        a = self._root5_dists / ell
-        decay = np.exp(-a)
-        signal = sig2 * (1.0 + a + a * a / 3.0) * decay
-        try:
-            low = _chol(signal + self._noise)
-        except np.linalg.LinAlgError:
-            return 1e12, np.zeros(2)
-        alpha = _solve(low, self.yn)
-        value = (
-            0.5 * self.yn @ alpha
-            + np.log(np.diag(low)).sum()
+        a = self._root5_dists / ell[:, None, None]
+        signal_decay = sig2[:, None, None] * np.exp(-a)
+        a2_3 = a * a / 3.0
+        signal = signal_decay * (1.0 + a + a2_3)
+        low, ok = _chol_each(signal + self._noise)
+        k_inv = _solve(low, self._eye)
+        alpha = k_inv @ self.yn
+        values = (
+            0.5 * (alpha @ self.yn)
+            + np.log(low.diagonal(axis1=1, axis2=2)).sum(axis=1)
             + 0.5 * n * math.log(2.0 * math.pi)
         )
-        inner = _solve(low, self._eye) - np.outer(alpha, alpha)
-        d_ell = sig2 * a * a * (1.0 + a) / 3.0 * decay
-        grad = 0.5 * np.array([np.sum(inner * d_ell), np.sum(inner * signal)])
-        return float(value), grad
+        inner = 0.5 * (k_inv - alpha[:, :, None] * alpha[:, None, :])
+        grads = np.empty((len(ell), 2))
+        grads[:, 0] = np.einsum("mij,mij->m", inner, signal_decay * a2_3 * (1.0 + a))
+        grads[:, 1] = np.einsum("mij,mij->m", inner, signal)
+        values[~ok], grads[~ok] = 1e12, 0.0
+        if params.ndim == 1:
+            return float(values[0]), grads[0]
+        return values, grads
 
     def _fit(self, rng):
-        log_bounds = [(math.log(0.02), math.log(10.0)), (math.log(0.05), math.log(50.0))]
-        starts = [np.array([math.log(0.5), 0.0])]
+        lower = np.array([math.log(0.02), math.log(0.05)])
+        upper = np.array([math.log(10.0), math.log(50.0)])
+        starts = [[math.log(0.5), 0.0]]
         for _ in range(3):
-            starts.append(
-                np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
-            )
-        best = None
-        for s in starts:
-            res = minimize(
-                self._neg_lml, s, jac=True, bounds=log_bounds, method="L-BFGS-B"
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-        self.length_scale, self.signal_var = np.exp(best.x)
+            starts.append([rng.uniform(lo, hi) for lo, hi in zip(lower, upper)])
+        # the starts descend in lockstep; a tie goes to the earliest start
+        points, values = _minimize_box(self._neg_lml, starts, lower, upper)
+        self.length_scale, self.signal_var = np.exp(points[np.argmin(values)])
         gram = _matern52(self.dists, self.length_scale, self.signal_var)
-        self._low = _chol_with_jitter(gram + self._noise)
-        self._alpha = _solve(self._low, self.yn)
+        self._k_inv = _solve(_chol_with_jitter(gram + self._noise), self._eye)
+        self._alpha = self._k_inv @ self.yn
 
     def _posterior(self, q):
         """Posterior mean and sd at the rows of q, with the distances to
         the data and v = K^-1 k that the gradient reuses."""
-        dists = cdist(q, self.x)
+        dists = _distances(q, self.x)
         cross = _matern52(dists, self.length_scale, self.signal_var)
         mu_n = cross @ self._alpha
-        v = _solve(self._low, cross.T)
+        v = self._k_inv @ cross.T
         var = self.signal_var - np.einsum("ij,ji->i", cross, v)
         var = np.clip(var, 0.0, None)
         mu = mu_n * self.y_sd + self.y_mean
@@ -516,7 +630,6 @@ def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
     evaluates the point that maximizes expected improvement, found by
     seeded random multistart plus a local bounded polish.
     """
-    _load_scipy()
     rng = subseed_rng(seed, _BO_TAG)
     lower, upper = problem.lower, problem.upper
     span = upper - lower
@@ -544,18 +657,16 @@ def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
         best_val = max(y)
 
         def neg_ei(q):
-            mu, sigma, d_mu, d_sigma = gp.predict_gradient(q)
+            mu, sigma, d_mu, d_sigma = gp.predict_gradient(q[0])
             ei, cdf, pdf = _improvement(mu, sigma, best_val)
-            return -float(ei), -(cdf * d_mu + pdf * d_sigma)
+            return -np.reshape(ei, 1), -(cdf * d_mu + pdf * d_sigma)[None, :]
 
         candidates = rng.random((256, dim))
         mu, sigma = gp.predict(candidates)
         ei = expected_improvement(mu, sigma, best_val)
         first = candidates[int(np.argmax(ei))]
-        res = minimize(
-            neg_ei, first, jac=True, bounds=[(0.0, 1.0)] * dim, method="L-BFGS-B"
-        )
-        pick = res.x if res.fun <= -max(ei.max(), 0.0) else first
+        polished, value = _minimize_box(neg_ei, first[None, :], np.zeros(dim), np.ones(dim))
+        pick = polished[0] if value[0] <= -max(ei.max(), 0.0) else first
         evaluate01(ev, np.clip(pick, 0.0, 1.0))
 
     return _search(problem, start, step)

@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import copy
@@ -663,6 +664,19 @@ INVALID_CONFIGS = [
         ["optimize.bounds.stage count: needs two whole numbers between lower and upper"],
         id="optimize-bounds-integer",
     ),
+    pytest.param(
+        with_seed(explain={"max_rows": 5, "waterfalls": [4, 5, 7]}),
+        [
+            "explain.waterfalls: row 5 outside the 5 rows of max_rows",
+            "explain.waterfalls: row 7 outside the 5 rows of max_rows",
+        ],
+        id="explain-waterfalls-beyond-max-rows",
+    ),
+    pytest.param(
+        with_seed(explain={"max_rows": 3, "clusters": 4}),
+        ["explain.clusters: cannot form 4 clusters from the 3 rows of max_rows"],
+        id="explain-clusters-beyond-max-rows",
+    ),
 ]
 
 
@@ -1057,7 +1071,9 @@ def test_out_env_var_is_honored_and_flag_wins(tmp_path, monkeypatch):
 
 def test_stage_failure_exits_2_and_keeps_partials(tmp_path, capsys):
     obj = base_config()
-    obj["explain"]["waterfalls"] = [9999]
+    # a row beyond the table, which only the run can see (validate refuses
+    # a row beyond max_rows, so the cap is dropped)
+    obj["explain"] = {"waterfalls": [9999]}
     obj["stack"] = {"enabled": True, "k": 3}
     path = write_config(tmp_path, obj)
     out = tmp_path / "out"
@@ -1247,7 +1263,7 @@ def test_a_rerun_in_place_leaves_no_stale_file(tmp_path):
     shrunk = base_config()  # one kind, stacking off, no ICE
     shrunk["explain"]["waterfalls"] = [2]
     failing = copy.deepcopy(shrunk)  # explain fails before writing anything
-    failing["explain"]["waterfalls"] = [9999]
+    failing["explain"] = {"waterfalls": [9999]}  # beyond the table, not max_rows
 
     def run(obj, out):
         return main(["run", "--config", write_config(tmp_path, obj), "--out", str(tmp_path / out)])
@@ -1276,7 +1292,7 @@ def test_a_failed_rerun_leaves_no_later_stage_marked_ok(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 0
     obj["train"]["hyperparams"]["rf"]["n_trees"] = 5
-    obj["explain"]["waterfalls"] = [500]  # explain fails after train
+    obj["explain"] = {"waterfalls": [500]}  # beyond the table: explain fails after train
     assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 2
     manifest = assert_manifest_reconciles(out)
     assert len(welloop.trees.load_ensemble(out / "models/rf.json").trees) == 5
@@ -1339,8 +1355,8 @@ def _fresh_python(code):
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     """Importing scipy costs every CLI process over half a second and some
-    40 MB, and only the Bayesian search needs it: no scipy module at all
-    loads with the CLI."""
+    40 MB, and welloop needs none of it: no scipy module at all loads with
+    the CLI."""
     code = (
         "import sys, welloop.cli\n"
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
@@ -1360,26 +1376,39 @@ rows = [[e.index, *map(float, e.point), e.value] for e in trace.entries]
 """
 
 
-def test_the_first_bayes_run_in_a_fresh_process_loads_scipy_and_matches():
+def test_the_first_bayes_run_in_a_fresh_process_loads_no_scipy_and_matches():
+    """The Bayesian search runs on numpy alone: after the CLI import and a
+    whole search, no scipy module is loaded, and the trace is the one this
+    process, which has imported scipy for its tests, computes."""
     code = (
         "import sys, welloop.cli\n"
-        "assert 'scipy' not in sys.modules\n"
         + _BAYES_RUN
-        + "print('scipy.linalg' in sys.modules)\n"
-        "import scipy.linalg.lapack, scipy.optimize, scipy.spatial.distance, scipy.special\n"
-        "own = (o.dpotrf is scipy.linalg.lapack.dpotrf, o.dpotrs is scipy.linalg.lapack.dpotrs,\n"
-        "       o.minimize is scipy.optimize.minimize, o.ndtr is scipy.special.ndtr,\n"
-        "       o.cdist is scipy.spatial.distance.cdist)\n"
+        + "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
         "print(repr(rows))\n"
-        "print(all(own))\n"
     )
-    loaded, rows, own = _fresh_python(code).splitlines()
-    assert loaded == "True"
+    loaded, rows = _fresh_python(code).splitlines()
+    assert loaded == "[]"
     here = {}
     exec(_BAYES_RUN, here)
     assert len(here["rows"]) == 12
     assert rows == repr(here["rows"])
-    assert own == "True"  # the module calls scipy's functions, not wrappers
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """scipy is a test dependency only: no import statement anywhere under
+    src/welloop names it, at module level or inside a function."""
+    package = Path(welloop.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 # --- crash safety ---------------------------------------------------------------------
