@@ -34,6 +34,7 @@ _DE_CROSSOVER = 0.7
 _BO_INIT = 8  # Latin-hypercube points before the surrogate takes over
 _GP_NOISE = 1e-6
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
+_BLOCK = 32  # triangular factors up to this order are inverted in one LAPACK call
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -323,12 +324,29 @@ def _chol(a):
     return np.linalg.cholesky(a)
 
 
-def _solve(low, b):
-    """K^-1 b from the lower Cholesky factor low of K, as L^-T (L^-1 b);
-    low may be a stack of factors (..., n, n) and b a matching stack of
-    right-hand sides. b is a vector or a matrix and is left unchanged."""
-    inv_low = np.linalg.inv(low)
-    return np.swapaxes(inv_low, -1, -2) @ (inv_low @ b)
+def _inv_lower(low):
+    """Inverse of the lower-triangular matrix low, or of each matrix of a
+    stack. numpy has no triangular inverse, and its general one does
+    several times the work, so a matrix of more than _BLOCK rows is split
+    in halves: [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]."""
+    n = low.shape[-1]
+    if n <= _BLOCK:
+        return np.linalg.inv(low)
+    h = n // 2
+    a_inv = _inv_lower(low[..., :h, :h])
+    d_inv = _inv_lower(low[..., h:, h:])
+    inv = np.zeros_like(low)
+    inv[..., :h, :h] = a_inv
+    inv[..., h:, h:] = d_inv
+    inv[..., h:, :h] = -(d_inv @ low[..., h:, :h]) @ a_inv
+    return inv
+
+
+def _inverse(low):
+    """K^-1 = L^-T L^-1 from the lower Cholesky factor low of K, or from
+    each factor of a stack (..., n, n)."""
+    inv_low = _inv_lower(low)
+    return np.swapaxes(inv_low, -1, -2) @ inv_low
 
 
 def _chol_each(grams):
@@ -557,7 +575,7 @@ class _GaussianProcess:
         a2_3 = a * a / 3.0
         signal = signal_decay * (1.0 + a + a2_3)
         low, ok = _chol_each(signal + self._noise)
-        k_inv = _solve(low, self._eye)
+        k_inv = _inverse(low)
         alpha = k_inv @ self.yn
         values = (
             0.5 * (alpha @ self.yn)
@@ -583,7 +601,7 @@ class _GaussianProcess:
         points, values = _minimize_box(self._neg_lml, starts, lower, upper)
         self.length_scale, self.signal_var = np.exp(points[np.argmin(values)])
         gram = _matern52(self.dists, self.length_scale, self.signal_var)
-        self._k_inv = _solve(_chol_with_jitter(gram + self._noise), self._eye)
+        self._k_inv = _inverse(_chol_with_jitter(gram + self._noise))
         self._alpha = self._k_inv @ self.yn
 
     def _posterior(self, q):

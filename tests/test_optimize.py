@@ -19,9 +19,9 @@ from welloop.optimize import (
     _Evaluator,
     _GaussianProcess,
     _improvement,
+    _inverse,
     _latin_hypercube,
     _minimize_box,
-    _solve,
     bayes_opt,
     de,
     de_trial,
@@ -385,26 +385,27 @@ def test_ei_gradient_where_sigma_vanishes_is_that_of_the_plain_improvement():
     assert ei == mu - best and cdf == 1.0 and pdf == 0.0
 
 
-def test_chol_and_solve_match_scipys_cholesky_and_cho_solve():
-    """numpy's factor and solves against scipy's LAPACK ones: the largest
-    differences measured over these 30 sizes are 1.3e-16 (factor) and
-    6.7e-16 (solve) of the largest entry, so 2e-15 leaves a margin."""
+def test_chol_and_inverse_match_scipys_cholesky_and_cho_solve():
+    """numpy's factor, and K^-1 from it, against scipy's LAPACK factor and
+    solves: over these 33 sizes (the last three past one inversion block)
+    the largest differences measured are 1.3e-16 (factor) and 8.1e-16
+    (solves) of the largest entry, so 2e-15 leaves a margin."""
     from scipy.linalg import cho_solve, cholesky
 
     rng = np.random.default_rng(18)
-    for n in range(1, 31):
+    for n in [*range(1, 31), 33, 64, 101]:
         root = rng.normal(size=(n, n))
         gram = root @ root.T + n * np.eye(n)
         low = _chol(gram)
         want = cholesky(gram, lower=True, check_finite=False)
         np.testing.assert_allclose(low, want, rtol=0, atol=2e-15 * np.max(np.abs(want)))
+        kept = low.copy()
+        k_inv = _inverse(low)
+        assert np.array_equal(low, kept)  # the factor is not overwritten
         cross = rng.normal(size=(4, n))
         for rhs in (rng.normal(size=n), np.eye(n), cross.T):
-            kept = rhs.copy()
-            got = _solve(low, rhs)
             want = cho_solve((low, True), rhs, check_finite=False)
-            np.testing.assert_allclose(got, want, rtol=0, atol=2e-15 * np.max(np.abs(want)))
-            assert np.array_equal(rhs, kept)  # the right-hand side is not overwritten
+            np.testing.assert_allclose(k_inv @ rhs, want, rtol=0, atol=2e-15 * np.max(np.abs(want)))
 
 
 def test_chol_refuses_a_matrix_that_is_not_positive_definite():
@@ -436,7 +437,7 @@ def test_bayes_opt_traces_are_pinned():
     assert len(variables) == 6
     out = optimize_well(ground_truth_eur, table, 6, variables, "bayes", budget=25, seed=8)
     assert _trace_digest(out.trace) == (
-        "02523cb233c2f0c172a9685d014cd41e9febd9b3be52608706f573e956181e4b"
+        "3b074bfa83e099e1a7067a50d2baab832528bca3fd2f1aa30d8df2e31f93aa1d"
     )
 
 
