@@ -502,11 +502,13 @@ def test_minimize_box_stops_each_start_on_its_own():
     assert np.array_equal(again, together[:1])
 
 
-def test_batched_neg_lml_equals_each_start_alone(monkeypatch):
+@pytest.mark.parametrize("n", [12, 70])
+def test_batched_neg_lml_equals_each_start_alone(monkeypatch, n):
     """One (m, 2) call gives each start's value and gradient as its own
     (2,) call does, within 1e-12; a start whose Gram matrix does not
-    factor gets the flat wall while the others keep their values."""
-    gp, _, _ = _surrogate()
+    factor gets the flat wall while the others keep their values. At 70
+    points each factor of the stack is inverted by halves twice over."""
+    gp, _, _ = _surrogate(n=n)
     starts = np.log([[0.5, 1.0], [0.02, 0.05], [10.0, 50.0], [0.3, 7.0], [2.0, 0.1]])
     values, grads = gp._neg_lml(starts)
     assert values.shape == (5,) and grads.shape == (5, 2)
