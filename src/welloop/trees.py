@@ -373,12 +373,29 @@ def as_predictor(model):
 # --- growing ---------------------------------------------------------------
 
 
-def _presort(x) -> tuple[np.ndarray, np.ndarray]:
-    """Sort a tree's training rows once, stably, column by column. Returns
-    (features x rows) arrays: row positions in that order, and the values."""
-    order = np.argsort(x, axis=0, kind="stable")
-    values = np.take_along_axis(x, order, axis=0)
-    return np.ascontiguousarray(order.T), np.ascontiguousarray(values.T)
+def _rank(x) -> tuple[np.ndarray, np.ndarray]:
+    """Rank a fit's rows once, column by column. Returns (features x rows)
+    arrays: each value's dense rank in its column, in the smallest unsigned
+    type that holds the row count, and the values. Equal values share a
+    rank (-0.0 with 0.0), so ranks keep both the order and the ties."""
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    ordered = np.take_along_axis(xt, order, axis=1)
+    ranks = np.zeros(xt.shape, dtype=np.min_scalar_type(x.shape[0]))
+    rises = np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1)
+    np.put_along_axis(ranks, order[:, 1:], rises, axis=1)
+    return ranks, xt
+
+
+def _presort(ranked, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Sort a tree's training rows, the rows idx of a fit ranked by _rank,
+    once, stably, column by column. Sorting the ranks gives the order a
+    stable sort of the values gives, and numpy sorts integers of 16 bits
+    or fewer by radix. Returns (features x rows) arrays: positions in idx
+    in that order, and the values."""
+    ranks, xt = ranked
+    order = np.argsort(ranks.take(idx, axis=1), axis=1, kind="stable")
+    return order, np.take_along_axis(xt, idx[order], axis=1)
 
 
 def _scan_splits(ts, vs, min_leaf, mode, lam, gamma):
@@ -394,30 +411,41 @@ def _scan_splits(ts, vs, min_leaf, mode, lam, gamma):
     s1 = np.cumsum(ts, axis=1)
     total1 = s1[:, -1:]
     l1 = s1[:, :-1]
+    # in place, but the same operations on the same operands as the plain
+    # formula, so every gain keeps its bits
+    gains = l1 * l1
+    right = total1 - l1
+    right *= right
     if mode == "mean":
-        # drop in the sum of squared errors
+        # drop in the sum of squared errors: sse_p - sse_l - sse_r
         s2 = np.cumsum(ts * ts, axis=1)
         total2 = s2[:, -1:]
         l2 = s2[:, :-1]
-        sse_l = l2 - l1 * l1 / nl
-        sse_r = (total2 - l2) - (total1 - l1) ** 2 / nr
-        sse_p = total2 - total1 * total1 / n
-        gains = sse_p - sse_l - sse_r
+        gains /= nl
+        np.subtract(l2, gains, out=gains)  # sse_l
+        np.subtract(total2 - total1 * total1 / n, gains, out=gains)  # sse_p - sse_l
+        right /= nr
+        np.subtract(total2, l2, out=l2)
+        l2 -= right  # sse_r
+        gains -= l2
     else:
         # second-order gain for squared loss; hessian is 1 per row
-        gr = total1 - l1
-        gains = 0.5 * (
-            l1 * l1 / (nl + lam) + gr * gr / (nr + lam) - total1 * total1 / (n + lam)
-        ) - gamma
-    ok = (vs[:, 1:] > vs[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-    gains[~ok] = -np.inf
+        gains /= nl + lam
+        right /= nr + lam
+        gains += right
+        gains -= total1 * total1 / (n + lam)
+        gains *= 0.5
+        gains -= gamma
+    np.copyto(gains, -np.inf, where=vs[:, 1:] <= vs[:, :-1])
+    gains[:, : min_leaf - 1] = -np.inf
+    gains[:, n - min_leaf :] = -np.inf
     row, pos = divmod(int(np.argmax(gains)), n - 1)
     return row, pos, gains[row, pos]
 
 
 def _leaf_value(t, mode, lam):
     if mode == "mean":
-        return float(np.mean(t))
+        return float(t.sum() / t.size)
     # gradient is pred - y, so the optimal leaf weight is -G / (H + lam)
     return float(-np.sum(t) / (t.size + lam))
 
@@ -429,21 +457,28 @@ def _leaf(t, rows, hp, mode, row_value) -> TreeNode:
     return TreeNode(cover=int(rows.size), value=value)
 
 
+def _is_leaf(n, depth, hp) -> bool:
+    return depth >= hp.max_depth or n < 2 * hp.min_samples_leaf
+
+
 def _grow(t, presorted, hp, rng, mode, row_value=None) -> TreeNode:
     """Grow one tree on targets `t`, given its rows presorted by _presort.
     When `row_value` is given, each leaf writes its value into it at the
     positions of its rows: the tree's output on its own training rows."""
     order, values = presorted
-    return _grow_node(t, np.arange(t.size), order, values, 0, hp, rng, mode, row_value)
+    rows = np.arange(t.size)
+    if _is_leaf(t.size, 0, hp):
+        return _leaf(t, rows, hp, mode, row_value)
+    return _grow_node(t, rows, order, values, 0, hp, rng, mode, row_value)
 
 
 def _grow_node(t, rows, order, values, depth, hp, rng, mode, row_value):
     # rows: the node's positions in the tree's rows, ascending; order and
     # values: the tree's presorted arrays cut down to the node's rows, which
-    # keeps each feature's order stable, as if the node had sorted its own
+    # keeps each feature's order stable, as if the node had sorted its own.
+    # The node is not a leaf by depth or size; a child that is gets only
+    # its rows, and leaves draw no random numbers.
     n = rows.size
-    if depth >= hp.max_depth or n < 2 * hp.min_samples_leaf:
-        return _leaf(t, rows, hp, mode, row_value)
     n_feat = order.shape[0]
     if hp.feature_fraction < 1.0:
         size = math.ceil(hp.feature_fraction * n_feat)
@@ -459,24 +494,20 @@ def _grow_node(t, rows, order, values, depth, hp, rng, mode, row_value):
     thr = (values[f, pos] + values[f, pos + 1]) / 2.0
     go_left = np.zeros(t.size, dtype=bool)
     go_left[order[f]] = values[f] <= thr
+    in_left = go_left[rows]
+    mask = None
     children = []
-    for side in (go_left, ~go_left):
+    for child, on_left in ((rows[in_left], True), (rows[~in_left], False)):
+        if _is_leaf(child.size, depth + 1, hp):
+            children.append(_leaf(t, child, hp, mode, row_value))
+            continue
+        if mask is None:
+            mask = go_left[order]  # one gather serves both children
         # one index list serves both arrays; a 2-D boolean mask would be
         # turned into indices once per array
-        keep = np.flatnonzero(side[order])
-        children.append(
-            _grow_node(
-                t,
-                rows[side[rows]],
-                order.take(keep).reshape(n_feat, -1),
-                values.take(keep).reshape(n_feat, -1),
-                depth + 1,
-                hp,
-                rng,
-                mode,
-                row_value,
-            )
-        )
+        keep = np.flatnonzero(mask if on_left else ~mask)
+        cut = [a.take(keep).reshape(n_feat, -1) for a in (order, values)]
+        children.append(_grow_node(t, child, *cut, depth + 1, hp, rng, mode, row_value))
     left, right = children
     return TreeNode(cover=int(n), feature=f, threshold=float(thr), left=left, right=right)
 
@@ -492,6 +523,8 @@ def _training_set(x, y):
     unless they are a non-empty, finite training set with matching rows."""
     x = _as_matrix(x)
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y must be one-dimensional, got shape {y.shape}")
     if y.shape[0] != x.shape[0]:
         raise ValueError("x and y row counts differ")
     if y.shape[0] == 0:
@@ -508,7 +541,7 @@ def fit_tree(x, y, hp: HyperParams | None = None, feature_names=None) -> TreeNod
     hp = hp or HyperParams()
     x, y = _training_set(x, y)
     rng = subseed_rng(hp.seed, _RF_TREE_TAG, 0)
-    return _grow(y, _presort(x), hp, rng, "mean")
+    return _grow(y, _presort(_rank(x), np.arange(y.size)), hp, rng, "mean")
 
 
 def fit_rf(x, y, hp: HyperParams | None = None, feature_names=None):
@@ -518,11 +551,12 @@ def fit_rf(x, y, hp: HyperParams | None = None, feature_names=None):
     x, y = _training_set(x, y)
     n = x.shape[0]
     size = math.ceil(hp.subsample_fraction * n)
+    ranked = _rank(x)
     trees = []
     for t in range(hp.n_trees):
         rng = subseed_rng(hp.seed, _RF_TREE_TAG, t)
         idx = rng.integers(0, n, size=size)
-        trees.append(_grow(y[idx], _presort(x[idx]), hp, rng, "mean"))
+        trees.append(_grow(y[idx], _presort(ranked, idx), hp, rng, "mean"))
     return TreeEnsemble(
         kind="RF",
         trees=tuple(trees),
@@ -538,8 +572,9 @@ def _boost(x, y, hp, mode, feature_names):
     base = float(np.mean(y))
     pred = np.full(n, base)
     size = math.ceil(hp.subsample_fraction * n)
+    ranked = _rank(x)
     # every stage of a full-sample fit grows on all rows: sort them once
-    presorted = _presort(x) if hp.subsample_fraction == 1.0 else None
+    presorted = _presort(ranked, np.arange(n)) if hp.subsample_fraction == 1.0 else None
     trees = []
     losses = [float(np.mean((y - pred) ** 2))]
     for t in range(hp.n_trees):
@@ -547,7 +582,7 @@ def _boost(x, y, hp, mode, feature_names):
         target = (y - pred) if mode == "mean" else (pred - y)
         if presorted is None:
             idx = rng.choice(n, size=size, replace=False)
-            tree = _grow(target[idx], _presort(x[idx]), hp, rng, mode)
+            tree = _grow(target[idx], _presort(ranked, idx), hp, rng, mode)
             # rows outside the sample reach their leaves by a tree walk
             step = compile_trees((tree,)).leaf_values(x)[0]
         else:

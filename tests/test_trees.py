@@ -228,6 +228,23 @@ def test_fits_refuse_non_finite_input(rng, bad):
         fit_stacked(bad_x, y, {"RF": hp}, k=2, seed=0)
 
 
+def test_fits_refuse_a_target_that_is_not_one_dimensional(rng):
+    x = rng.normal(size=(50, 3))
+    y = rng.normal(size=50)
+    hp = HyperParams(n_trees=2, max_depth=2)
+    column = y[:, None]
+    message = r"^y must be one-dimensional, got shape \(50, 1\)$"
+    for fit in (fit_tree, fit_rf, fit_gbdt, fit_xgb):
+        with pytest.raises(ValueError, match=message):
+            fit(x, column, hp)
+    with pytest.raises(ValueError, match=message):
+        fit_stacked(x, column, {"RF": hp, "GBDT": hp}, k=5, seed=0)
+    with pytest.raises(ValueError, match=message):
+        cv_mse(x, column, "GBDT", hp, k=2, seed=0)
+    with pytest.raises(ValueError, match=r"got shape \(\)$"):
+        fit_rf(x, np.float64(1.0), hp)
+
+
 # --- prediction --------------------------------------------------------------------
 
 
@@ -573,9 +590,47 @@ def test_the_grower_writes_each_training_row_its_leaf_value(rng):
         )
         for mode in ("mean", "xgb"):
             row_value = np.full(n, np.nan)
-            tree = trees._grow(t, trees._presort(x), hp, rng, mode, row_value)
+            presorted = trees._presort(trees._rank(x), np.arange(n))
+            tree = trees._grow(t, presorted, hp, rng, mode, row_value)
             want = trees.compile_trees((tree,)).leaf_values(x)[0]
             assert np.array_equal(row_value, want)
+
+
+def presort_table(rng, n):
+    """n rows: heavy ties with both zeros in one column, a copy of that
+    column, a constant column, a column rounded to one decimal and a
+    continuous one."""
+    ties = rng.integers(-3, 4, size=n).astype(float)
+    ties[ties == 0] = np.where(rng.random(int((ties == 0).sum())) < 0.5, -0.0, 0.0)
+    return np.column_stack([
+        ties,
+        np.full(n, 2.5),
+        np.round(rng.normal(size=n), 1),
+        rng.normal(size=n),
+        ties,
+    ])
+
+
+@pytest.mark.parametrize("n", [2, 17, 255, 256, 257])
+def test_the_rank_presort_is_the_float_presort_bit_for_bit(rng, n):
+    """Sorting a fit's ranks gives, for any rows of the fit, the order and
+    values a stable float sort of those rows gives, -0.0 and 0.0 included;
+    at 256 rows the ranks move from 8-bit to 16-bit integers."""
+    trees = welloop.trees
+    x = presort_table(rng, n)
+    ranked = trees._rank(x)
+    assert ranked[0].dtype.itemsize == (1 if n < 256 else 2)
+    draws = {
+        "all": np.arange(n),
+        "bootstrap": rng.integers(0, n, size=n),
+        "subsample": rng.choice(n, size=max(1, (7 * n) // 10), replace=False),
+    }
+    for label, idx in draws.items():
+        order, values = trees._presort(ranked, idx)
+        want = np.argsort(x[idx], axis=0, kind="stable")
+        want_values = np.take_along_axis(x[idx], want, axis=0)
+        assert np.array_equal(order, want.T), label
+        assert values.tobytes() == np.ascontiguousarray(want_values.T).tobytes(), label
 
 
 # --- hyperparameter search -------------------------------------------------------------
@@ -752,6 +807,49 @@ def test_grown_models_match_the_golden_hashes():
         [float(w) for w in stacked.meta_weights] + [stacked.meta_intercept]
     )
     assert got == GOLDEN_MODELS
+
+
+# sha256 as above, pinned from the grower that gave every child, leaf or
+# not, its cut-down presorted arrays: trees that stop at depth 0, 1 or 2,
+# children that are leaves by size, and per-split feature draws next to
+# such leaves, which must leave the rng draw order as it was
+EDGE_MODELS = {
+    "RF-depth0": "205450199bb2ae599f7b6ae2842d678ad9893e85ad847459c05017896fb24fb4",
+    "GBDT-depth0": "99d24bef3c4baab09719d0e3c6ad5ca7f6ff229fdb26af3e0c648e940b01e73a",
+    "XGB-depth0": "33ae881419a229578e393c5004dd92ed90a722bd2b98c10efa8c4f013e853048",
+    "RF-depth1": "ae800d5305abbe03985e1cc3822a28d8c9cb9fe859b6442855c9c54464f3d797",
+    "GBDT-depth1": "1af0879010b2cd25bb45695505b3952321a9f07636196accd24e422adeea843f",
+    "XGB-depth1": "7ef48b81b6dae1f8acdb5903ae6b11b2790f4ac0559caa5e6caf3528f309bfa7",
+    "RF-depth2": "9441a865393772da3399783a540009e766fdbb3e18509b8f1c46467718625823",
+    "GBDT-depth2": "fcb9113f28a7f3e4c7587bb30ce1abc0fb6dc2041b4a52faf5f28a8ac6565ef4",
+    "XGB-depth2": "9362adf460b532ccf16605533e778cba4244135d0dd0b4fcb2602309e8151ec7",
+    "RF-leaf50": "bb81719533c0cd4fc668c1d521bf0780063d9edc494ef5d923a029dfd7c917a2",
+    "GBDT-leaf50": "622783349b68baa717de62c6656a5a1207e43aef1bfc9d2e122b4ba8760b7ec4",
+    "XGB-leaf50": "4b43b79ecf43b2a82ad0840aab5b6efb6a3c64ba0399f217fdf7f37a9c0f1a94",
+    "RF-drawn": "807e04dc1b1115ffbe1212b920f6145e57d7ca96695ea9c23852e46d0d23a3fd",
+    "GBDT-drawn": "0f4a6bb8d58d9944af307978eb0275aca9731fc62ac342741625f07686a2b846",
+    "XGB-drawn": "cce2e9fe68ef7cfa7e5a49257d9f9b6adca40086ed8bc84a52f156b4cbf055ac",
+}
+
+
+def test_grown_models_at_the_growers_edges_match_their_hashes():
+    x, y = golden_data()
+    base = HyperParams(n_trees=8, max_depth=4, seed=7)
+    configs = {
+        "depth0": replace(base, max_depth=0),
+        "depth1": replace(base, max_depth=1),
+        "depth2": replace(base, max_depth=2),
+        "leaf50": replace(base, min_samples_leaf=50),
+        "drawn": replace(
+            base, feature_fraction=0.5, min_samples_leaf=30, subsample_fraction=0.7
+        ),
+    }
+    got = {
+        f"{kind}-{label}": _digest(ensemble_to_json(fit(x, y, hp)))
+        for label, hp in configs.items()
+        for kind, fit in FIT_FUNCTIONS.items()
+    }
+    assert got == EDGE_MODELS
 
 
 # --- serialization -----------------------------------------------------------------
