@@ -823,7 +823,7 @@ class Pipeline:
             variables = [s.name for s in specs if s.optimizable]
         if not variables:
             raise RuntimeError("no optimizable factors survived preprocessing")
-        self._check_kept(variables)
+        self._check_kept([*variables, *cfg.bounds])
         rows = []
         for row in cfg.wells:
             for m_index, method in enumerate(cfg.methods):

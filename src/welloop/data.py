@@ -157,6 +157,9 @@ def load_csv(path, schema) -> WellTable:
         absent = [s.name for s in specs if s.name not in header]
         if absent:
             raise ValueError(f"{path}: columns missing from header: {absent}")
+        twice = [s.name for s in specs if header.count(s.name) > 1]
+        if twice:
+            raise ValueError(f"{path}: columns named more than once in header: {twice}")
         picks = [header.index(s.name) for s in specs]
         rows = []
         for i, raw in enumerate(reader):

@@ -103,6 +103,8 @@ def ice(
     distinguishes and gives predict's bits at every point; any other
     callable is called on all anchors once per grid point.
     """
+    if anchor_rows is not None and sample is not None:
+        raise ValueError("give anchors or sample, not both")
     varied = tuple(varied)
     if not 1 <= len(varied) <= 3:
         raise ValueError("ICE grids support 1 to 3 varied factors")

@@ -389,8 +389,9 @@ def _minimize_box(fun, starts, lower, upper):
     takes a damped update (N & W, procedure 18.2), so it stays positive
     definite without a curvature condition on the step. A row stops on
     its own: at a projected gradient of at most _PGTOL, after a step that
-    lowers its value by at most _FTOL relative to it, when _MAX_HALVINGS
-    halvings find no decrease, or after _MAX_ITER steps.
+    lowers its value by at most _FTOL relative to it, when neither the
+    full step nor any of its _MAX_HALVINGS halvings decreases its value,
+    or after _MAX_ITER steps.
 
     The rows move in lockstep: fun maps an (m, d) array of points to
     their m values and (m, d) gradients, and is called once per step and
@@ -422,13 +423,7 @@ def _minimize_box(fun, starts, lower, upper):
         free = gap != 0.0
         reduced = np.where(free[:, :, None] & free[:, None, :], b, eye)
         step = np.linalg.solve(reduced, np.where(free, -g, 0.0)[:, :, None])[:, :, 0]
-        x1 = np.minimum(np.maximum(x + step, lower), upper)
-        f1, g1 = fun(x1)
-        short = f1 > f + _ARMIJO * np.minimum(((x1 - x) * g).sum(axis=1), 0.0)
-        if short.any():
-            x1[short], f1[short], g1[short] = _backtrack(
-                fun, x[short], f[short], g[short], step[short], lower, upper
-            )
+        x1, f1, g1 = _line_search(fun, x, f, g, step, lower, upper)
         done = (f - f1) <= _FTOL * np.maximum(np.maximum(np.abs(f), np.abs(f1)), 1.0)
         s, y = x1 - x, g1 - g
         sy = (s * y).sum(axis=1)
@@ -451,25 +446,27 @@ def _minimize_box(fun, starts, lower, upper):
     return final_x, final_f
 
 
-def _backtrack(fun, x, f, g, step, lower, upper):
-    """Armijo backtracking along the projected path from each row of x:
-    the step, whose full length failed, is halved until the value drops
-    enough. A row that finds no decrease in _MAX_HALVINGS halvings keeps
-    its point. Returns the rows' new points, values and gradients."""
-    x1, f1, g1 = x.copy(), f.copy(), g.copy()
-    tries = np.arange(len(x))
-    t = np.ones((len(x), 1))
-    for _ in range(_MAX_HALVINGS):
-        t *= 0.5
-        trial = np.minimum(np.maximum(x[tries] + t * step[tries], lower), upper)
-        ft, gt = fun(trial)
-        slope = ((trial - x[tries]) * g[tries]).sum(axis=1)
-        ok = ft <= f[tries] + _ARMIJO * np.minimum(slope, 0.0)
-        x1[tries[ok]], f1[tries[ok]], g1[tries[ok]] = trial[ok], ft[ok], gt[ok]
-        tries, t = tries[~ok], t[~ok]
-        if not len(tries):
-            break
-    return x1, f1, g1
+def _line_search(fun, x, f, g, step, lower, upper, t=1.0):
+    """Armijo backtracking along the projected path from each row of x,
+    in lockstep: one fun call takes every row's trial point x + t step,
+    clamped to the box; a row whose value drops enough keeps it, and the
+    others try again at half of t. From the full step (t = 1), a row that
+    finds no decrease in _MAX_HALVINGS halvings keeps its point. Returns
+    the rows' new points, values and gradients, written into the arrays
+    of the first trial."""
+    trial = np.minimum(np.maximum(x + t * step, lower), upper)
+    ft, gt = fun(trial)
+    ok = ft <= f + _ARMIJO * np.minimum(((trial - x) * g).sum(axis=1), 0.0)
+    if not ok.all():
+        short = ~ok
+        if t > 0.5**_MAX_HALVINGS:
+            back = _line_search(
+                fun, x[short], f[short], g[short], step[short], lower, upper, 0.5 * t
+            )
+        else:
+            back = x[short], f[short], g[short]
+        trial[short], ft[short], gt[short] = back
+    return trial, ft, gt
 
 
 def _improvement(mu, sigma, best):
@@ -491,13 +488,6 @@ def _improvement(mu, sigma, best):
         pdf[live] = np.exp(-g**2 / 2.0) / _SQRT_2PI
         out[live] = sigma[live] * (g * cdf[live] + pdf[live])
     return out, cdf, pdf
-
-
-def expected_improvement(mu, sigma, best) -> np.ndarray:
-    """Expected improvement of a Gaussian posterior over the incumbent
-    best, for maximization. Non-negative; tends to max(mu - best, 0) as
-    sigma vanishes."""
-    return _improvement(mu, sigma, best)[0]
 
 
 def _latin_hypercube(rng, n, d):
@@ -552,8 +542,7 @@ class _GaussianProcess:
         self.dists = _distances(self.x, self.x)
         # the likelihood's fixed terms, computed once for all its calls
         self._root5_dists = math.sqrt(5.0) * self.dists
-        self._eye = np.eye(len(self.yn))
-        self._noise = _GP_NOISE * self._eye
+        self._noise = _GP_NOISE * np.eye(len(self.yn))
         self._fit(rng)
 
     def _neg_lml(self, log_params):
@@ -563,12 +552,11 @@ class _GaussianProcess:
         eq. 5.9). With a = sqrt(5) d / l, dK / dlog l is
         s2 a^2 (1 + a) / 3 exp(-a) and dK / dlog s2 the signal part of K.
 
-        One (2,) vector gives (value, gradient); an (m, 2) stack gives m
-        values and (m, 2) gradients from one factorization of the m Gram
-        matrices. Where K does not factor, the value is 1e12 and the
-        gradient zero: a flat wall the minimizer backs off from."""
-        params = np.asarray(log_params, dtype=float)
-        ell, sig2 = np.exp(params.reshape(-1, 2)).T
+        An (m, 2) stack of parameters gives m values and (m, 2)
+        gradients from one factorization of the m Gram matrices. Where K
+        does not factor, the value is 1e12 and the gradient zero: a flat
+        wall the minimizer backs off from."""
+        ell, sig2 = np.exp(log_params).T
         n = len(self.yn)
         a = self._root5_dists / ell[:, None, None]
         signal_decay = sig2[:, None, None] * np.exp(-a)
@@ -587,8 +575,6 @@ class _GaussianProcess:
         grads[:, 0] = np.einsum("mij,mij->m", inner, signal_decay * a2_3 * (1.0 + a))
         grads[:, 1] = np.einsum("mij,mij->m", inner, signal)
         values[~ok], grads[~ok] = 1e12, 0.0
-        if params.ndim == 1:
-            return float(values[0]), grads[0]
         return values, grads
 
     def _fit(self, rng):
@@ -616,11 +602,6 @@ class _GaussianProcess:
         mu = mu_n * self.y_sd + self.y_mean
         sigma = np.sqrt(var) * self.y_sd
         return mu, sigma, dists, v
-
-    def predict(self, q01):
-        q = np.atleast_2d(np.asarray(q01, dtype=float))
-        mu, sigma, _, _ = self._posterior(q)
-        return mu, sigma
 
     def predict_gradient(self, q01):
         """Posterior mean and sd at one point, each with its gradient in
@@ -658,12 +639,10 @@ def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
         initial = np.asarray(initial, dtype=float).reshape(-1)
         points01[0] = np.clip((initial - lower) / span, 0.0, 1.0)
 
-    x01 = []
-    y = []
+    x01 = []  # the unit-box points evaluated, in the order of the trace
 
     def evaluate01(ev, q01):
-        u = np.clip(lower + np.asarray(q01) * span, lower, upper)
-        y.append(ev(u))
+        ev(np.clip(lower + np.asarray(q01) * span, lower, upper))
         x01.append(np.asarray(q01, dtype=float))
 
     def start(ev):
@@ -671,8 +650,9 @@ def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
             evaluate01(ev, q)
 
     def step(ev):
-        gp = _GaussianProcess(np.array(x01), np.array(y), rng)
-        best_val = max(y)
+        y = ev.trace.values
+        gp = _GaussianProcess(np.array(x01), y, rng)
+        best_val = y.max()
 
         def neg_ei(q):
             mu, sigma, d_mu, d_sigma = gp.predict_gradient(q[0])
@@ -680,8 +660,8 @@ def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
             return -np.reshape(ei, 1), -(cdf * d_mu + pdf * d_sigma)[None, :]
 
         candidates = rng.random((256, dim))
-        mu, sigma = gp.predict(candidates)
-        ei = expected_improvement(mu, sigma, best_val)
+        mu, sigma, _, _ = gp._posterior(candidates)
+        ei = _improvement(mu, sigma, best_val)[0]
         first = candidates[int(np.argmax(ei))]
         polished, value = _minimize_box(neg_ei, first[None, :], np.zeros(dim), np.ones(dim))
         pick = polished[0] if value[0] <= -max(ei.max(), 0.0) else first
@@ -771,6 +751,9 @@ def optimize_well(
     frozen = [v for v in variables if not spec_by_name[v].optimizable]
     if frozen:
         raise ValueError(f"not flagged optimizable: {frozen}")
+    for name in bounds or {}:
+        if name not in variables:
+            raise ValueError(f"bounds: {name!r} is not searched")
     if not 0 <= row < table.n_rows:
         raise IndexError(f"row {row} outside the table")
 

@@ -62,8 +62,14 @@ class StackedModel:
     def __post_init__(self):
         subs = [sub for per_fold in self.sub_models for sub in per_fold]
         names = {tuple(self.feature_names)} | {sub.feature_names for sub in subs}
-        if not 0 < len(self.meta_weights) == len(self.sub_models) or len(names) > 1:
-            raise ValueError("need a kind, a meta weight per kind, one list of feature names")
+        kinds = len(self.base_kinds)
+        if not 0 < kinds == len(self.sub_models) == len(self.meta_weights) or len(names) > 1:
+            raise ValueError(
+                "need a kind, sub-models and a meta weight per kind, one list of feature names"
+            )
+        for kind, per_fold in zip(self.base_kinds, self.sub_models):
+            if len(per_fold) != self.folds:
+                raise ValueError(f"{kind}: {len(per_fold)} sub-models for {self.folds} folds")
         self.trees = tuple(tree for sub in subs for tree in sub.trees)
 
     def terms(self) -> tuple[np.ndarray, float, int]:

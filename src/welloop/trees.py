@@ -629,7 +629,8 @@ def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
     means a uniform choice; {"range": [low, high]} means a uniform float,
     or a uniform integer for an integer HyperParams field whose ends are
     both ints. Draw order follows the space's key order, so the same seed
-    always yields the same sequence.
+    always yields the same sequence. A malformed entry is a ValueError
+    naming its hyperparameter.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -640,6 +641,8 @@ def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
         for name, entry in space.items():
             form = set(entry) if isinstance(entry, dict) else None
             if form == {"range"}:
+                if len(take_list(entry, "range", "number", name)) != 2:
+                    raise ValueError(f"{name}.range: expected [low, high]")
                 lo, hi = entry["range"]
                 if lo > hi:
                     raise ValueError(f"reversed range for {name!r}")
@@ -649,7 +652,7 @@ def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
                 else:
                     combo[name] = float(rng.uniform(lo, hi))
             elif form == {"choices"}:
-                choices = list(entry["choices"])
+                choices = take(entry, "choices", "list", name)
                 if not choices:
                     raise ValueError(f"no choices for {name!r}")
                 combo[name] = choices[int(rng.integers(len(choices)))]

@@ -1106,6 +1106,34 @@ def test_a_factor_preprocessing_dropped_fails_ice_and_optimize_by_name(tmp_path)
     assert detail["ice"] == detail["optimize"] == message
 
 
+def test_a_bound_on_a_factor_preprocessing_dropped_fails_optimize_by_name(tmp_path):
+    """With every optimizable factor searched, the bound used to be ignored."""
+    obj = base_config()
+    obj["data"]["redundancy_r"] = 0.25  # prunes all but one optimizable factor of 30 rows
+    obj["optimize"] = {"methods": ["pso"], "wells": [0], "budget": 3}
+    obj["optimize"]["bounds"] = {"stage count": [10, 20]}
+    assert validate_config(obj) == []
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 2
+    detail = {s["name"]: s.get("detail", "") for s in assert_manifest_reconciles(out)["stages"]}
+    assert detail["optimize"] == "ValueError: factor 'stage count' was dropped by preprocessing"
+
+
+def test_a_schema_column_named_twice_in_the_csv_fails_the_data_stage(tmp_path):
+    path = tmp_path / "wells.csv"
+    write_csv(synthesize(5, n=60), path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([*row, row[0]] for row in rows)
+    obj = base_config()
+    obj["data"] = {"csv": str(path)}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 2
+    detail = {s["name"]: s.get("detail", "") for s in assert_manifest_reconciles(out)["stages"]}
+    assert f"columns named more than once in header: [{rows[0][0]!r}]" in detail["data"]
+
+
 def test_an_infinite_csv_cell_drops_its_row_with_a_warning(tmp_path):
     """An infinite cell used to pass the data stage: its column's z-scores
     became NaN, `inf` reached data/clean.csv and the train stage failed."""

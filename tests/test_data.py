@@ -142,6 +142,18 @@ def test_load_csv_requires_all_named_columns(tmp_path):
         load_csv(path, t.specs)
 
 
+def test_load_csv_refuses_a_schema_column_named_twice(tmp_path):
+    """The first copy used to be read and the second ignored."""
+    path = tmp_path / "t.csv"
+    path.write_text("f0,f0,y\n1.0,2.0,0.5\n", encoding="utf-8")
+    t = make_table({"f0": [0.0], "y": [0.0]})
+    with pytest.raises(ValueError, match=r"named more than once in header: \['f0'\]"):
+        load_csv(path, t.specs)
+    # a repeated column the schema does not name is passed over
+    path.write_text("extra,f0,extra,y\n9,1.0,8,0.5\n", encoding="utf-8")
+    assert load_csv(path, t.specs).column("f0").tolist() == [1.0]
+
+
 def test_schema_round_trip(tmp_path):
     path = tmp_path / "schema.json"
     save_schema(DEFAULT_SCHEMA, path)

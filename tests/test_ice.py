@@ -168,6 +168,13 @@ def test_ice_validates_anchors_and_sampling(table):
         ice(object(), table, v)
 
 
+def test_ice_refuses_anchors_and_a_sample_together(table):
+    """The sample used to be ignored when anchors were given."""
+    v = [VariedFactor("a", 0.0, 1.0, steps=2)]
+    with pytest.raises(ValueError, match="give anchors or sample, not both"):
+        ice(linear_model, table, v, anchor_rows=[0, 1], sample=5)
+
+
 def test_sampled_anchors_are_seeded_and_sorted(table):
     v = [VariedFactor("a", 0.0, 1.0, steps=2)]
     g1 = ice(linear_model, table, v, sample=5, seed=3)

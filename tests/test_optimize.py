@@ -25,7 +25,6 @@ from welloop.optimize import (
     bayes_opt,
     de,
     de_trial,
-    expected_improvement,
     optimize_well,
     pso,
     pso_move,
@@ -259,14 +258,14 @@ def test_de_initial_and_validation():
 def test_expected_improvement_hand_values():
     # gamma = 1: EI = sigma * (Phi(1) + phi(1))
     want = 0.8413447460685429 + 0.24197072451914337
-    got = expected_improvement(np.array([1.0]), np.array([1.0]), 0.0)
+    got = _improvement(np.array([1.0]), np.array([1.0]), 0.0)[0]
     assert got[0] == pytest.approx(want, abs=1e-12)
     # vanishing sigma degenerates to max(mu - best, 0)
-    flat = expected_improvement(np.array([1.0, -1.0]), np.array([0.0, 0.0]), 0.0)
+    flat = _improvement(np.array([1.0, -1.0]), np.array([0.0, 0.0]), 0.0)[0]
     assert flat.tolist() == [1.0, 0.0]
-    mixed = expected_improvement(
+    mixed = _improvement(
         np.array([1.0, 2.0]), np.array([0.0, 0.5]), 0.0
-    )
+    )[0]
     assert mixed[0] == 1.0
     assert mixed[1] > 2.0 - 1e-9  # positive sigma only adds value
 
@@ -281,7 +280,7 @@ def test_expected_improvement_matches_the_scipy_normal_formula():
     sigma = np.full_like(mu, 0.7)
     g = (mu - 0.3) / sigma
     want = sigma * (g * norm.cdf(g) + norm.pdf(g))
-    np.testing.assert_allclose(expected_improvement(mu, sigma, 0.3), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_improvement(mu, sigma, 0.3)[0], want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n, d", [(8, 4), (2, 1), (13, 3)])
@@ -301,11 +300,11 @@ def test_gaussian_process_reproduces_training_points(rng):
     x01 = np.linspace(0.0, 1.0, 9)[:, None]
     y = np.sin(3.0 * x01[:, 0]) * 2.0 + 1.0
     gp = _GaussianProcess(x01, y, rng)
-    mu, sigma = gp.predict(x01)
+    mu, sigma = gp._posterior(x01)[:2]
     assert np.max(np.abs(mu - y)) <= 0.02
     assert np.max(sigma) <= 0.1
     # uncertainty grows away from the data
-    far_mu, far_sigma = gp.predict(np.array([[0.055]]))
+    far_mu, far_sigma = gp._posterior(np.array([[0.055]]))[:2]
     assert far_sigma[0] >= 0.0
 
 
@@ -325,9 +324,10 @@ def _central_difference(f, x, h=1e-6):
 def test_neg_lml_gradient_matches_central_differences(length_scale, signal_var):
     gp, _, _ = _surrogate()
     at = np.log([length_scale, signal_var])
-    value, grad = gp._neg_lml(at)
+    values, grads = gp._neg_lml(at[None])
+    value, grad = values[0], grads[0]
     assert np.isfinite(value) and grad.shape == (2,)
-    want = _central_difference(lambda p: gp._neg_lml(p)[0], at)
+    want = _central_difference(lambda p: gp._neg_lml(p[None])[0][0], at)
     # at l = 10 the Gram matrix is nearly singular and the differences
     # carry its rounding, so the tolerance is relative to the gradient
     assert np.max(np.abs(grad - want)) <= 1e-4 * max(1.0, np.max(np.abs(want)))
@@ -340,9 +340,9 @@ def test_neg_lml_reports_a_failed_factorization_as_a_flat_wall(monkeypatch):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(welloop.optimize, "_chol", refuse)
-    value, grad = gp._neg_lml(np.zeros(2))
-    assert value == 1e12
-    assert grad.tolist() == [0.0, 0.0]
+    value, grad = gp._neg_lml(np.zeros(2)[None])
+    assert value[0] == 1e12
+    assert grad[0].tolist() == [0.0, 0.0]
 
 
 def test_ei_gradient_matches_central_differences_and_the_screen():
@@ -350,8 +350,8 @@ def test_ei_gradient_matches_central_differences_and_the_screen():
     best = float(y.max())
 
     def ei_at(q):
-        mu, sigma = gp.predict(q)
-        return expected_improvement(mu, sigma, best)[0]
+        mu, sigma = gp._posterior(q[None])[:2]
+        return _improvement(mu, sigma, best)[0][0]
 
     for q in np.random.default_rng(7).random((6, 3)):
         mu, sigma, d_mu, d_sigma = gp.predict_gradient(q)
@@ -502,20 +502,66 @@ def test_minimize_box_stops_each_start_on_its_own():
     assert np.array_equal(again, together[:1])
 
 
+def _rippled_quadratic(rng, dim):
+    """A box quadratic plus a cosine ripple: non-convex, so full steps
+    overshoot and the line search halves them."""
+    quad, lower, upper = _box_quadratic(rng, dim)
+    amp = rng.uniform(1.0, 5.0, dim)
+    freq = rng.uniform(4.0, 12.0, dim)
+
+    def fun(x):
+        value, grad = quad(x)
+        return value + (amp * np.cos(freq * x)).sum(axis=1), grad - amp * freq * np.sin(freq * x)
+
+    return fun, lower, upper
+
+
+def test_minimize_box_call_sequence_and_points_are_pinned():
+    """The row count of every call the minimizer makes, and the bytes of
+    the points and values it returns, on 48 drawn box problems (1 to 4
+    starts, 1 to 6 dimensions): convex quadratics, rippled ones whose
+    steps are halved, and quadratics with an ascent direction for a
+    gradient, whose rows find no decrease in any halving and keep their
+    points. The last bits follow the BLAS kernel, as for the traces
+    pinned above."""
+    rng = np.random.default_rng(29)
+    families = (_box_quadratic, _rippled_quadratic, _box_quadratic)
+    calls, out = [], []
+    for trial in range(48):
+        dim, count = 1 + trial % 6, 1 + trial // 6 % 4
+        fun, lower, upper = families[trial % 3](rng, dim)
+        sign = -1.0 if trial % 3 == 2 else 1.0
+
+        def counted(x, fun=fun, sign=sign):
+            calls.append(len(x))
+            value, grad = fun(x)
+            return value, sign * grad
+
+        points, values = _minimize_box(counted, rng.uniform(lower, upper, (count, dim)), lower, upper)
+        out.append(points.tobytes() + values.tobytes())
+    assert (len(calls), sum(calls)) == (1019, 2382)
+    assert hashlib.sha256(np.array(calls).tobytes()).hexdigest() == (
+        "cbc7896cfd65636dde2e183d95a216a765c7c0158dfb90e81f948f6912f9ca64"
+    )
+    assert hashlib.sha256(b"".join(out)).hexdigest() == (
+        "d589b70f7690e531f684cb5c40e3f974847994cc5533e6db70cb378be68f8399"
+    )
+
+
 @pytest.mark.parametrize("n", [12, 70])
 def test_batched_neg_lml_equals_each_start_alone(monkeypatch, n):
     """One (m, 2) call gives each start's value and gradient as its own
-    (2,) call does, within 1e-12; a start whose Gram matrix does not
+    (1, 2) call does, within 1e-12; a start whose Gram matrix does not
     factor gets the flat wall while the others keep their values. At 70
     points each factor of the stack is inverted by halves twice over."""
     gp, _, _ = _surrogate(n=n)
     starts = np.log([[0.5, 1.0], [0.02, 0.05], [10.0, 50.0], [0.3, 7.0], [2.0, 0.1]])
     values, grads = gp._neg_lml(starts)
     assert values.shape == (5,) and grads.shape == (5, 2)
-    alone = [gp._neg_lml(p) for p in starts]
+    alone = [gp._neg_lml(p[None]) for p in starts]
     for k, (value, grad) in enumerate(alone):
-        assert value == pytest.approx(values[k], rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(grads[k], grad, rtol=1e-12, atol=1e-12)
+        assert value[0] == pytest.approx(values[k], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grads[k], grad[0], rtol=1e-12, atol=1e-12)
 
     real = welloop.optimize._chol
 
@@ -741,6 +787,18 @@ def test_optimize_well_validation(well_table):
         )
     with pytest.raises(TypeError):
         optimize_well(object(), well_table, 0, variables)
+
+
+def test_optimize_well_refuses_a_bound_on_a_variable_it_does_not_search(well_table):
+    """The bound used to be ignored; validate refuses it in a config."""
+    with pytest.raises(ValueError, match="bounds: 'proppant intensity' is not searched"):
+        optimize_well(
+            ground_truth_eur,
+            well_table,
+            0,
+            ["stage count"],
+            bounds={"stage count": (12.0, 32.0), "proppant intensity": (1.0, 2.0)},
+        )
 
 
 def test_optimize_well_refuses_a_model_of_other_columns(well_table):

@@ -253,6 +253,19 @@ def test_malformed_stacked_meta_names_its_problem(tmp_path, change, problem):
         load_stacked(directory)
 
 
+def test_a_stacked_model_refuses_sub_models_its_kinds_and_folds_do_not_count():
+    """A model whose folds disagreed with its sub-models used to save and
+    then reload as a different model; one with fewer kinds than sub-model
+    lists saved and then failed to load."""
+    x, y = synthetic(6)
+    model = fit_stacked(x, y, SMALL_HPS, k=4, seed=2)
+    with pytest.raises(ValueError, match="RF: 4 sub-models for 2 folds"):
+        replace(model, folds=2)
+    with pytest.raises(ValueError, match="sub-models and a meta weight per kind"):
+        replace(model, base_kinds=model.base_kinds[:-1])
+    assert replace(model, folds=4).terms()[0].tolist() == model.terms()[0].tolist()
+
+
 def test_a_sub_model_nested_too_deep_raises_value_error(tmp_path):
     directory, meta = _saved_meta(tmp_path)
     (directory / "sub_gbdt_1.json").write_text(deep_model_text(100_000), encoding="utf-8")

@@ -687,6 +687,23 @@ def test_sample_space_rejects_bad_ranges():
             sample_space({"n_trees": entry}, budget=3, seed=0)
 
 
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        # a TypeError, single characters drawn, an unpacking message
+        ({"range": [1, None]}, r"n_trees.range\[1\]: expected number, got NoneType"),
+        ({"choices": "abc"}, "n_trees.choices: expected list, got str"),
+        ({"range": [1, 2, 3]}, r"n_trees.range: expected \[low, high\]"),
+        ({"range": [1, math.inf]}, r"n_trees.range\[1\]: expected a finite number"),
+        ({"range": [True, 5]}, r"n_trees.range\[0\]: expected number, got bool"),
+        ({"range": "15"}, "n_trees.range: expected list, got str"),
+    ],
+)
+def test_sample_space_refuses_malformed_entries_naming_the_hyperparameter(entry, problem):
+    with pytest.raises(ValueError, match=problem):
+        sample_space({"n_trees": entry}, budget=3, seed=0)
+
+
 def test_hyperparams_refuse_non_integral_sizes():
     for name in ("n_trees", "max_depth", "min_samples_leaf", "seed"):
         for bad in (2.5, 3.0, True, "3"):
