@@ -38,7 +38,7 @@ from welloop.explain import (
     write_dependency_csv,
     write_summary_csv,
 )
-from welloop.ice import VariedFactor, ice
+from welloop.ice import VariedFactor, ice, job_problems
 from welloop.optimize import METHODS, optimize_well
 from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked
 from welloop.trees import (
@@ -48,10 +48,13 @@ from welloop.trees import (
     load_ensemble,
     predict,
     save_ensemble,
+    space_entry_problems,
     tune_random_search,
 )
 from welloop.utils import (
     fmt,
+    is_int,
+    is_number,
     mix_seed,
     read_json,
     subseed_rng,
@@ -90,22 +93,10 @@ _COMMANDS = {
 # dataclasses from the JSON object.
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite float, or an integer a float can hold. json.load also
-    reads NaN and Infinity, and no config number may be either."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value) and abs(value) <= sys.float_info.max
-
-
 # annotation -> (JSON type named in problems, test, conversion)
 _JSON_TYPES = {
-    "int": ("int", _is_int, None),
-    "float": ("float", _is_number, float),
+    "int": ("int", is_int, None),
+    "float": ("float", is_number, float),
     "str": ("str", lambda v: isinstance(v, str), None),
     "bool": ("bool", lambda v: isinstance(v, bool), None),
     "tuple": ("list", lambda v: isinstance(v, list), tuple),
@@ -182,7 +173,7 @@ def _file(value, path, problems):
 
 
 def _indices(value, path, problems):
-    if all(_is_int(v) and v >= 0 for v in value):
+    if all(is_int(v) and v >= 0 for v in value):
         return value
     problems.append(f"{path}: entries must be non-negative integers")
     return ()
@@ -249,48 +240,20 @@ def _hyperparams(value, path, problems):
 
 
 def _tune_space(value, path, problems):
-    tunable = {f.name for f in fields(HyperParams)}
     for name, entry in value.items():
-        where = f"{path}.{name}"
-        if name not in tunable:
-            problems.append(f"{where}: not a hyperparameter")
-            continue
-        if name == "seed":
-            problems.append(f"{where}: seed is derived from the run seed")
-            continue
-        if not isinstance(entry, dict) or set(entry) not in ({"range"}, {"choices"}):
-            problems.append(f"{where}: expected range or choices")
-            continue
-        ((form, values),) = entry.items()
-        if form == "choices" and not (isinstance(values, list) and values):
-            problems.append(f"{where}.choices: expected a non-empty list")
-        elif form == "range" and not (
-            isinstance(values, list)
-            and len(values) == 2
-            and all(map(_is_number, values))
-            and values[0] <= values[1]
-        ):
-            problems.append(f"{where}.range: expected [low, high] with low <= high")
+        if name == "seed":  # the library may tune it, a run derives it
+            problems.append(f"{path}.seed: seed is derived from the run seed")
         else:
-            # every constraint on a hyperparameter is an interval, so a
-            # range whose ends pass holds only passing values
-            for v in values:
-                try:
-                    HyperParams(**{name: v})
-                except (TypeError, ValueError) as exc:
-                    problems.append(f"{where}: {exc}")
-                    break
+            problems.extend(space_entry_problems(name, entry, f"{path}.{name}"))
     return value
 
 
 def _ice_jobs(value, path, problems):
     jobs = []
     for i, raw in enumerate(value):
-        job = _read(IceJob, raw, f"{path}[{i}]", problems)
-        if not 1 <= len(job.factors) <= 3:
-            problems.append(f"{path}[{i}]: needs 1 to 3 factors, got {len(job.factors)}")
-        if job.anchors is not None and job.sample is not None:
-            problems.append(f"{path}[{i}]: give anchors or sample, not both")
+        where = f"{path}[{i}]"
+        job = _read(IceJob, raw, where, problems)
+        problems += [f"{where}: {p}" for p in job_problems(job.factors, job.anchors, job.sample)]
         jobs.append(job)
     return tuple(jobs)
 
@@ -308,7 +271,7 @@ def _ice_factors(value, path, problems):
 
 def _bounds(value, path, problems):
     for name, pair in value.items():
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_number, pair))):
             problems.append(f"{path}.{name}: expected [lower, upper]")
         elif not pair[0] < pair[1]:
             problems.append(f"{path}.{name}: lower must be < upper")
@@ -403,7 +366,7 @@ def parse_config(obj) -> tuple[RunConfig, list[str]]:
         return RunConfig(), ["config: expected a JSON object"]
     problems: list[str] = []
     config = _read(RunConfig, obj, "config", problems)
-    if not _is_int(obj.get("seed")):
+    if not is_int(obj.get("seed")):
         problems.append("seed: required (an integer >= 0)")
     if config.data.csv is None and config.data.rows < 20:
         problems.append("data.rows: synthetic tables need at least 20 rows")

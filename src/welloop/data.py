@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from welloop.utils import read_json, take, typed, write_json, write_rows
+from welloop.utils import raise_first, read_json, take, typed, write_json, write_rows
 
 CATEGORIES = ("geologic", "drilling", "completion", "production")
 
@@ -53,6 +53,17 @@ class FactorSpec:
             raise ValueError("factor name must be non-empty")
 
 
+def column_problems(specs) -> list[str]:
+    """The problems of factor declarations as the columns of one table:
+    each name is declared once, and one factor is the production."""
+    names = [s.name for s in specs]
+    problems = [] if len(set(names)) == len(names) else ["duplicate factor names"]
+    n_targets = sum(s.category == "production" for s in specs)
+    if n_targets != 1:
+        problems.append(f"need exactly one production factor, got {n_targets}")
+    return problems
+
+
 @dataclass(frozen=True)
 class WellTable:
     """Immutable table of well factors; NaN marks a missing cell."""
@@ -62,12 +73,7 @@ class WellTable:
 
     def __post_init__(self):
         specs = tuple(self.specs)
-        names = [s.name for s in specs]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate factor names")
-        n_targets = sum(s.category == "production" for s in specs)
-        if n_targets != 1:
-            raise ValueError(f"need exactly one production factor, got {n_targets}")
+        raise_first(column_problems(specs))
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != len(specs):
             raise ValueError(
@@ -186,7 +192,8 @@ def write_csv(table: WellTable, path) -> None:
 
 def load_schema(path) -> tuple[FactorSpec, ...]:
     """Read a JSON list of factor declarations. Unknown units only warn;
-    a malformed file raises a ValueError that names the bad part."""
+    a malformed file, or factors no table could have as its columns,
+    raises a ValueError that names the bad part."""
     entries = read_json(path)
     if not isinstance(entries, list):
         got = type(entries).__name__
@@ -208,6 +215,7 @@ def load_schema(path) -> tuple[FactorSpec, ...]:
                 stacklevel=2,
             )
         specs.append(spec)
+    raise_first([f"{path}: {problem}" for problem in column_problems(specs)])
     return tuple(specs)
 
 

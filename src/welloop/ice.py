@@ -19,7 +19,7 @@ import numpy as np
 
 from welloop.data import WellTable
 from welloop.trees import as_predictor, predict_grid
-from welloop.utils import fmt, subseed_rng, write_json, write_rows
+from welloop.utils import fmt, raise_first, subseed_rng, write_json, write_rows
 
 _ANCHOR_TAG = 41
 
@@ -103,14 +103,8 @@ def ice(
     distinguishes and gives predict's bits at every point; any other
     callable is called on all anchors once per grid point.
     """
-    if anchor_rows is not None and sample is not None:
-        raise ValueError("give anchors or sample, not both")
     varied = tuple(varied)
-    if not 1 <= len(varied) <= 3:
-        raise ValueError("ICE grids support 1 to 3 varied factors")
-    names = [v.name for v in varied]
-    if len(set(names)) != len(names):
-        raise ValueError("varied factors must be distinct")
+    raise_first(job_problems(varied, anchor_rows, sample))
     feature_names = list(table.feature_names)
     for v in varied:
         if v.name not in feature_names:
@@ -141,12 +135,25 @@ def ice(
     predictions = predict_on_grid(features[anchors], cols, grids)
     average = predictions.mean(axis=0)
     return IceGrid(
-        factor_names=tuple(names),
+        factor_names=tuple(v.name for v in varied),
         grids=grids,
         anchor_rows=anchors,
         predictions=predictions,
         average=average,
     )
+
+
+def job_problems(varied, anchor_rows, sample) -> list[str]:
+    """The problems of an ICE job that need no data: it varies 1 to 3
+    factors, each named once, and gives anchor rows or a sample size, not
+    both."""
+    names = [v.name for v in varied]
+    problems = [] if 1 <= len(names) <= 3 else [f"needs 1 to 3 factors, got {len(names)}"]
+    repeats = [name for i, name in enumerate(names) if name in names[:i]]
+    problems += [f"factors must be distinct, {name!r} repeats" for name in repeats]
+    if anchor_rows is not None and sample is not None:
+        problems.append("give anchors or sample, not both")
+    return problems
 
 
 def _grid_predictor(model):

@@ -67,6 +67,8 @@ class StackedModel:
             raise ValueError(
                 "need a kind, sub-models and a meta weight per kind, one list of feature names"
             )
+        if self.folds < 1:
+            raise ValueError(f"need at least 1 fold, got {self.folds}")
         for kind, per_fold in zip(self.base_kinds, self.sub_models):
             if len(per_fold) != self.folds:
                 raise ValueError(f"{kind}: {len(per_fold)} sub-models for {self.folds} folds")
@@ -195,8 +197,6 @@ def load_stacked(directory) -> StackedModel:
     meta = typed(read_json(os.path.join(directory, "meta.json")), "object", "meta.json")
     kinds = take_list(meta, "base_kinds", "string", "meta.json")
     folds = take(meta, "folds", "integer", "meta.json")
-    if folds < 2:
-        raise ValueError(f"meta.json.folds: need at least 2 folds, got {folds}")
     return StackedModel(
         base_kinds=kinds,
         folds=folds,

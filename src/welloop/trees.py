@@ -34,8 +34,10 @@ from functools import partial
 import numpy as np
 
 from welloop.utils import (
+    is_number,
     kfold_assignments,
     mix_seed,
+    raise_first,
     read_json,
     subseed_rng,
     take,
@@ -622,42 +624,61 @@ FIT_FUNCTIONS = {"RF": fit_rf, "GBDT": fit_gbdt, "XGB": fit_xgb}
 # --- hyperparameter search ---------------------------------------------------
 
 
+def space_entry_problems(name, entry, where) -> list[str]:
+    """The problems of one tune-space entry, each placed at `where`. The
+    name must be a HyperParams field; the entry is exactly one of
+    {"range": [low, high]}, two finite numbers with low <= high, or
+    {"choices": [...]}, a non-empty list; and HyperParams must accept
+    every end and every choice. A rule is checked only when the ones
+    before it hold, so at most one problem is listed."""
+    if name not in {f.name for f in fields(HyperParams)}:
+        return [f"{where}: not a hyperparameter"]
+    if not isinstance(entry, dict) or set(entry) not in ({"range"}, {"choices"}):
+        return [f"{where}: expected range or choices"]
+    ((form, values),) = entry.items()
+    if form == "choices" and not (isinstance(values, list) and values):
+        return [f"{where}.choices: expected a non-empty list"]
+    two_numbers = isinstance(values, list) and len(values) == 2 and all(map(is_number, values))
+    if form == "range" and not (two_numbers and values[0] <= values[1]):
+        return [f"{where}.range: expected [low, high] with low <= high"]
+    # every constraint on a hyperparameter is an interval, so a range
+    # whose ends pass holds only passing values
+    for v in values:
+        try:
+            HyperParams(**{name: v})
+        except (TypeError, ValueError) as exc:
+            return [f"{where}: {exc}"]
+    return []
+
+
 def sample_space(space: dict, budget: int, seed: int) -> list[dict]:
     """Draw `budget` hyperparameter combinations uniformly from `space`.
 
     Each entry is written as in the config's tune space: {"choices": [...]}
     means a uniform choice; {"range": [low, high]} means a uniform float,
-    or a uniform integer for an integer HyperParams field whose ends are
-    both ints. Draw order follows the space's key order, so the same seed
-    always yields the same sequence. A malformed entry is a ValueError
-    naming its hyperparameter.
+    or a uniform integer for an integer HyperParams field. Draw order
+    follows the space's key order, so the same seed always yields the same
+    sequence. An entry space_entry_problems faults is a ValueError: its
+    first problem, placed at the hyperparameter's name.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    for name, entry in space.items():
+        raise_first(space_entry_problems(name, entry, name))
     rng = subseed_rng(seed, _TUNE_DRAW_TAG)
     draws = []
     for _ in range(budget):
         combo = {}
         for name, entry in space.items():
-            form = set(entry) if isinstance(entry, dict) else None
-            if form == {"range"}:
-                if len(take_list(entry, "range", "number", name)) != 2:
-                    raise ValueError(f"{name}.range: expected [low, high]")
+            if "range" in entry:
                 lo, hi = entry["range"]
-                if lo > hi:
-                    raise ValueError(f"reversed range for {name!r}")
-                ints = isinstance(lo, int) and isinstance(hi, int)
-                if name in INTEGER_FIELDS and ints:
+                if name in INTEGER_FIELDS:  # whose accepted ends are ints
                     combo[name] = int(rng.integers(lo, hi + 1))
                 else:
                     combo[name] = float(rng.uniform(lo, hi))
-            elif form == {"choices"}:
-                choices = take(entry, "choices", "list", name)
-                if not choices:
-                    raise ValueError(f"no choices for {name!r}")
-                combo[name] = choices[int(rng.integers(len(choices)))]
             else:
-                raise ValueError(f"{name!r}: expected range or choices")
+                choices = entry["choices"]
+                combo[name] = choices[int(rng.integers(len(choices)))]
         draws.append(combo)
     return draws
 

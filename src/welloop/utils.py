@@ -1,13 +1,16 @@
 """Small shared helpers: seeded RNG derivation, fold assignment,
-formatting, the one place files are read and written, and the typed
-reads every loader applies to decoded JSON."""
+formatting, the one place files are read and written, the typed reads
+every loader applies to decoded JSON, and the number tests and the
+raising of listed problems that input checks share."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import json
+import math
 import os
+import sys
 
 import numpy as np
 
@@ -115,6 +118,19 @@ def read_json(path):
 
 # --- typed reads of decoded JSON ---------------------------------------------------
 
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite float, or an integer a float can hold. json.load also
+    reads NaN and Infinity, and no config number may be either."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return is_int(value) and abs(value) <= sys.float_info.max
+
+
 _JSON_TYPES = {
     "boolean": bool,
     "integer": int,
@@ -144,6 +160,13 @@ def typed(value, kind, where, key=None):
     except OverflowError:
         problem = "number out of range"
     raise ValueError(f"{where if key is None else f'{where}.{key}'}: {problem}")
+
+
+def raise_first(problems) -> None:
+    """Raise the first of a list of problems as a ValueError; an empty
+    list raises nothing."""
+    if problems:
+        raise ValueError(problems[0])
 
 
 def take(obj, key, kind, where):

@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,9 @@ import welloop.stack
 import welloop.trees
 import welloop.utils
 from welloop.cli import RunConfig, main, parse_config, validate_config
-from welloop.data import DEFAULT_SCHEMA, DataWarning, load_csv, synthesize, write_csv
+from welloop.data import DEFAULT_SCHEMA, DataWarning, WellTable, load_csv, synthesize, write_csv
+from welloop.ice import VariedFactor, ice
+from welloop.trees import HyperParams, sample_space
 
 
 def base_config():
@@ -868,6 +870,75 @@ def test_accepted_configs_run_to_success_or_a_domain_error(obj):
     assert code == (2 if "failed" in status.values() else 0)
 
 
+# tune-space entries, good and bad: numbers of every kind, lists and
+# dicts of them, and ranges that hold. Integer ends stay far below
+# 2**63: sample_space cannot draw an integer past int64, a limit that
+# neither it nor validate states yet.
+_SCALARS = (
+    st.integers(-3, 300) | st.floats() | st.booleans() | st.none() | st.text(max_size=2)
+)
+_LISTS = st.lists(_SCALARS, max_size=3)
+_SPACE_ENTRIES = (
+    st.fixed_dictionaries({"range": _LISTS | _SCALARS})
+    | st.fixed_dictionaries({"choices": _LISTS | _SCALARS})
+    | st.dictionaries(st.sampled_from(["range", "choices", "values"]), _LISTS, max_size=2)
+    | st.lists(st.integers(0, 300), min_size=2, max_size=2).map(lambda p: {"range": sorted(p)})
+    | st.lists(st.floats(0, 1), min_size=2, max_size=2).map(lambda p: {"range": sorted(p)})
+    | _SCALARS
+    | _LISTS
+)
+_SPACE_NAMES = [f.name for f in fields(HyperParams) if f.name != "seed"] + ["depth", "trees"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SPACE_NAMES), _SPACE_ENTRIES)
+def test_validate_refuses_exactly_the_tune_entries_sample_space_refuses(name, entry):
+    """validate and the library state each tune-space rule once: a
+    problem at train.tune.space.<name> exactly when sample_space raises,
+    with the same words."""
+    obj = base_config()
+    obj["train"]["tune"] = {"space": {name: entry}, "budget": 1}
+    try:
+        sample_space({name: entry}, 1, 0)
+        refused = []
+    except ValueError as exc:
+        refused = [f"train.tune.space.{exc}"]
+    assert validate_config(obj) == refused
+
+
+_ICE_ROWS = 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(_FEATURES[:4]), max_size=4),
+    st.none() | st.lists(st.integers(0, _ICE_ROWS - 1), max_size=3),
+    st.none() | st.integers(1, _ICE_ROWS),
+)
+def test_validate_refuses_exactly_the_ice_jobs_ice_refuses(names, anchors, sample):
+    """A job that only names known factors, and rows and a sample size
+    inside the table, is a problem at ice[0] exactly when ice() raises,
+    and ice() raises one of validate's messages."""
+    job = {"factors": [{"name": n, "steps": 2} for n in names]}
+    if anchors is not None:
+        job["anchors"] = anchors
+    if sample is not None:
+        job["sample"] = sample
+    obj = base_config()
+    obj["ice"] = [job]
+    problems = validate_config(obj)
+    assert all(p.startswith("ice[0]") for p in problems)
+    values = np.random.default_rng(0).uniform(size=(_ICE_ROWS, len(DEFAULT_SCHEMA)))
+    table = WellTable(DEFAULT_SCHEMA, values)
+    varied = [VariedFactor(n, steps=2) for n in names]
+    try:
+        ice(lambda x: x.sum(axis=1), table, varied, anchor_rows=anchors, sample=sample)
+    except ValueError as exc:
+        assert str(exc) in [p.split(": ", 1)[1] for p in problems]
+    else:
+        assert problems == []
+
+
 # --- validate subcommand --------------------------------------------------------------
 
 
@@ -893,6 +964,15 @@ def test_validate_subcommand_reports_problems(tmp_path, capsys):
         (
             [{"name": "a", "unit": "m", "category": "completion", "optimizable": 1}],
             "[0].optimizable: expected boolean, got int",
+        ),
+        (
+            [{"name": n, "unit": "m", "category": "completion"} for n in ("a", "a")]
+            + [{"name": "y", "unit": "-", "category": "production"}],
+            ": duplicate factor names",
+        ),
+        (
+            [{"name": "a", "unit": "m", "category": "completion"}],
+            ": need exactly one production factor, got 0",
         ),
     ],
 )

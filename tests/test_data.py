@@ -185,6 +185,15 @@ def test_schema_warns_on_unknown_unit(tmp_path):
             [{"name": "a", "unit": "m", "category": "completion", "optimizable": "false"}],
             r"\[0\].optimizable: expected boolean, got str",
         ),
+        (
+            [{"name": "a", "unit": "m", "category": "geologic"}] * 2
+            + [{"name": "y", "unit": "-", "category": "production"}],
+            "schema.json: duplicate factor names",
+        ),
+        (
+            [{"name": n, "unit": "-", "category": "production"} for n in ("y", "z")],
+            "schema.json: need exactly one production factor, got 2",
+        ),
     ],
 )
 def test_malformed_schema_names_its_problem(tmp_path, entries, problem):

@@ -231,7 +231,7 @@ def _saved_meta(tmp_path):
         (lambda m: [], "meta.json: expected object, got list"),
         (lambda m: {**m, "folds": 2.5}, "meta.json.folds: expected integer, got float"),
         (lambda m: {**m, "folds": "3"}, "meta.json.folds: expected integer, got str"),
-        (lambda m: {**m, "folds": 0}, "meta.json.folds: need at least 2 folds, got 0"),
+        (lambda m: {**m, "folds": 0}, "need at least 1 fold, got 0"),
         (lambda m: {**m, "base_kinds": ["RF", 1]}, r"base_kinds\[1\]: expected string"),
         (lambda m: {**m, "meta_weights": None}, "meta.json.meta_weights: expected list"),
         (lambda m: {**m, "fold_assignment": [0, None]}, r"assignment\[1\]: expected integer"),
@@ -264,6 +264,20 @@ def test_a_stacked_model_refuses_sub_models_its_kinds_and_folds_do_not_count():
     with pytest.raises(ValueError, match="sub-models and a meta weight per kind"):
         replace(model, base_kinds=model.base_kinds[:-1])
     assert replace(model, folds=4).terms()[0].tolist() == model.terms()[0].tolist()
+
+
+def test_a_one_fold_stacked_model_round_trips_and_zero_folds_are_refused(tmp_path):
+    """A one-fold model used to save and then fail to load; a zero-fold
+    model used to construct and then fail to predict."""
+    x, y = synthetic(6)
+    model = fit_stacked(x, y, {"RF": SMALL_HPS["RF"]}, k=2, seed=2)
+    one = replace(model, folds=1, sub_models=((model.sub_models[0][0],),))
+    save_stacked(one, tmp_path)
+    back = load_stacked(tmp_path)
+    assert back.folds == 1
+    assert np.array_equal(predict(back, x), predict(one, x))
+    with pytest.raises(ValueError, match="need at least 1 fold, got 0"):
+        replace(model, folds=0, sub_models=((),))
 
 
 def test_a_sub_model_nested_too_deep_raises_value_error(tmp_path):
