@@ -11,10 +11,13 @@ row-sum residual |sum_j I[:, j] - phi|. Then it runs the same checks on
 a small stacked model, whose exact values enumerate the game the
 stacking defines: the meta intercept plus each kind's meta weight times
 the mean of its fold sub-models' games. Exits 1 if any of these exceeds
-1e-9.
+1e-9. It also times the explain layer on that stacked model, freshly
+fitted: tree_shap, then shap_interactions given those attributions, as
+the CLI's explain stage calls them, on --rows drawn rows, and prints the
+seconds per row of each.
 
 Usage:
-    python3 scripts/shap_vs_exact.py [--max-features 11] [--seed 0]
+    python3 scripts/shap_vs_exact.py [--max-features 11] [--seed 0] [--rows 40]
 """
 
 import argparse
@@ -85,15 +88,25 @@ def one_size(m, seed):
     return check(ensemble, tree_game, x)
 
 
-def stacked(m, seed):
+def fit_small_stacked(m, seed):
     x, y = data(m, seed)
     hps = {
         "RF": HyperParams(n_trees=4, max_depth=3),
         "GBDT": HyperParams(n_trees=4, max_depth=3, learning_rate=0.3),
         "XGB": HyperParams(n_trees=4, max_depth=3, learning_rate=0.3),
     }
-    model = fit_stacked(x, y, hps, k=3, seed=seed)
-    return check(model, stacked_game, x)
+    return fit_stacked(x, y, hps, k=3, seed=seed), x
+
+
+def explain_seconds(model, n_rows, seed):
+    """Seconds per row of tree_shap, then of shap_interactions given its
+    attributions, on n_rows rows drawn like the training rows."""
+    x = np.random.default_rng(seed + 1).normal(size=(n_rows, len(model.feature_names)))
+    start = time.perf_counter()
+    attr = tree_shap(model, x)
+    mid = time.perf_counter()
+    shap_interactions(model, x, attr)
+    return (mid - start) / n_rows, (time.perf_counter() - mid) / n_rows
 
 
 def report(label, m, result):
@@ -109,6 +122,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-features", type=int, default=11)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--rows", type=int, default=40)
     args = ap.parse_args()
 
     print(
@@ -118,12 +132,18 @@ def main():
     worst = np.zeros(4)
     for m in range(2, args.max_features + 1):
         worst = np.maximum(worst, report("gbdt", m, one_size(m, args.seed)))
-    worst = np.maximum(worst, report("stacked", 4, stacked(4, args.seed)))
+    model, x = fit_small_stacked(4, args.seed)
+    shap_s, pairs_s = explain_seconds(model, args.rows, args.seed)
+    worst = np.maximum(worst, report("stacked", 4, check(model, stacked_game, x)))
 
     print(f"\nworst disagreement overall: {worst[0]:.2e}")
     print(
         f"worst additivity residual {worst[1]:.2e}, interaction asymmetry"
         f" {worst[2]:.2e}, interaction row-sum residual {worst[3]:.2e}"
+    )
+    print(
+        f"stacked model ({len(model.trees)} trees), {args.rows} drawn rows:"
+        f" tree_shap {shap_s:.2e} s/row, shap_interactions {pairs_s:.2e} s/row"
     )
     if worst.max() <= TOLERANCE:
         print("all within 1e-9; the fast path is exact and consistent on these models")

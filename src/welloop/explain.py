@@ -7,10 +7,14 @@ splits on absent features blend both children weighted by training cover.
 subsets. `tree_shap` computes the same numbers in polynomial time from a
 path decomposition: each tree is cut into its root-to-leaf paths, on each
 of which the game is a product over the path's unique features, so a
-feature's value is a closed-form sum of subset-size weights, evaluated
-for all (sample, path) pairs at once. `shap_interactions` takes the same
-sums over pairs of path features for the off-diagonal interaction terms;
-the diagonal holds what is left of each attribution, the main effect.
+feature's value is a closed-form sum of subset-size weights. A sample
+enters a path's weights only through its branch pattern, one flag per
+path feature, so the weights are computed once per distinct (path,
+branch pattern) pair that the samples present and gathered per sample
+(Fast TreeSHAP's sharing across samples). `shap_interactions` takes the
+same sums over pairs of path features for the off-diagonal interaction
+terms; the diagonal holds what is left of each attribution, the main
+effect. Both read one path decomposition, cached on the model.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from welloop.trees import _BLOCK_CELLS, _as_matrix
+from welloop.trees import _BLOCK_CELLS, _as_matrix, cached
 from welloop.utils import fmt, subseed_rng, write_rows
 from welloop.data import WellTable
 
@@ -180,17 +184,17 @@ def _decompose(model):
 
 
 def _subset_weights(one, zero, drop, weights):
-    """sum_s c_s * weights[s] for each row, path and row of `drop`, where
-    c_s is the t^s coefficient of prod(zero_i + one_i * t) over the slots
-    i that the row of `drop` keeps. Shapes: one (rows, paths, p), zero
-    (paths, p), drop (sets, p); result (rows, paths, sets). Every term is
-    non-negative, so nothing cancels."""
+    """sum_s c_s * weights[s] for each pair and row of `drop`, where c_s
+    is the t^s coefficient of prod(zero_i + one_i * t) over the slots i
+    that the row of `drop` keeps. Shapes: one and zero (pairs, p), drop
+    (sets, p); result (pairs, sets). Every term is non-negative, so
+    nothing cancels."""
     keep = ~drop
-    coef = np.zeros(one.shape[:2] + (drop.shape[0], len(weights)))
+    coef = np.zeros((len(one), drop.shape[0], len(weights)))
     coef[..., 0] = 1.0
-    for i in range(one.shape[2]):
+    for i in range(one.shape[1]):
         z = np.where(keep[:, i], zero[:, i, None], 1.0)
-        shifted = coef[..., :-1] * (one[:, :, i, None] * keep[:, i])[..., None]
+        shifted = coef[..., :-1] * (one[:, i, None] * keep[:, i])[..., None]
         coef *= z[..., None]
         coef[..., 1:] += shifted
     total = coef[..., 0] * weights[0]
@@ -199,18 +203,73 @@ def _subset_weights(one, zero, drop, weights):
     return total
 
 
+def _classes(keys, size):
+    """Dense ranks of integer keys in [0, size), and a position of each."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    rank = np.cumsum(seen) - 1
+    ids = rank[keys]
+    first = np.empty(rank[-1] + 1, dtype=np.intp)
+    first[ids] = np.arange(len(keys))
+    return ids, first
+
+
+def _patterns(slot, one, count):
+    """The distinct (path, branch pattern) pairs among the rows of `one`
+    (pairs, p), whose paths `slot` numbers in [0, count): an id per row
+    and a row of each id. The flags are folded into the ids a few slots
+    at a time, re-ranked after each fold, so for at most _BLOCK_CELLS / 2
+    rows the key table stays within _BLOCK_CELLS cells for any p."""
+    ids, p, j = slot, one.shape[1], 0
+    while j < p:
+        c = min(p - j, max(1, (_BLOCK_CELLS // count).bit_length() - 1))
+        ids, first = _classes(ids << c | one[:, j : j + c] @ (1 << np.arange(c)), count << c)
+        count = len(first)
+        j += c
+    return ids, first
+
+
+def _add_terms(sums, x, cell, feature, zero, lo, hi, value, members, drop, weights):
+    """Add the terms above of every row of x on every path given into that
+    row of `sums`, path by path, each set's at the path's `cell`. A row
+    enters a path's terms only through its branch pattern, one flag a
+    slot, so they are computed once per distinct (path, pattern) pair,
+    in chunks of at most _BLOCK_CELLS cells, and gathered per row."""
+    k, p = feature.shape
+    one = (((x[:, feature] <= hi) | np.isnan(hi)) & ~(x[:, feature] <= lo)).reshape(-1, p)
+    slot = np.tile(np.arange(k), len(x))
+    ids, first = _patterns(slot, one, k)
+    terms = np.empty((len(first), len(members)))
+    chunk = max(1, _BLOCK_CELLS // (len(members) * len(weights)))
+    for c0 in range(0, len(first), chunk):
+        pick = first[c0 : c0 + chunk]
+        o, path = one[pick].astype(float), slot[pick]
+        z = zero[path]
+        term = _subset_weights(o, z, drop, weights) * value[path, None]
+        for d in members.T:
+            term *= o[:, d] - z[:, d]
+        terms[c0 : c0 + chunk] = term
+    index = np.arange(len(x))[:, None] * sums.shape[1] + cell.ravel()
+    np.add.at(sums.reshape(-1), index.ravel(), terms[ids].ravel())
+
+
 def _path_sums(model, x, order):
     """The per-path terms above for every set D of `order` path features,
     summed over all paths into (rows, M**order) at the cell that spells
-    D's features in base M; and the base value. Rows x paths go in blocks
-    of at most _BLOCK_CELLS cells, tiled along the paths independently of
-    the row count, and bincount adds in input order, so a row's sums never
-    depend on the other rows."""
-    groups, base = _decompose(model)
+    D's features in base M; and the base value.
+
+    The terms are computed once per distinct (path, branch pattern) pair
+    among a block of rows (_add_terms), a slice of a tile's paths at a
+    time. The tiles do not depend on the row count. ufunc.at adds each
+    row's terms into its tile sum path by path, slice after slice, and
+    the tile sum then joins the total, so no temporary exceeds
+    _BLOCK_CELLS cells and a row's sums never depend on the other rows."""
+    groups, base = cached(model, "_decomposed", _decompose)
     n, m = x.shape
     size = m**order
     out = np.zeros((n, size))
-    for feature, zero, lo, hi, value in groups:
+    for group in groups:
+        feature, *_, value = group
         p = feature.shape[1]
         members = np.array(list(itertools.combinations(range(p), order)), dtype=np.intp)
         if not members.size:
@@ -220,24 +279,22 @@ def _path_sums(model, x, order):
         q = p - order + 1
         fact = math.factorial
         weights = [fact(s) * fact(q - s - 1) / fact(q) for s in range(q)]
-        cells = len(members) * q  # per (row, path) in _subset_weights
-        step = max(1, min(len(value), _BLOCK_CELLS // cells))
-        for ps in (slice(i, i + step) for i in range(0, len(value), step)):
-            f, z, h = feature[ps], zero[ps], hi[ps]
-            rows_step = max(1, _BLOCK_CELLS // (len(f) * cells))
-            for r0 in range(0, n, rows_step):
-                xs = x[r0 : r0 + rows_step, f]
-                one = (((xs <= h) | np.isnan(h)) & ~(xs <= lo[ps])).astype(float)
-                term = _subset_weights(one, z, drop, weights) * value[ps, None]
-                cell = 0
-                for d in members.T:
-                    term *= one[..., d] - z[:, d]
-                    cell = cell * m + f[:, d]
-                r = len(xs)
-                index = np.arange(r)[:, None, None] * size + cell
-                out[r0 : r0 + r] += np.bincount(
-                    index.ravel(), term.ravel(), r * size
-                ).reshape(r, size)
+        step = max(1, min(len(value), _BLOCK_CELLS // (len(members) * q)))
+        width = max(2, p, len(members))  # cells a (row, path) takes in _add_terms
+        rows = max(1, min(n, _BLOCK_CELLS // max(size, width)))
+        span = max(1, _BLOCK_CELLS // (rows * width))
+        for t0 in range(0, len(value), step):
+            tile = range(t0, min(t0 + step, len(value)))
+            for r0 in range(0, n, rows):
+                xr = x[r0 : r0 + rows]
+                sums = np.zeros((len(xr), size))
+                for s0 in tile[::span]:
+                    ps = slice(s0, min(s0 + span, tile.stop))
+                    cell = 0
+                    for d in members.T:
+                        cell = cell * m + feature[ps, d]
+                    _add_terms(sums, xr, cell, *(a[ps] for a in group), members, drop, weights)
+                out[r0 : r0 + len(xr)] += sums
     return out, base
 
 

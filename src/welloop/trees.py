@@ -55,6 +55,7 @@ _TUNE_DRAW_TAG = 13
 _TUNE_FOLD_TAG = 14
 
 _BLOCK_CELLS = 1 << 14  # elements in the largest array of one block
+_INT64_MAX = int(np.iinfo(np.int64).max)  # the largest integer a tune draw gives
 
 
 @dataclass
@@ -244,16 +245,21 @@ def compile_trees(trees) -> FlatTrees:
     )
 
 
+def cached(model, name, build):
+    """build(model) for a TreeEnsemble or a StackedModel, made on first
+    use and cached on the instance as attribute `name` for as long as its
+    `trees` attribute is the same object. Nothing changes a fitted or
+    loaded model's nodes or scaling in place."""
+    hit = getattr(model, name, None)
+    if hit is None or hit[0] is not model.trees:
+        hit = (model.trees, build(model))
+        setattr(model, name, hit)
+    return hit[1]
+
+
 def compiled(model):
-    """The node arrays of a TreeEnsemble's or a StackedModel's `trees`
-    and its terms(), compiled on first use and cached on the instance for
-    as long as its `trees` attribute is the same object. Nothing changes a
-    fitted or loaded model's nodes or scaling in place."""
-    cached = getattr(model, "_compiled", None)
-    if cached is None or cached[0] is not model.trees:
-        cached = (model.trees, compile_trees(model.trees), model.terms())
-        model._compiled = cached
-    return cached[1:]
+    """The node arrays of a model's `trees` and its terms(), cached."""
+    return cached(model, "_compiled", lambda m: (compile_trees(m.trees), m.terms()))
 
 
 def predict(model, x) -> np.ndarray:
@@ -628,9 +634,10 @@ def space_entry_problems(name, entry, where) -> list[str]:
     """The problems of one tune-space entry, each placed at `where`. The
     name must be a HyperParams field; the entry is exactly one of
     {"range": [low, high]}, two finite numbers with low <= high, or
-    {"choices": [...]}, a non-empty list; and HyperParams must accept
-    every end and every choice. A rule is checked only when the ones
-    before it hold, so at most one problem is listed."""
+    {"choices": [...]}, a non-empty list; HyperParams must accept every
+    end and every choice; and an integer field's range must end within
+    int64, where sample_space draws it. A rule is checked only when the
+    ones before it hold, so at most one problem is listed."""
     if name not in {f.name for f in fields(HyperParams)}:
         return [f"{where}: not a hyperparameter"]
     if not isinstance(entry, dict) or set(entry) not in ({"range"}, {"choices"}):
@@ -648,6 +655,8 @@ def space_entry_problems(name, entry, where) -> list[str]:
             HyperParams(**{name: v})
         except (TypeError, ValueError) as exc:
             return [f"{where}: {exc}"]
+    if form == "range" and name in INTEGER_FIELDS and values[1] > _INT64_MAX:
+        return [f"{where}.range: expected an integer high <= {_INT64_MAX}"]
     return []
 
 
@@ -736,24 +745,51 @@ def _node_to_json(node: TreeNode) -> dict:
     }
 
 
+def _place(where) -> str:
+    """The location string of a (parent, key) chain from a tree's root."""
+    keys = []
+    while isinstance(where, tuple):
+        where, key = where
+        keys.append(key)
+    return where + "".join(f".{key}" for key in reversed(keys))
+
+
 def _node_from_json(obj, n_features, where) -> TreeNode:
-    cover = take(obj, "cover", "integer", where)
+    """The node a JSON object describes. Each key is checked inline, and
+    only a value that fails the plain check goes through take or typed,
+    which accept it or raise; `where` is a (parent, key) chain, spelled
+    out by _place only then."""
+    cover = obj.get("cover")
+    if type(cover) is not int:
+        cover = take(obj, "cover", "integer", _place(where))
     if cover < 1:
-        raise ValueError(f"{where}: node cover must be >= 1")
+        raise ValueError(f"{_place(where)}: node cover must be >= 1")
     if "value" in obj:
-        return TreeNode(cover=cover, value=take(obj, "value", "number", where))
-    if obj.keys().isdisjoint(("feature", "threshold", "left", "right")):
-        raise ValueError(f"{where}: node has neither a value nor a split")
-    feature = take(obj, "feature", "integer", where)
+        value = obj["value"]
+        if type(value) is not float or value - value != 0.0:
+            value = typed(value, "number", _place(where), "value")
+        return TreeNode(cover=cover, value=value)
+    feature = obj.get("feature")
+    if type(feature) is not int:
+        if obj.keys().isdisjoint(("feature", "threshold", "left", "right")):
+            raise ValueError(f"{_place(where)}: node has neither a value nor a split")
+        feature = take(obj, "feature", "integer", _place(where))
     if not 0 <= feature < n_features:
-        raise ValueError(f"{where}.feature: {feature} is not one of {n_features} features")
-    threshold = take(obj, "threshold", "number", where)
-    left = take(obj, "left", "object", where)
-    left = _node_from_json(left, n_features, f"{where}.left")
-    right = take(obj, "right", "object", where)
-    right = _node_from_json(right, n_features, f"{where}.right")
+        raise ValueError(
+            f"{_place(where)}.feature: {feature} is not one of {n_features} features"
+        )
+    threshold = obj.get("threshold")
+    if type(threshold) is not float or threshold - threshold != 0.0:
+        threshold = take(obj, "threshold", "number", _place(where))
+    children = []
+    for key in ("left", "right"):
+        child = obj.get(key)
+        if type(child) is not dict:
+            child = take(obj, key, "object", _place(where))
+        children.append(_node_from_json(child, n_features, (where, key)))
+    left, right = children
     if left.cover + right.cover != cover:
-        raise ValueError(f"{where}: child covers do not sum to the parent cover")
+        raise ValueError(f"{_place(where)}: child covers do not sum to the parent cover")
     return TreeNode(
         cover=cover, feature=feature, threshold=threshold, left=left, right=right
     )

@@ -510,6 +510,21 @@ INVALID_CONFIGS = [
     ),
     pytest.param(
         with_seed(
+            train={
+                "tune": {
+                    "space": {
+                        "max_depth": {"range": [1, 2**63]},
+                        "n_trees": {"range": [1, 2**63 - 1]},
+                        "gamma": {"range": [0, 2**63]},
+                    }
+                }
+            }
+        ),
+        ["train.tune.space.max_depth.range: expected an integer high <= 9223372036854775807"],
+        id="tune-integer-range-past-int64",
+    ),
+    pytest.param(
+        with_seed(
             ice=[
                 {
                     "factors": [
@@ -871,9 +886,8 @@ def test_accepted_configs_run_to_success_or_a_domain_error(obj):
 
 
 # tune-space entries, good and bad: numbers of every kind, lists and
-# dicts of them, and ranges that hold. Integer ends stay far below
-# 2**63: sample_space cannot draw an integer past int64, a limit that
-# neither it nor validate states yet.
+# dicts of them, and ranges that hold, some with integer ends on either
+# side of int64's largest value, the last sample_space can draw.
 _SCALARS = (
     st.integers(-3, 300) | st.floats() | st.booleans() | st.none() | st.text(max_size=2)
 )
@@ -883,6 +897,9 @@ _SPACE_ENTRIES = (
     | st.fixed_dictionaries({"choices": _LISTS | _SCALARS})
     | st.dictionaries(st.sampled_from(["range", "choices", "values"]), _LISTS, max_size=2)
     | st.lists(st.integers(0, 300), min_size=2, max_size=2).map(lambda p: {"range": sorted(p)})
+    | st.lists(st.integers(2**63 - 3, 2**63 + 1), min_size=2, max_size=2).map(
+        lambda p: {"range": sorted(p)}
+    )
     | st.lists(st.floats(0, 1), min_size=2, max_size=2).map(lambda p: {"range": sorted(p)})
     | _SCALARS
     | _LISTS

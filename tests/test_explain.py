@@ -1,4 +1,6 @@
 import csv
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +38,15 @@ from welloop.explain import (
     write_summary_csv,
 )
 from welloop.stack import fit_stacked
-from welloop.trees import HyperParams, TreeEnsemble, TreeNode, fit_rf, predict
+from welloop.trees import (
+    HyperParams,
+    TreeEnsemble,
+    TreeNode,
+    fit_gbdt,
+    fit_rf,
+    fit_xgb,
+    predict,
+)
 
 
 def make_table(columns):
@@ -279,17 +289,30 @@ def test_path_attribution_matches_enumeration_on_drawn_ensembles(case):
         assert np.allclose(tensor.values[i], want, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("cells", [60, 400])
+@pytest.mark.parametrize("cells", [24, 60, 400])
 def test_a_row_attributes_alike_alone_and_in_a_many_block_batch(
     cells, rng, monkeypatch
 ):
     x = rng.normal(size=(25, 5))
     model = fit_rf(x, x[:, 0] * x[:, 1] + x[:, 2], HyperParams(n_trees=8, max_depth=3))
+    # repeated rows share their branch patterns within a block
+    x = np.vstack([x, x[:6], x[3:9]])
     # 400 cells a block give 3 to 50 rows a block, with the paths whole;
-    # 60 cut the 14 paths with three features into blocks of 6, 6 and 2
+    # 60 and 24 cut the 14 paths with three features into tiles of 6 and
+    # 2, and take their distinct pairs 6 and 2 at a time
     monkeypatch.setattr(welloop.explain, "_BLOCK_CELLS", cells)
+    calls = []
+    for name in ("_add_terms", "_subset_weights"):
+        def counted(*args, _f=getattr(welloop.explain, name)):
+            calls.append(_f.__name__)
+            return _f(*args)
+
+        monkeypatch.setattr(welloop.explain, name, counted)
     attr = tree_shap(model, x)
     tensor = shap_interactions(model, x, attr)
+    if cells < 400:
+        # some block's distinct pairs span several chunks
+        assert calls.count("_subset_weights") > calls.count("_add_terms")
     for i in range(x.shape[0]):
         alone = tree_shap(model, x[i])
         assert np.array_equal(alone.values[0], attr.values[i])
@@ -306,6 +329,40 @@ def test_a_very_deep_tree_is_attributed_without_recursion():
     assert np.all(np.abs(recon - pred) <= 1e-9 * np.maximum(1.0, np.abs(pred)))
     tensor = shap_interactions(model, x, attr)
     assert np.array_equal(tensor.values[:, 0, 0], attr.values[:, 0])
+
+
+def test_a_path_over_70_features_is_attributed_exactly():
+    # the longest path holds 70 distinct features, more flags than an
+    # int64 key has bits; the rows differ from the first only at one slot
+    m = 70
+    node = TreeNode(cover=1, value=float(m))
+    for d in reversed(range(m)):
+        leaf = TreeNode(cover=d + 1, value=float(d))
+        node = TreeNode(cover=node.cover + d + 1, feature=d, threshold=0.0, left=leaf, right=node)
+    model = TreeEnsemble("GBDT", (node,), 0.5, 0.1, tuple(f"f{d}" for d in range(m)))
+    x = np.ones((7, m))
+    for i, d in enumerate((0, 31, 62, 63, 64, 69), start=1):
+        x[i, d] = -1.0
+    attr = tree_shap(model, x)
+    pred = predict(model, x)
+    assert np.all(np.abs(attr.base_value + attr.values.sum(axis=1) - pred) <= 1e-9)
+    for i in range(x.shape[0]):
+        assert np.array_equal(tree_shap(model, x[i]).values[0], attr.values[i])
+
+
+def test_a_rebuilt_model_gets_a_fresh_decomposition(rng):
+    x = rng.normal(size=(30, 4))
+    model = fit_rf(x, x[:, 0] - x[:, 1] * x[:, 2], HyperParams(n_trees=6, max_depth=3))
+    tree_shap(model, x)  # decomposes and caches all six trees
+    cut = replace(model, trees=model.trees[:2])
+    fresh = TreeEnsemble("RF", model.trees[:2], 0.0, 1.0, model.feature_names)
+    assert np.array_equal(tree_shap(cut, x).values, tree_shap(fresh, x).values)
+    assert np.array_equal(
+        shap_interactions(cut, x).values, shap_interactions(fresh, x).values
+    )
+    model.trees = model.trees[2:4]  # a new trees object in place
+    fresh = TreeEnsemble("RF", model.trees, 0.0, 1.0, model.feature_names)
+    assert np.array_equal(tree_shap(model, x).values, tree_shap(fresh, x).values)
 
 
 def test_tree_expectation_walks_a_very_deep_tree_without_recursion():
@@ -396,6 +453,60 @@ def test_stacked_interactions_are_symmetric_and_sum_to_attributions(small_stacke
     tensor = shap_interactions(model, x)
     assert np.allclose(tensor.values, tensor.values.transpose(0, 2, 1), rtol=0, atol=1e-9)
     assert np.allclose(tensor.values.sum(axis=2), attr.values, rtol=0, atol=1e-9)
+
+
+# --- pinned attribution bits ----------------------------------------------------------
+
+
+def pinned_models():
+    """Fitted RF, GBDT and XGB ensembles and a stacked model on seeded
+    rows, with trees deep enough that paths repeat features, and the 40
+    rows they are attributed on."""
+    rng = np.random.default_rng(2609)
+    x = rng.normal(size=(80, 6))
+    x[:, 5] = np.round(x[:, 5])  # a coarse column: rows share branch patterns
+    y = x[:, 0] * x[:, 1] + np.abs(x[:, 2]) - x[:, 3] + 0.5 * x[:, 5] + 0.1 * rng.normal(size=80)
+    hp = HyperParams(n_trees=12, max_depth=6, min_samples_leaf=2, seed=3)
+    models = {
+        kind: fit(x, y, replace(hp, learning_rate=0.3))
+        for kind, fit in (("RF", fit_rf), ("GBDT", fit_gbdt), ("XGB", fit_xgb))
+    }
+    models["stacked"] = fit_stacked(x, y, STACK_HPS, k=3, seed=4)
+    return models, x[:40]
+
+
+def attribution_digest(model, x):
+    """sha256 over the bytes of tree_shap's values and base value and of
+    shap_interactions' values."""
+    attr = tree_shap(model, x)
+    tensor = shap_interactions(model, x, attr)
+    parts = (attr.values, np.float64(attr.base_value), tensor.values)
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest()
+
+
+# sha256 as attribution_digest takes it, pinned from the attribution that ran
+# the subset-weight polynomial once per (row, path) pair; sharing the
+# weights among rows with the same branch pattern must keep every bit
+ATTRIBUTION_PINS = {
+    "RF-1": "99f6a36a146318534c77ca4158c683c8c54ec0e5fe25777013d3fa0b055137fb",
+    "RF-40": "b4e1d2a799cbd4c3aaade0a4d8e68f7cab7b7cadfa879aa17bc24aea6ccbdd79",
+    "GBDT-1": "892cf4d883a915a7e6c817ade513ed73ddc55c99771c54bb95b8613f3b33d0da",
+    "GBDT-40": "21d35e54a22518036546e836fe9f76bb1179a6043a18148ecb2c90ff9d944621",
+    "XGB-1": "65029084f590b9ecd6f2e68980a95af561824b0070ae257a98697e3ea0b8f07b",
+    "XGB-40": "ee55712417478cfbbdc9fcc5b031481f4b14e5da6e2009e4bdec85523b9d2d27",
+    "stacked-1": "fbec329f7f807ef30c9beb6dddea57fab942eefb8813999f248878801ef667a3",
+    "stacked-40": "c0600a71fa871f4ae6de768944da87aa478d2e4e1ea7a57894afd6dd5a32f09f",
+}
+
+
+def test_attributions_match_their_pinned_bits():
+    models, x = pinned_models()
+    got = {
+        f"{label}-{n}": attribution_digest(model, x[:n])
+        for label, model in models.items()
+        for n in (1, 40)
+    }
+    assert got == ATTRIBUTION_PINS
 
 
 # --- pairwise interactions -----------------------------------------------------------

@@ -687,6 +687,16 @@ def test_sample_space_rejects_bad_ranges():
             sample_space({"n_trees": entry}, budget=3, seed=0)
 
 
+def test_sample_space_draws_integers_up_to_int64_and_refuses_ends_past_it():
+    top = 2**63 - 1
+    draws = sample_space({"max_depth": {"range": [top - 1, top]}}, budget=8, seed=0)
+    assert {d["max_depth"] for d in draws} <= {top - 1, top}
+    with pytest.raises(ValueError, match=rf"^max_depth.range: expected an integer high <= {top}$"):
+        sample_space({"max_depth": {"range": [1, top + 1]}}, budget=1, seed=0)
+    # a float field's range is not drawn as integers
+    assert 0 <= sample_space({"gamma": {"range": [0, top + 1]}}, budget=1, seed=0)[0]["gamma"]
+
+
 @pytest.mark.parametrize(
     "entry, problem",
     [
