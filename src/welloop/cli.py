@@ -39,7 +39,7 @@ from welloop.explain import (
     write_summary_csv,
 )
 from welloop.ice import VariedFactor, ice, job_problems
-from welloop.optimize import METHODS, optimize_well
+from welloop.optimize import METHODS, design_problems, optimize_wells
 from welloop.stack import evaluate, fit_stacked, load_stacked, save_stacked
 from welloop.trees import (
     FIT_FUNCTIONS,
@@ -276,7 +276,7 @@ def _bounds(value, path, problems):
         elif not pair[0] < pair[1]:
             problems.append(f"{path}.{name}: lower must be < upper")
         elif name in INTEGER_FACTORS and not math.ceil(pair[0]) < math.floor(pair[1]):
-            # optimize_well searches between the integers inside the bounds
+            # optimize_wells searches between the integers inside the bounds
             problems.append(f"{path}.{name}: needs two whole numbers between lower and upper")
     return value
 
@@ -408,32 +408,24 @@ def _reference_schema(config, problems):
 
 def _check_factor_references(config, problems):
     """Every factor name mentioned in ice/optimize sections must exist in
-    the schema; optimize variables must also carry the optimizable flag,
-    and a bound must be on a factor the search varies."""
+    the schema, and the optimize section must pass design_problems."""
     specs = _reference_schema(config, problems)
     if specs is None:
         return
-    by_name = {s.name: s for s in specs}
-    features = {s.name for s in specs if s.category != "production"}
+    features = {s.name: s for s in specs if s.category != "production"}
     for i, job in enumerate(config.ice):
         for f in job.factors:
             if f.name not in features:
                 problems.append(f"ice[{i}]: unknown factor {f.name!r}")
     named = config.optimize.variables
-    if named is not None:
-        for name in named:
-            if not isinstance(name, str) or name not in features:
-                problems.append(f"optimize.variables: unknown factor {name!r}")
-            elif not by_name[name].optimizable:
-                problems.append(
-                    f"optimize.variables: {name!r} is not flagged optimizable"
-                )
-    searched = named if named is not None else [s.name for s in specs if s.optimizable]
+    for name in named or ():
+        if not isinstance(name, str) or name not in features:
+            problems.append(f"optimize.variables: unknown factor {name!r}")
     for name in config.optimize.bounds:
         if name not in features:
             problems.append(f"optimize.bounds: unknown factor {name!r}")
-        elif name not in searched:
-            problems.append(f"optimize.bounds: {name!r} is not searched")
+    searched = named if named is not None else [s.name for s in specs if s.optimizable]
+    problems += design_problems(features, searched, config.optimize.bounds, "optimize")
 
 
 def validate_config(obj) -> list[str]:
@@ -787,19 +779,23 @@ class Pipeline:
         if not variables:
             raise RuntimeError("no optimizable factors survived preprocessing")
         self._check_kept([*variables, *cfg.bounds])
+        results = {}
+        for m_index, method in enumerate(cfg.methods):
+            found = optimize_wells(
+                self.final_model,
+                self.table,
+                cfg.wells,
+                variables,
+                method=method,
+                budget=cfg.budget,
+                bounds=cfg.bounds,
+                seeds=[mix_seed(self.config.seed, _OPT_TAG, row, m_index) for row in cfg.wells],
+            )
+            results.update(((row, method), result) for row, result in zip(cfg.wells, found))
         rows = []
         for row in cfg.wells:
-            for m_index, method in enumerate(cfg.methods):
-                result = optimize_well(
-                    self.final_model,
-                    self.table,
-                    row,
-                    variables,
-                    method=method,
-                    budget=cfg.budget,
-                    bounds=cfg.bounds,
-                    seed=mix_seed(self.config.seed, _OPT_TAG, row, m_index),
-                )
+            for method in cfg.methods:
+                result = results[row, method]
                 path = f"optimize/trace_w{row}_{method}.csv"
                 self._save(path, "optimize", result.trace.write_csv, variable_names=variables)
                 self._write_json(

@@ -11,18 +11,29 @@ follow analytic gradients through one in-house bounded quasi-Newton
 minimizer, on numpy alone). All candidates are clamped to the search box
 before evaluation, and the wrapper asserts feasibility, counts
 evaluations against the budget, and keeps the best-so-far record.
+
+The Bayesian searches of several wells run in lockstep: each step fits
+the likelihoods of all of them in one minimizer call and polishes their
+acquisitions in another, which shares the numpy call overhead that
+dominates small surrogates. Every search keeps its bits: the rows of the
+minimizer never mix, and the products with a well's own targets are
+taken over that well's rows alone. A lockstep group's likelihood arrays,
+starts x n x n, stay within max(4 n^2, _LOCKSTEP_CELLS) cells, so at
+large budgets the searches go one at a time and need no more memory
+than one search alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from welloop.data import INTEGER_FACTORS, WellTable
-from welloop.trees import as_predictor
-from welloop.utils import fmt, subseed_rng, write_rows
+from welloop.trees import _BLOCK_CELLS, as_predictor
+from welloop.utils import fmt, raise_first, subseed_rng, write_rows
 
 _PSO_TAG = 51
 _DE_TAG = 52
@@ -34,6 +45,10 @@ _DE_CROSSOVER = 0.7
 _BO_INIT = 8  # Latin-hypercube points before the surrogate takes over
 _GP_NOISE = 1e-6
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
+_LML_STARTS = 4  # likelihood starts per surrogate fit
+# the cells a lockstep group's likelihood stack may hold; from n = 46 on, one
+# search's 4 n^2 is more, and the searches go one at a time
+_LOCKSTEP_CELLS = _BLOCK_CELLS // 2
 _BLOCK = 32  # triangular factors up to this order are inverted in one LAPACK call
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -138,6 +153,7 @@ class _Evaluator:
 
     def __call__(self, u) -> float:
         if len(self.trace.entries) >= self.problem.budget:
+            self.trace.truncated = True
             raise BudgetExhausted
         u = np.asarray(u, dtype=float).reshape(-1)
         # NaN compares false both ways, so it is refused before the bounds
@@ -154,20 +170,21 @@ class _Evaluator:
         return value
 
 
-def _search(problem: SearchProblem, start, step):
-    """The budget handler every search runs under: `start(ev)` evaluates
-    the initial design, then `step(ev)`, which evaluates at least once,
-    repeats until the budget is spent, `ev` being the budgeted objective.
-    A budget that runs out mid-step marks the trace truncated. Returns
-    (best point, trace)."""
-    ev = _Evaluator(problem)
-    try:
-        start(ev)
-        while len(ev.trace.entries) < problem.budget:
-            step(ev)
-    except BudgetExhausted:
-        ev.trace.truncated = True
-    return ev.trace.best().point.copy(), ev.trace
+def _search(problems, start, step):
+    """The budget handler every search runs under, over one problem or
+    several in lockstep: `start(i, ev)` evaluates problem i's initial
+    design, `ev` being its budgeted objective, then `step(evs)`, which
+    evaluates at least once for every problem, repeats until the budgets,
+    all equal, are spent. A budget that runs out mid-start or mid-step
+    marks that trace truncated. Returns (best point, trace) per problem."""
+    evs = [_Evaluator(p) for p in problems]
+    for i, ev in enumerate(evs):
+        with contextlib.suppress(BudgetExhausted):
+            start(i, ev)
+    with contextlib.suppress(BudgetExhausted):
+        while len(evs[0].trace.entries) < evs[0].problem.budget:
+            step(evs)
+    return [(ev.trace.best().point.copy(), ev.trace) for ev in evs]
 
 
 def _start_population(rng, problem: SearchProblem, size: int, initial):
@@ -259,7 +276,7 @@ def pso(problem: SearchProblem, seed: int = 0, initial=None):
             }
         )
 
-    return _search(problem, evaluate_swarm, step)
+    return _search([problem], lambda _, ev: evaluate_swarm(ev), lambda evs: step(*evs))[0]
 
 
 # --- differential evolution -----------------------------------------------------
@@ -310,7 +327,7 @@ def de(problem: SearchProblem, seed: int = 0, initial=None):
                 fitness[p] = value
         ev.trace.iteration_log.append({"member_values": fitness.copy()})
 
-    return _search(problem, start, step)
+    return _search([problem], lambda _, ev: start(ev), lambda evs: step(*evs))[0]
 
 
 # --- Bayesian optimization --------------------------------------------------------
@@ -393,21 +410,23 @@ def _minimize_box(fun, starts, lower, upper):
     full step nor any of its _MAX_HALVINGS halvings decreases its value,
     or after _MAX_ITER steps.
 
-    The rows move in lockstep: fun maps an (m, d) array of points to
-    their m values and (m, d) gradients, and is called once per step and
-    halving with the rows still moving. Returns the final points and
-    their values."""
+    The rows move in lockstep: fun(x, rows) maps an (m, d) array of
+    points, the rows of starts numbered `rows` came from, to their m
+    values and (m, d) gradients. It is called once per step and halving
+    with the rows still moving, in the order of starts, and a row's value
+    and gradient must not depend on the other rows. Returns the final
+    points and their values."""
     x = np.minimum(np.maximum(np.array(starts, dtype=float), lower), upper)
     count, dim = x.shape
     eye = np.eye(dim)
-    f, g = fun(x)
+    rows = np.arange(count)  # the start each moving row came from
+    f, g = fun(x, rows)
     final_x, final_f = x.copy(), f.copy()
     # the first step of each row is at most of unit length; B is rescaled
     # to the measured curvature before its first update (N & W eq. 6.20)
     b = eye * np.maximum(1.0, np.sqrt((g * g).sum(axis=1)))[:, None, None]
     scaled = np.zeros(count, dtype=bool)
     done = np.zeros(count, dtype=bool)
-    rows = np.arange(count)  # the start each moving row came from
     for _ in range(_MAX_ITER):
         gap = np.minimum(np.maximum(x - g, lower), upper) - x
         going = (np.abs(gap).max(axis=1) > _PGTOL) & ~done
@@ -423,7 +442,7 @@ def _minimize_box(fun, starts, lower, upper):
         free = gap != 0.0
         reduced = np.where(free[:, :, None] & free[:, None, :], b, eye)
         step = np.linalg.solve(reduced, np.where(free, -g, 0.0)[:, :, None])[:, :, 0]
-        x1, f1, g1 = _line_search(fun, x, f, g, step, lower, upper)
+        x1, f1, g1 = _line_search(fun, x, f, g, step, rows, lower, upper)
         done = (f - f1) <= _FTOL * np.maximum(np.maximum(np.abs(f), np.abs(f1)), 1.0)
         s, y = x1 - x, g1 - g
         sy = (s * y).sum(axis=1)
@@ -446,22 +465,23 @@ def _minimize_box(fun, starts, lower, upper):
     return final_x, final_f
 
 
-def _line_search(fun, x, f, g, step, lower, upper, t=1.0):
+def _line_search(fun, x, f, g, step, rows, lower, upper, t=1.0):
     """Armijo backtracking along the projected path from each row of x,
-    in lockstep: one fun call takes every row's trial point x + t step,
-    clamped to the box; a row whose value drops enough keeps it, and the
-    others try again at half of t. From the full step (t = 1), a row that
-    finds no decrease in _MAX_HALVINGS halvings keeps its point. Returns
-    the rows' new points, values and gradients, written into the arrays
-    of the first trial."""
+    which came from the start numbered in `rows`, in lockstep: one fun
+    call takes every row's trial point x + t step, clamped to the box; a
+    row whose value drops enough keeps it, and the others try again at
+    half of t. From the full step (t = 1), a row that finds no decrease
+    in _MAX_HALVINGS halvings keeps its point. Returns the rows' new
+    points, values and gradients, written into the arrays of the first
+    trial."""
     trial = np.minimum(np.maximum(x + t * step, lower), upper)
-    ft, gt = fun(trial)
+    ft, gt = fun(trial, rows)
     ok = ft <= f + _ARMIJO * np.minimum(((trial - x) * g).sum(axis=1), 0.0)
     if not ok.all():
         short = ~ok
         if t > 0.5**_MAX_HALVINGS:
             back = _line_search(
-                fun, x[short], f[short], g[short], step[short], lower, upper, 0.5 * t
+                fun, x[short], f[short], g[short], step[short], rows[short], lower, upper, 0.5 * t
             )
         else:
             back = x[short], f[short], g[short]
@@ -524,150 +544,220 @@ def _chol_with_jitter(gram):
 
 
 class _GaussianProcess:
-    """Matern-5/2 GP on inputs scaled to the unit box; outputs are
-    standardized internally and the noise variance is pinned at 1e-6.
-    Length scale and signal variance maximize the log marginal likelihood
-    from several seeded starts."""
+    """Matern-5/2 GPs, one per well, on inputs scaled to the unit box;
+    outputs are standardized internally and the noise variance is pinned
+    at 1e-6. Each well's length scale and signal variance maximize its log
+    marginal likelihood from _LML_STARTS seeded starts.
 
-    def __init__(self, x01, y, rng):
+    A leading wells axis: x01 is (wells, n, d) and y is (wells, n), every
+    well holding n points, with one generator per well. The starts of all
+    wells descend in one lockstep minimizer, and every number a well gets
+    is the one it gets when fitted alone."""
+
+    def __init__(self, x01, y, rngs):
         self.x = np.asarray(x01, dtype=float)
         y = np.asarray(y, dtype=float)
         if not np.all(np.isfinite(y)):
             raise ValueError("surrogate targets must be finite")
-        self.y_mean = float(y.mean())
-        self.y_sd = float(y.std())
-        if self.y_sd == 0:
-            self.y_sd = 1.0
-        self.yn = (y - self.y_mean) / self.y_sd
-        self.dists = _distances(self.x, self.x)
+        # each well's scalars as a float, as one well alone computes them
+        self.y_mean = [float(v.mean()) for v in y]
+        self.y_sd = [float(v.std()) or 1.0 for v in y]
+        self.yn = (y - np.array(self.y_mean)[:, None]) / np.array(self.y_sd)[:, None]
+        self.dists = np.array([_distances(x, x) for x in self.x])
         # the likelihood's fixed terms, computed once for all its calls
         self._root5_dists = math.sqrt(5.0) * self.dists
-        self._noise = _GP_NOISE * np.eye(len(self.yn))
-        self._fit(rng)
+        self._noise = _GP_NOISE * np.eye(y.shape[1])
+        self._fit(rngs)
 
-    def _neg_lml(self, log_params):
-        """Negative log marginal likelihood at (log length scale, log
-        signal variance), and its gradient 0.5 tr((K^-1 - alpha alpha^T)
-        dK) per parameter, alpha = K^-1 y (Rasmussen & Williams 2006,
-        eq. 5.9). With a = sqrt(5) d / l, dK / dlog l is
-        s2 a^2 (1 + a) / 3 exp(-a) and dK / dlog s2 the signal part of K.
+    def _neg_lml(self, log_params, wells):
+        """Negative log marginal likelihood of well wells[i] at row i of
+        (log length scale, log signal variance), and its gradient
+        0.5 tr((K^-1 - alpha alpha^T) dK) per parameter, alpha = K^-1 y
+        (Rasmussen & Williams 2006, eq. 5.9). With a = sqrt(5) d / l,
+        dK / dlog l is s2 a^2 (1 + a) / 3 exp(-a) and dK / dlog s2 the
+        signal part of K. `wells` does not decrease: a well's rows are
+        adjacent, and the wells in order.
 
         An (m, 2) stack of parameters gives m values and (m, 2)
         gradients from one factorization of the m Gram matrices. Where K
         does not factor, the value is 1e12 and the gradient zero: a flat
-        wall the minimizer backs off from."""
+        wall the minimizer backs off from. The products with a well's y
+        are taken over that well's rows alone, as BLAS gives a row other
+        last bits when more rows share the call."""
         ell, sig2 = np.exp(log_params).T
-        n = len(self.yn)
-        a = self._root5_dists / ell[:, None, None]
-        signal_decay = sig2[:, None, None] * np.exp(-a)
-        a2_3 = a * a / 3.0
-        signal = signal_decay * (1.0 + a + a2_3)
+        n = self.yn.shape[1]
+        # the (m, n, n) terms are made in place, and those the gradient
+        # does not need are let go before the factorization
+        a = self._root5_dists[wells]
+        a /= ell[:, None, None]
+        decay = np.negative(a)
+        np.exp(decay, out=decay)
+        decay *= sig2[:, None, None]  # s2 exp(-a)
+        one_a = 1.0 + a
+        a *= a
+        a /= 3.0  # a^2 / 3
+        signal = one_a + a
+        signal *= decay
+        d_log_ell = decay * a
+        d_log_ell *= one_a
+        del a, decay, one_a
         low, ok = _chol_each(signal + self._noise)
         k_inv = _inverse(low)
-        alpha = k_inv @ self.yn
+        alpha = np.empty((len(ell), n))
+        fit = np.empty(len(ell))
+        ends = np.searchsorted(wells, np.arange(len(self.yn) + 1)).tolist()
+        for yn, start, end in zip(self.yn, ends, ends[1:]):
+            if start < end:
+                alpha[start:end] = k_inv[start:end] @ yn
+                fit[start:end] = alpha[start:end] @ yn
         values = (
-            0.5 * (alpha @ self.yn)
+            0.5 * fit
             + np.log(low.diagonal(axis1=1, axis2=2)).sum(axis=1)
             + 0.5 * n * math.log(2.0 * math.pi)
         )
-        inner = 0.5 * (k_inv - alpha[:, :, None] * alpha[:, None, :])
+        inner = alpha[:, :, None] * alpha[:, None, :]
+        np.subtract(k_inv, inner, out=inner)
+        inner *= 0.5
         grads = np.empty((len(ell), 2))
-        grads[:, 0] = np.einsum("mij,mij->m", inner, signal_decay * a2_3 * (1.0 + a))
+        grads[:, 0] = np.einsum("mij,mij->m", inner, d_log_ell)
         grads[:, 1] = np.einsum("mij,mij->m", inner, signal)
         values[~ok], grads[~ok] = 1e12, 0.0
         return values, grads
 
-    def _fit(self, rng):
+    def _fit(self, rngs):
         lower = np.array([math.log(0.02), math.log(0.05)])
         upper = np.array([math.log(10.0), math.log(50.0)])
-        starts = [[math.log(0.5), 0.0]]
-        for _ in range(3):
-            starts.append([rng.uniform(lo, hi) for lo, hi in zip(lower, upper)])
-        # the starts descend in lockstep; a tie goes to the earliest start
-        points, values = _minimize_box(self._neg_lml, starts, lower, upper)
-        self.length_scale, self.signal_var = np.exp(points[np.argmin(values)])
-        gram = _matern52(self.dists, self.length_scale, self.signal_var)
-        self._k_inv = _inverse(_chol_with_jitter(gram + self._noise))
-        self._alpha = self._k_inv @ self.yn
+        starts = []
+        for rng in rngs:
+            starts.append([math.log(0.5), 0.0])
+            for _ in range(_LML_STARTS - 1):
+                starts.append([rng.uniform(lo, hi) for lo, hi in zip(lower, upper)])
+        # the starts descend in lockstep; a tie goes to a well's earliest start
+        points, values = _minimize_box(
+            lambda p, rows: self._neg_lml(p, rows // _LML_STARTS), starts, lower, upper
+        )
+        self.length_scale, self.signal_var, self._k_inv, self._alpha = [], [], [], []
+        for w, dists in enumerate(self.dists):
+            mine = slice(w * _LML_STARTS, (w + 1) * _LML_STARTS)
+            ell, sig2 = np.exp(points[mine][np.argmin(values[mine])])
+            gram = _matern52(dists, ell, sig2)
+            k_inv = _inverse(_chol_with_jitter(gram + self._noise))
+            self.length_scale.append(ell)
+            self.signal_var.append(sig2)
+            self._k_inv.append(k_inv)
+            self._alpha.append(k_inv @ self.yn[w])
 
-    def _posterior(self, q):
-        """Posterior mean and sd at the rows of q, with the distances to
-        the data and v = K^-1 k that the gradient reuses."""
-        dists = _distances(q, self.x)
-        cross = _matern52(dists, self.length_scale, self.signal_var)
-        mu_n = cross @ self._alpha
-        v = self._k_inv @ cross.T
-        var = self.signal_var - np.einsum("ij,ji->i", cross, v)
+    def _posterior(self, w, q):
+        """Well w's posterior mean and sd at the rows of q, with the
+        distances to the data and v = K^-1 k that the gradient reuses."""
+        dists = _distances(q, self.x[w])
+        cross = _matern52(dists, self.length_scale[w], self.signal_var[w])
+        mu_n = cross @ self._alpha[w]
+        v = self._k_inv[w] @ cross.T
+        var = self.signal_var[w] - np.einsum("ij,ji->i", cross, v)
         var = np.clip(var, 0.0, None)
-        mu = mu_n * self.y_sd + self.y_mean
-        sigma = np.sqrt(var) * self.y_sd
+        mu = mu_n * self.y_sd[w] + self.y_mean[w]
+        sigma = np.sqrt(var) * self.y_sd[w]
         return mu, sigma, dists, v
 
-    def predict_gradient(self, q01):
-        """Posterior mean and sd at one point, each with its gradient in
-        q01. With a = sqrt(5) d / l, dk_i / dq is
+    def predict_gradient(self, w, q01):
+        """Well w's posterior mean and sd at one point, each with its
+        gradient in q01. With a = sqrt(5) d / l, dk_i / dq is
         -s2 5 / (3 l^2) (1 + a_i) exp(-a_i) (q - x_i); then
         dmu = y_sd alpha^T dk and, as sigma = y_sd sqrt(var),
         dsigma = -y_sd^2 v^T dk / sigma, taken as 0 where sigma is 0."""
         q = np.asarray(q01, dtype=float).reshape(1, -1)
-        mu, sigma, dists, v = self._posterior(q)
-        a = math.sqrt(5.0) * dists[0] / self.length_scale
-        slope = -self.signal_var * 5.0 / (3.0 * self.length_scale**2) * (1.0 + a) * np.exp(-a)
-        d_cross = slope[:, None] * (q - self.x)
-        d_mu = self.y_sd * (self._alpha @ d_cross)
+        mu, sigma, dists, v = self._posterior(w, q)
+        ell, sig2, y_sd = self.length_scale[w], self.signal_var[w], self.y_sd[w]
+        a = math.sqrt(5.0) * dists[0] / ell
+        slope = -sig2 * 5.0 / (3.0 * ell**2) * (1.0 + a) * np.exp(-a)
+        d_cross = slope[:, None] * (q - self.x[w])
+        d_mu = y_sd * (self._alpha[w] @ d_cross)
         d_sigma = np.zeros(q.shape[1])
         if sigma[0] > 0.0:
-            d_sigma = -self.y_sd**2 * (v[:, 0] @ d_cross) / sigma[0]
+            d_sigma = -y_sd**2 * (v[:, 0] @ d_cross) / sigma[0]
         return mu[0], sigma[0], d_mu, d_sigma
 
 
-def bayes_opt(problem: SearchProblem, seed: int = 0, initial=None):
-    """Gaussian-process maximization; returns (best point, trace).
+def bayes_opt(problems, seeds, initials=None):
+    """Gaussian-process maximization of each of `problems`, seeded by the
+    matching entry of `seeds`; returns one (best point, trace) per problem.
 
-    Starts from a Latin hypercube design of _BO_INIT points (optionally
-    with a pinned first point), then repeatedly fits the surrogate and
+    Each search starts from a Latin hypercube design of _BO_INIT points
+    (its first point pinned to the matching entry of `initials` when that
+    is given and not None), then repeatedly fits the surrogate and
     evaluates the point that maximizes expected improvement, found by
     seeded random multistart plus a local bounded polish.
+
+    The searches run in lockstep, so they must share a budget and a
+    dimension: each step fits the likelihoods of a group of searches in
+    one minimizer call and polishes their candidates in another. A group
+    takes as many searches as keep its likelihood stack, starts x n x n
+    for n evaluated points, within _LOCKSTEP_CELLS cells, and at least
+    one. Every search's trace is bit for bit the one it gets alone.
     """
-    rng = subseed_rng(seed, _BO_TAG)
-    lower, upper = problem.lower, problem.upper
-    span = upper - lower
-    dim = problem.dim
+    problems = list(problems)
+    seeds = list(seeds)
+    initials = [None] * len(problems) if initials is None else list(initials)
+    if not problems:
+        raise ValueError("need at least one problem")
+    if not len(problems) == len(seeds) == len(initials):
+        raise ValueError("need one seed, and one initial point if any, per problem")
+    if len({(p.budget, p.dim) for p in problems}) > 1:
+        raise ValueError("lockstep searches need equal budgets and dimensions")
+    dim = problems[0].dim
+    rngs = [subseed_rng(seed, _BO_TAG) for seed in seeds]
+    designs = []  # each search's initial unit-box design
+    for problem, rng, initial in zip(problems, rngs, initials):
+        points01 = _latin_hypercube(rng, _BO_INIT, dim)
+        if initial is not None:
+            initial = np.asarray(initial, dtype=float).reshape(-1)
+            span = problem.upper - problem.lower
+            points01[0] = np.clip((initial - problem.lower) / span, 0.0, 1.0)
+        designs.append(points01)
+    x01 = [[] for _ in problems]  # the unit-box points evaluated, in trace order
 
-    points01 = _latin_hypercube(rng, _BO_INIT, dim)
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float).reshape(-1)
-        points01[0] = np.clip((initial - lower) / span, 0.0, 1.0)
+    def evaluate01(i, ev, q01):
+        lower, upper = ev.lower, ev.upper
+        ev(np.clip(lower + np.asarray(q01) * (upper - lower), lower, upper))
+        x01[i].append(np.asarray(q01, dtype=float))
 
-    x01 = []  # the unit-box points evaluated, in the order of the trace
+    def start(i, ev):
+        for q in designs[i]:
+            evaluate01(i, ev, q)
 
-    def evaluate01(ev, q01):
-        ev(np.clip(lower + np.asarray(q01) * span, lower, upper))
-        x01.append(np.asarray(q01, dtype=float))
+    def step_group(evs, group):
+        ys = [evs[i].trace.values for i in group]
+        gp = _GaussianProcess([x01[i] for i in group], ys, [rngs[i] for i in group])
+        best = [y.max() for y in ys]
+        screened, screen_best = [], []
+        for w, i in enumerate(group):
+            candidates = rngs[i].random((256, dim))
+            mu, sigma, _, _ = gp._posterior(w, candidates)
+            ei = _improvement(mu, sigma, best[w])[0]
+            screened.append(candidates[int(np.argmax(ei))])
+            screen_best.append(max(ei.max(), 0.0))
 
-    def start(ev):
-        for q in points01:
-            evaluate01(ev, q)
+        def neg_ei(q, rows):
+            values, grads = np.empty(len(q)), np.empty(q.shape)
+            for k, w in enumerate(rows):
+                mu, sigma, d_mu, d_sigma = gp.predict_gradient(w, q[k])
+                ei, cdf, pdf = _improvement(mu, sigma, best[w])
+                values[k], grads[k] = -ei, -(cdf * d_mu + pdf * d_sigma)
+            return values, grads
 
-    def step(ev):
-        y = ev.trace.values
-        gp = _GaussianProcess(np.array(x01), y, rng)
-        best_val = y.max()
+        polished, values = _minimize_box(neg_ei, screened, np.zeros(dim), np.ones(dim))
+        for w, i in enumerate(group):
+            pick = polished[w] if values[w] <= -screen_best[w] else screened[w]
+            evaluate01(i, evs[i], np.clip(pick, 0.0, 1.0))
 
-        def neg_ei(q):
-            mu, sigma, d_mu, d_sigma = gp.predict_gradient(q[0])
-            ei, cdf, pdf = _improvement(mu, sigma, best_val)
-            return -np.reshape(ei, 1), -(cdf * d_mu + pdf * d_sigma)[None, :]
+    def step(evs):
+        n = len(x01[0])
+        size = max(1, _LOCKSTEP_CELLS // (_LML_STARTS * n * n))
+        for first in range(0, len(evs), size):
+            step_group(evs, range(first, min(first + size, len(evs))))
 
-        candidates = rng.random((256, dim))
-        mu, sigma, _, _ = gp._posterior(candidates)
-        ei = _improvement(mu, sigma, best_val)[0]
-        first = candidates[int(np.argmax(ei))]
-        polished, value = _minimize_box(neg_ei, first[None, :], np.zeros(dim), np.ones(dim))
-        pick = polished[0] if value[0] <= -max(ei.max(), 0.0) else first
-        evaluate01(ev, np.clip(pick, 0.0, 1.0))
-
-    return _search(problem, start, step)
+    return _search(problems, start, step)
 
 
 # --- closed-loop well optimization -------------------------------------------------
@@ -718,6 +808,135 @@ _SEARCHES = {"pso": "pso", "de": "de", "bayes": "bayes_opt"}
 METHODS = tuple(_SEARCHES)
 
 
+def design_problems(factors, variables, bounds, where="") -> list[str]:
+    """The problems of a design search's variables and bounds: each
+    variable must be flagged optimizable, and each bound must be on a
+    variable the search varies. `factors` maps the names of the factors a
+    search may name to their FactorSpec; names outside it are the
+    caller's to report. Each problem is placed at `where`, the path of
+    the section that holds `variables` and `bounds`, or at their own
+    names when it is empty."""
+    at = f"{where}." if where else ""
+    known = [name for name in variables if isinstance(name, str) and name in factors]
+    return [
+        f"{at}variables: {name!r} is not flagged optimizable"
+        for name in known
+        if not factors[name].optimizable
+    ] + [
+        f"{at}bounds: {name!r} is not searched"
+        for name in bounds
+        if name in factors and name not in variables
+    ]
+
+
+def optimize_wells(
+    model,
+    table: WellTable,
+    rows,
+    variables,
+    method: str = "pso",
+    budget: int = 400,
+    bounds: dict | None = None,
+    seeds=None,
+) -> list[WellOptimization]:
+    """Search the given engineering parameters of each well in `rows`,
+    seeded by the matching entry of `seeds` (0 for every well by default),
+    for the design the model rates best, holding every other factor at
+    the well's values; returns one WellOptimization per row.
+
+    Only factors flagged optimizable may be varied. Bounds default to each
+    variable's observed range. INTEGER_FACTORS are searched continuously
+    between the outermost integers inside their bounds, rounded at every
+    evaluation, and reported rounded. Each well's own design is always
+    evaluated first, so the optimized value can never fall below the
+    original. The Bayesian searches of all the wells run in lockstep
+    (bayes_opt); each well's outcome is the one it gets alone.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    variables = list(variables)
+    if not variables:
+        raise ValueError("need at least one variable to optimize")
+    bounds = dict(bounds or {})
+    feature_names = list(table.feature_names)
+    unknown = [v for v in [*variables, *bounds] if v not in feature_names]
+    if unknown:
+        raise ValueError(f"not model features: {unknown}")
+    raise_first(design_problems({s.name: s for s in table.feature_specs}, variables, bounds))
+    rows = list(rows)
+    seeds = [0] * len(rows) if seeds is None else list(seeds)
+    if not rows:
+        raise ValueError("need at least one well")
+    if len(seeds) != len(rows):
+        raise ValueError("need one seed per well")
+    for row in rows:
+        if not 0 <= row < table.n_rows:
+            raise IndexError(f"row {row} outside the table")
+
+    predictor = as_predictor(model)
+    table.check_feature_names(model)
+
+    features = table.feature_matrix()
+    for row in rows:
+        if np.isnan(features[row]).any():
+            raise ValueError(f"row {row} still contains missing values")
+    col = {name: feature_names.index(name) for name in variables}
+
+    resolved = {}
+    for name in variables:
+        if name in bounds:
+            lo, hi = float(bounds[name][0]), float(bounds[name][1])
+        else:
+            column = features[:, col[name]]
+            lo, hi = float(np.min(column)), float(np.max(column))
+        if name in INTEGER_FACTORS:  # the integers inside the bounds
+            lo, hi = float(math.ceil(lo)), float(math.floor(hi))
+        if not lo < hi:
+            raise ValueError(f"degenerate bounds for {name!r}")
+        resolved[name] = (lo, hi)
+    box = tuple(BoundedVariable(name, *resolved[name]) for name in variables)
+
+    int_mask = np.array([name in INTEGER_FACTORS for name in variables])
+    var_cols = np.array([col[name] for name in variables])
+
+    def rounded(u):
+        z = np.array(u, dtype=float)
+        z[int_mask] = np.round(z[int_mask])
+        return z
+
+    def objective_at(x0):
+        def objective(u):
+            point = np.array(x0)
+            point[var_cols] = rounded(u)
+            return float(np.asarray(predictor(point[None, :]), dtype=float)[0])
+
+        return objective
+
+    problems = [SearchProblem(objective_at(features[row]), box, budget) for row in rows]
+    starts = [np.clip(features[row][var_cols], p.lower, p.upper) for row, p in zip(rows, problems)]
+    search = globals()[_SEARCHES[method]]
+    if method == "bayes":  # the one search that runs its wells in lockstep
+        outcomes = search(problems, seeds, starts)
+    else:
+        outcomes = [search(p, seed=s, initial=u) for p, s, u in zip(problems, seeds, starts)]
+    results = []
+    for u0, (_, trace) in zip(starts, outcomes):
+        best = trace.best()
+        results.append(
+            WellOptimization(
+                variable_names=tuple(variables),
+                original=rounded(u0),
+                optimized=rounded(best.point),
+                original_eur=float(trace.entries[0].value),
+                optimized_eur=float(best.value),
+                method=method,
+                trace=trace,
+                bounds=dict(resolved),
+            )
+        )
+    return results
+
+
 def optimize_well(
     model,
     table: WellTable,
@@ -728,88 +947,6 @@ def optimize_well(
     bounds: dict | None = None,
     seed: int = 0,
 ) -> WellOptimization:
-    """Search the given engineering parameters of one well for the design
-    the model rates best, holding every other factor at the well's values.
-
-    Only factors flagged optimizable may be varied. Bounds default to each
-    variable's observed range. INTEGER_FACTORS are searched continuously
-    between the outermost integers inside their bounds, rounded at every
-    evaluation, and reported rounded. The well's own design is always
-    evaluated first, so the optimized value can never fall below the
-    original.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    variables = list(variables)
-    if not variables:
-        raise ValueError("need at least one variable to optimize")
-    feature_names = list(table.feature_names)
-    spec_by_name = {s.name: s for s in table.specs}
-    unknown = [v for v in variables if v not in feature_names]
-    if unknown:
-        raise ValueError(f"not model features: {unknown}")
-    frozen = [v for v in variables if not spec_by_name[v].optimizable]
-    if frozen:
-        raise ValueError(f"not flagged optimizable: {frozen}")
-    for name in bounds or {}:
-        if name not in variables:
-            raise ValueError(f"bounds: {name!r} is not searched")
-    if not 0 <= row < table.n_rows:
-        raise IndexError(f"row {row} outside the table")
-
-    predictor = as_predictor(model)
-    table.check_feature_names(model)
-
-    features = table.feature_matrix()
-    x0 = features[row]
-    if np.isnan(x0).any():
-        raise ValueError(f"row {row} still contains missing values")
-    col = {name: feature_names.index(name) for name in variables}
-
-    resolved = {}
-    for name in variables:
-        if bounds is not None and name in bounds:
-            lo, hi = float(bounds[name][0]), float(bounds[name][1])
-        else:
-            column = features[:, col[name]]
-            lo, hi = float(np.min(column)), float(np.max(column))
-        if name in INTEGER_FACTORS:  # the integers inside the bounds
-            lo, hi = float(math.ceil(lo)), float(math.floor(hi))
-        if not lo < hi:
-            raise ValueError(f"degenerate bounds for {name!r}")
-        resolved[name] = (lo, hi)
-
-    int_mask = np.array([name in INTEGER_FACTORS for name in variables])
-    var_cols = np.array([col[name] for name in variables])
-
-    def rounded(u):
-        z = np.array(u, dtype=float)
-        z[int_mask] = np.round(z[int_mask])
-        return z
-
-    def objective(u):
-        point = np.array(x0)
-        point[var_cols] = rounded(u)
-        return float(np.asarray(predictor(point[None, :]), dtype=float)[0])
-
-    problem = SearchProblem(
-        objective=objective,
-        variables=tuple(
-            BoundedVariable(name, *resolved[name]) for name in variables
-        ),
-        budget=budget,
-    )
-    u0 = np.clip(x0[var_cols], problem.lower, problem.upper)
-    search = globals()[_SEARCHES[method]]
-    _, trace = search(problem, seed=seed, initial=u0)
-    best = trace.best()
-    return WellOptimization(
-        variable_names=tuple(variables),
-        original=rounded(u0),
-        optimized=rounded(best.point),
-        original_eur=float(trace.entries[0].value),
-        optimized_eur=float(best.value),
-        method=method,
-        trace=trace,
-        bounds=resolved,
-    )
+    """optimize_wells for the one well `row`, seeded by `seed`."""
+    (result,) = optimize_wells(model, table, [row], variables, method, budget, bounds, [seed])
+    return result

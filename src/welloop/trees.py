@@ -197,19 +197,17 @@ class FlatTrees:
             node = np.where(go, self.left[node], self.right[node])
         return node
 
-    def thresholds(self, column: int) -> list[np.ndarray]:
-        """Each tree's sorted distinct split thresholds on `column`, one
-        array per tree in tree order (empty where a tree never splits on
-        it)."""
+    def thresholds(self, column: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each tree's sorted distinct split thresholds on `column`, as
+        (tree, threshold) arrays ordered by tree, then by threshold; a
+        tree that never splits on it has none."""
         split = (self.feature == column) & (self.left != np.arange(self.left.size))
         tree, threshold = self.tree[split], self.threshold[split]
         order = np.lexsort((threshold, tree))
         tree, threshold = tree[order], threshold[order]
         new = np.ones(tree.size, dtype=bool)
         new[1:] = (tree[1:] != tree[:-1]) | (threshold[1:] != threshold[:-1])
-        tree, threshold = tree[new], threshold[new]
-        bounds = np.searchsorted(tree, np.arange(self.roots.size + 1))
-        return [threshold[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return tree[new], threshold[new]
 
 
 def compile_trees(trees) -> FlatTrees:
@@ -339,32 +337,45 @@ def _grid_cells(flat: FlatTrees, columns, grids):
     summed over the axes, give each tree's pair for that point.
 
     Along the swept columns a tree's leaf changes only at its own
-    thresholds on them, and x <= t goes left, so np.searchsorted puts each
-    grid value in the tree's cell, and every grid point in one cell
-    reaches one leaf. A strictly increasing grid meets a tree's cells in
-    runs of steps, and on a product grid a tree's cells are the product of
-    its runs per axis, numbered with the last axis fastest."""
+    thresholds on them, and x <= t goes left, so a grid value's cell in a
+    tree is the count of the tree's thresholds below it, and every grid
+    point in one cell reaches one leaf. A strictly increasing grid meets a
+    tree's cells in runs of steps, and on a product grid a tree's cells
+    are the product of its runs per axis, numbered with the last axis
+    fastest. All trees are counted together, in (trees, steps) tables."""
     n_trees = flat.roots.size
-    thresholds = [flat.thresholds(c) for c in columns]
-    pair_index = [np.empty((g.size, n_trees), dtype=np.intp) for g in grids]
-    n_pairs, cells, swept = 0, [], [np.empty((0, len(grids)))]
-    for t in range(n_trees):
-        firsts = []
-        for g, by_tree, index in zip(grids, thresholds, pair_index):
-            cell = np.searchsorted(by_tree[t], g, side="left")
-            new = np.ones(g.size, dtype=bool)
-            new[1:] = cell[1:] != cell[:-1]
-            index[:, t] = np.cumsum(new) - 1
-            firsts.append(g[new])
-        size = 1  # the tree's cells over the axes after this one
-        for index, first in zip(reversed(pair_index), reversed(firsts)):
-            index[:, t] *= size
-            size *= first.size
-        pair_index[0][:, t] += n_pairs
-        swept.append(np.stack([v.ravel() for v in np.meshgrid(*firsts, indexing="ij")], 1))
-        cells.append(size)
-        n_pairs += size
-    return np.repeat(flat.roots, cells), np.concatenate(swept), pair_index
+    runs, run_index, run_firsts = [], [], []
+    for column, g in zip(columns, grids):
+        tree, threshold = flat.thresholds(column)
+        # a threshold lies below the grid values from the first one above it
+        below = np.zeros((n_trees, g.size + 1), dtype=np.intp)
+        np.add.at(below, (tree, np.searchsorted(g, threshold, side="right")), 1)
+        cell = np.cumsum(below[:, :-1], axis=1)
+        new = np.ones(cell.shape, dtype=bool)
+        new[:, 1:] = cell[:, 1:] != cell[:, :-1]
+        index = np.cumsum(new, axis=1) - 1  # each step's run in its tree
+        runs.append(index[:, -1] + 1)
+        run_index.append(index)
+        run_firsts.append(g[np.nonzero(new)[1]])  # tree by tree, run by run
+    cells = np.ones(n_trees, dtype=np.intp)  # a tree's cells over the axes after this one
+    strides = []
+    for count in reversed(runs):
+        strides.insert(0, cells)
+        cells = cells * count
+    offset = np.cumsum(cells) - cells
+    pair_index = [
+        np.ascontiguousarray((index * stride[:, None]).T)
+        for index, stride in zip(run_index, strides)
+    ]
+    pair_index[0] += offset
+    pair_tree = np.repeat(np.arange(n_trees), cells)
+    local = np.arange(pair_tree.size) - offset[pair_tree]
+    swept = np.empty((pair_tree.size, len(grids)))
+    for k, (count, stride, firsts) in enumerate(zip(runs, strides, run_firsts)):
+        first_run = np.cumsum(count) - count
+        run = first_run[pair_tree] + local // stride[pair_tree] % count[pair_tree]
+        swept[:, k] = firsts[run]
+    return flat.roots[pair_tree], swept, pair_index
 
 
 def as_predictor(model):

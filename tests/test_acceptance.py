@@ -364,7 +364,7 @@ def test_optimizer_correctness_battery(field_table):
                 variables=(BoundedVariable("u", 0.0, 1.0),),
                 budget=18,
             )
-            best, trace = bayes_opt(problem, seed=seed)
+            [(best, trace)] = bayes_opt([problem], [seed])
             _COLLECTED_TRACES.append((trace, problem.lower, problem.upper, 18))
             if len(trace.entries) > 18 or abs(best[0] - 0.37) > 0.02:
                 misses.append(seed)
@@ -405,7 +405,7 @@ def test_all_traces_obey_their_contracts():
             BoundedVariable("b", -4.0, 4.0),
         )
         for budget in (1, 7, 23, 40):
-            for runner in (pso, de, bayes_opt):
+            for runner in (pso, de, lambda p, seed: bayes_opt([p], [seed])[0]):
                 problem = SearchProblem(sphere, variables, budget)
                 _, trace = runner(problem, seed=budget)
                 _COLLECTED_TRACES.append(

@@ -1496,7 +1496,7 @@ problem = o.SearchProblem(
     variables=(o.BoundedVariable("u", 0.0, 6.0), o.BoundedVariable("v", -2.0, 2.0)),
     budget=12,
 )
-best, trace = o.bayes_opt(problem, seed=4)
+[(best, trace)] = o.bayes_opt([problem], [4])
 rows = [[e.index, *map(float, e.point), e.value] for e in trace.entries]
 """
 

@@ -25,7 +25,9 @@ from welloop.optimize import (
     bayes_opt,
     de,
     de_trial,
+    design_problems,
     optimize_well,
+    optimize_wells,
     pso,
     pso_move,
 )
@@ -299,12 +301,12 @@ def test_latin_hypercube_is_scipys_bit_for_bit(n, d):
 def test_gaussian_process_reproduces_training_points(rng):
     x01 = np.linspace(0.0, 1.0, 9)[:, None]
     y = np.sin(3.0 * x01[:, 0]) * 2.0 + 1.0
-    gp = _GaussianProcess(x01, y, rng)
-    mu, sigma = gp._posterior(x01)[:2]
+    gp = _GaussianProcess(x01[None], y[None], [rng])
+    mu, sigma = gp._posterior(0, x01)[:2]
     assert np.max(np.abs(mu - y)) <= 0.02
     assert np.max(sigma) <= 0.1
     # uncertainty grows away from the data
-    far_mu, far_sigma = gp._posterior(np.array([[0.055]]))[:2]
+    far_mu, far_sigma = gp._posterior(0, np.array([[0.055]]))[:2]
     assert far_sigma[0] >= 0.0
 
 
@@ -312,7 +314,7 @@ def _surrogate(n=12, dim=3, seed=3):
     rng = np.random.default_rng(seed)
     x01 = rng.random((n, dim))
     y = np.sin(4.0 * x01[:, 0]) + x01[:, 1] ** 2 - x01[:, 2]
-    return _GaussianProcess(x01, y, np.random.default_rng(1)), x01, y
+    return _GaussianProcess(x01[None], y[None], [np.random.default_rng(1)]), x01, y
 
 
 def _central_difference(f, x, h=1e-6):
@@ -324,10 +326,10 @@ def _central_difference(f, x, h=1e-6):
 def test_neg_lml_gradient_matches_central_differences(length_scale, signal_var):
     gp, _, _ = _surrogate()
     at = np.log([length_scale, signal_var])
-    values, grads = gp._neg_lml(at[None])
+    values, grads = gp._neg_lml(at[None], [0])
     value, grad = values[0], grads[0]
     assert np.isfinite(value) and grad.shape == (2,)
-    want = _central_difference(lambda p: gp._neg_lml(p[None])[0][0], at)
+    want = _central_difference(lambda p: gp._neg_lml(p[None], [0])[0][0], at)
     # at l = 10 the Gram matrix is nearly singular and the differences
     # carry its rounding, so the tolerance is relative to the gradient
     assert np.max(np.abs(grad - want)) <= 1e-4 * max(1.0, np.max(np.abs(want)))
@@ -340,7 +342,7 @@ def test_neg_lml_reports_a_failed_factorization_as_a_flat_wall(monkeypatch):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(welloop.optimize, "_chol", refuse)
-    value, grad = gp._neg_lml(np.zeros(2)[None])
+    value, grad = gp._neg_lml(np.zeros(2)[None], [0])
     assert value[0] == 1e12
     assert grad[0].tolist() == [0.0, 0.0]
 
@@ -350,11 +352,11 @@ def test_ei_gradient_matches_central_differences_and_the_screen():
     best = float(y.max())
 
     def ei_at(q):
-        mu, sigma = gp._posterior(q[None])[:2]
+        mu, sigma = gp._posterior(0, q[None])[:2]
         return _improvement(mu, sigma, best)[0][0]
 
     for q in np.random.default_rng(7).random((6, 3)):
-        mu, sigma, d_mu, d_sigma = gp.predict_gradient(q)
+        mu, sigma, d_mu, d_sigma = gp.predict_gradient(0, q)
         ei, cdf, pdf = _improvement(mu, sigma, best)
         assert ei == ei_at(q)
         grad = cdf * d_mu + pdf * d_sigma
@@ -373,8 +375,8 @@ def test_ei_gradient_where_sigma_vanishes_is_that_of_the_plain_improvement():
     # (its signal variance inflated after the fit) gives sigma 0 and a
     # finite, zero sigma gradient
     gp, x01, _ = _surrogate()
-    gp.signal_var *= 2.0
-    mu, sigma, d_mu, d_sigma = gp.predict_gradient(x01[0])
+    gp.signal_var[0] *= 2.0
+    mu, sigma, d_mu, d_sigma = gp.predict_gradient(0, x01[0])
     assert sigma == 0.0
     assert d_sigma.tolist() == [0.0, 0.0, 0.0]
     assert np.all(np.isfinite(d_mu))
@@ -428,7 +430,7 @@ def test_bayes_opt_traces_are_pinned():
         variables=(BoundedVariable("u", 0.0, 6.0), BoundedVariable("v", -2.0, 2.0)),
         budget=12,
     )
-    _, trace = bayes_opt(problem, seed=4)
+    [(_, trace)] = bayes_opt([problem], [4])
     assert _trace_digest(trace) == (
         "7fef4987fe9b276f5fbf1e4d6c8cb629f6d8adbf7f6649b6e8a074eff7ccbfc1"
     )
@@ -451,7 +453,7 @@ def _box_quadratic(rng, dim):
     upper = lower + rng.uniform(0.5, 3.0, dim)
     centre = rng.uniform(lower - 1.5, upper + 1.5)
 
-    def fun(x):
+    def fun(x, rows=None):
         diff = x - centre
         return 0.5 * np.einsum("mi,ij,mj->m", diff, a, diff), diff @ a
 
@@ -509,7 +511,7 @@ def _rippled_quadratic(rng, dim):
     amp = rng.uniform(1.0, 5.0, dim)
     freq = rng.uniform(4.0, 12.0, dim)
 
-    def fun(x):
+    def fun(x, rows=None):
         value, grad = quad(x)
         return value + (amp * np.cos(freq * x)).sum(axis=1), grad - amp * freq * np.sin(freq * x)
 
@@ -532,7 +534,7 @@ def test_minimize_box_call_sequence_and_points_are_pinned():
         fun, lower, upper = families[trial % 3](rng, dim)
         sign = -1.0 if trial % 3 == 2 else 1.0
 
-        def counted(x, fun=fun, sign=sign):
+        def counted(x, rows, fun=fun, sign=sign):
             calls.append(len(x))
             value, grad = fun(x)
             return value, sign * grad
@@ -556,9 +558,9 @@ def test_batched_neg_lml_equals_each_start_alone(monkeypatch, n):
     points each factor of the stack is inverted by halves twice over."""
     gp, _, _ = _surrogate(n=n)
     starts = np.log([[0.5, 1.0], [0.02, 0.05], [10.0, 50.0], [0.3, 7.0], [2.0, 0.1]])
-    values, grads = gp._neg_lml(starts)
+    values, grads = gp._neg_lml(starts, [0] * 5)
     assert values.shape == (5,) and grads.shape == (5, 2)
-    alone = [gp._neg_lml(p[None]) for p in starts]
+    alone = [gp._neg_lml(p[None], [0]) for p in starts]
     for k, (value, grad) in enumerate(alone):
         assert value[0] == pytest.approx(values[k], rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grads[k], grad[0], rtol=1e-12, atol=1e-12)
@@ -572,11 +574,154 @@ def test_batched_neg_lml_equals_each_start_alone(monkeypatch, n):
         return real(a)
 
     monkeypatch.setattr(welloop.optimize, "_chol", refuse_large_signal)
-    walled, wall_grads = gp._neg_lml(starts)
+    walled, wall_grads = gp._neg_lml(starts, [0] * 5)
     assert walled[2] == 1e12 and wall_grads[2].tolist() == [0.0, 0.0]
     keep = [0, 1, 3, 4]
     np.testing.assert_allclose(walled[keep], values[keep], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(wall_grads[keep], grads[keep], rtol=1e-12, atol=1e-12)
+
+
+def test_minimize_box_gives_each_start_the_bits_it_gets_alone():
+    """fun is told which start each row came from, so starts of different
+    problems can descend together: on 24 drawn sets of 2 to 5 box
+    problems over one box, a start each, convex and rippled, the lockstep
+    run gives every start the bits of its own run."""
+    rng = np.random.default_rng(33)
+    families = (_box_quadratic, _rippled_quadratic)
+    for trial in range(24):
+        dim, count = 1 + trial % 4, 2 + trial % 4
+        funs = [families[(trial + k) % 2](rng, dim)[0] for k in range(count)]
+        _, lower, upper = _box_quadratic(rng, dim)
+        starts = rng.uniform(lower, upper, (count, dim))
+        seen = []
+
+        def each(x, rows):
+            seen.append(list(rows))
+            values, grads = zip(*(funs[r](x[k : k + 1]) for k, r in enumerate(rows)))
+            return np.concatenate(values), np.concatenate(grads)
+
+        together, values = _minimize_box(each, starts, lower, upper)
+        assert all(rows == sorted(set(rows)) for rows in seen)
+        for k, fun in enumerate(funs):
+            alone, value = _minimize_box(lambda x, rows, fun=fun: fun(x), starts[k : k + 1], lower, upper)
+            assert alone[0].tobytes() == together[k].tobytes()
+            assert value[0].tobytes() == values[k].tobytes()
+
+
+@pytest.mark.parametrize("n", [12, 70])
+def test_neg_lml_gives_each_wells_rows_the_bits_of_that_wells_own_call(n):
+    """One call over the rows of three wells gives each well's rows the
+    value and gradient bits of a call on that well alone, and the wells
+    fitted together get each the fit it gets alone. At 70 points each
+    factor is inverted by halves twice over."""
+    rng = np.random.default_rng(n)
+    x01 = rng.random((3, n, 2))
+    y = np.sin(4.0 * x01[:, :, 0]) + x01[:, :, 1] ** 2 + rng.normal(0.0, 0.1, (3, n))
+    seeds = (1, 2, 3)
+    gp = _GaussianProcess(x01, y, [np.random.default_rng(s) for s in seeds])
+    params = np.log([[0.5, 1.0], [0.02, 0.05], [10.0, 50.0], [0.3, 7.0], [2.0, 0.1], [1.0, 1.0]])
+    wells = np.array([0, 0, 1, 2, 2, 2])
+    values, grads = gp._neg_lml(params, wells)
+    for w, seed in enumerate(seeds):
+        alone = _GaussianProcess(x01[w : w + 1], y[w : w + 1], [np.random.default_rng(seed)])
+        mine = wells == w
+        value, grad = alone._neg_lml(params[mine], [0] * mine.sum())
+        assert value.tobytes() == values[mine].tobytes()
+        assert grad.tobytes() == grads[mine].tobytes()
+        assert alone.length_scale[0] == gp.length_scale[w]
+        assert alone.signal_var[0] == gp.signal_var[w]
+        assert alone._k_inv[0].tobytes() == gp._k_inv[w].tobytes()
+        assert alone._alpha[0].tobytes() == gp._alpha[w].tobytes()
+
+
+def _outcome(result):
+    return _trace_digest(result.trace), result.trace.truncated, result.to_json()
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+@pytest.mark.parametrize("method", METHODS)
+def test_optimize_wells_gives_each_well_the_search_it_gets_alone(method, seed, well_table):
+    """Budgets below the Bayesian initial design (truncated), just past it
+    and well past it; one, two and three wells in any order."""
+    variables = engineering_vars(well_table)
+    for budget in (5, 9, 20):
+        alone = {
+            row: _outcome(
+                optimize_well(
+                    ground_truth_eur, well_table, row, variables, method, budget, seed=seed + row
+                )
+            )
+            for row in (2, 6, 11)
+        }
+        for rows in ([6], [2, 11], [11, 2, 6]):
+            together = optimize_wells(
+                ground_truth_eur,
+                well_table,
+                rows,
+                variables,
+                method,
+                budget,
+                seeds=[seed + row for row in rows],
+            )
+            assert [_outcome(r) for r in together] == [alone[row] for row in rows]
+        if method == "bayes":  # only the budget of 5 ends inside the initial design
+            assert alone[6][1] == (budget < welloop.optimize._BO_INIT)
+
+
+def _lockstep_calls(monkeypatch):
+    """(rows, n) of every likelihood call, recorded."""
+    calls = []
+    real = _GaussianProcess._neg_lml
+
+    def spy(self, log_params, wells):
+        calls.append((len(log_params), self.yn.shape[1]))
+        return real(self, log_params, wells)
+
+    monkeypatch.setattr(_GaussianProcess, "_neg_lml", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [1, 700, 1 << 14])
+def test_bayes_groups_change_no_bits(monkeypatch, cells):
+    """Searches one at a time, regrouped as their points grow, or all in
+    one group, give the traces each search gets alone."""
+    problems = [quad_problem(budget=14, center=c) for c in (1.0, 2.5, 4.0)]
+    alone = [_trace_digest(bayes_opt([p], [s])[0][1]) for p, s in zip(problems, (3, 4, 5))]
+    calls = _lockstep_calls(monkeypatch)
+    monkeypatch.setattr(welloop.optimize, "_LOCKSTEP_CELLS", cells)
+    together = bayes_opt(problems, [3, 4, 5])
+    assert [_trace_digest(trace) for _, trace in together] == alone
+    assert max(rows for rows, _ in calls) == {1: 4, 700: 8, 1 << 14: 12}[cells]
+
+
+def test_a_lockstep_group_keeps_its_likelihood_stack_within_the_bound(monkeypatch):
+    """Four searches at budget 40 go four, three, two, then one at a time
+    as their points grow; every likelihood call holds at most
+    max(4 n^2, _LOCKSTEP_CELLS) cells in each of its (rows, n, n) arrays,
+    so no group needs more than the largest fit one search makes alone."""
+    calls = _lockstep_calls(monkeypatch)
+    problems = [quad_problem(budget=40, center=c) for c in (0.5, 2.0, 3.5, 5.0)]
+    bayes_opt(problems, [1, 2, 3, 4])
+    bound = welloop.optimize._LOCKSTEP_CELLS
+    assert all(rows * n * n <= max(4 * n * n, bound) for rows, n in calls)
+    first_rows = {}
+    for rows, n in calls:
+        first_rows.setdefault(n, rows)
+    assert {first_rows[n] for n in (8, 30, 39)} == {16, 8, 4}
+    assert sorted(set(first_rows.values())) == [4, 8, 12, 16]
+
+
+def test_lockstep_searches_need_equal_budgets_and_dimensions():
+    with pytest.raises(ValueError, match="equal budgets and dimensions"):
+        bayes_opt([quad_problem(budget=10), quad_problem(budget=11)], [0, 1])
+    with pytest.raises(ValueError, match="equal budgets and dimensions"):
+        bayes_opt([quad_problem(budget=10), sphere_problem(budget=10)], [0, 1])
+    with pytest.raises(ValueError, match="one seed"):
+        bayes_opt([quad_problem()], [0, 1])
+    with pytest.raises(ValueError, match="one initial point"):
+        bayes_opt([quad_problem(), quad_problem()], [0, 1], [None])
+    with pytest.raises(ValueError, match="at least one problem"):
+        bayes_opt([], [])
 
 
 def test_cholesky_jitter_ladder_gives_up_cleanly():
@@ -586,13 +731,15 @@ def test_cholesky_jitter_ladder_gives_up_cleanly():
 
 def test_bayes_opt_finds_a_concave_quadratic_optimum():
     for seed in (0, 1):
-        best, trace = bayes_opt(
-            SearchProblem(
-                objective=lambda u: -((u[0] - 0.6) ** 2),
-                variables=(BoundedVariable("u", 0.0, 1.0),),
-                budget=18,
-            ),
-            seed=seed,
+        [(best, trace)] = bayes_opt(
+            [
+                SearchProblem(
+                    objective=lambda u: -((u[0] - 0.6) ** 2),
+                    variables=(BoundedVariable("u", 0.0, 1.0),),
+                    budget=18,
+                )
+            ],
+            [seed],
         )
         assert len(trace.entries) <= 18
         assert abs(best[0] - 0.6) <= 0.02
@@ -600,7 +747,7 @@ def test_bayes_opt_finds_a_concave_quadratic_optimum():
 
 def test_bayes_opt_initial_point_and_validation():
     problem = quad_problem(budget=10)
-    _, trace = bayes_opt(problem, seed=2, initial=np.array([1.25]))
+    [(_, trace)] = bayes_opt([problem], [2], [np.array([1.25])])
     assert trace.entries[0].point[0] == pytest.approx(1.25, abs=1e-9)
 
 
@@ -612,7 +759,7 @@ def run_method(name, problem, seed=0):
         return pso(problem, seed=seed)
     if name == "de":
         return de(problem, seed=seed)
-    return bayes_opt(problem, seed=seed)
+    return bayes_opt([problem], [seed])[0]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -777,6 +924,10 @@ def test_optimize_well_validation(well_table):
         optimize_well(ground_truth_eur, well_table, 40, variables)
     with pytest.raises(ValueError, match="at least one variable"):
         optimize_well(ground_truth_eur, well_table, 0, [])
+    with pytest.raises(ValueError, match="at least one well"):
+        optimize_wells(ground_truth_eur, well_table, [], variables)
+    with pytest.raises(ValueError, match="one seed per well"):
+        optimize_wells(ground_truth_eur, well_table, [0, 1], variables, seeds=[0])
     with pytest.raises(ValueError, match="degenerate"):
         optimize_well(
             ground_truth_eur,
@@ -787,6 +938,23 @@ def test_optimize_well_validation(well_table):
         )
     with pytest.raises(TypeError):
         optimize_well(object(), well_table, 0, variables)
+
+
+def test_design_problems_lists_each_rule_a_search_breaks(well_table):
+    """Names outside the factors are left to the caller; optimize_wells
+    refuses them as not model features."""
+    factors = {s.name: s for s in well_table.feature_specs}
+    bounds = {"TOC": (0.0, 1.0), "stage count": (10.0, 20.0), "nope": (0.0, 1.0)}
+    variables = ["stage count", "porosity", "nope", 3, "TOC"]
+    assert design_problems(factors, variables, bounds, "optimize") == [
+        "optimize.variables: 'porosity' is not flagged optimizable",
+        "optimize.variables: 'TOC' is not flagged optimizable",
+    ]
+    assert design_problems(factors, ["stage count"], bounds) == [
+        "bounds: 'TOC' is not searched"
+    ]
+    with pytest.raises(ValueError, match=r"not model features: \['nope'\]"):
+        optimize_well(ground_truth_eur, well_table, 0, ["stage count"], bounds={"nope": (0, 1)})
 
 
 def test_optimize_well_refuses_a_bound_on_a_variable_it_does_not_search(well_table):

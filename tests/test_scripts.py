@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     "script, args",
     [
         ("compare_optimizers.py", "--rows 30 --budget 12 --bayes-budget 10 --trace-dir {out}"),
+        ("compare_optimizers.py", "--rows 30 --wells 2 --budget 12 --bayes-budget 10"),
         ("shap_vs_exact.py", "--max-features 4 --rows 3"),
         ("run_demo.py", "--out {out} --rows 40 --budget 10"),
         ("count_lines.py", ""),

@@ -354,14 +354,17 @@ def test_thresholds_are_each_trees_sorted_distinct_splits(rng):
     )
     flat = welloop.trees.compile_trees((first, leaf, chain_tree(3)))
     # a leaf's placeholder feature 0 and threshold 0.0 are no split
-    assert [t.tolist() for t in flat.thresholds(0)] == [[-1.0, 2.0], [], [0.0, 1.0, 2.0]]
-    assert [t.tolist() for t in flat.thresholds(1)] == [[5.0], [], []]
+    tree, threshold = flat.thresholds(0)
+    assert tree.tolist() == [0, 0, 2, 2, 2]
+    assert threshold.tolist() == [-1.0, 2.0, 0.0, 1.0, 2.0]
+    assert [a.tolist() for a in flat.thresholds(1)] == [[0], [5.0]]
     model, _ = random_fitted_ensemble(rng, n_features=3)
     flat = welloop.trees.compile_trees(model.trees)
     for column in range(3):
-        for tree, got in zip(model.trees, flat.thresholds(column)):
-            splits = {n.threshold for n in walk(tree) if n.feature == column}
-            assert got.tolist() == sorted(splits)
+        tree, threshold = flat.thresholds(column)
+        for t, grown in enumerate(model.trees):
+            splits = {n.threshold for n in walk(grown) if n.feature == column}
+            assert threshold[tree == t].tolist() == sorted(splits)
 
 
 @st.composite
@@ -434,6 +437,57 @@ def test_predict_grid_equals_predict_at_every_point_bit_for_bit(case):
     assert np.array_equal(got, want)
 
 
+@st.composite
+def structured_grid_case(draw):
+    """A drawn forest over four features, swept along three of them, that
+    holds a tree with no split on any swept column, a tree that splits
+    twice at one threshold on one path, a one-leaf tree, and drawn trees;
+    every grid holds a split threshold of its column."""
+    columns = draw(st.permutations([0, 1, 2]))
+
+    def leaf():
+        return TreeNode(cover=1, value=draw(LEAF))
+
+    def split(feature, threshold, left, right):
+        return TreeNode(
+            cover=left.cover + right.cover,
+            feature=feature,
+            threshold=threshold,
+            left=left,
+            right=right,
+        )
+
+    column, threshold = draw(st.sampled_from(columns)), draw(GRID)
+    repeated = split(column, threshold, split(column, threshold, leaf(), leaf()), leaf())
+    unswept = split(3, draw(GRID), leaf(), split(3, draw(GRID), leaf(), leaf()))
+    drawn = draw(st.lists(drawn_tree(4, 4), min_size=1, max_size=4))
+    trees = draw(st.permutations([repeated, unswept, leaf(), *drawn]))
+    model = TreeEnsemble(
+        kind="GBDT",
+        trees=tuple(trees),
+        base_score=draw(LEAF),
+        learning_rate=draw(st.floats(0.01, 1.0)),
+        feature_names=("f0", "f1", "f2", "f3"),
+    )
+    grids = [
+        np.array(sorted({threshold} | set(draw(st.lists(GRID | LEAF, max_size=6)))))
+        if c == column
+        else np.array(sorted({draw(GRID)} | set(draw(st.lists(GRID | LEAF, max_size=6)))))
+        for c in columns
+    ]
+    rows = draw(st.lists(st.lists(GRID | LEAF, min_size=4, max_size=4), min_size=1, max_size=5))
+    return model, np.array(rows, dtype=float), columns, grids
+
+
+@given(structured_grid_case())
+@settings(max_examples=150, deadline=None)
+def test_predict_grid_on_three_axes_of_repeated_and_absent_splits_is_predict(case):
+    model, rows, columns, grids = case
+    assert np.array_equal(
+        predict_grid(model, rows, columns, grids), predict_each_point(model, rows, columns, grids)
+    )
+
+
 @functools.cache
 def models_of_a_field():
     table = synthesize(seed=7, n=40, noise_sd=0.1)
@@ -461,7 +515,7 @@ def test_predict_grid_equals_predict_on_fitted_models_with_an_integer_axis(data)
         if j == stages:
             grids.append(np.arange(x[:, j].min(), x[:, j].max() + 1.0))
             continue
-        splits = np.concatenate(flat.thresholds(j)).tolist()
+        splits = flat.thresholds(j)[1].tolist()
         picked = data.draw(st.lists(st.sampled_from(splits), max_size=6)) if splits else []
         grids.append(np.unique(np.r_[np.linspace(x[:, j].min(), x[:, j].max(), 4), picked]))
     anchors = data.draw(st.lists(st.integers(0, x.shape[0] - 1), min_size=1, max_size=40))
