@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -19,10 +18,10 @@ import numpy as np
 
 from welloop.data import (
     DEFAULT_SCHEMA,
-    INTEGER_FACTORS,
     WellTable,
     load_csv,
     load_schema,
+    parameter_problems,
     preprocess,
     save_schema,
     synthesize,
@@ -32,6 +31,7 @@ from welloop.explain import (
     baseline_correlations,
     explain_well,
     rank_factors,
+    row_problems,
     shap_interactions,
     supervised_cluster,
     tree_shap,
@@ -56,6 +56,7 @@ from welloop.utils import (
     is_int,
     is_number,
     mix_seed,
+    raise_first,
     read_json,
     subseed_rng,
     take,
@@ -172,17 +173,18 @@ def _file(value, path, problems):
     return value
 
 
+def _are_rows(value):
+    return all(is_int(v) and v >= 0 for v in value)
+
+
+_ROWS = _check(_are_rows, "entries must be non-negative integers")
+
+
 def _indices(value, path, problems):
-    if all(is_int(v) and v >= 0 for v in value):
-        return value
-    problems.append(f"{path}: entries must be non-negative integers")
-    return ()
-
-
-def _anchors(value, path, problems):
-    if not value:
-        problems.append(f"{path}: need at least one anchor row")
-    return _indices(value, path, problems)
+    """_ROWS, keeping a list with another entry as (), so that the checks
+    after it compare only numbers."""
+    _ROWS(value, path, problems)
+    return value if _are_rows(value) else ()
 
 
 def _distinct(noun, check):
@@ -260,25 +262,7 @@ def _ice_jobs(value, path, problems):
 
 def _ice_factors(value, path, problems):
     read = (_read(VariedFactor, raw, f"{path}[{j}]", problems) for j, raw in enumerate(value))
-    factors = tuple(f for f in read if f is not None)
-    for f in factors:
-        if f.steps < 2:
-            problems.append(f"{path}: steps must be >= 2")
-        if f.lower is not None and f.upper is not None and not f.lower < f.upper:
-            problems.append(f"{path}.{f.name}: lower must be < upper")
-    return factors
-
-
-def _bounds(value, path, problems):
-    for name, pair in value.items():
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_number, pair))):
-            problems.append(f"{path}.{name}: expected [lower, upper]")
-        elif not pair[0] < pair[1]:
-            problems.append(f"{path}.{name}: lower must be < upper")
-        elif name in INTEGER_FACTORS and not math.ceil(pair[0]) < math.floor(pair[1]):
-            # optimize_wells searches between the integers inside the bounds
-            problems.append(f"{path}.{name}: needs two whole numbers between lower and upper")
-    return value
+    return tuple(f for f in read if f is not None)
 
 
 def _key(default, check):
@@ -293,10 +277,10 @@ class DataConfig:
     csv: str | None = _key(None, _file)
     schema: str | None = _key(None, _file)
     rows: int = 120
-    noise_sd: float = _key(0.1, _at_least(0))
-    missing_ratio_max: float = _key(0.2, _check(lambda v: 0 <= v < 1, "must be in [0, 1)"))
-    outlier_z: float = _key(4.0, _check(lambda v: v > 0, "must be > 0"))
-    redundancy_r: float = _key(0.9, _check(lambda v: 0 < v <= 1, "must be in (0, 1]"))
+    noise_sd: float = 0.1
+    missing_ratio_max: float = 0.2
+    outlier_z: float = 4.0
+    redundancy_r: float = 0.9
 
 
 @dataclass
@@ -333,7 +317,8 @@ class ExplainConfig:
 class IceJob:
     factors: tuple = _key((), _ice_factors)  # of welloop.ice.VariedFactor
     sample: int | None = _key(None, _at_least(1))
-    anchors: tuple | None = _key(None, _anchors)
+    # kept as given, so that ice.job_problems tells a bad list from an empty one
+    anchors: tuple | None = _key(None, _ROWS)
 
 
 @dataclass
@@ -344,7 +329,7 @@ class OptimizeConfig:
         None, _distinct("factor", _check(bool, "need at least one factor"))
     )
     budget: int = _key(200, _at_least(1))
-    bounds: dict = _key({}, _bounds)
+    bounds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -368,23 +353,18 @@ def parse_config(obj) -> tuple[RunConfig, list[str]]:
     config = _read(RunConfig, obj, "config", problems)
     if not is_int(obj.get("seed")):
         problems.append("seed: required (an integer >= 0)")
-    if config.data.csv is None and config.data.rows < 20:
-        problems.append("data.rows: synthetic tables need at least 20 rows")
+    data = config.data
+    rows = data.rows if data.csv is None else None
+    thresholds = (data.missing_ratio_max, data.outlier_z, data.redundancy_r)
+    problems += [f"data.{p}" for p in parameter_problems(*thresholds, rows, data.noise_sd)]
     kind = config.explain.kind
     if kind is not None and kind not in config.train.kinds:
         problems.append(f"explain.kind: {kind!r} is not a trained kind")
-    # the explain stage attributes at most max_rows rows; a valid cap bounds
-    # the waterfall rows and the cluster count without reading any data
-    cap = config.explain.max_rows
-    if cap is not None and cap >= 1:
-        for row in config.explain.waterfalls:
-            if row >= cap:
-                problems.append(f"explain.waterfalls: row {row} outside the {cap} rows of max_rows")
-        clusters = config.explain.clusters
-        if clusters > cap:
-            problems.append(
-                f"explain.clusters: cannot form {clusters} clusters from the {cap} rows of max_rows"
-            )
+    # the explain stage attributes at most max_rows rows, so a valid cap
+    # bounds its rows without reading any data
+    cfg = config.explain
+    if cfg.max_rows is not None and cfg.max_rows >= 1:
+        problems += row_problems(cfg.waterfalls, cfg.clusters, cfg.max_rows, "explain")
     _check_factor_references(config, problems)
     return config, problems
 
@@ -408,23 +388,23 @@ def _reference_schema(config, problems):
 
 def _check_factor_references(config, problems):
     """Every factor name mentioned in ice/optimize sections must exist in
-    the schema, and the optimize section must pass design_problems."""
+    the schema, and the optimize section must pass design_problems; a
+    schema that did not load leaves only the rules on the bound pairs."""
     specs = _reference_schema(config, problems)
-    if specs is None:
-        return
-    features = {s.name: s for s in specs if s.category != "production"}
-    for i, job in enumerate(config.ice):
-        for f in job.factors:
-            if f.name not in features:
-                problems.append(f"ice[{i}]: unknown factor {f.name!r}")
+    features = {s.name: s for s in specs or () if s.category != "production"}
     named = config.optimize.variables
-    for name in named or ():
-        if not isinstance(name, str) or name not in features:
-            problems.append(f"optimize.variables: unknown factor {name!r}")
-    for name in config.optimize.bounds:
-        if name not in features:
-            problems.append(f"optimize.bounds: unknown factor {name!r}")
-    searched = named if named is not None else [s.name for s in specs if s.optimizable]
+    if specs is not None:
+        for i, job in enumerate(config.ice):
+            for f in job.factors:
+                if f.name not in features:
+                    problems.append(f"ice[{i}]: unknown factor {f.name!r}")
+        for name in named or ():
+            if not isinstance(name, str) or name not in features:
+                problems.append(f"optimize.variables: unknown factor {name!r}")
+        for name in config.optimize.bounds:
+            if name not in features:
+                problems.append(f"optimize.bounds: unknown factor {name!r}")
+    searched = named if named is not None else [s.name for s in specs or () if s.optimizable]
     problems += design_problems(features, searched, config.optimize.bounds, "optimize")
 
 
@@ -668,9 +648,8 @@ class Pipeline:
         self.table.check_feature_names(model)
         if cfg.max_rows is not None:
             x = x[: cfg.max_rows]
-        for row in cfg.waterfalls:
-            if row >= x.shape[0]:
-                raise ValueError(f"waterfall row {row} outside the explained rows")
+        # supervised_cluster checks the cluster count where it forms them
+        raise_first(row_problems(cfg.waterfalls, 0, x.shape[0]))
 
         attr = tree_shap(model, x)
         path = f"shap/summary_{kind.lower()}.csv"

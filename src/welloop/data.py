@@ -279,6 +279,22 @@ class PreprocessReport:
         }
 
 
+def parameter_problems(
+    missing_ratio_max=0.0, outlier_z=1.0, redundancy_r=1.0, rows=None, noise_sd=0.0
+) -> list[str]:
+    """The problems of the data parameters, each at its name: preprocess's
+    three cleaning thresholds, and synthesize's row count (`rows`, None
+    for a table read from a file) and noise. The defaults pass."""
+    rules = [
+        ("missing_ratio_max", 0 <= missing_ratio_max < 1, "must be in [0, 1)"),
+        ("outlier_z", outlier_z > 0, "must be > 0"),
+        ("redundancy_r", 0 < redundancy_r <= 1, "must be in (0, 1]"),
+        ("rows", rows is None or rows >= 20, "synthetic tables need at least 20 rows"),
+        ("noise_sd", noise_sd >= 0, "must be >= 0"),
+    ]
+    return [f"{name}: {message}" for name, ok, message in rules if not ok]
+
+
 def preprocess(
     table: WellTable,
     missing_ratio_max: float = 0.2,
@@ -300,12 +316,7 @@ def preprocess(
     Returns the cleaned table and a report whose drop lists exactly
     reconcile the input and output dimensions.
     """
-    if not 0.0 <= missing_ratio_max < 1.0:
-        raise ValueError("missing_ratio_max must be in [0, 1)")
-    if outlier_z <= 0:
-        raise ValueError("outlier_z must be positive")
-    if not 0.0 < redundancy_r <= 1.0:
-        raise ValueError("redundancy_r must be in (0, 1]")
+    raise_first(parameter_problems(missing_ratio_max, outlier_z, redundancy_r))
     if table.n_rows == 0:
         raise PreprocessError("empty after preprocessing")
 
@@ -492,12 +503,10 @@ def synthesize(seed: int, n: int = 120, noise_sd: float = 0.1) -> WellTable:
 
     Factors are sampled uniformly inside plausible field ranges (stage
     count is integer) and EUR comes from `ground_truth_eur` plus Gaussian
-    noise of standard deviation noise_sd.
+    noise of standard deviation noise_sd. parameter_problems states the
+    rules on n (as `rows`) and noise_sd.
     """
-    if n < 20:
-        raise ValueError("need at least 20 rows")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be non-negative")
+    raise_first(parameter_problems(rows=n, noise_sd=noise_sd))
     rng = np.random.default_rng(int(seed))
     cols = []
     for name in _FEATURE_ORDER:

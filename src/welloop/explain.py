@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from welloop.trees import _BLOCK_CELLS, _as_matrix, cached
-from welloop.utils import fmt, subseed_rng, write_rows
+from welloop.utils import fmt, raise_first, subseed_rng, write_rows
 from welloop.data import WellTable
 
 _CLUSTER_TAG = 21
@@ -395,6 +395,19 @@ def explain_well(attr: AttributionMatrix, row: int) -> WellExplanation:
     )
 
 
+def row_problems(waterfalls, clusters, rows, where="") -> list[str]:
+    """The problems of explaining `rows` rows: each waterfall row must be
+    one of them, and they must be at least `clusters` to cluster. When
+    `where`, the path of the section that holds `waterfalls` and
+    `clusters`, is given, each problem is placed at its key there."""
+    at = {key: f"{where}.{key}: " if where else "" for key in ("waterfalls", "clusters")}
+    outside = [row for row in waterfalls if row >= rows]
+    problems = [f"{at['waterfalls']}waterfall row {r} outside the explained rows" for r in outside]
+    if clusters > rows:
+        problems.append(f"{at['clusters']}cannot form {clusters} clusters from {rows} rows")
+    return problems
+
+
 def supervised_cluster(attr: AttributionMatrix, k: int, seed: int = 0) -> np.ndarray:
     """k-means on attribution rows (k-means++ start, 100 Lloyd iterations
     cap, stop when centers move under 1e-8). Returns a label per sample.
@@ -406,8 +419,7 @@ def supervised_cluster(attr: AttributionMatrix, k: int, seed: int = 0) -> np.nda
     n = x.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"cannot form {k} clusters from {n} rows")
+    raise_first(row_problems((), k, n))
     rng = subseed_rng(seed, _CLUSTER_TAG)
     centers = _kmeanspp(x, k, rng)
     labels = np.zeros(n, dtype=int)

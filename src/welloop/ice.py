@@ -11,7 +11,6 @@ distinguishes; a plain callable is called once per grid point.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from welloop.data import WellTable
 from welloop.trees import as_predictor, predict_grid
-from welloop.utils import fmt, raise_first, subseed_rng, write_json, write_rows
+from welloop.utils import fmt, raise_first, range_problems, subseed_rng, write_json, write_rows
 
 _ANCHOR_TAG = 41
 
@@ -27,7 +26,8 @@ _ANCHOR_TAG = 41
 @dataclass(frozen=True)
 class VariedFactor:
     """One swept axis: `steps` evenly spaced values from lower to upper,
-    a missing end taken from that end of the factor's observed range."""
+    a missing end taken from that end of the factor's observed range.
+    job_problems states the rules that need no table."""
 
     name: str
     lower: float | None = None
@@ -35,17 +35,14 @@ class VariedFactor:
     steps: int = 25
 
     def grid(self, table: WellTable) -> np.ndarray:
+        """The swept values. A constant factor is refused, and so are
+        ends that range_problems refuses once a missing one is resolved."""
         col = table.column(self.name)
         lo = float(np.nanmin(col)) if self.lower is None else self.lower
         hi = float(np.nanmax(col)) if self.upper is None else self.upper
         if self.lower is None and self.upper is None and not lo < hi:
             raise ValueError(f"factor {self.name!r} is constant; nothing to sweep")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"bounds of {self.name!r} must be finite")
-        if not lo < hi:
-            raise ValueError(f"bounds reversed for {self.name!r}")
+        raise_first(range_problems(lo, hi, self.name))
         return np.linspace(lo, hi, self.steps)
 
 
@@ -104,7 +101,8 @@ def ice(
     callable is called on all anchors once per grid point.
     """
     varied = tuple(varied)
-    raise_first(job_problems(varied, anchor_rows, sample))
+    anchors = None if anchor_rows is None else np.asarray(list(anchor_rows), dtype=int)
+    raise_first(job_problems(varied, anchors, sample))
     feature_names = list(table.feature_names)
     for v in varied:
         if v.name not in feature_names:
@@ -116,10 +114,7 @@ def ice(
     if np.isnan(features).any():
         raise ValueError("table still contains missing values")
     n = features.shape[0]
-    if anchor_rows is not None:
-        anchors = np.asarray(list(anchor_rows), dtype=int)
-        if anchors.size == 0:
-            raise ValueError("need at least one anchor row")
+    if anchors is not None:
         if anchors.min() < 0 or anchors.max() >= n:
             raise ValueError("anchor row outside the table")
     elif sample is not None:
@@ -145,12 +140,20 @@ def ice(
 
 def job_problems(varied, anchor_rows, sample) -> list[str]:
     """The problems of an ICE job that need no data: it varies 1 to 3
-    factors, each named once, and gives anchor rows or a sample size, not
-    both."""
+    factors, each named once, each swept over at least 2 steps and, when
+    both its ends are given, over a range that range_problems passes;
+    and it gives at least one anchor row or a sample size, not both."""
     names = [v.name for v in varied]
     problems = [] if 1 <= len(names) <= 3 else [f"needs 1 to 3 factors, got {len(names)}"]
     repeats = [name for i, name in enumerate(names) if name in names[:i]]
     problems += [f"factors must be distinct, {name!r} repeats" for name in repeats]
+    for v in varied:
+        if v.steps < 2:
+            problems.append(f"steps must be >= 2 for {v.name!r}")
+        if v.lower is not None and v.upper is not None:
+            problems += range_problems(v.lower, v.upper, v.name)
+    if anchor_rows is not None and len(anchor_rows) == 0:
+        problems.append("need at least one anchor row")
     if anchor_rows is not None and sample is not None:
         problems.append("give anchors or sample, not both")
     return problems

@@ -33,7 +33,7 @@ import numpy as np
 
 from welloop.data import INTEGER_FACTORS, WellTable
 from welloop.trees import _BLOCK_CELLS, as_predictor
-from welloop.utils import fmt, raise_first, subseed_rng, write_rows
+from welloop.utils import fmt, is_number, raise_first, range_problems, subseed_rng, write_rows
 
 _PSO_TAG = 51
 _DE_TAG = 52
@@ -70,10 +70,7 @@ class BoundedVariable:
     upper: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"bounds of {self.name!r} must be finite")
-        if not self.lower < self.upper:
-            raise ValueError(f"bounds reversed for {self.name!r}")
+        raise_first(range_problems(self.lower, self.upper, self.name))
 
 
 @dataclass
@@ -810,23 +807,38 @@ METHODS = tuple(_SEARCHES)
 
 def design_problems(factors, variables, bounds, where="") -> list[str]:
     """The problems of a design search's variables and bounds: each
-    variable must be flagged optimizable, and each bound must be on a
-    variable the search varies. `factors` maps the names of the factors a
+    variable must be flagged optimizable, each bound must be on a
+    variable the search varies, and each must be a pair [lower, upper]
+    that _bound_problems passes. `factors` maps the names of the factors a
     search may name to their FactorSpec; names outside it are the
-    caller's to report. Each problem is placed at `where`, the path of
-    the section that holds `variables` and `bounds`, or at their own
-    names when it is empty."""
+    caller's to report, and their pairs are still checked. Each problem
+    is placed at `where`, the path of the section that holds `variables`
+    and `bounds`, or at their own names when it is empty."""
     at = f"{where}." if where else ""
-    known = [name for name in variables if isinstance(name, str) and name in factors]
-    return [
+    problems = [
         f"{at}variables: {name!r} is not flagged optimizable"
-        for name in known
-        if not factors[name].optimizable
-    ] + [
-        f"{at}bounds: {name!r} is not searched"
-        for name in bounds
-        if name in factors and name not in variables
+        for name in variables
+        if isinstance(name, str) and name in factors and not factors[name].optimizable
     ]
+    for name, pair in bounds.items():
+        if name in factors and name not in variables:
+            problems.append(f"{at}bounds: {name!r} is not searched")
+        problems += [f"{at}bounds.{name}: {problem}" for problem in _bound_problems(name, pair)]
+    return problems
+
+
+def _bound_problems(name, pair) -> list[str]:
+    """The problems of searching `name` between the two ends of `pair`:
+    two finite numbers over a range that range_problems passes, with two
+    whole numbers between them for one of INTEGER_FACTORS, which is
+    searched between the outermost integers inside its bounds."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_number, pair))):
+        return ["expected [lower, upper]"]
+    lower, upper = map(float, pair)
+    problems = range_problems(lower, upper)
+    if not problems and name in INTEGER_FACTORS and not math.ceil(lower) < math.floor(upper):
+        problems.append("needs two whole numbers between lower and upper")
+    return problems
 
 
 def optimize_wells(
@@ -891,7 +903,7 @@ def optimize_wells(
             lo, hi = float(np.min(column)), float(np.max(column))
         if name in INTEGER_FACTORS:  # the integers inside the bounds
             lo, hi = float(math.ceil(lo)), float(math.floor(hi))
-        if not lo < hi:
+        if not lo < hi:  # an observed range: design_problems passed the given bounds
             raise ValueError(f"degenerate bounds for {name!r}")
         resolved[name] = (lo, hi)
     box = tuple(BoundedVariable(name, *resolved[name]) for name in variables)

@@ -1,7 +1,7 @@
 """Small shared helpers: seeded RNG derivation, fold assignment,
 formatting, the one place files are read and written, the typed reads
-every loader applies to decoded JSON, and the number tests and the
-raising of listed problems that input checks share."""
+every loader applies to decoded JSON, and the number and range tests and
+the raising of listed problems that input checks share."""
 
 from __future__ import annotations
 
@@ -96,10 +96,11 @@ def write_rows(path, header, rows) -> None:
 def write_json(path, obj, indent=2) -> None:
     """Sorted-key JSON and a newline, encoded whole and then written in one
     go; `indent=None` is the compact form, which json.dumps (unlike the
-    streaming json.dump) encodes in C. A value nested too deep to encode
-    is a ValueError, and leaves `path` as it was."""
+    streaming json.dump) encodes in C. A NaN or ±Infinity, which strict
+    JSON cannot hold, or a value nested too deep to encode is a
+    ValueError, and leaves `path` as it was."""
     try:
-        text = json.dumps(obj, sort_keys=True, indent=indent)
+        text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
     except RecursionError:
         raise ValueError(f"{path}: nested deeper than the recursion limit") from None
     with _replacing(path) as fh:
@@ -124,11 +125,13 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """A finite float, or an integer a float can hold. json.load also
-    reads NaN and Infinity, and no config number may be either."""
-    if isinstance(value, float):
+    """A finite float, or an integer a float can hold, numpy's scalars
+    included. json.load also reads NaN and Infinity, and no config number
+    may be either."""
+    if isinstance(value, (float, np.floating)):
         return math.isfinite(value)
-    return is_int(value) and abs(value) <= sys.float_info.max
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and abs(int(value)) <= sys.float_info.max
 
 
 _JSON_TYPES = {
@@ -160,6 +163,22 @@ def typed(value, kind, where, key=None):
     except OverflowError:
         problem = "number out of range"
     raise ValueError(f"{where if key is None else f'{where}.{key}'}: {problem}")
+
+
+def range_problems(lower, upper, name=None) -> list[str]:
+    """The problems of a range from `lower` to `upper`, each ending with
+    `for <name>` when a name is given: both finite numbers, lower < upper,
+    and upper - lower a finite float, as an evenly spaced sweep and a
+    scaled search both compute it."""
+    if not (is_number(lower) and is_number(upper)):
+        problem = "lower and upper must be finite numbers"
+    elif not float(lower) < float(upper):
+        problem = "lower must be < upper"
+    elif not math.isfinite(float(upper) - float(lower)):
+        problem = "upper - lower overflows a float"
+    else:
+        return []
+    return [problem if name is None else f"{problem} for {name!r}"]
 
 
 def raise_first(problems) -> None:

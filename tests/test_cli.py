@@ -26,8 +26,17 @@ import welloop.stack
 import welloop.trees
 import welloop.utils
 from welloop.cli import RunConfig, main, parse_config, validate_config
-from welloop.data import DEFAULT_SCHEMA, DataWarning, WellTable, load_csv, synthesize, write_csv
+from welloop.data import (
+    DEFAULT_SCHEMA,
+    DataWarning,
+    WellTable,
+    load_csv,
+    preprocess,
+    synthesize,
+    write_csv,
+)
 from welloop.ice import VariedFactor, ice
+from welloop.optimize import optimize_wells
 from welloop.trees import HyperParams, sample_space
 
 
@@ -472,11 +481,11 @@ INVALID_CONFIGS = [
             ]
         ),
         [
-            "ice[0].factors.stage count: lower must be < upper",
-            "ice[0].factors: steps must be >= 2",
             "ice[0].factors[0].bogus: unknown key",
             "ice[0].factors[1].lower: expected float",
             "ice[0].factors[1].steps: expected int",
+            "ice[0]: lower must be < upper for 'stage count'",
+            "ice[0]: steps must be >= 2 for 'stage count'",
         ],
         id="ice-factor-ranges",
     ),
@@ -564,7 +573,7 @@ INVALID_CONFIGS = [
     ),
     pytest.param(
         with_seed(ice=[{"factors": [{"name": "stage count"}], "anchors": []}]),
-        ["ice[0].anchors: need at least one anchor row"],
+        ["ice[0]: need at least one anchor row"],
         id="ice-no-anchors",
     ),
     pytest.param(
@@ -682,16 +691,30 @@ INVALID_CONFIGS = [
         id="optimize-bounds-integer",
     ),
     pytest.param(
+        # with no schema to name factors by, the pairs are still checked
+        with_seed(
+            data={"csv": "no/such.csv", "schema": "no/such.json"},
+            optimize={"bounds": {"x": [1], "stage count": [30, 10], "TOC": [0, 1]}},
+        ),
+        [
+            "data.csv: file not found: no/such.csv",
+            "data.schema: file not found: no/such.json",
+            "optimize.bounds.stage count: lower must be < upper",
+            "optimize.bounds.x: expected [lower, upper]",
+        ],
+        id="optimize-bounds-without-a-schema",
+    ),
+    pytest.param(
         with_seed(explain={"max_rows": 5, "waterfalls": [4, 5, 7]}),
         [
-            "explain.waterfalls: row 5 outside the 5 rows of max_rows",
-            "explain.waterfalls: row 7 outside the 5 rows of max_rows",
+            "explain.waterfalls: waterfall row 5 outside the explained rows",
+            "explain.waterfalls: waterfall row 7 outside the explained rows",
         ],
         id="explain-waterfalls-beyond-max-rows",
     ),
     pytest.param(
         with_seed(explain={"max_rows": 3, "clusters": 4}),
-        ["explain.clusters: cannot form 4 clusters from the 3 rows of max_rows"],
+        ["explain.clusters: cannot form 4 clusters from 3 rows"],
         id="explain-clusters-beyond-max-rows",
     ),
 ]
@@ -924,19 +947,51 @@ def test_validate_refuses_exactly_the_tune_entries_sample_space_refuses(name, en
 
 
 _ICE_ROWS = 5
+# the table below holds values in [0, 1), so no one-sided end here is
+# reversed once the other end is taken from the table
+_AXIS_ENDS = st.sampled_from(
+    [
+        (None, None),
+        (-1.0, None),
+        (None, 2.0),
+        (-1.7e308, None),
+        (-1.0, 2.0),
+        (2.0, -1.0),
+        (0.5, 0.5),
+        (-1.7e308, 1.7e308),
+        (1.7e308, -1.7e308),
+    ]
+)
+_AXES = st.tuples(st.sampled_from(_FEATURES[:4]), _AXIS_ENDS, st.integers(0, 3))
 
 
-@settings(max_examples=200, deadline=None)
+def _uniform_table():
+    values = np.random.default_rng(0).uniform(size=(_ICE_ROWS, len(DEFAULT_SCHEMA)))
+    return WellTable(DEFAULT_SCHEMA, values)
+
+
+def _bounded_model(x):
+    """Outputs of at most the column count: an average of curves near the
+    largest float would overflow."""
+    return np.tanh(x).sum(axis=1)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.sampled_from(_FEATURES[:4]), max_size=4),
+    st.lists(_AXES, max_size=4),
     st.none() | st.lists(st.integers(0, _ICE_ROWS - 1), max_size=3),
     st.none() | st.integers(1, _ICE_ROWS),
 )
-def test_validate_refuses_exactly_the_ice_jobs_ice_refuses(names, anchors, sample):
-    """A job that only names known factors, and rows and a sample size
-    inside the table, is a problem at ice[0] exactly when ice() raises,
-    and ice() raises one of validate's messages."""
-    job = {"factors": [{"name": n, "steps": 2} for n in names]}
+def test_validate_refuses_exactly_the_ice_jobs_ice_refuses(axes, anchors, sample):
+    """A job that only names known factors, ends that no table can
+    reverse, and rows and a sample size inside the table, is a problem at
+    ice[0] exactly when ice() raises, and ice() raises one of validate's
+    messages."""
+    factors = []
+    for name, (lower, upper), steps in axes:
+        factor = {"name": name, "steps": steps, "lower": lower, "upper": upper}
+        factors.append({key: v for key, v in factor.items() if v is not None})
+    job = {"factors": factors}
     if anchors is not None:
         job["anchors"] = anchors
     if sample is not None:
@@ -944,16 +999,69 @@ def test_validate_refuses_exactly_the_ice_jobs_ice_refuses(names, anchors, sampl
     obj = base_config()
     obj["ice"] = [job]
     problems = validate_config(obj)
-    assert all(p.startswith("ice[0]") for p in problems)
-    values = np.random.default_rng(0).uniform(size=(_ICE_ROWS, len(DEFAULT_SCHEMA)))
-    table = WellTable(DEFAULT_SCHEMA, values)
-    varied = [VariedFactor(n, steps=2) for n in names]
+    assert all(p.startswith("ice[0]: ") for p in problems)
+    varied = [VariedFactor(n, lower, upper, steps) for n, (lower, upper), steps in axes]
     try:
-        ice(lambda x: x.sum(axis=1), table, varied, anchor_rows=anchors, sample=sample)
+        ice(_bounded_model, _uniform_table(), varied, anchor_rows=anchors, sample=sample)
     except ValueError as exc:
         assert str(exc) in [p.split(": ", 1)[1] for p in problems]
     else:
         assert problems == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rows", 19),
+        ("noise_sd", -0.1),
+        ("missing_ratio_max", 1.0),
+        ("missing_ratio_max", -0.5),
+        ("outlier_z", 0.0),
+        ("redundancy_r", 0.0),
+        ("redundancy_r", 1.5),
+    ],
+)
+def test_validate_refuses_the_data_parameters_the_library_refuses(key, value):
+    """Each data parameter's rule is parameter_problems': validate places
+    it at data.<key>, and synthesize or preprocess raises it."""
+    with pytest.raises(ValueError) as refused:
+        if key in ("rows", "noise_sd"):
+            synthesize(1, **{"n" if key == "rows" else key: value})
+        else:
+            preprocess(synthesize(1, n=20), **{key: value})
+    assert validate_config(with_seed(data={key: value})) == [f"data.{refused.value}"]
+
+
+class _Searched(Exception):
+    """Raised by the model of the test below: the search began."""
+
+
+def _unsearchable(x):
+    raise _Searched
+
+
+_BOUND_ENDS = st.sampled_from([-1.7e308, -1.0, 0.0, 12.2, 12.8, 13.0, 20.0, 1.7e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["stimulated length", "stage count"]),
+    st.lists(_BOUND_ENDS, min_size=2, max_size=2)
+    | st.lists(_BOUND_ENDS | st.sampled_from([float("inf"), float("nan"), True, "x"]), max_size=3),
+)
+def test_validate_refuses_exactly_the_bounds_optimize_wells_refuses(name, pair):
+    """A bound pair on a searched factor is a problem at optimize.bounds
+    exactly when optimize_wells raises before its search begins, with
+    the same words."""
+    obj = base_config()
+    obj["optimize"] = {"variables": [name], "bounds": {name: pair}}
+    try:
+        optimize_wells(_unsearchable, _uniform_table(), [0], [name], bounds={name: pair})
+    except ValueError as exc:
+        refused = [f"optimize.{exc}"]
+    except _Searched:
+        refused = []
+    assert validate_config(obj) == refused
 
 
 # --- validate subcommand --------------------------------------------------------------
@@ -1060,6 +1168,34 @@ def test_a_non_finite_number_in_the_config_file_is_refused(
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 1
     assert not (out / written).exists()
+
+
+_WIDE = [-1.7e308, 1.7e308]  # finite ends, but upper - lower overflows
+
+
+@pytest.mark.parametrize(
+    "section, problem",
+    [
+        (
+            {"ice": [{"factors": [dict(name="stimulated length", lower=_WIDE[0], upper=_WIDE[1])]}]},
+            "ice[0]: upper - lower overflows a float for 'stimulated length'",
+        ),
+        (
+            {"optimize": {"wells": [0], "budget": 5, "bounds": {"stimulated length": _WIDE}}},
+            "optimize.bounds.stimulated length: upper - lower overflows a float",
+        ),
+    ],
+    ids=["ice", "optimize-bounds"],
+)
+def test_a_range_whose_span_overflows_is_refused(tmp_path, capsys, section, problem):
+    """Both configs printed `config ok`: the ICE stage then wrote NaN and
+    Infinity into its grid files, and the optimize stage failed."""
+    path = write_config(tmp_path, {**base_config(), **section})
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().out == f"problem: {problem}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):

@@ -28,6 +28,7 @@ from welloop.explain import (
     baseline_correlations,
     explain_well,
     rank_factors,
+    row_problems,
     shap_interactions,
     shapley_exact,
     supervised_cluster,
@@ -623,10 +624,25 @@ def test_supervised_cluster_separates_two_populations(rng):
 
 def test_supervised_cluster_validates_k():
     attr = AttributionMatrix(np.zeros((4, 2)), 0.0, ("a", "b"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1"):
         supervised_cluster(attr, k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot form 5 clusters from 4 rows$"):
         supervised_cluster(attr, k=5)
+
+
+def test_row_problems_states_the_rows_an_explanation_needs():
+    """One statement for the config's max_rows cap, the explain stage and
+    supervised_cluster."""
+    assert row_problems([0, 3, 2, 5], 4, 3, "explain") == [
+        "explain.waterfalls: waterfall row 3 outside the explained rows",
+        "explain.waterfalls: waterfall row 5 outside the explained rows",
+        "explain.clusters: cannot form 4 clusters from 3 rows",
+    ]
+    assert row_problems([0, 2], 3, 3) == []
+    assert row_problems([3], 4, 3) == [
+        "waterfall row 3 outside the explained rows",
+        "cannot form 4 clusters from 3 rows",
+    ]
 
 
 # --- baseline correlations -----------------------------------------------------------

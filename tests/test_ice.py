@@ -5,7 +5,7 @@ import pytest
 
 import welloop.trees
 from welloop.data import FactorSpec, WellTable, ground_truth_eur, synthesize
-from welloop.ice import VariedFactor, ice
+from welloop.ice import VariedFactor, ice, job_problems
 from welloop.stack import fit_stacked
 from welloop.trees import HyperParams, fit_gbdt, predict
 
@@ -38,17 +38,34 @@ def table(rng):
 
 
 def test_varied_factor_grid_and_validation(table):
-    """The checks run when the grid is resolved against a table; a
-    factor with bad settings still constructs."""
+    """The checks run when the grid is resolved against a table, or, for
+    those that need none, when ice() is called; a factor with bad
+    settings still constructs."""
     v = VariedFactor("a", 0.0, 1.0, steps=5)
     assert np.allclose(v.grid(table), [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError, match="bounds reversed for 'a'"):
+    with pytest.raises(ValueError, match="lower must be < upper for 'a'"):
         VariedFactor("a", 1.0, 0.0).grid(table)
-    with pytest.raises(ValueError, match="steps must be >= 2"):
-        VariedFactor("a", 0.0, 1.0, steps=1).grid(table)
     for lower, upper in [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)]:
-        with pytest.raises(ValueError, match="bounds of 'a' must be finite"):
+        with pytest.raises(ValueError, match="lower and upper must be finite numbers for 'a'"):
             VariedFactor("a", lower, upper).grid(table)
+    for steps in (1, 0, -3):
+        with pytest.raises(ValueError, match="steps must be >= 2 for 'a'"):
+            ice(linear_model, table, [VariedFactor("a", 0.0, 1.0, steps=steps)])
+
+
+def test_a_sweep_whose_span_overflows_is_refused(table):
+    """Both ends finite but upper - lower past the largest float used to
+    sweep NaN and ±Infinity into the grid and its files."""
+    wide = VariedFactor("a", -1.7e308, 1.7e308, steps=3)
+    problem = "upper - lower overflows a float for 'a'"
+    assert job_problems([wide], None, None) == [problem]
+    with pytest.raises(ValueError, match=problem):
+        ice(linear_model, table, [wide])
+    with pytest.raises(ValueError, match=problem):
+        wide.grid(table)
+    # a resolved end is held to the same rule
+    with pytest.raises(ValueError, match=problem):
+        VariedFactor("a", lower=-1.7e308).grid(make_table({"a": [0.0, 1.7e308], "y": [1.0, 2.0]}))
 
 
 def test_varied_factor_ends_default_to_the_observed_range(table):
@@ -64,7 +81,7 @@ def test_varied_factor_ends_default_to_the_observed_range(table):
     grid = VariedFactor("a", lower=-1.0, steps=7).grid(table)
     assert (grid[0], grid[-1]) == (-1.0, a.max())
     assert VariedFactor("a", 0.0, 5.0, 7).grid(flat)[-1] == 5.0
-    with pytest.raises(ValueError, match="bounds reversed for 'a'"):
+    with pytest.raises(ValueError, match="lower must be < upper for 'a'"):
         VariedFactor("a", upper=1.0).grid(flat)
 
 
@@ -156,7 +173,7 @@ def test_ice_validates_factor_lists(table):
 
 def test_ice_validates_anchors_and_sampling(table):
     v = [VariedFactor("a", 0.0, 1.0, steps=2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one anchor row"):
         ice(linear_model, table, v, anchor_rows=[])
     with pytest.raises(ValueError):
         ice(linear_model, table, v, anchor_rows=[50])

@@ -64,11 +64,13 @@ class OnesRng:
 
 
 def test_problem_and_variable_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lower must be < upper for 'u'"):
         BoundedVariable("u", 2.0, 1.0)
     for lower, upper in [(-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)]:
-        with pytest.raises(ValueError, match="bounds of 'u' must be finite"):
+        with pytest.raises(ValueError, match="lower and upper must be finite numbers for 'u'"):
             BoundedVariable("u", lower, upper)
+    with pytest.raises(ValueError, match="upper - lower overflows a float for 'u'"):
+        BoundedVariable("u", -1.7e308, 1.7e308)
     with pytest.raises(ValueError):
         SearchProblem(lambda u: 0.0, (), budget=5)
     with pytest.raises(ValueError):
@@ -906,10 +908,16 @@ def test_optimize_well_searches_integers_only_inside_their_bounds(well_table):
     radar = out.to_json()["radar"][0]
     assert 0.0 <= radar["original_norm"] <= 1.0
     assert 0.0 <= radar["optimized_norm"] <= 1.0
-    with pytest.raises(ValueError, match="degenerate bounds"):
+    with pytest.raises(ValueError, match="needs two whole numbers between lower and upper"):
         optimize_well(
             ground_truth_eur, well_table, 0, ["stage count"], bounds={"stage count": (20.2, 20.4)}
         )
+    # an observed range is checked once the table gives it
+    values = np.array(well_table.values)
+    values[:, well_table.index("stage count")] = 20.0
+    flat = WellTable(well_table.specs, values)
+    with pytest.raises(ValueError, match="degenerate bounds for 'stage count'"):
+        optimize_well(ground_truth_eur, flat, 0, ["stage count"])
 
 
 def test_optimize_well_validation(well_table):
@@ -928,7 +936,7 @@ def test_optimize_well_validation(well_table):
         optimize_wells(ground_truth_eur, well_table, [], variables)
     with pytest.raises(ValueError, match="one seed per well"):
         optimize_wells(ground_truth_eur, well_table, [0, 1], variables, seeds=[0])
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="bounds.stage count: lower must be < upper"):
         optimize_well(
             ground_truth_eur,
             well_table,
@@ -955,6 +963,17 @@ def test_design_problems_lists_each_rule_a_search_breaks(well_table):
     ]
     with pytest.raises(ValueError, match=r"not model features: \['nope'\]"):
         optimize_well(ground_truth_eur, well_table, 0, ["stage count"], bounds={"nope": (0, 1)})
+
+
+def test_a_search_whose_span_overflows_is_refused(well_table):
+    """Finite bounds whose upper - lower passes the largest float used to
+    fail mid-search with a non-finite evaluation point."""
+    wide = {"stimulated length": [-1.7e308, 1.7e308]}
+    problem = "bounds.stimulated length: upper - lower overflows a float"
+    factors = {s.name: s for s in well_table.feature_specs}
+    assert design_problems(factors, ["stimulated length"], wide) == [problem]
+    with pytest.raises(ValueError, match=problem):
+        optimize_well(ground_truth_eur, well_table, 0, ["stimulated length"], bounds=wide)
 
 
 def test_optimize_well_refuses_a_bound_on_a_variable_it_does_not_search(well_table):

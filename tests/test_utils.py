@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import welloop
 from welloop.utils import (
     fmt,
+    is_number,
     kfold_assignments,
     mix_seed,
     read_json,
@@ -155,6 +156,28 @@ def test_a_value_json_cannot_encode_leaves_the_old_file_whole(tmp_path):
     with pytest.raises(ValueError, match="v.json: nested deeper"):
         write_json(path, deep, indent=None)
     assert read_json(path) == {"ok": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
+
+
+def test_a_number_is_finite_and_may_be_a_numpy_scalar():
+    """Search bounds and sweep ends given from Python may be numpy
+    scalars; a bool and anything past the largest float are not numbers."""
+    for value in (0, -3, 1.5, 10**300, np.float64(2.0), np.float32(1.5), np.int64(-2**63)):
+        assert is_number(value)
+    for value in (True, np.bool_(True), float("nan"), np.float64("inf"), 10**400, "1", None):
+        assert not is_number(value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("indent", [2, None])
+def test_a_non_finite_number_is_never_written_as_json(tmp_path, value, indent):
+    """json.dumps would write NaN or Infinity, which strict JSON has no
+    token for; the old file stays as it was."""
+    path = tmp_path / "v.json"
+    write_json(path, {"ok": 1})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"grid": [0.0, value]}, indent=indent)
+    assert path.read_text(encoding="utf-8") == '{\n  "ok": 1\n}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
 
 
