@@ -154,7 +154,7 @@ def load_csv(path, schema) -> WellTable:
     the row index (0-based, counted below the header).
     """
     specs = tuple(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

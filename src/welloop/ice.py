@@ -93,7 +93,8 @@ def ice(
 
     Anchors default to every table row; pass `anchor_rows` to pin them or
     `sample` to draw that many rows without replacement (seeded). The
-    average curve is the pointwise mean over anchors.
+    average curve is the pointwise mean over anchors, and one that a float
+    cannot hold (finite curves near the largest float) is refused.
 
     A model with terms() (a TreeEnsemble or a StackedModel) goes through
     `trees.predict_grid`, which walks each tree once per grid cell it
@@ -128,7 +129,10 @@ def ice(
     grids = tuple(v.grid(table) for v in varied)
     cols = [feature_names.index(v.name) for v in varied]
     predictions = predict_on_grid(features[anchors], cols, grids)
-    average = predictions.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        average = predictions.mean(axis=0)
+    if not np.all(np.isfinite(average)):
+        raise ValueError("the average ICE curve is not finite")
     return IceGrid(
         factor_names=tuple(v.name for v in varied),
         grids=grids,

@@ -8,9 +8,11 @@ fresh uniform diagonal matrices every iteration), differential evolution
 and Bayesian optimization (Matern-5/2 Gaussian process surrogate with
 expected improvement; its likelihood fit and its acquisition polish
 follow analytic gradients through one in-house bounded quasi-Newton
-minimizer, on numpy alone). All candidates are clamped to the search box
-before evaluation, and the wrapper asserts feasibility, counts
-evaluations against the budget, and keeps the best-so-far record.
+minimizer, on numpy alone). Every search moves in the unit box
+[0, 1]^d, and the wrapper alone maps its points onto the bounds: through
+the pinned design, when there is one, so that this design is the first
+point evaluated, exactly. The wrapper checks feasibility, counts
+evaluations against the budget, and records every point in design units.
 
 The Bayesian searches of several wells run in lockstep: each step fits
 the likelihoods of all of them in one minimizer call and polishes their
@@ -138,43 +140,57 @@ class Trace:
 
 
 class _Evaluator:
-    """Budgeted objective wrapper; every call is checked (a finite point
-    inside the bounds, a finite value), recorded, and counted. Raising
+    """Budgeted objective wrapper, and the one map from the unit box, where
+    every search moves, onto the bounds: the unit point q is evaluated at
+    u = clip(anchor + (q - start01) * span, lower, upper). With a pinned
+    design, the anchor is that design clamped to the box and start01 its
+    unit image, the search's start, which maps back onto the design
+    exactly; with none, the anchor is lower and start01 zero, so that
+    u = lower + q * span. Every call is checked (q finite and inside the
+    unit box, a finite value), recorded in design units, and counted;
+    `points01` keeps the unit points in trace order. Raising
     BudgetExhausted stops the surrounding search."""
 
-    def __init__(self, problem: SearchProblem):
+    def __init__(self, problem: SearchProblem, initial=None):
         self.problem = problem
-        self.lower = problem.lower
-        self.upper = problem.upper
+        self.lower, self.upper = problem.lower, problem.upper
+        self.span = self.upper - self.lower
+        if initial is None:
+            self.anchor, self.start01 = self.lower, np.zeros(problem.dim)
+        else:
+            self.anchor = np.clip(np.asarray(initial, dtype=float), self.lower, self.upper)
+            if self.anchor.shape != (problem.dim,):
+                raise ValueError(f"initial point {initial} needs one value per variable")
+            self.start01 = (self.anchor - self.lower) / self.span
+        self.points01 = []
         self.trace = Trace()
 
-    def __call__(self, u) -> float:
+    def __call__(self, q) -> float:
         if len(self.trace.entries) >= self.problem.budget:
             self.trace.truncated = True
             raise BudgetExhausted
-        u = np.asarray(u, dtype=float).reshape(-1)
+        q = np.array(q, dtype=float).reshape(-1)
         # NaN compares false both ways, so it is refused before the bounds
-        if not np.all(np.isfinite(u)):
-            raise ValueError(f"evaluation point {u} is not finite")
-        if np.any(u < self.lower) or np.any(u > self.upper):
-            raise ValueError(f"evaluation point {u} violates the bounds")
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"evaluation point {q} is not finite")
+        if np.any(q < 0.0) or np.any(q > 1.0):
+            raise ValueError(f"evaluation point {q} violates the bounds")
+        u = np.clip(self.anchor + (q - self.start01) * self.span, self.lower, self.upper)
         value = float(self.problem.objective(u))
         if not math.isfinite(value):
             raise ValueError(f"objective value {value} at evaluation point {u} is not finite")
-        self.trace.entries.append(
-            TraceEntry(index=len(self.trace.entries), point=u.copy(), value=value)
-        )
+        self.points01.append(q)
+        self.trace.entries.append(TraceEntry(index=len(self.trace.entries), point=u, value=value))
         return value
 
 
-def _search(problems, start, step):
-    """The budget handler every search runs under, over one problem or
-    several in lockstep: `start(i, ev)` evaluates problem i's initial
-    design, `ev` being its budgeted objective, then `step(evs)`, which
+def _search(evs, start, step):
+    """The budget handler every search runs under, over the evaluators of
+    one problem or several in lockstep: `start(i, ev)` evaluates problem
+    i's initial design, `ev` being its evaluator, then `step(evs)`, which
     evaluates at least once for every problem, repeats until the budgets,
     all equal, are spent. A budget that runs out mid-start or mid-step
     marks that trace truncated. Returns (best point, trace) per problem."""
-    evs = [_Evaluator(p) for p in problems]
     for i, ev in enumerate(evs):
         with contextlib.suppress(BudgetExhausted):
             start(i, ev)
@@ -182,16 +198,6 @@ def _search(problems, start, step):
         while len(evs[0].trace.entries) < evs[0].problem.budget:
             step(evs)
     return [(ev.trace.best().point.copy(), ev.trace) for ev in evs]
-
-
-def _start_population(rng, problem: SearchProblem, size: int, initial):
-    """`size` uniform points in the box; `initial`, when given, pins the
-    first point, clamped to the box."""
-    lower, upper = problem.lower, problem.upper
-    points = lower + rng.random((size, problem.dim)) * (upper - lower)
-    if initial is not None:
-        points[0] = np.clip(np.asarray(initial, dtype=float), lower, upper)
-    return points
 
 
 # --- particle swarm ------------------------------------------------------------
@@ -216,33 +222,33 @@ def pso_move(state: SwarmState, lower, upper, rng) -> None:
     Each particle blends its previous velocity (inertia) with pulls
     toward its personal best and the global best, both scaled by fresh
     per-dimension standard-uniform draws, then moves and is clamped to
-    the box. No objective evaluation happens here.
+    the box. One draw gives every particle its two vectors, in the order
+    of one random(dim) pair per particle. No objective evaluation happens
+    here.
     """
-    p_count, dim = state.positions.shape
-    for p in range(p_count):
-        d1 = rng.random(dim)
-        d2 = rng.random(dim)
-        state.velocities[p] = (
-            state.inertia * state.velocities[p]
-            + state.cognitive * d1 * (state.personal_best_positions[p] - state.positions[p])
-            + state.social * d2 * (state.global_best_position - state.positions[p])
-        )
-        state.positions[p] = np.clip(
-            state.positions[p] + state.velocities[p], lower, upper
-        )
+    count, dim = state.positions.shape
+    d1, d2 = rng.random((count, 2, dim)).transpose(1, 0, 2)
+    state.velocities[:] = (
+        state.inertia * state.velocities
+        + state.cognitive * d1 * (state.personal_best_positions - state.positions)
+        + state.social * d2 * (state.global_best_position - state.positions)
+    )
+    state.positions[:] = np.clip(state.positions + state.velocities, lower, upper)
 
 
 def pso(problem: SearchProblem, seed: int = 0, initial=None):
     """Particle swarm maximization with _SWARM_SIZE particles and
     SwarmState's coefficients; returns (best point, trace).
 
-    `initial` may pin the first particle. Personal and global bests only
-    move on strict improvement, so the global best value never decreases.
+    The swarm moves in the unit box; `initial` may pin the first particle.
+    Personal and global bests only move on strict improvement, so the
+    global best value never decreases.
     """
     rng = subseed_rng(seed, _PSO_TAG)
-    lower, upper = problem.lower, problem.upper
-
-    positions = _start_population(rng, problem, _SWARM_SIZE, initial)
+    ev = _Evaluator(problem, initial)
+    positions = rng.random((_SWARM_SIZE, problem.dim))
+    if initial is not None:
+        positions[0] = ev.start01
     state = SwarmState(
         positions=positions,
         velocities=np.zeros((_SWARM_SIZE, problem.dim)),
@@ -264,7 +270,7 @@ def pso(problem: SearchProblem, seed: int = 0, initial=None):
             state.global_best_position = state.personal_best_positions[best].copy()
 
     def step(ev):
-        pso_move(state, lower, upper, rng)
+        pso_move(state, 0.0, 1.0, rng)
         evaluate_swarm(ev)
         ev.trace.iteration_log.append(
             {
@@ -273,7 +279,7 @@ def pso(problem: SearchProblem, seed: int = 0, initial=None):
             }
         )
 
-    return _search([problem], lambda _, ev: evaluate_swarm(ev), lambda evs: step(*evs))[0]
+    return _search([ev], lambda _, ev: evaluate_swarm(ev), lambda evs: step(*evs))[0]
 
 
 # --- differential evolution -----------------------------------------------------
@@ -298,14 +304,15 @@ def de(problem: SearchProblem, seed: int = 0, initial=None):
     amplification _DE_AMPLIFICATION and crossover rate _DE_CROSSOVER;
     returns (best point, trace).
 
-    `initial` may pin the first member. Selection is strictly greedy: a
-    trial replaces its parent only when it scores strictly higher, so
-    each member's value never decreases.
+    The population lives in the unit box; `initial` may pin the first
+    member. Selection is strictly greedy: a trial replaces its parent only
+    when it scores strictly higher, so each member's value never decreases.
     """
     rng = subseed_rng(seed, _DE_TAG)
-    lower, upper = problem.lower, problem.upper
-
-    population = _start_population(rng, problem, _DE_SIZE, initial)
+    ev = _Evaluator(problem, initial)
+    population = rng.random((_DE_SIZE, problem.dim))
+    if initial is not None:
+        population[0] = ev.start01
     fitness = np.full(_DE_SIZE, -np.inf)
 
     def start(ev):
@@ -317,14 +324,14 @@ def de(problem: SearchProblem, seed: int = 0, initial=None):
         # before; a member's own fitness is read only by its own trial
         parents = population.copy()
         for p in range(_DE_SIZE):
-            trial = de_trial(parents, p, _DE_AMPLIFICATION, _DE_CROSSOVER, lower, upper, rng)
+            trial = de_trial(parents, p, _DE_AMPLIFICATION, _DE_CROSSOVER, 0.0, 1.0, rng)
             value = ev(trial)
             if value > fitness[p]:
                 population[p] = trial
                 fitness[p] = value
         ev.trace.iteration_log.append({"member_values": fitness.copy()})
 
-    return _search([problem], lambda _, ev: start(ev), lambda evs: step(*evs))[0]
+    return _search([ev], lambda _, ev: start(ev), lambda evs: step(*evs))[0]
 
 
 # --- Bayesian optimization --------------------------------------------------------
@@ -704,28 +711,19 @@ def bayes_opt(problems, seeds, initials=None):
         raise ValueError("lockstep searches need equal budgets and dimensions")
     dim = problems[0].dim
     rngs = [subseed_rng(seed, _BO_TAG) for seed in seeds]
-    designs = []  # each search's initial unit-box design
-    for problem, rng, initial in zip(problems, rngs, initials):
-        points01 = _latin_hypercube(rng, _BO_INIT, dim)
+    evs = [_Evaluator(p, u) for p, u in zip(problems, initials)]
+    designs = [_latin_hypercube(rng, _BO_INIT, dim) for rng in rngs]  # in the unit box
+    for design, ev, initial in zip(designs, evs, initials):
         if initial is not None:
-            initial = np.asarray(initial, dtype=float).reshape(-1)
-            span = problem.upper - problem.lower
-            points01[0] = np.clip((initial - problem.lower) / span, 0.0, 1.0)
-        designs.append(points01)
-    x01 = [[] for _ in problems]  # the unit-box points evaluated, in trace order
-
-    def evaluate01(i, ev, q01):
-        lower, upper = ev.lower, ev.upper
-        ev(np.clip(lower + np.asarray(q01) * (upper - lower), lower, upper))
-        x01[i].append(np.asarray(q01, dtype=float))
+            design[0] = ev.start01
 
     def start(i, ev):
         for q in designs[i]:
-            evaluate01(i, ev, q)
+            ev(q)
 
     def step_group(evs, group):
         ys = [evs[i].trace.values for i in group]
-        gp = _GaussianProcess([x01[i] for i in group], ys, [rngs[i] for i in group])
+        gp = _GaussianProcess([evs[i].points01 for i in group], ys, [rngs[i] for i in group])
         best = [y.max() for y in ys]
         screened, screen_best = [], []
         for w, i in enumerate(group):
@@ -746,15 +744,15 @@ def bayes_opt(problems, seeds, initials=None):
         polished, values = _minimize_box(neg_ei, screened, np.zeros(dim), np.ones(dim))
         for w, i in enumerate(group):
             pick = polished[w] if values[w] <= -screen_best[w] else screened[w]
-            evaluate01(i, evs[i], np.clip(pick, 0.0, 1.0))
+            evs[i](pick)
 
     def step(evs):
-        n = len(x01[0])
+        n = len(evs[0].points01)
         size = max(1, _LOCKSTEP_CELLS // (_LML_STARTS * n * n))
         for first in range(0, len(evs), size):
             step_group(evs, range(first, min(first + size, len(evs))))
 
-    return _search(problems, start, step)
+    return _search(evs, start, step)
 
 
 # --- closed-loop well optimization -------------------------------------------------
@@ -925,19 +923,19 @@ def optimize_wells(
         return objective
 
     problems = [SearchProblem(objective_at(features[row]), box, budget) for row in rows]
-    starts = [np.clip(features[row][var_cols], p.lower, p.upper) for row, p in zip(rows, problems)]
+    starts = [features[row][var_cols] for row in rows]  # each search clamps its own to the box
     search = globals()[_SEARCHES[method]]
     if method == "bayes":  # the one search that runs its wells in lockstep
         outcomes = search(problems, seeds, starts)
     else:
         outcomes = [search(p, seed=s, initial=u) for p, s, u in zip(problems, seeds, starts)]
     results = []
-    for u0, (_, trace) in zip(starts, outcomes):
+    for _, trace in outcomes:
         best = trace.best()
         results.append(
             WellOptimization(
                 variable_names=tuple(variables),
-                original=rounded(u0),
+                original=rounded(trace.entries[0].point),
                 optimized=rounded(best.point),
                 original_eur=float(trace.entries[0].value),
                 optimized_eur=float(best.value),

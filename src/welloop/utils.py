@@ -108,9 +108,10 @@ def write_json(path, obj, indent=2) -> None:
 
 
 def read_json(path):
-    """The JSON value in a file. A decoding error is a ValueError
-    (JSONDecodeError is one); so is nesting too deep to decode."""
-    with open(path, encoding="utf-8") as fh:
+    """The JSON value in a file, after a UTF-8 byte-order mark if it has
+    one. A decoding error is a ValueError (JSONDecodeError is one); so is
+    nesting too deep to decode."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except RecursionError:

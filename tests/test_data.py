@@ -97,6 +97,19 @@ def test_csv_cells_are_the_shortest_repr_of_each_float(tmp_path):
     )
 
 
+def test_load_csv_reads_past_a_byte_order_mark(tmp_path):
+    """A BOM used to stick to the first header name, so that column was
+    reported missing."""
+    t = synthesize(1, n=20)
+    path = tmp_path / "t.csv"
+    write_csv(t, path)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = load_csv(marked, t.specs)
+    assert back.names == t.names
+    assert np.array_equal(back.values, load_csv(path, t.specs).values, equal_nan=True)
+
+
 def test_load_csv_accepts_header_superset_by_name(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("extra,y,f0\n9,0.5,1.0\n8,0.25,2.0\n", encoding="utf-8")

@@ -107,6 +107,13 @@ def test_average_curve_is_the_pointwise_mean(table):
     assert np.max(np.abs(grid.average - grid.predictions.mean(axis=0))) <= 1e-12
 
 
+def test_an_average_a_float_cannot_hold_is_refused(table):
+    """Each curve is finite, but their sum overflows; a NaN or Infinity
+    in the average would reach ice_<k>.csv."""
+    with pytest.raises(ValueError, match="the average ICE curve is not finite"):
+        ice(lambda x: x.sum(axis=1), table, [VariedFactor("a", -1.7e308, 0.0, steps=3)])
+
+
 def test_swept_factor_fully_controls_a_linear_model(table):
     # with a linear model, the curve's slope in the swept factor is its
     # coefficient and anchors shift the intercept only

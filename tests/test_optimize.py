@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -441,8 +442,30 @@ def test_bayes_opt_traces_are_pinned():
     assert len(variables) == 6
     out = optimize_well(ground_truth_eur, table, 6, variables, "bayes", budget=25, seed=8)
     assert _trace_digest(out.trace) == (
-        "3b074bfa83e099e1a7067a50d2baab832528bca3fd2f1aa30d8df2e31f93aa1d"
+        "58a1bc971e4b76c5c1506c1c63dea585f5f6b7df61cbe036e396f94fa13d5836"
     )
+
+
+_PINNED = {
+    "pso": (
+        "9f7b294fd23f7ac4d06ac3a68d33b68d80acbc2fa131cf46d9b6d4b29315f574",
+        "f69d85331d3d59a364192bd057b9bf315b6ce18acb52cd189c943119ec30eb32",
+    ),
+    "de": (
+        "0e20202c5d16f7b4c50b5f095a89524c01810dbe0c8d606055bf76fac431f54c",
+        "597982c4fdc6cdb3eaa9ceb3d383ab98b5d7a4cc09efb25a1a2fd52d4bb18370",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_PINNED))
+def test_pso_and_de_traces_are_pinned(method):
+    """Every float of a search with no design and of one from a well's
+    design, which moves in the unit box through that design."""
+    _, trace = run_method(method, sphere_problem(budget=40), seed=3)
+    table = synthesize(seed=11, n=40, noise_sd=0.0)
+    out = optimize_well(ground_truth_eur, table, 6, engineering_vars(table), method, budget=25, seed=8)
+    assert (_trace_digest(trace), _trace_digest(out.trace)) == _PINNED[method]
 
 
 def _box_quadratic(rng, dim):
@@ -750,7 +773,9 @@ def test_bayes_opt_finds_a_concave_quadratic_optimum():
 def test_bayes_opt_initial_point_and_validation():
     problem = quad_problem(budget=10)
     [(_, trace)] = bayes_opt([problem], [2], [np.array([1.25])])
-    assert trace.entries[0].point[0] == pytest.approx(1.25, abs=1e-9)
+    assert trace.entries[0].point[0] == 1.25
+    with pytest.raises(ValueError, match="needs one value per variable"):
+        bayes_opt([problem], [2], [np.zeros(2)])
 
 
 # --- shared budget discipline -----------------------------------------------------
@@ -826,20 +851,36 @@ def test_optimize_well_never_loses_to_the_incumbent(well_table):
 
 
 def test_optimize_well_budget_one_returns_the_incumbent(well_table):
+    """Every search starts at the well's own design, exactly: the unit box
+    maps back onto it through the design itself; through the lower
+    bounds, bayes lost last bits on 15 of these 40 wells."""
     variables = engineering_vars(well_table)
-    out = optimize_well(
-        ground_truth_eur,
-        well_table,
-        row=0,
-        variables=variables,
-        method="de",
-        budget=1,
-        seed=0,
-    )
-    assert out.optimized_eur == out.original_eur
-    assert np.array_equal(out.optimized, out.original)
-    assert len(out.trace.entries) == 1
-    assert out.trace.truncated
+    rows = range(well_table.n_rows)
+    for method in METHODS:
+        for out in optimize_wells(ground_truth_eur, well_table, rows, variables, method, budget=1):
+            assert out.optimized_eur == out.original_eur
+            assert np.array_equal(out.optimized, out.original)
+            assert np.array_equal(out.trace.entries[0].point, out.original)
+            assert len(out.trace.entries) == 1
+            assert out.trace.truncated
+
+
+@pytest.mark.parametrize("upper", [1.7e308, np.finfo(float).max])
+@pytest.mark.parametrize("method, budget", [("pso", 30), ("de", 200), ("bayes", 12)])
+def test_a_search_over_a_span_near_the_largest_float_stays_finite(method, budget, upper, well_table):
+    """pso and de used to move in design units, where their velocities
+    and mutants overflowed on such a span; in the unit box they cannot."""
+    x, y = well_table.feature_matrix(), well_table.target()
+    model = fit_rf(x, y, HyperParams(n_trees=5, max_depth=3), feature_names=list(well_table.feature_names))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = optimize_wells(
+            model, well_table, [0, 1, 2], ["stimulated length"], method, budget,
+            bounds={"stimulated length": [0.0, upper]},
+        )
+    points = np.array([e.point for out in results for e in out.trace.entries])
+    assert len(points) == 3 * budget
+    assert np.all(np.isfinite(points)) and np.all((0.0 <= points) & (points <= upper))
 
 
 def test_optimize_well_rounds_integer_variables(well_table):

@@ -181,6 +181,12 @@ def test_a_non_finite_number_is_never_written_as_json(tmp_path, value, indent):
     assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
 
 
+def test_read_json_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xef\xbb\xbf" + b'{"seed": 1}')
+    assert read_json(path) == {"seed": 1}
+
+
 def test_read_json_names_the_file_nested_too_deep(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
