@@ -147,29 +147,36 @@ class _Evaluator:
     unit image, the search's start, which maps back onto the design
     exactly; with none, the anchor is lower and start01 zero, so that
     u = lower + q * span. Every call is checked (q finite and inside the
-    unit box, a finite value), recorded in design units, and counted;
-    `points01` keeps the unit points in trace order. Raising
-    BudgetExhausted stops the surrounding search."""
+    unit box, a finite value), recorded in design units, and counted.
+    Raising BudgetExhausted stops the surrounding search."""
 
     def __init__(self, problem: SearchProblem, initial=None):
         self.problem = problem
         self.lower, self.upper = problem.lower, problem.upper
         self.span = self.upper - self.lower
+        self.pinned = initial is not None
         if initial is None:
             self.anchor, self.start01 = self.lower, np.zeros(problem.dim)
         else:
-            self.anchor = np.clip(np.asarray(initial, dtype=float), self.lower, self.upper)
-            if self.anchor.shape != (problem.dim,):
+            design = np.asarray(initial, dtype=float)
+            if design.shape != (problem.dim,):
                 raise ValueError(f"initial point {initial} needs one value per variable")
+            self.anchor = np.clip(design, self.lower, self.upper)
             self.start01 = (self.anchor - self.lower) / self.span
-        self.points01 = []
         self.trace = Trace()
+
+    def pin_first(self, points01):
+        """A search's starting unit points, in place: the first becomes
+        start01 when a design is pinned."""
+        if self.pinned:
+            points01[0] = self.start01
+        return points01
 
     def __call__(self, q) -> float:
         if len(self.trace.entries) >= self.problem.budget:
             self.trace.truncated = True
             raise BudgetExhausted
-        q = np.array(q, dtype=float).reshape(-1)
+        q = np.asarray(q, dtype=float).reshape(-1)
         # NaN compares false both ways, so it is refused before the bounds
         if not np.all(np.isfinite(q)):
             raise ValueError(f"evaluation point {q} is not finite")
@@ -179,7 +186,6 @@ class _Evaluator:
         value = float(self.problem.objective(u))
         if not math.isfinite(value):
             raise ValueError(f"objective value {value} at evaluation point {u} is not finite")
-        self.points01.append(q)
         self.trace.entries.append(TraceEntry(index=len(self.trace.entries), point=u, value=value))
         return value
 
@@ -246,9 +252,7 @@ def pso(problem: SearchProblem, seed: int = 0, initial=None):
     """
     rng = subseed_rng(seed, _PSO_TAG)
     ev = _Evaluator(problem, initial)
-    positions = rng.random((_SWARM_SIZE, problem.dim))
-    if initial is not None:
-        positions[0] = ev.start01
+    positions = ev.pin_first(rng.random((_SWARM_SIZE, problem.dim)))
     state = SwarmState(
         positions=positions,
         velocities=np.zeros((_SWARM_SIZE, problem.dim)),
@@ -310,9 +314,7 @@ def de(problem: SearchProblem, seed: int = 0, initial=None):
     """
     rng = subseed_rng(seed, _DE_TAG)
     ev = _Evaluator(problem, initial)
-    population = rng.random((_DE_SIZE, problem.dim))
-    if initial is not None:
-        population[0] = ev.start01
+    population = ev.pin_first(rng.random((_DE_SIZE, problem.dim)))
     fitness = np.full(_DE_SIZE, -np.inf)
 
     def start(ev):
@@ -712,18 +714,20 @@ def bayes_opt(problems, seeds, initials=None):
     dim = problems[0].dim
     rngs = [subseed_rng(seed, _BO_TAG) for seed in seeds]
     evs = [_Evaluator(p, u) for p, u in zip(problems, initials)]
-    designs = [_latin_hypercube(rng, _BO_INIT, dim) for rng in rngs]  # in the unit box
-    for design, ev, initial in zip(designs, evs, initials):
-        if initial is not None:
-            design[0] = ev.start01
+    designs = [ev.pin_first(_latin_hypercube(rng, _BO_INIT, dim)) for ev, rng in zip(evs, rngs)]
+    x01 = [[] for _ in problems]  # the unit points evaluated, in trace order
+
+    def evaluate(i, q):
+        evs[i](q)
+        x01[i].append(np.asarray(q, dtype=float))
 
     def start(i, ev):
         for q in designs[i]:
-            ev(q)
+            evaluate(i, q)
 
     def step_group(evs, group):
         ys = [evs[i].trace.values for i in group]
-        gp = _GaussianProcess([evs[i].points01 for i in group], ys, [rngs[i] for i in group])
+        gp = _GaussianProcess([x01[i] for i in group], ys, [rngs[i] for i in group])
         best = [y.max() for y in ys]
         screened, screen_best = [], []
         for w, i in enumerate(group):
@@ -744,10 +748,10 @@ def bayes_opt(problems, seeds, initials=None):
         polished, values = _minimize_box(neg_ei, screened, np.zeros(dim), np.ones(dim))
         for w, i in enumerate(group):
             pick = polished[w] if values[w] <= -screen_best[w] else screened[w]
-            evs[i](pick)
+            evaluate(i, pick)
 
     def step(evs):
-        n = len(evs[0].points01)
+        n = len(x01[0])
         size = max(1, _LOCKSTEP_CELLS // (_LML_STARTS * n * n))
         for first in range(0, len(evs), size):
             step_group(evs, range(first, min(first + size, len(evs))))

@@ -776,6 +776,8 @@ def test_bayes_opt_initial_point_and_validation():
     assert trace.entries[0].point[0] == 1.25
     with pytest.raises(ValueError, match="needs one value per variable"):
         bayes_opt([problem], [2], [np.zeros(2)])
+    with pytest.raises(ValueError, match="needs one value per variable"):
+        bayes_opt([sphere_problem(budget=10)], [2], [np.zeros(3)])
 
 
 # --- shared budget discipline -----------------------------------------------------
