@@ -52,7 +52,6 @@ from welloop.trees import (
     tune_random_search,
 )
 from welloop.utils import (
-    fmt,
     is_int,
     is_number,
     mix_seed,
@@ -63,7 +62,7 @@ from welloop.utils import (
     take_list,
     typed,
     write_json,
-    write_rows,
+    write_table,
 )
 
 _SPLIT_TAG = 61
@@ -486,7 +485,9 @@ class Pipeline:
         self._record(rel, stage)
 
     def _write_csv(self, rel, header, rows, stage):
-        write_rows(self._path(rel), header, rows)
+        """A table of rows whose cells are, column by column, all text, all
+        integers or all floats (NaN an empty cell)."""
+        write_table(self._path(rel), header, [list(map(np.array, zip(*rows)))] if rows else [])
         self._record(rel, stage)
 
     def _carry_stage(self, stage):
@@ -669,8 +670,8 @@ class Pipeline:
         for i, (name, eta) in enumerate(ranking):
             vals = corr_vals[name]
             rows.append(
-                [name, fmt(eta), i + 1]
-                + ["" if vals[m] is None else fmt(vals[m]) for m in methods]
+                [name, eta, i + 1]
+                + [np.nan if vals[m] is None else vals[m] for m in methods]
                 + [corr_rank[m][name] for m in methods]
             )
         self._write_csv("shap/ranking.csv", header, rows, "explain")
@@ -679,10 +680,10 @@ class Pipeline:
         for row in cfg.waterfalls:
             expl = explain_well(attr, row)
             total = expl.base_value
-            rows = [["(base)", "", "", fmt(total)]]
+            rows = [["(base)", np.nan, np.nan, total]]
             for name, phi in expl.contributions:
                 total += phi
-                rows.append([name, fmt(x[row, col[name]]), fmt(phi), fmt(total)])
+                rows.append([name, x[row, col[name]], phi, total])
             header = ["factor", "value", "attribution", "cumulative"]
             self._write_csv(f"shap/waterfall_{row}.csv", header, rows, "explain")
 
@@ -723,9 +724,9 @@ class Pipeline:
             for split, idx, sx, sy in splits:
                 pred = predict(model, sx)
                 m = evaluate(sy, pred)
-                metrics.append([name.lower(), split, fmt(m["r2"]), fmt(m["mse"]), fmt(m["mae"])])
+                metrics.append([name.lower(), split, m["r2"], m["mse"], m["mae"]])
                 if model is self.final_model:
-                    parity += [[int(i), split, fmt(a), fmt(p)] for i, a, p in zip(idx, sy, pred)]
+                    parity += zip(idx, [split] * len(idx), sy, pred)
         self._write_csv("metrics.csv", ["model", "split", "r2", "mse", "mae"], metrics, "stack")
         self._write_csv("parity.csv", ["sample", "split", "actual", "predicted"], parity, "stack")
 
@@ -782,17 +783,17 @@ class Pipeline:
                     result.to_json(),
                     "optimize",
                 )
-                gain = ""
+                gain = np.nan
                 if result.original_eur != 0:
-                    gain = fmt(
+                    gain = (
                         100.0
                         * (result.optimized_eur - result.original_eur)
                         / abs(result.original_eur)
                     )
                 rows.append(
-                    [row, method, fmt(result.original_eur), fmt(result.optimized_eur), gain]
-                    + [fmt(v) for v in result.original]
-                    + [fmt(v) for v in result.optimized]
+                    [row, method, result.original_eur, result.optimized_eur, gain]
+                    + list(result.original)
+                    + list(result.optimized)
                 )
         header = (
             ["well", "method", "eur_original", "eur_optimized", "improvement_pct"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from welloop.utils import raise_first, read_json, take, typed, write_json, write_rows
+from welloop.utils import raise_first, read_json, take, typed, write_json, write_table
 
 CATEGORIES = ("geologic", "drilling", "completion", "production")
 
@@ -185,9 +185,7 @@ def load_csv(path, schema) -> WellTable:
 
 def write_csv(table: WellTable, path) -> None:
     """Write a table back out; missing cells become empty strings."""
-    # Python floats, whose repr is a numpy float64's; NaN is the one v != v
-    rows = (["" if v != v else repr(v) for v in row] for row in table.values.tolist())
-    write_rows(path, table.names, rows)
+    write_table(path, table.names, [list(table.values.T)])
 
 
 def load_schema(path) -> tuple[FactorSpec, ...]:
@@ -464,7 +462,10 @@ _FEATURE_ORDER = tuple(s.name for s in DEFAULT_SCHEMA if s.category != "producti
 
 
 def _sigmoid(u):
-    return 1.0 / (1.0 + np.exp(-np.asarray(u, dtype=float)))
+    # far below the knot exp overflows to inf, and 1 / (1 + inf) is the
+    # exact limit 0; every finite exp keeps its bits
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(u, dtype=float)))
 
 
 def _saturating(x, coef, knot, width):

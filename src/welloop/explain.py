@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from welloop.trees import _BLOCK_CELLS, _as_matrix, cached
-from welloop.utils import fmt, raise_first, subseed_rng, write_rows
+from welloop.utils import raise_first, subseed_rng, write_table
 from welloop.data import WellTable
 
 _CLUSTER_TAG = 21
@@ -572,25 +572,24 @@ def baseline_correlations(table: WellTable) -> CorrelationReport:
 # --- plot-data emitters ----------------------------------------------------------
 
 
+def _write_long_form(path, names, x, values, last) -> None:
+    """Rows of (sample, factor, factor value, values[sample, factor]),
+    sample by sample, each row of `x` beside the same row of `values`."""
+    x = _as_matrix(x, len(names))
+    if len(x) != len(values):
+        raise ValueError(f"x has {len(x)} rows for {len(values)} attributed rows")
+    columns = [np.repeat(np.arange(len(x)), len(names)), names * len(x), x.ravel(), values.ravel()]
+    write_table(path, ["sample", "factor", "value", last], [columns])
+
+
 def write_summary_csv(attr: AttributionMatrix, x, path) -> None:
     """Long-form (sample, factor, factor value, attribution) rows backing
     a beeswarm-style summary plot."""
-    x = _as_matrix(x, len(attr.feature_names))
-    rows = (
-        [i, name, fmt(x[i, j]), fmt(attr.values[i, j])]
-        for i in range(x.shape[0])
-        for j, name in enumerate(attr.feature_names)
-    )
-    write_rows(path, ["sample", "factor", "value", "attribution"], rows)
+    _write_long_form(path, list(attr.feature_names), x, attr.values, "attribution")
 
 
 def write_dependency_csv(tensor: InteractionTensor, x, path) -> None:
     """Long-form (sample, factor, factor value, main effect) rows backing
     dependency plots cleaned of interaction credit."""
-    x = _as_matrix(x, len(tensor.feature_names))
-    rows = (
-        [i, name, fmt(x[i, j]), fmt(tensor.values[i, j, j])]
-        for i in range(x.shape[0])
-        for j, name in enumerate(tensor.feature_names)
-    )
-    write_rows(path, ["sample", "factor", "value", "main_effect"], rows)
+    main = np.diagonal(tensor.values, axis1=1, axis2=2)
+    _write_long_form(path, list(tensor.feature_names), x, main, "main_effect")

@@ -17,8 +17,8 @@ from functools import partial
 import numpy as np
 
 from welloop.data import WellTable
-from welloop.trees import as_predictor, predict_grid
-from welloop.utils import fmt, raise_first, range_problems, subseed_rng, write_json, write_rows
+from welloop.trees import _BLOCK_CELLS, as_predictor, predict_grid
+from welloop.utils import raise_first, range_problems, subseed_rng, write_json, write_table
 
 _ANCHOR_TAG = 41
 
@@ -56,21 +56,22 @@ class IceGrid:
 
     def write_csv(self, path) -> None:
         """Long format: one row per (anchor, grid point), then the same
-        grid points again for the AVERAGE pseudo-sample."""
-        points = [
-            [fmt(g[i]) for g, i in zip(self.grids, c)]
-            for c in np.ndindex(*self.average.shape)
-        ]
-        curves = itertools.chain(
-            zip(map(int, self.anchor_rows), self.predictions), [("AVERAGE", self.average)]
-        )
-        # one curve at a time to Python floats, whose repr is their fmt
-        rows = (
-            [sample, *point, repr(value)]
-            for sample, values in curves
-            for point, value in zip(points, values.ravel().tolist())
-        )
-        write_rows(path, ["sample"] + list(self.factor_names) + ["prediction"], rows)
+        grid points again for the AVERAGE pseudo-sample; one column per
+        grid axis."""
+        n = self.average.size
+        cells = np.indices(self.average.shape).reshape(-1, n)  # np.ndindex order
+        axes = [np.asarray(g, dtype=float)[i] for g, i in zip(self.grids, cells)]
+        anchors = np.asarray(self.anchor_rows, dtype=int)
+        step = max(1, _BLOCK_CELLS // n)  # anchors a block: no column outgrows a block
+
+        def curves(first):
+            rows = anchors[first : first + step]
+            values = self.predictions[first : first + step].ravel()
+            return [np.repeat(rows, n), *(np.tile(a, len(rows)) for a in axes), values]
+
+        average = [["AVERAGE"] * n, *axes, self.average.ravel()]
+        blocks = itertools.chain(map(curves, range(0, len(anchors), step)), [average])
+        write_table(path, ["sample", *self.factor_names, "prediction"], blocks)
 
     def write_meta(self, path) -> None:
         meta = {

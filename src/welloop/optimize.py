@@ -35,7 +35,7 @@ import numpy as np
 
 from welloop.data import INTEGER_FACTORS, WellTable
 from welloop.trees import _BLOCK_CELLS, as_predictor
-from welloop.utils import fmt, is_number, raise_first, range_problems, subseed_rng, write_rows
+from welloop.utils import is_number, raise_first, range_problems, subseed_rng, write_table
 
 _PSO_TAG = 51
 _DE_TAG = 52
@@ -132,11 +132,10 @@ class Trace:
         return self.entries[int(np.argmax(values))]
 
     def write_csv(self, path, variable_names) -> None:
-        rows = (
-            [e.index] + [fmt(v) for v in e.point] + [fmt(e.value), fmt(b)]
-            for e, b in zip(self.entries, self.best_so_far())
-        )
-        write_rows(path, ["evaluation", *variable_names, "value", "best_so_far"], rows)
+        index = np.array([e.index for e in self.entries], dtype=int)
+        points = np.reshape([e.point for e in self.entries], (len(index), len(variable_names)))
+        columns = [index, *points.T, self.values, self.best_so_far()]
+        write_table(path, ["evaluation", *variable_names, "value", "best_so_far"], [columns])
 
 
 class _Evaluator:

@@ -34,6 +34,7 @@ from functools import partial
 import numpy as np
 
 from welloop.utils import (
+    _BLOCK_CELLS,
     is_number,
     kfold_assignments,
     mix_seed,
@@ -54,7 +55,6 @@ _BOOST_STAGE_TAG = 12
 _TUNE_DRAW_TAG = 13
 _TUNE_FOLD_TAG = 14
 
-_BLOCK_CELLS = 1 << 14  # elements in the largest array of one block
 _INT64_MAX = int(np.iinfo(np.int64).max)  # the largest integer a tune draw gives
 
 

@@ -1,18 +1,22 @@
-"""Small shared helpers: seeded RNG derivation, fold assignment,
-formatting, the one place files are read and written, the typed reads
-every loader applies to decoded JSON, and the number and range tests and
-the raising of listed problems that input checks share."""
+"""Small shared helpers: seeded RNG derivation, fold assignment, the one
+place files are read and written (JSON, and every CSV table through one
+block writer that formats a column at a time), the typed reads every
+loader applies to decoded JSON, and the number and range tests and the
+raising of listed problems that input checks share."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import os
 import sys
 
 import numpy as np
+
+_BLOCK_CELLS = 1 << 14  # elements in the largest array of one block
 
 
 def subseed_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -54,13 +58,6 @@ def kfold_assignments(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return fold
 
 
-def fmt(x: float) -> str:
-    """Shortest round-trip decimal form of a float, for CSV cells."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 # --- artifact files -----------------------------------------------------------------
 #
 # Every file is UTF-8 and written whole: into a temp file beside it, which
@@ -85,12 +82,55 @@ def _replacing(path):
         raise
 
 
-def write_rows(path, header, rows) -> None:
-    """A CSV file of a header and rows, streamed from any iterable."""
+# A CSV table is a header row, then the rows of its blocks. A block is a
+# sequence of equal-length columns; the writer formats it a slice of rows
+# at a time, about _BLOCK_CELLS / 8 cells, so no table is ever held whole
+# as strings. A cell's str takes about the bytes of eight float64s, so a
+# slice holds about what one numeric block does; slices of _BLOCK_CELLS
+# cells raised field-1k's peak RSS by 2-3 MB. Each column slice is
+# formatted by its kind: a float array as the shortest round-trip repr of
+# each value, NaN as an empty cell (the data tables' missing value); an
+# integer array as str of each value; anything else as text, each
+# distinct value quoted by the csv module's minimal rule. A slice's lines
+# are joined and written at once. The bytes are csv.writer's.
+
+
+def _quoted(text) -> str:
+    """One cell as csv.writer writes it in a row of more than one cell."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]
+
+
+def _cells(column) -> list[str]:
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "f":
+        cells = list(map(repr, column.tolist()))
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            cells[i] = ""
+        return cells
+    if kind in "iu":
+        return list(map(str, column.tolist()))
+    quoted = {text: _quoted(text) for text in set(column)}
+    return list(map(quoted.__getitem__, column))
+
+
+def write_table(path, header, blocks) -> None:
+    """A CSV file of a header and the rows of each block in turn, the
+    blocks streamed from any iterable. A block whose columns differ in
+    number from the header's names, or in length, is a ValueError."""
     with _replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for block in blocks:
+            lengths = [len(column) for column in block]
+            if len(lengths) != len(header) or len(set(lengths)) > 1:
+                raise ValueError(f"{path}: columns of lengths {lengths} under {len(header)} names")
+            step = max(1, _BLOCK_CELLS // (8 * max(1, len(block))))
+            for i in range(0, max(lengths, default=0), step):
+                columns = [_cells(column[i : i + step]) for column in block]
+                if len(columns) == 1:  # csv quotes a lone empty cell
+                    columns = [['""' if cell == "" else cell for cell in columns[0]]]
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def write_json(path, obj, indent=2) -> None:

@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from welloop.data import (
     WellTable,
     load_csv,
     preprocess,
+    save_schema,
     synthesize,
     write_csv,
 )
@@ -1367,6 +1368,35 @@ def test_a_schema_column_named_twice_in_the_csv_fails_the_data_stage(tmp_path):
     assert f"columns named more than once in header: [{rows[0][0]!r}]" in detail["data"]
 
 
+def test_a_factor_name_with_a_comma_and_a_quote_survives_every_table(tmp_path):
+    name = 'stimulated, "lateral" length'
+    specs = [replace(s, name=name) if s.name == "stimulated length" else s for s in DEFAULT_SCHEMA]
+    write_csv(WellTable(tuple(specs), synthesize(5, n=60).values), tmp_path / "wells.csv")
+    save_schema(specs, tmp_path / "schema.json")
+    obj = base_config()
+    obj["data"] = {"csv": str(tmp_path / "wells.csv"), "schema": str(tmp_path / "schema.json")}
+    obj["explain"] = {"interactions": True, "clusters": 2, "waterfalls": [0], "max_rows": 8}
+    factors = [{"name": name, "steps": 3}, {"name": "stage count", "steps": 2}]
+    obj["ice"] = [{"factors": factors, "sample": 4}]
+    obj["optimize"] = {"methods": ["pso"], "wells": [0], "budget": 3, "variables": [name]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 0
+    assert set(stage_status(assert_manifest_reconciles(out)).values()) == {"ok"}
+
+    def table(rel):
+        with open(out / rel, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    for rel in ("data/raw.csv", "data/clean.csv", "ice/ice_0.csv", "optimize/trace_w0_pso.csv"):
+        assert name in table(rel)[0], rel
+    assert f"{name} original" in table("optimize/comparison.csv")[0]
+    for rel in ("summary_rf", "dependency_rf", "ranking", "waterfall_0"):
+        rows = table(f"shap/{rel}.csv")
+        factor = rows[0].index("factor")
+        assert name in {row[factor] for row in rows[1:]}, rel
+    assert load_csv(out / "data/clean.csv", specs).feature_names.count(name) == 1
+
+
 def test_an_infinite_csv_cell_drops_its_row_with_a_warning(tmp_path):
     """An infinite cell used to pass the data stage: its column's z-scores
     became NaN, `inf` reached data/clean.csv and the train stage failed."""
@@ -1720,16 +1750,21 @@ def test_a_failed_manifest_write_keeps_the_previous_manifest(
 def test_a_stage_writer_failing_mid_rows_leaves_no_partial_file(tmp_path, monkeypatch):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
-    real_fmt = welloop.explain.fmt
+    real_write_table, real_cells = welloop.explain.write_table, welloop.utils._cells
     calls = []
 
-    def failing_fmt(x):
-        calls.append(x)
+    def failing_cells(column):
+        calls.append(column)
         if len(calls) == 20:
             raise RuntimeError("row builder failed")
-        return real_fmt(x)
+        return real_cells(column)
 
-    monkeypatch.setattr(welloop.explain, "fmt", failing_fmt)
+    def write_table(path, header, blocks):
+        monkeypatch.setattr(welloop.utils, "_cells", failing_cells)
+        real_write_table(path, header, blocks)
+
+    monkeypatch.setattr(welloop.utils, "_BLOCK_CELLS", 8 * 8)  # two rows at a time
+    monkeypatch.setattr(welloop.explain, "write_table", write_table)
     assert main(["run", "--config", path, "--out", str(out)]) == 2
     assert len(calls) == 20  # the summary CSV had begun its rows
     assert not list(out.rglob("*.tmp"))

@@ -754,3 +754,17 @@ def test_dependency_csv_round_trip(tmp_path, rng):
     assert rows[0] == ["sample", "factor", "value", "main_effect"]
     assert len(rows) == 1 + 5 * 2
     assert float(rows[1][3]) == pytest.approx(tensor.values[0, 0, 0])
+
+
+@pytest.mark.parametrize("x_rows", [3, 8])
+def test_plot_data_refuses_factor_values_for_other_rows(tmp_path, rng, x_rows):
+    """With 5 attributed rows, a 3-row x used to write 9 of the 15 rows
+    without a word and an 8-row x to raise a stray IndexError."""
+    model, x = random_fitted_ensemble(rng, n_features=3, n_rows=8)
+    attr = tree_shap(model, x[:5])
+    tensor = shap_interactions(model, x[:5], attr)
+    match = f"x has {x_rows} rows for 5 attributed rows"
+    for write, values in ((write_summary_csv, attr), (write_dependency_csv, tensor)):
+        with pytest.raises(ValueError, match=match):
+            write(values, x[:x_rows], tmp_path / "plot.csv")
+    assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,6 @@
 import csv
+import io
+import sys
 
 import numpy as np
 import pytest
@@ -286,6 +288,32 @@ def test_csv_round_trip(tmp_path, table):
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     assert meta["factor_names"] == ["a"]
     assert meta["anchor_rows"] == [2, 7]
+
+
+@pytest.mark.parametrize("block_cells", [1, 12, 1 << 14])
+def test_csv_rows_are_the_ndindex_loops_in_any_block_size(
+    tmp_path, table, monkeypatch, block_cells
+):
+    """One row per (anchor, grid point) in np.ndindex order, then AVERAGE,
+    however many anchors a block takes."""
+    grid = ice(
+        linear_model,
+        table,
+        [VariedFactor("a", 0.0, 1.0, steps=3), VariedFactor("b", -1.0, 1.0, steps=2)],
+        anchor_rows=[2, 7, 0, 5, 9],
+    )
+    # welloop.ice is the function welloop exports; the module is in sys.modules
+    monkeypatch.setattr(sys.modules[ice.__module__], "_BLOCK_CELLS", block_cells)
+    grid.write_csv(tmp_path / "ice.csv")
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["sample", "a", "b", "prediction"])
+    curves = [*zip(map(int, grid.anchor_rows), grid.predictions), ("AVERAGE", grid.average)]
+    for sample, values in curves:
+        for c in np.ndindex(*grid.average.shape):
+            point = [repr(float(g[i])) for g, i in zip(grid.grids, c)]
+            writer.writerow([sample, *point, repr(float(values[c]))])
+    assert (tmp_path / "ice.csv").read_bytes() == want.getvalue().encode("utf-8")
 
 
 # --- behaviour on the synthetic generator --------------------------------------------

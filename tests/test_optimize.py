@@ -885,6 +885,18 @@ def test_a_search_over_a_span_near_the_largest_float_stays_finite(method, budget
     assert np.all(np.isfinite(points)) and np.all((0.0 <= points) & (points <= upper))
 
 
+@pytest.mark.parametrize("method", ["pso", "de", "bayes"])
+def test_the_generator_searched_far_outside_the_field_stays_finite(method):
+    """ground_truth_eur's sigmoid overflowed in np.exp on such a span."""
+    table = synthesize(11, n=40, noise_sd=0.0)
+    results = optimize_wells(
+        ground_truth_eur, table, [0, 1, 2], ["stimulated length"], method, 20,
+        bounds={"stimulated length": [0, 1.7e308]},
+    )
+    for out in results:
+        assert np.all(np.isfinite(out.optimized)) and np.isfinite(out.optimized_eur)
+
+
 def test_optimize_well_rounds_integer_variables(well_table):
     out = optimize_well(
         ground_truth_eur,

@@ -1,8 +1,11 @@
 import ast
+import csv
+import io
 import json
 import os
 import stat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from hypothesis import strategies as st
 
 import welloop
 from welloop.utils import (
-    fmt,
     is_number,
     kfold_assignments,
     mix_seed,
@@ -19,7 +21,7 @@ from welloop.utils import (
     subseed_rng,
     typed,
     write_json,
-    write_rows,
+    write_table,
 )
 
 
@@ -91,22 +93,112 @@ def test_kfold_validates_arguments():
         kfold_assignments(3, 4, subseed_rng(0))
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False))
-@settings(max_examples=500, deadline=None)
-def test_fmt_round_trips_floats_exactly(x):
-    assert float(fmt(x)) == x
-
-
-def test_fmt_is_compact_for_integral_values():
-    assert fmt(2.0) == "2.0"
-    assert fmt(0.1) == "0.1"
-
-
 # --- artifact files -------------------------------------------------------------------
 
 
+def _float_cells(tmp_path, values):
+    write_table(tmp_path / "f.csv", ["x"], [[np.array(values, dtype=float)]])
+    with open(tmp_path / "f.csv", newline="", encoding="utf-8") as fh:
+        return [row[0] for row in list(csv.reader(fh))[1:]]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_a_float_column_round_trips_floats_exactly(tmp_path_factory, values):
+    cells = _float_cells(tmp_path_factory.mktemp("floats"), values)
+    assert [float(c) for c in cells] == values
+    assert [c.startswith("-") for c in cells] == [np.signbit(v) for v in values]
+
+
+def test_a_float_column_is_compact_for_integral_values(tmp_path):
+    assert _float_cells(tmp_path, [2.0, 0.1, -0.0, 5e-324, 1.7e308]) == [
+        "2.0", "0.1", "-0.0", "5e-324", "1.7e+308"
+    ]
+
+
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "\t", "'"]), max_size=4)
+_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1.7e308, float("nan"), float("inf")])
+)
+_KINDS = {
+    "text": (_TEXT, list, lambda v: v),
+    "float": (_FLOAT, lambda vs: np.array(vs, dtype=float), lambda v: "" if v != v else repr(v)),
+    "int": (
+        st.integers(-(2**63), 2**63 - 1),
+        lambda vs: np.array(vs, dtype=np.int64),
+        str,
+    ),
+}
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns of one kind each as write_table takes them, the
+    rows as csv.writer would be given them, block cut points, cells the
+    writer formats at a time)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=4))
+    n = draw(st.integers(0, 8))
+    header = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    columns, cells = [], []
+    for kind in kinds:
+        values = draw(st.lists(_KINDS[kind][0], min_size=n, max_size=n))
+        columns.append(_KINDS[kind][1](values))
+        cells.append([_KINDS[kind][2](v) for v in values])
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    return header, columns, list(zip(*cells)), cuts, draw(st.integers(1, 100))
+
+
+@given(_tables())
+@settings(max_examples=300, deadline=None)
+def test_the_block_writer_writes_csv_writers_bytes(tmp_path_factory, table):
+    header, columns, rows, cuts, block_cells = table
+    bounds = [0, *cuts, len(rows)]
+    blocks = [[c[a:b] for c in columns] for a, b in zip(bounds, bounds[1:])]
+    path = tmp_path_factory.mktemp("blocks") / "t.csv"
+    with mock.patch.object(welloop.utils, "_BLOCK_CELLS", block_cells):
+        write_table(path, header, blocks)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_a_block_is_formatted_about_block_cells_at_a_time(tmp_path, monkeypatch):
+    """No table is held whole as strings."""
+    columns = [np.arange(10), ["a"] * 10, np.linspace(0.0, 1.0, 10)]
+    write_table(tmp_path / "whole.csv", ["n", "t", "x"], [columns])
+    formatted = []
+    cells = welloop.utils._cells
+    monkeypatch.setattr(welloop.utils, "_cells", lambda c: formatted.append(len(c)) or cells(c))
+    monkeypatch.setattr(welloop.utils, "_BLOCK_CELLS", 8 * 7)
+    write_table(tmp_path / "cut.csv", ["n", "t", "x"], [columns])
+    assert formatted == [2] * 15
+    assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "block, match",
+    [
+        ([np.arange(3), ["x", "y"]], r"t.csv: columns of lengths \[3, 2\] under 2 names"),
+        ([["x", "y"], np.arange(3)], r"t.csv: columns of lengths \[2, 3\] under 2 names"),
+        ([np.arange(2)], r"t.csv: columns of lengths \[2\] under 2 names"),
+    ],
+)
+def test_a_block_that_does_not_fit_its_header_leaves_the_old_file_whole(tmp_path, block, match):
+    """zip would cut every column to the shortest without a word."""
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b"], [[np.arange(2), ["x", "y"]]])
+    old = path.read_bytes()
+    with pytest.raises(ValueError, match=match):
+        write_table(path, ["a", "b"], [block])
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
 def test_written_files_follow_the_on_disk_conventions(tmp_path):
-    write_rows(tmp_path / "t.csv", ["a", "b"], iter([[1, "x,y"], [2, ""]]))
+    blocks = iter([[np.array([1]), ["x,y"]], [np.array([2]), [""]]])
+    write_table(tmp_path / "t.csv", ["a", "b"], blocks)
     assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n2,\r\n'
     write_json(tmp_path / "p.json", {"b": [1], "a": "é"})
     assert (tmp_path / "p.json").read_bytes() == '{\n  "a": "\\u00e9",\n  "b": [\n    1\n  ]\n}\n'.encode()
@@ -120,7 +212,7 @@ def test_written_files_get_the_mode_a_plain_open_gives(tmp_path):
     with open(tmp_path / "plain", "w", encoding="utf-8") as fh:
         fh.write("x")
     write_json(tmp_path / "j.json", [])
-    write_rows(tmp_path / "r.csv", ["a"], [])
+    write_table(tmp_path / "r.csv", ["a"], [])
     mode = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
     assert stat.S_IMODE(os.stat(tmp_path / "j.json").st_mode) == mode
     assert stat.S_IMODE(os.stat(tmp_path / "r.csv").st_mode) == mode
@@ -128,17 +220,17 @@ def test_written_files_get_the_mode_a_plain_open_gives(tmp_path):
 
 def test_rows_that_raise_halfway_leave_the_old_file_whole(tmp_path):
     path = tmp_path / "table.csv"
-    write_rows(path, ["n"], ([i] for i in range(3)))
+    write_table(path, ["n"], [[np.arange(3)]])
     old = path.read_bytes()
 
-    def rows():
-        for i in range(100_000):
-            if i == 50_000:
+    def blocks():
+        for start in range(0, 100_000, 1000):
+            if start == 50_000:
                 raise RuntimeError("row builder failed")
-            yield [i, "padding" * 4]
+            yield [np.arange(start, start + 1000), ["padding" * 4] * 1000]
 
     with pytest.raises(RuntimeError, match="row builder failed"):
-        write_rows(path, ["n", "pad"], rows())
+        write_table(path, ["n", "pad"], blocks())
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
