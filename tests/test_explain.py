@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +321,33 @@ def test_a_row_attributes_alike_alone_and_in_a_many_block_batch(
         assert np.array_equal(alone.values[0], attr.values[i])
         pairs = shap_interactions(model, x[i], alone)
         assert np.array_equal(pairs.values[0], tensor.values[i])
+
+
+@pytest.mark.parametrize(
+    "p, order", [(p, order) for p in range(1, 9) for order in (1, 2) if order <= p]
+)
+def test_subset_weights_match_brute_force_enumeration(rng, p, order):
+    # for each pair and drop set: the sum over subsets S of the kept slots
+    # of weights[|S|] * prod(one over S) * prod(zero over the kept rest)
+    one = rng.uniform(size=(6, p))
+    flags = rng.uniform(size=one.shape) < 0.5
+    one[flags] = rng.integers(0, 2, size=one.shape)[flags]
+    zero = rng.uniform(0.05, 1.0, size=(6, p))
+    members = list(itertools.combinations(range(p), order))
+    drop = np.zeros((len(members), p), dtype=bool)
+    for k, d in enumerate(members):
+        drop[k, list(d)] = True
+    weights = list(rng.uniform(0.1, 1.0, size=p - order + 1))
+    got = welloop.explain._subset_weights(one, zero, drop, weights)
+    assert got.shape == (6, len(members))
+    for i, k in itertools.product(range(6), range(len(members))):
+        kept = np.flatnonzero(~drop[k])
+        want = 0.0
+        for size in range(len(kept) + 1):
+            for s in itertools.combinations(kept, size):
+                rest = np.setdiff1d(kept, s)
+                want += weights[size] * math.prod(one[i, s]) * math.prod(zero[i, rest])
+        assert got[i, k] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_a_very_deep_tree_is_attributed_without_recursion():
