@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from welloop.trees import _BLOCK_CELLS, _as_matrix, cached
+from welloop.trees import _BLOCK_CELLS, _as_matrix, cached, compiled
 from welloop.utils import raise_first, subseed_rng, write_table
 from welloop.data import WellTable
 
@@ -78,37 +78,26 @@ def shapley_exact(game: CoalitionalGame) -> np.ndarray:
 # --- path-dependent expectation ---------------------------------------------
 
 
-def _check_node(node):
-    if node.cover <= 0:
+def _nodes(model):
+    """The node arrays of a model's compiled trees as lists: feature,
+    threshold, left, right, value, cover and roots. Every cover must be
+    at least 1, or the cover ratios mean nothing."""
+    flat, _ = compiled(model)
+    if not (flat.cover >= 1).all():
         raise ModelIntegrityError("encountered a node with non-positive cover")
-
-
-def _expect_node(root, x, subset):
-    """Sum over the leaves x can reach of value times reach weight: a
-    split on a known feature sends all weight down the branch x takes,
-    any other split shares it by cover. Walked with an explicit stack, so
-    depth is unlimited."""
-    total = 0.0
-    todo = [(root, 1.0)]
-    while todo:
-        node, weight = todo.pop()
-        _check_node(node)
-        if node.is_leaf:
-            total += weight * node.value
-        elif node.feature in subset:
-            child = node.left if x[node.feature] <= node.threshold else node.right
-            todo.append((child, weight))
-        else:
-            for child in (node.right, node.left):
-                todo.append((child, weight * child.cover / node.cover))
-    return total
+    arrays = flat.feature, flat.threshold, flat.left, flat.right, flat.value, flat.cover, flat.roots
+    return [a.tolist() for a in arrays]
 
 
 def tree_expectation(model, x, subset) -> float:
     """Expected output of a TreeEnsemble or a StackedModel when only the
     features in `subset` are known to equal x's values; all other splits
-    blend children by cover. The per-tree expectations are summed the way
-    the model's terms() sum its trees."""
+    blend children by cover. Each tree's expectation is the sum over the
+    leaves x can reach of value times reach weight: a split on a known
+    feature sends all weight down the branch x takes, any other split
+    shares it by cover. Walked with an explicit stack, so depth is
+    unlimited. The per-tree expectations are summed the way the model's
+    terms() sum its trees."""
     m = len(model.feature_names)
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != m:
@@ -116,9 +105,21 @@ def tree_expectation(model, x, subset) -> float:
     s = frozenset(int(i) for i in subset)
     if s and (min(s) < 0 or max(s) >= m):
         raise ValueError("subset contains an out-of-range feature index")
+    feature, threshold, left, right, value, cover, roots = _nodes(model)
     weights, total, divisor = model.terms()
-    for tree, weight in zip(model.trees, weights):
-        total += weight * _expect_node(tree, x, s)
+    for root, weight in zip(roots, weights):
+        expected = 0.0
+        todo = [(root, 1.0)]
+        while todo:
+            i, reach = todo.pop()
+            if left[i] == i:  # a leaf points to itself
+                expected += reach * value[i]
+            elif feature[i] in s:
+                todo.append((left[i] if x[feature[i]] <= threshold[i] else right[i], reach))
+            else:
+                for child in (right[i], left[i]):
+                    todo.append((child, reach * cover[child] / cover[i]))
+        total += weight * expected
     return float(total / divisor)
 
 
@@ -151,28 +152,29 @@ def _decompose(model):
     no bound); value[i] is the leaf value times its tree's weight over the
     divisor of the model's terms(). Also returns the base value,
     sum(value * prod(zero)) plus the constant over the divisor."""
+    feature, threshold, left, right, value, cover, roots = _nodes(model)
     weights, constant, divisor = model.terms()
     by_p = {}
     empty = []
-    for root, weight in zip(model.trees, weights / divisor):
+    for root, weight in zip(roots, weights / divisor):
         stack = [(root, {})]  # node, {feature: (zero, lo, hi)} on its path
         while stack:
-            node, path = stack.pop()
-            _check_node(node)
-            if node.is_leaf:
-                value = node.value * weight
-                empty.append(value * math.prod(z for z, _, _ in path.values()))
-                by_p.setdefault(len(path), []).append((path, value))
+            i, path = stack.pop()
+            if left[i] == i:  # a leaf points to itself
+                leaf = value[i] * weight
+                empty.append(leaf * math.prod(z for z, _, _ in path.values()))
+                by_p.setdefault(len(path), []).append((path, leaf))
                 continue
-            f, t = node.feature, node.threshold
+            f, t = feature[i], threshold[i]
             z, lo, hi = path.get(f, (1.0, math.nan, math.nan))
-            right = dict(path)
+            right_path = dict(path)
             right_lo = t if math.isnan(lo) else max(lo, t)
-            right[f] = (z * node.right.cover / node.cover, right_lo, hi)
-            left = dict(path)
+            right_path[f] = (z * cover[right[i]] / cover[i], right_lo, hi)
+            # only this node holds `path`, so its left child takes it over; a
+            # feature already on it keeps its slot, as in a copy
             left_hi = t if math.isnan(hi) else min(hi, t)
-            left[f] = (z * node.left.cover / node.cover, lo, left_hi)
-            stack += ((node.right, right), (node.left, left))
+            path[f] = (z * cover[left[i]] / cover[i], lo, left_hi)
+            stack += ((right[i], right_path), (left[i], path))
     groups = []
     for p, leaves in sorted(by_p.items()):
         if p:

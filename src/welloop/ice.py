@@ -49,7 +49,7 @@ class VariedFactor:
 @dataclass
 class IceGrid:
     factor_names: tuple
-    grids: tuple  # one strictly increasing value array per axis
+    grids: tuple  # one non-decreasing value array per axis
     anchor_rows: np.ndarray
     predictions: np.ndarray  # (anchors, steps_1[, steps_2[, steps_3]])
     average: np.ndarray  # (steps_1[, steps_2[, steps_3]])

@@ -800,10 +800,7 @@ class WellOptimization:
         }
 
 
-# method -> name of its search function, looked up at each call so that a
-# wrapper set on the module attribute (loopbench's tracing probes) sees it
-_SEARCHES = {"pso": "pso", "de": "de", "bayes": "bayes_opt"}
-METHODS = tuple(_SEARCHES)
+METHODS = ("pso", "de", "bayes")
 
 
 def design_problems(factors, variables, bounds, where="") -> list[str]:
@@ -927,10 +924,12 @@ def optimize_wells(
 
     problems = [SearchProblem(objective_at(features[row]), box, budget) for row in rows]
     starts = [features[row][var_cols] for row in rows]  # each search clamps its own to the box
-    search = globals()[_SEARCHES[method]]
+    # each search is called by its module-global name, looked up at the
+    # call, so a wrapper set on the module attribute is the one called
     if method == "bayes":  # the one search that runs its wells in lockstep
-        outcomes = search(problems, seeds, starts)
+        outcomes = bayes_opt(problems, seeds, starts)
     else:
+        search = pso if method == "pso" else de
         outcomes = [search(p, seed=s, initial=u) for p, s, u in zip(problems, seeds, starts)]
     results = []
     for _, trace in outcomes:

@@ -169,13 +169,15 @@ class FlatTrees:
     feature[i] at threshold[i] and sends a row to left[i] when its value
     is <= the threshold, else to right[i]. A leaf points to itself on both
     sides and holds its value, so every row sits still once it reaches a
-    leaf and `depth` steps from the roots put every row on its leaf."""
+    leaf and `depth` steps from the roots put every row on its leaf.
+    cover[i] is the training-row count that reached node i."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    cover: np.ndarray
     tree: np.ndarray  # the tree each node belongs to
     roots: np.ndarray
     depth: int
@@ -233,11 +235,12 @@ def compile_trees(trees) -> FlatTrees:
         nodes += (node.left, node.right)
         tree += (tree[i], tree[i])
     # one array at a time, each list let go as its array is made: holding
-    # them all at once raised field-1k's peak RSS by about 0.4 MB
+    # them all at once raised field-1k's peak RSS by about 0.4 MB; tree
+    # and cover fit int32, so a node costs 48 bytes with its cover
     feature = np.array(feature, dtype=np.intp)
     threshold = np.array(threshold, dtype=float)
     value = np.array(value, dtype=float)
-    tree = np.array(tree, dtype=np.intp)
+    tree = np.array(tree, dtype=np.int32)
     left = np.array(left, dtype=np.intp)
     return FlatTrees(
         feature=feature,
@@ -245,6 +248,7 @@ def compile_trees(trees) -> FlatTrees:
         left=left,
         right=left + (left != np.arange(len(left))),  # a leaf points to itself
         value=value,
+        cover=np.fromiter((node.cover for node in nodes), dtype=np.int32, count=len(nodes)),
         tree=tree,
         roots=np.arange(len(trees), dtype=np.intp),
         depth=depth,
@@ -300,8 +304,8 @@ def predict_grid(model, rows, columns, grids) -> np.ndarray:
     """`predict` over a product grid: out[r, i, j, ...] is the output of
     a TreeEnsemble or a StackedModel for row r of `rows` with column
     columns[0] set to grids[0][i], columns[1] to grids[1][j], and so on,
-    bit for bit what predict gives for that row. Each grid is strictly
-    increasing.
+    bit for bit what predict gives for that row. Each column is swept by
+    one grid, each at most once, and each grid is non-decreasing.
 
     Each (tree, cell) pair of _grid_cells is walked once per row, from
     the tree's root, at the cell's first grid point; each point then
@@ -311,6 +315,12 @@ def predict_grid(model, rows, columns, grids) -> np.ndarray:
     x = _as_matrix(rows, len(model.feature_names))
     flat, terms = compiled(model)
     grids = [np.asarray(g, dtype=float) for g in grids]
+    if len(grids) != len(columns):
+        raise ValueError(f"{len(columns)} columns for {len(grids)} grids")
+    if len(set(columns)) != len(columns):
+        raise ValueError("a column is swept twice")
+    if not all((g[1:] >= g[:-1]).all() for g in grids):
+        raise ValueError("a grid is not non-decreasing")
     pair_root, swept, pair_index = _grid_cells(flat, columns, grids)
     m = x.shape[1]
     # a walk reads a swept column from `sweep` and any other from the row;
@@ -347,7 +357,7 @@ def _grid_cells(flat: FlatTrees, columns, grids):
     Along the swept columns a tree's leaf changes only at its own
     thresholds on them, and x <= t goes left, so a grid value's cell in a
     tree is the count of the tree's thresholds below it, and every grid
-    point in one cell reaches one leaf. A strictly increasing grid meets a
+    point in one cell reaches one leaf. A non-decreasing grid meets a
     tree's cells in runs of steps, and on a product grid a tree's cells
     are the product of its runs per axis, numbered with the last axis
     fastest. All trees are counted together, in (trees, steps) tables."""
@@ -781,8 +791,8 @@ def _node_from_json(obj, n_features, where) -> TreeNode:
     cover = obj.get("cover")
     if type(cover) is not int:
         cover = take(obj, "cover", "integer", _place(where))
-    if cover < 1:
-        raise ValueError(f"{_place(where)}: node cover must be >= 1")
+    if not 1 <= cover < 2**31:  # compiled covers are int32
+        raise ValueError(f"{_place(where)}: node cover must be in [1, 2**31)")
     if "value" in obj:
         value = obj["value"]
         if type(value) is not float or value - value != 0.0:

@@ -867,6 +867,30 @@ def test_optimize_well_budget_one_returns_the_incumbent(well_table):
             assert out.trace.truncated
 
 
+@pytest.mark.parametrize(
+    "method, name", [("pso", "pso"), ("de", "de"), ("bayes", "bayes_opt")]
+)
+def test_optimize_wells_calls_the_search_set_on_the_module(well_table, monkeypatch, method, name):
+    """optimize_wells looks each search up by its module-global name at
+    the call, so a wrapper set on the module attribute (a tracing probe)
+    sees every call, and the results are the wrapped search's."""
+    search = getattr(welloop.optimize, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    variables = engineering_vars(well_table)
+    want = optimize_wells(ground_truth_eur, well_table, [0, 1], variables, method, budget=5)
+    monkeypatch.setattr(welloop.optimize, name, wrapper)
+    got = optimize_wells(ground_truth_eur, well_table, [0, 1], variables, method, budget=5)
+    assert len(calls) == (1 if method == "bayes" else 2)
+    assert [out.trace.values.tolist() for out in got] == [
+        out.trace.values.tolist() for out in want
+    ]
+
+
 @pytest.mark.parametrize("upper", [1.7e308, np.finfo(float).max])
 @pytest.mark.parametrize("method, budget", [("pso", 30), ("de", 200), ("bayes", 12)])
 def test_a_search_over_a_span_near_the_largest_float_stays_finite(method, budget, upper, well_table):

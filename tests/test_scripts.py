@@ -20,6 +20,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("shap_vs_exact.py", "--max-features 4 --rows 3"),
         ("run_demo.py", "--out {out} --rows 40 --budget 10"),
         ("count_lines.py", ""),
+        ("artifact_digests.py", "--seeds 1 --workloads attribution"),
     ],
 )
 def test_script_exits_0(tmp_path, script, args):

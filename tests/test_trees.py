@@ -367,6 +367,34 @@ def test_thresholds_are_each_trees_sorted_distinct_splits(rng):
             assert threshold[tree == t].tolist() == sorted(splits)
 
 
+def breadth_first(trees):
+    """Every node of `trees` level by level, roots first, each level's
+    children in the order of their parents, left before right."""
+    nodes, level = [], list(trees)
+    while level:
+        nodes += level
+        level = [child for node in level if not node.is_leaf for child in (node.left, node.right)]
+    return nodes
+
+
+@given(drawn_case())
+@settings(max_examples=100, deadline=None)
+def test_compiled_cover_is_each_drawn_nodes_cover_breadth_first(case):
+    model, _ = case
+    flat, _ = welloop.trees.compiled(model)
+    assert flat.cover.tolist() == [node.cover for node in breadth_first(model.trees)]
+
+
+def test_compiled_cover_is_each_fitted_nodes_cover_breadth_first():
+    """TreeSHAP, its interactions and the enumeration oracle read the
+    compiled cover; they stay additive under any covers, so only this
+    pins a misplaced one. Fitted RF, GBDT and XGB and a stacked model."""
+    _, _, models = models_of_a_field()
+    for model in models:
+        flat, _ = welloop.trees.compiled(model)
+        assert flat.cover.tolist() == [node.cover for node in breadth_first(model.trees)]
+
+
 @st.composite
 def grid_case(draw):
     """A drawn RF, GBDT, XGB or stacked forest, rows, 1 to 3 swept
@@ -525,6 +553,40 @@ def test_predict_grid_equals_predict_on_fitted_models_with_an_integer_axis(data)
     with mock.patch.object(welloop.trees, "_BLOCK_CELLS", cells):
         got = predict_grid(model, rows, columns, grids)
     assert np.array_equal(got, want)
+
+
+def test_predict_grid_refuses_a_decreasing_grid_an_unmatched_or_a_repeated_column():
+    """Unchecked, a decreasing grid gives every point the first point's
+    value, one grid for two columns sweeps both together, and a repeated
+    column is taken; each is refused."""
+    x, names, models = models_of_a_field()
+    column = names.index("stimulated length")
+    rows, grid = x[:2], np.array([3000.0, 1500.0, 1000.0])
+    for model in models:
+        with pytest.raises(ValueError, match="not non-decreasing"):
+            predict_grid(model, rows, [column], [grid])
+        with pytest.raises(ValueError, match="2 columns for 1 grids"):
+            predict_grid(model, rows, [column, column + 1], [grid[::-1]])
+        with pytest.raises(ValueError, match="swept twice"):
+            predict_grid(model, rows, [column, column], [grid[::-1], grid[::-1]])
+
+
+def test_predict_grid_takes_equal_neighbouring_grid_values_as_predict_does():
+    """A linspace over a tiny span repeats values; each repeated point,
+    on a split threshold or beside one, is what predict gives."""
+    x, names, models = models_of_a_field()
+    columns = [names.index("stimulated length"), names.index("stage count")]
+    for model in models:
+        flat, _ = welloop.trees.compiled(model)
+        grids = []
+        for j in columns:
+            splits = flat.thresholds(j)[1]
+            t = splits[0] if splits.size else x[:, j].max()
+            tiny = np.linspace(t, np.nextafter(t, np.inf), 5)
+            assert (np.diff(tiny) == 0).any()
+            grids.append(np.sort(np.r_[tiny, np.repeat(np.linspace(x[:, j].min(), t, 3), 2)]))
+        want = predict_each_point(model, x[:3], columns, grids)
+        assert np.array_equal(predict_grid(model, x[:3], columns, grids), want)
 
 
 # --- random forest -----------------------------------------------------------------
@@ -1042,6 +1104,14 @@ def _deep_json(depth):
         ),
         (dict(_stump_json(), base_score=-math.inf), "base_score: expected a finite number"),
         (dict(_stump_json(), train_loss=[1.0, math.nan]), r"train_loss\[1\]: expected a finite"),
+        (
+            _stump_json(left={"cover": 0, "value": 1.0}),
+            r"trees\[0\].left: node cover must be in \[1, 2\*\*31\)",
+        ),
+        (
+            _stump_json(cover=2**31, left={"cover": 2**31 - 1, "value": 1.0}),
+            r"trees\[0\]: node cover must be in \[1, 2\*\*31\)",
+        ),
     ],
 )
 def test_malformed_model_json_names_its_problem(obj, problem):
