@@ -28,9 +28,9 @@ from welloop.data import (
     write_csv,
 )
 from welloop.explain import (
+    CORRELATION_METHODS,
     baseline_correlations,
-    explain_well,
-    rank_factors,
+    magnitude_order,
     row_problems,
     shap_interactions,
     supervised_cluster,
@@ -484,10 +484,10 @@ class Pipeline:
         write_json(self._path(rel), obj)
         self._record(rel, stage)
 
-    def _write_csv(self, rel, header, rows, stage):
-        """A table of rows whose cells are, column by column, all text, all
-        integers or all floats (NaN an empty cell)."""
-        write_table(self._path(rel), header, [list(map(np.array, zip(*rows)))] if rows else [])
+    def _write_csv(self, rel, header, columns, stage):
+        """A table of columns whose cells are each all text, all integers
+        or all floats (NaN an empty cell)."""
+        write_table(self._path(rel), header, [list(map(np.asarray, columns))])
         self._record(rel, stage)
 
     def _carry_stage(self, stage):
@@ -656,36 +656,29 @@ class Pipeline:
         path = f"shap/summary_{kind.lower()}.csv"
         self._save(path, "explain", write_summary_csv, attr, x)
 
-        ranking = rank_factors(attr)
+        names = np.array(attr.feature_names)
+        eta = np.mean(np.abs(attr.values), axis=0)
+        order = magnitude_order(eta)
         corr = baseline_correlations(self.table)
-        corr_rank = {
-            method: {name: i + 1 for i, name in enumerate(names)}
-            for method, names in corr.rankings.items()
-        }
-        corr_vals = dict(corr.factors)
-        methods = ("pearson", "spearman", "gra")
-        header = ["factor", "mean_abs_attribution", "shap_rank", *methods]
-        header += [f"{m}_rank" for m in methods]
-        rows = []
-        for i, (name, eta) in enumerate(ranking):
-            vals = corr_vals[name]
-            rows.append(
-                [name, eta, i + 1]
-                + [np.nan if vals[m] is None else vals[m] for m in methods]
-                + [corr_rank[m][name] for m in methods]
-            )
-        self._write_csv("shap/ranking.csv", header, rows, "explain")
+        values = [corr.values[m][order] for m in CORRELATION_METHODS]
+        # argsort of an ordering gives each factor its place in it
+        ranks = [magnitude_order(corr.values[m]).argsort()[order] + 1 for m in CORRELATION_METHODS]
+        header = ["factor", "mean_abs_attribution", "shap_rank", *CORRELATION_METHODS]
+        header += [f"{m}_rank" for m in CORRELATION_METHODS]
+        columns = [names[order], eta[order], np.arange(1, len(order) + 1), *values, *ranks]
+        self._write_csv("shap/ranking.csv", header, columns, "explain")
 
-        col = {name: i for i, name in enumerate(attr.feature_names)}
         for row in cfg.waterfalls:
-            expl = explain_well(attr, row)
-            total = expl.base_value
-            rows = [["(base)", np.nan, np.nan, total]]
-            for name, phi in expl.contributions:
-                total += phi
-                rows.append([name, x[row, col[name]], phi, total])
+            phi = attr.values[row]
+            order = magnitude_order(phi)
+            columns = [
+                ["(base)", *names[order]],
+                np.r_[np.nan, x[row, order]],
+                np.r_[np.nan, phi[order]],
+                np.add.accumulate(np.r_[attr.base_value, phi[order]]),
+            ]
             header = ["factor", "value", "attribution", "cumulative"]
-            self._write_csv(f"shap/waterfall_{row}.csv", header, rows, "explain")
+            self._write_csv(f"shap/waterfall_{row}.csv", header, columns, "explain")
 
         if cfg.interactions:
             tensor = shap_interactions(model, x, attr)
@@ -694,22 +687,18 @@ class Pipeline:
 
         if cfg.clusters:
             labels = supervised_cluster(attr, cfg.clusters, seed=self.config.seed)
-            rows = [[i, int(label)] for i, label in enumerate(labels)]
-            self._write_csv("shap/clusters.csv", ["sample", "cluster"], rows, "explain")
+            columns = [np.arange(len(labels)), labels]
+            self._write_csv("shap/clusters.csv", ["sample", "cluster"], columns, "explain")
 
     def stage_stack(self):
         cfg = self.config.stack
         features, target = self.table.feature_matrix(), self.table.target()
-        splits = [
-            (name, idx, features[idx], target[idx])
-            for name, idx in zip(("train", "test"), self.split)
-        ]
         scored = {kind: self.model(kind) for kind in self.config.train.kinds}
         if cfg.enabled:
-            _, _, x_train, y_train = splits[0]
+            train = self.split[0]
             stacked = fit_stacked(
-                x_train,
-                y_train,
+                features[train],
+                target[train],
                 self.hps,
                 k=cfg.k,
                 seed=mix_seed(self.config.seed, _STACK_TAG),
@@ -719,14 +708,20 @@ class Pipeline:
                 self._record(f"models/stacked/{name}", "stack")
             self.final_model = scored["stacked"] = stacked
 
-        metrics, parity = [], []
+        splits = ("train", "test")
+        metrics, predicted = [[], [], [], [], []], []
         for name, model in scored.items():
-            for split, idx, sx, sy in splits:
-                pred = predict(model, sx)
-                m = evaluate(sy, pred)
-                metrics.append([name.lower(), split, m["r2"], m["mse"], m["mae"]])
+            for split, idx in zip(splits, self.split):
+                pred = predict(model, features[idx])
+                m = evaluate(target[idx], pred)
+                cells = (name.lower(), split, m["r2"], m["mse"], m["mae"])
+                for column, cell in zip(metrics, cells):
+                    column.append(cell)
                 if model is self.final_model:
-                    parity += zip(idx, [split] * len(idx), sy, pred)
+                    predicted.append(pred)
+        rows = np.concatenate(self.split)
+        labels = np.repeat(splits, list(map(len, self.split)))
+        parity = [rows, labels, target[rows], np.concatenate(predicted)]
         self._write_csv("metrics.csv", ["model", "split", "r2", "mse", "mae"], metrics, "stack")
         self._write_csv("parity.csv", ["sample", "split", "actual", "predicted"], parity, "stack")
 
@@ -772,35 +767,24 @@ class Pipeline:
                 seeds=[mix_seed(self.config.seed, _OPT_TAG, row, m_index) for row in cfg.wells],
             )
             results.update(((row, method), result) for row, result in zip(cfg.wells, found))
-        rows = []
-        for row in cfg.wells:
-            for method in cfg.methods:
-                result = results[row, method]
-                path = f"optimize/trace_w{row}_{method}.csv"
-                self._save(path, "optimize", result.trace.write_csv, variable_names=variables)
-                self._write_json(
-                    f"optimize/result_w{row}_{method}.json",
-                    result.to_json(),
-                    "optimize",
-                )
-                gain = np.nan
-                if result.original_eur != 0:
-                    gain = (
-                        100.0
-                        * (result.optimized_eur - result.original_eur)
-                        / abs(result.original_eur)
-                    )
-                rows.append(
-                    [row, method, result.original_eur, result.optimized_eur, gain]
-                    + list(result.original)
-                    + list(result.optimized)
-                )
+        pairs = [(row, method) for row in cfg.wells for method in cfg.methods]
+        found = [results[pair] for pair in pairs]
+        for (row, method), result in zip(pairs, found):
+            path = f"optimize/trace_w{row}_{method}.csv"
+            self._save(path, "optimize", result.trace.write_csv, variable_names=variables)
+            self._write_json(f"optimize/result_w{row}_{method}.json", result.to_json(), "optimize")
+        original, optimized = np.array([(r.original_eur, r.optimized_eur) for r in found]).T
+        gain = np.full(len(found), np.nan)  # where the original EUR is 0
+        np.divide(100.0 * (optimized - original), np.abs(original), out=gain, where=original != 0)
+        designs = np.array([np.concatenate((r.original, r.optimized)) for r in found]).T
+        columns = [np.repeat(cfg.wells, len(cfg.methods)), np.tile(cfg.methods, len(cfg.wells))]
+        columns += [original, optimized, gain, *designs]
         header = (
             ["well", "method", "eur_original", "eur_optimized", "improvement_pct"]
             + [f"{name} original" for name in variables]
             + [f"{name} optimized" for name in variables]
         )
-        self._write_csv("optimize/comparison.csv", header, rows, "optimize")
+        self._write_csv("optimize/comparison.csv", header, columns, "optimize")
 
 
 # --- entry point --------------------------------------------------------------------

@@ -367,23 +367,28 @@ def shap_interactions(
 # --- downstream summaries ------------------------------------------------------
 
 
+def magnitude_order(values) -> np.ndarray:
+    """The indices of `values` by magnitude, largest first: ties keep
+    declaration order and NaN (an undefined value) comes last. The one
+    order of every factor ranking and waterfall."""
+    return np.argsort(-np.abs(np.asarray(values, dtype=float)), kind="stable")
+
+
 def rank_factors(attr: AttributionMatrix) -> list[tuple[str, float]]:
-    """Factors ordered by mean absolute attribution, largest first; ties
-    keep declaration order."""
+    """Factors ordered by mean absolute attribution (magnitude_order)."""
     if attr.values.shape[0] == 0:
         raise ValueError("attribution matrix has no rows")
     eta = np.mean(np.abs(attr.values), axis=0)
-    order = sorted(range(len(eta)), key=lambda i: (-eta[i], i))
-    return [(attr.feature_names[i], float(eta[i])) for i in order]
+    return [(attr.feature_names[i], float(eta[i])) for i in magnitude_order(eta)]
 
 
 @dataclass
 class WellExplanation:
     """Waterfall data for one well: start at base_value, add signed
-    contributions largest-magnitude first, end at the prediction."""
+    contributions in magnitude_order, end at the prediction."""
 
     base_value: float
-    contributions: tuple  # ((name, value), ...) sorted by |value| desc
+    contributions: tuple  # ((name, value), ...)
     prediction: float
 
 
@@ -391,8 +396,7 @@ def explain_well(attr: AttributionMatrix, row: int) -> WellExplanation:
     if not 0 <= row < attr.values.shape[0]:
         raise IndexError(f"row {row} outside the attribution matrix")
     phi = attr.values[row]
-    order = sorted(range(len(phi)), key=lambda i: (-abs(phi[i]), i))
-    contributions = tuple((attr.feature_names[i], float(phi[i])) for i in order)
+    contributions = tuple((attr.feature_names[i], float(phi[i])) for i in magnitude_order(phi))
     return WellExplanation(
         base_value=float(attr.base_value),
         contributions=contributions,
@@ -466,14 +470,18 @@ def _kmeanspp(x, k, rng):
 # --- baseline correlation measures ---------------------------------------------
 
 
+CORRELATION_METHODS = ("pearson", "spearman", "gra")
+
+
 @dataclass
 class CorrelationReport:
     """Per-factor linear, rank, and grey relational association with the
-    target, plus a best-first ranking per method. Undefined entries
-    (zero-variance columns) are None and rank last."""
+    target: values[method][j] is feature_names[j]'s, one float array per
+    method of CORRELATION_METHODS. A value a zero-variance column leaves
+    undefined is NaN."""
 
-    factors: tuple  # ((name, {"pearson": .., "spearman": .., "gra": ..}), ...)
-    rankings: dict
+    feature_names: tuple
+    values: dict
 
 
 def _pearson_pair(a, b):
@@ -481,7 +489,7 @@ def _pearson_pair(a, b):
     bc = b - b.mean()
     denom = math.sqrt(float(ac @ ac) * float(bc @ bc))
     if denom == 0:
-        return None
+        return math.nan
     return float(ac @ bc) / denom
 
 
@@ -521,57 +529,28 @@ def baseline_correlations(table: WellTable) -> CorrelationReport:
     y = table.target()
     if table.n_rows < 2:
         raise ValueError("need at least 2 rows")
-    names = table.feature_names
     x = table.feature_matrix()
+    m = x.shape[1]
 
     y_norm = _minmax(y)
-    gaps = []
-    defined = []
-    for j in range(x.shape[1]):
-        xj_norm = _minmax(x[:, j])
-        if y_norm is None or xj_norm is None:
-            gaps.append(None)
-            defined.append(False)
-        else:
-            gaps.append(np.abs(y_norm - xj_norm))
-            defined.append(True)
+    gaps = []  # one array per factor, None where either sequence is constant
+    for j in range(m):
+        xj_norm = None if y_norm is None else _minmax(x[:, j])
+        gaps.append(None if xj_norm is None else np.abs(y_norm - xj_norm))
     present = [g for g in gaps if g is not None]
-    if present:
-        gap_min = min(float(g.min()) for g in present)
-        gap_max = max(float(g.max()) for g in present)
-    else:
-        gap_min = gap_max = 0.0
+    gap_min = min((float(g.min()) for g in present), default=0.0)
+    gap_max = max((float(g.max()) for g in present), default=0.0)
     rho = 0.5
 
-    factors = []
-    for j, name in enumerate(names):
-        xj = x[:, j]
-        pearson = _pearson_pair(xj, y)
-        if pearson is None or np.std(y) == 0:
-            spearman = None
-        else:
-            spearman = _pearson_pair(_average_ranks(xj), _average_ranks(y))
-        if not defined[j]:
-            gra = None
-        elif gap_max == 0:
-            gra = 1.0
-        else:
-            xi = (gap_min + rho * gap_max) / (gaps[j] + rho * gap_max)
-            gra = float(xi.mean())
-        factors.append((name, {"pearson": pearson, "spearman": spearman, "gra": gra}))
-
-    rankings = {}
-    for method in ("pearson", "spearman", "gra"):
-        def key(item):
-            idx, (_, d) = item
-            v = d[method]
-            if v is None:
-                return (1, 0.0, idx)
-            return (0, -abs(v), idx)
-
-        order = sorted(enumerate(factors), key=key)
-        rankings[method] = [name for _, (name, _) in order]
-    return CorrelationReport(factors=tuple(factors), rankings=rankings)
+    pearson, spearman, gra = values = [np.full(m, np.nan) for _ in CORRELATION_METHODS]
+    for j, gap in enumerate(gaps):
+        pearson[j] = _pearson_pair(x[:, j], y)
+        if not math.isnan(pearson[j]) and np.std(y) != 0:
+            spearman[j] = _pearson_pair(_average_ranks(x[:, j]), _average_ranks(y))
+        if gap is not None:
+            scale = rho * gap_max
+            gra[j] = float(((gap_min + scale) / (gap + scale)).mean()) if gap_max else 1.0
+    return CorrelationReport(table.feature_names, dict(zip(CORRELATION_METHODS, values)))
 
 
 # --- plot-data emitters ----------------------------------------------------------

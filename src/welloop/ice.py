@@ -18,7 +18,7 @@ import numpy as np
 
 from welloop.data import WellTable
 from welloop.trees import _BLOCK_CELLS, as_predictor, predict_grid
-from welloop.utils import raise_first, range_problems, subseed_rng, write_json, write_table
+from welloop.utils import is_int, raise_first, range_problems, subseed_rng, write_json, write_table
 
 _ANCHOR_TAG = 41
 
@@ -103,7 +103,9 @@ def ice(
     callable is called on all anchors once per grid point.
     """
     varied = tuple(varied)
-    anchors = None if anchor_rows is None else np.asarray(list(anchor_rows), dtype=int)
+    anchors = None if anchor_rows is None else list(anchor_rows)
+    raise_first([f"anchor row {r!r} is not an integer" for r in anchors or () if not is_int(r)])
+    anchors = None if anchors is None else np.asarray(anchors, dtype=int)
     raise_first(job_problems(varied, anchors, sample))
     feature_names = list(table.feature_names)
     for v in varied:

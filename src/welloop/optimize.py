@@ -35,7 +35,7 @@ import numpy as np
 
 from welloop.data import INTEGER_FACTORS, WellTable
 from welloop.trees import _BLOCK_CELLS, as_predictor
-from welloop.utils import is_number, raise_first, range_problems, subseed_rng, write_table
+from welloop.utils import is_int, is_number, raise_first, range_problems, subseed_rng, write_table
 
 _PSO_TAG = 51
 _DE_TAG = 52
@@ -880,6 +880,8 @@ def optimize_wells(
     if len(seeds) != len(rows):
         raise ValueError("need one seed per well")
     for row in rows:
+        if not is_int(row):
+            raise ValueError(f"row {row!r} is not an integer")
         if not 0 <= row < table.n_rows:
             raise IndexError(f"row {row} outside the table")
 

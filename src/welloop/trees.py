@@ -35,6 +35,7 @@ import numpy as np
 
 from welloop.utils import (
     _BLOCK_CELLS,
+    is_int,
     is_number,
     kfold_assignments,
     mix_seed,
@@ -304,8 +305,9 @@ def predict_grid(model, rows, columns, grids) -> np.ndarray:
     """`predict` over a product grid: out[r, i, j, ...] is the output of
     a TreeEnsemble or a StackedModel for row r of `rows` with column
     columns[0] set to grids[0][i], columns[1] to grids[1][j], and so on,
-    bit for bit what predict gives for that row. Each column is swept by
-    one grid, each at most once, and each grid is non-decreasing.
+    bit for bit what predict gives for that row. Each column is the
+    integer index of a feature column, swept at most once, by a non-empty,
+    non-decreasing 1-D grid; anything else is a ValueError.
 
     Each (tree, cell) pair of _grid_cells is walked once per row, from
     the tree's root, at the cell's first grid point; each point then
@@ -313,16 +315,21 @@ def predict_grid(model, rows, columns, grids) -> np.ndarray:
     them. Rows go in blocks that keep the walk, pairs x rows, and the sum,
     (trees + 1) x rows, within _BLOCK_CELLS cells each."""
     x = _as_matrix(rows, len(model.feature_names))
+    m = x.shape[1]
     flat, terms = compiled(model)
     grids = [np.asarray(g, dtype=float) for g in grids]
     if len(grids) != len(columns):
         raise ValueError(f"{len(columns)} columns for {len(grids)} grids")
+    for column in columns:
+        if not (is_int(column) and 0 <= column < m):
+            raise ValueError(f"column {column!r} is not one of the {m} feature columns")
     if len(set(columns)) != len(columns):
         raise ValueError("a column is swept twice")
+    if not all(g.ndim == 1 and g.size for g in grids):
+        raise ValueError("a grid is not a non-empty 1-D array")
     if not all((g[1:] >= g[:-1]).all() for g in grids):
         raise ValueError("a grid is not non-decreasing")
     pair_root, swept, pair_index = _grid_cells(flat, columns, grids)
-    m = x.shape[1]
     # a walk reads a swept column from `sweep` and any other from the row;
     # the other is 0 there, and adding 0 is exact
     sweep = np.zeros((pair_root.size, m))

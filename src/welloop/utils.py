@@ -162,7 +162,8 @@ def read_json(path):
 
 
 def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer, numpy's scalars included; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:
@@ -171,8 +172,7 @@ def is_number(value) -> bool:
     may be either."""
     if isinstance(value, (float, np.floating)):
         return math.isfinite(value)
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return integer and abs(int(value)) <= sys.float_info.max
+    return is_int(value) and abs(int(value)) <= sys.float_info.max
 
 
 _JSON_TYPES = {

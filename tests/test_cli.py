@@ -1934,3 +1934,40 @@ def test_each_command_runs_exactly_its_stages(tmp_path, monkeypatch):
     status = stage_status(read_manifest(tmp_path / "synthesize"))
     assert status == {stage: "ok" if stage == "data" else "skipped" for stage in status}
     assert not (tmp_path / "validate").exists()
+
+
+def test_constant_factors_and_tied_attributions_keep_declaration_order_in_every_table(tmp_path):
+    """The table edges no benchmark config reaches: two constant factors
+    leave their correlations undefined, and three factors the forest never
+    splits on tie at zero attribution."""
+    table = synthesize(3, 60)
+    values = table.values.copy()
+    values[:, table.index("TOC")] = 2.0
+    values[:, table.index("tectonic curvature")] = 0.5
+    write_csv(WellTable(table.specs, values), tmp_path / "wells.csv")
+    obj = {
+        "seed": 3,
+        "data": {"csv": str(tmp_path / "wells.csv")},
+        "train": {"kinds": ["rf"], "hyperparams": {"rf": {"n_trees": 5, "max_depth": 3}}},
+        "stack": {"enabled": False},
+        "explain": {"waterfalls": [0, 3], "max_rows": 10, "clusters": 2},
+    }
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, obj), "--out", str(out)]) == 0
+
+    def table_of(rel):
+        with open(out / rel, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    ranking = {row["factor"]: row for row in table_of("shap/ranking.csv")}
+    methods = ("pearson", "spearman", "gra")
+    for name, rank in (("TOC", "12"), ("tectonic curvature", "13")):
+        assert [ranking[name][m] for m in methods] == ["", "", ""]
+        assert [ranking[name][f"{m}_rank"] for m in methods] == [rank] * 3
+    tied = ["TOC", "tectonic curvature", "fracturing fluid intensity"]
+    assert [float(ranking[name]["mean_abs_attribution"]) for name in tied] == [0.0] * 3
+    assert [ranking[name]["shap_rank"] for name in tied] == ["11", "12", "13"]
+    waterfall = table_of("shap/waterfall_0.csv")
+    assert [row["factor"] for row in waterfall[-3:]] == tied
+    parity = {row["sample"]: float(row["predicted"]) for row in table_of("parity.csv")}
+    assert float(waterfall[-1]["cumulative"]) == pytest.approx(parity["0"], abs=1e-9)

@@ -29,6 +29,7 @@ from welloop.explain import (
     ModelIntegrityError,
     baseline_correlations,
     explain_well,
+    magnitude_order,
     rank_factors,
     row_problems,
     shap_interactions,
@@ -619,6 +620,12 @@ def test_rank_factors_ties_keep_declaration_order():
         )
 
 
+def test_magnitude_order_puts_ties_in_declaration_order_and_nan_last():
+    values = [0.5, np.nan, -2.0, 2.0, 0.0, -0.5, np.nan, -0.0]
+    assert magnitude_order(values).tolist() == [2, 3, 0, 5, 4, 7, 1, 6]
+    assert magnitude_order([]).tolist() == []
+
+
 def test_explain_well_waterfall_shape():
     attr = AttributionMatrix(
         values=np.array([[0.5, -2.0, 1.0]]),
@@ -682,9 +689,10 @@ def test_correlations_match_scipy(rng):
     y = x[:, 0] * 2.0 + rng.normal(size=30)
     table = make_table({"f0": x[:, 0], "f1": x[:, 1], "f2": x[:, 2], "y": y})
     report = baseline_correlations(table)
-    for j, (name, d) in enumerate(report.factors):
-        assert d["pearson"] == pytest.approx(pearsonr(x[:, j], y)[0], abs=1e-12)
-        assert d["spearman"] == pytest.approx(spearmanr(x[:, j], y)[0], abs=1e-12)
+    assert report.feature_names == ("f0", "f1", "f2")
+    for j in range(3):
+        assert report.values["pearson"][j] == pytest.approx(pearsonr(x[:, j], y)[0], abs=1e-12)
+        assert report.values["spearman"][j] == pytest.approx(spearmanr(x[:, j], y)[0], abs=1e-12)
 
 
 def test_average_ranks_are_scipys_bit_for_bit(rng):
@@ -706,8 +714,8 @@ def test_spearman_with_ties_matches_scipy(rng):
     x = rng.integers(0, 5, size=(40, 2)).astype(float)
     y = x[:, 0] + rng.integers(0, 3, size=40)
     report = baseline_correlations(make_table({"f0": x[:, 0], "f1": x[:, 1], "y": y}))
-    for j, (_, d) in enumerate(report.factors):
-        assert d["spearman"] == pytest.approx(spearmanr(x[:, j], y)[0], abs=1e-12)
+    for j in range(2):
+        assert report.values["spearman"][j] == pytest.approx(spearmanr(x[:, j], y)[0], abs=1e-12)
 
 
 def test_grey_relational_grade_hand_fixture():
@@ -715,11 +723,11 @@ def test_grey_relational_grade_hand_fixture():
     # so the global extremes are 0 and 1 and the grades are 1/3 and 1
     table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0], "y": [0.0, 1.0]})
     report = baseline_correlations(table)
-    grades = {name: d["gra"] for name, d in report.factors}
+    grades = dict(zip(report.feature_names, report.values["gra"]))
     assert grades["a"] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert grades["b"] == pytest.approx(1.0, abs=1e-15)
-    assert report.rankings["gra"] == ["b", "a"]
-    assert report.rankings["pearson"] == ["a", "b"]
+    assert magnitude_order(report.values["gra"]).tolist() == [1, 0]  # b, a
+    assert magnitude_order(report.values["pearson"]).tolist() == [0, 1]  # a, b
 
 
 def test_feature_identical_to_target_grades_one(rng):
@@ -727,9 +735,9 @@ def test_feature_identical_to_target_grades_one(rng):
     other = rng.normal(size=10)
     table = make_table({"twin": y.copy(), "other": other, "y": y})
     report = baseline_correlations(table)
-    grades = dict((n, d["gra"]) for n, d in report.factors)
+    grades = dict(zip(report.feature_names, report.values["gra"]))
     assert grades["twin"] == pytest.approx(1.0, abs=1e-12)
-    assert report.rankings["gra"][0] == "twin"
+    assert report.feature_names[magnitude_order(report.values["gra"])[0]] == "twin"
 
 
 def test_zero_variance_feature_ranks_last(rng):
@@ -738,12 +746,10 @@ def test_zero_variance_feature_ranks_last(rng):
         {"flat": np.full(12, 7.0), "live": rng.normal(size=12), "y": y}
     )
     report = baseline_correlations(table)
-    flat = dict(report.factors)["flat"]
-    assert flat["pearson"] is None
-    assert flat["spearman"] is None
-    assert flat["gra"] is None
+    flat = report.feature_names.index("flat")
     for method in ("pearson", "spearman", "gra"):
-        assert report.rankings[method][-1] == "flat"
+        assert np.isnan(report.values[method][flat])
+        assert magnitude_order(report.values[method])[-1] == flat
 
 
 def test_correlations_reject_missing_values_and_tiny_tables(rng):

@@ -194,6 +194,16 @@ def test_ice_validates_anchors_and_sampling(table):
         ice(object(), table, v)
 
 
+def test_ice_refuses_anchor_rows_that_are_not_integers(table):
+    """[1.7] was read as row 1, and [True, False] as rows 1 and 0."""
+    v = [VariedFactor("a", 0.0, 1.0, steps=2)]
+    for rows in ([1.7], [True, False], [0, 2.0], [np.float64(1.0)]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ice(linear_model, table, v, anchor_rows=rows)
+    grid = ice(linear_model, table, v, anchor_rows=[np.int64(1), 2])
+    assert grid.anchor_rows.tolist() == [1, 2]
+
+
 def test_ice_refuses_anchors_and_a_sample_together(table):
     """The sample used to be ignored when anchors were given."""
     v = [VariedFactor("a", 0.0, 1.0, steps=2)]

@@ -867,6 +867,18 @@ def test_optimize_well_budget_one_returns_the_incumbent(well_table):
             assert out.trace.truncated
 
 
+def test_optimize_wells_refuses_rows_that_are_not_integers(well_table):
+    """[True] failed deep in the search with an IndexError, and [1.5] with
+    numpy's indexing IndexError; a numpy integer is a row."""
+    variables = engineering_vars(well_table)
+    for rows in ([True], [1.5], [np.float64(1.0)]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            optimize_wells(ground_truth_eur, well_table, rows, variables, "pso", budget=1)
+    (got,) = optimize_wells(ground_truth_eur, well_table, [np.int64(1)], variables, "pso", budget=1)
+    (want,) = optimize_wells(ground_truth_eur, well_table, [1], variables, "pso", budget=1)
+    assert got.original_eur == want.original_eur
+
+
 @pytest.mark.parametrize(
     "method, name", [("pso", "pso"), ("de", "de"), ("bayes", "bayes_opt")]
 )

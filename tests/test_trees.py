@@ -571,6 +571,25 @@ def test_predict_grid_refuses_a_decreasing_grid_an_unmatched_or_a_repeated_colum
             predict_grid(model, rows, [column, column], [grid[::-1], grid[::-1]])
 
 
+def test_predict_grid_refuses_a_column_it_cannot_sweep_and_an_empty_grid():
+    """numpy swept a negative column as column m - k, while the thresholds
+    of column -k were those of no split, so every point got the first
+    point's value; a column past the last, a float or a bool column and an
+    empty grid raised a bare IndexError."""
+    table = synthesize(1, 60)
+    x, names = table.feature_matrix(), list(table.feature_names)
+    model = fit_rf(x, table.target(), HyperParams(n_trees=20, max_depth=4), feature_names=names)
+    rows, grid = x[:1], np.linspace(x[:, 9].min(), x[:, 9].max(), 5)
+    for column in (-4, -1, len(names), 9.0, True):
+        with pytest.raises(ValueError, match="is not one of the 13 feature columns"):
+            predict_grid(model, rows, [column], [grid])
+    with pytest.raises(ValueError, match="not a non-empty 1-D array"):
+        predict_grid(model, rows, [9], [grid[:0]])
+    want = predict_grid(model, rows, [9], [grid])
+    assert np.array_equal(predict_grid(model, rows, [np.int64(9)], [grid]), want)
+    assert np.unique(want).size > 1
+
+
 def test_predict_grid_takes_equal_neighbouring_grid_values_as_predict_does():
     """A linspace over a tiny span repeats values; each repeated point,
     on a split threshold or beside one, is what predict gives."""
