@@ -660,12 +660,16 @@ class Pipeline:
         eta = np.mean(np.abs(attr.values), axis=0)
         order = magnitude_order(eta)
         corr = baseline_correlations(self.table)
-        values = [corr.values[m][order] for m in CORRELATION_METHODS]
-        # argsort of an ordering gives each factor its place in it
-        ranks = [magnitude_order(corr.values[m]).argsort()[order] + 1 for m in CORRELATION_METHODS]
+        shap_rank = np.arange(1, len(order) + 1)
+        values, ranks = [], []
+        for method in CORRELATION_METHODS:
+            rank = np.empty_like(shap_rank)  # each factor's place in the method's order
+            rank[magnitude_order(corr.values[method])] = shap_rank
+            values.append(corr.values[method][order])
+            ranks.append(rank[order])
         header = ["factor", "mean_abs_attribution", "shap_rank", *CORRELATION_METHODS]
         header += [f"{m}_rank" for m in CORRELATION_METHODS]
-        columns = [names[order], eta[order], np.arange(1, len(order) + 1), *values, *ranks]
+        columns = [names[order], eta[order], shap_rank, *values, *ranks]
         self._write_csv("shap/ranking.csv", header, columns, "explain")
 
         for row in cfg.waterfalls:
@@ -693,12 +697,16 @@ class Pipeline:
     def stage_stack(self):
         cfg = self.config.stack
         features, target = self.table.feature_matrix(), self.table.target()
+        splits = [
+            (name, idx, features[idx], target[idx])
+            for name, idx in zip(("train", "test"), self.split)
+        ]
         scored = {kind: self.model(kind) for kind in self.config.train.kinds}
         if cfg.enabled:
-            train = self.split[0]
+            _, _, x_train, y_train = splits[0]
             stacked = fit_stacked(
-                features[train],
-                target[train],
+                x_train,
+                y_train,
                 self.hps,
                 k=cfg.k,
                 seed=mix_seed(self.config.seed, _STACK_TAG),
@@ -708,19 +716,18 @@ class Pipeline:
                 self._record(f"models/stacked/{name}", "stack")
             self.final_model = scored["stacked"] = stacked
 
-        splits = ("train", "test")
         metrics, predicted = [[], [], [], [], []], []
         for name, model in scored.items():
-            for split, idx in zip(splits, self.split):
-                pred = predict(model, features[idx])
-                m = evaluate(target[idx], pred)
+            for split, _, sx, sy in splits:
+                pred = predict(model, sx)
+                m = evaluate(sy, pred)
                 cells = (name.lower(), split, m["r2"], m["mse"], m["mae"])
                 for column, cell in zip(metrics, cells):
                     column.append(cell)
                 if model is self.final_model:
                     predicted.append(pred)
         rows = np.concatenate(self.split)
-        labels = np.repeat(splits, list(map(len, self.split)))
+        labels = np.repeat([name for name, *_ in splits], list(map(len, self.split)))
         parity = [rows, labels, target[rows], np.concatenate(predicted)]
         self._write_csv("metrics.csv", ["model", "split", "r2", "mse", "mae"], metrics, "stack")
         self._write_csv("parity.csv", ["sample", "split", "actual", "predicted"], parity, "stack")
@@ -777,8 +784,7 @@ class Pipeline:
         gain = np.full(len(found), np.nan)  # where the original EUR is 0
         np.divide(100.0 * (optimized - original), np.abs(original), out=gain, where=original != 0)
         designs = np.array([np.concatenate((r.original, r.optimized)) for r in found]).T
-        columns = [np.repeat(cfg.wells, len(cfg.methods)), np.tile(cfg.methods, len(cfg.wells))]
-        columns += [original, optimized, gain, *designs]
+        columns = [*zip(*pairs), original, optimized, gain, *designs]
         header = (
             ["well", "method", "eur_original", "eur_optimized", "improvement_pct"]
             + [f"{name} original" for name in variables]
