@@ -12,9 +12,11 @@ a small stacked model, whose exact values enumerate the game the
 stacking defines: the meta intercept plus each kind's meta weight times
 the mean of its fold sub-models' games. Exits 1 if any of these exceeds
 1e-9. It also times the explain layer on that stacked model, freshly
-fitted: tree_shap, then shap_interactions given those attributions, as
-the CLI's explain stage calls them, on --rows drawn rows, and prints the
-seconds per row of each.
+fitted, on --rows drawn rows: tree_shap with the trees compiled but
+their paths not yet decomposed, tree_shap again once the decomposition
+is cached, so that the gap between the two is the path decomposition,
+then shap_interactions given those attributions, as the CLI's explain
+stage calls it. It prints the seconds per row of each and the gap.
 
 Usage:
     python3 scripts/shap_vs_exact.py [--max-features 11] [--seed 0] [--rows 40]
@@ -34,7 +36,7 @@ from welloop.explain import (
     tree_shap,
 )
 from welloop.stack import fit_stacked
-from welloop.trees import HyperParams, fit_gbdt, predict
+from welloop.trees import HyperParams, compiled, fit_gbdt, predict
 
 TOLERANCE = 1e-9
 
@@ -99,14 +101,19 @@ def fit_small_stacked(m, seed):
 
 
 def explain_seconds(model, n_rows, seed):
-    """Seconds per row of tree_shap, then of shap_interactions given its
+    """Seconds per row of tree_shap before and after its path
+    decomposition is cached, then of shap_interactions given its
     attributions, on n_rows rows drawn like the training rows."""
     x = np.random.default_rng(seed + 1).normal(size=(n_rows, len(model.feature_names)))
+    compiled(model)
     start = time.perf_counter()
     attr = tree_shap(model, x)
-    mid = time.perf_counter()
+    fresh = time.perf_counter()
+    tree_shap(model, x)
+    warm = time.perf_counter()
     shap_interactions(model, x, attr)
-    return (mid - start) / n_rows, (time.perf_counter() - mid) / n_rows
+    done = time.perf_counter()
+    return (fresh - start) / n_rows, (warm - fresh) / n_rows, (done - warm) / n_rows
 
 
 def report(label, m, result):
@@ -133,7 +140,7 @@ def main():
     for m in range(2, args.max_features + 1):
         worst = np.maximum(worst, report("gbdt", m, one_size(m, args.seed)))
     model, x = fit_small_stacked(4, args.seed)
-    shap_s, pairs_s = explain_seconds(model, args.rows, args.seed)
+    fresh_s, warm_s, pairs_s = explain_seconds(model, args.rows, args.seed)
     worst = np.maximum(worst, report("stacked", 4, check(model, stacked_game, x)))
 
     print(f"\nworst disagreement overall: {worst[0]:.2e}")
@@ -143,7 +150,9 @@ def main():
     )
     print(
         f"stacked model ({len(model.trees)} trees), {args.rows} drawn rows:"
-        f" tree_shap {shap_s:.2e} s/row, shap_interactions {pairs_s:.2e} s/row"
+        f" tree_shap {fresh_s:.2e} s/row fresh, {warm_s:.2e} s/row warm"
+        f" (path decomposition {(fresh_s - warm_s) * args.rows:.2e} s),"
+        f" shap_interactions {pairs_s:.2e} s/row"
     )
     if worst.max() <= TOLERANCE:
         print("all within 1e-9; the fast path is exact and consistent on these models")

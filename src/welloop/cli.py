@@ -359,11 +359,15 @@ def parse_config(obj) -> tuple[RunConfig, list[str]]:
     kind = config.explain.kind
     if kind is not None and kind not in config.train.kinds:
         problems.append(f"explain.kind: {kind!r} is not a trained kind")
-    # the explain stage attributes at most max_rows rows, so a valid cap
-    # bounds its rows without reading any data
+    # the explain stage attributes at most max_rows rows of the clean
+    # table, and a synthetic table keeps at most its data.rows rows, so a
+    # valid cap or row count bounds its rows without reading any data
     cfg = config.explain
-    if cfg.max_rows is not None and cfg.max_rows >= 1:
-        problems += row_problems(cfg.waterfalls, cfg.clusters, cfg.max_rows, "explain")
+    caps = [cfg.max_rows] if cfg.max_rows is not None and cfg.max_rows >= 1 else []
+    if rows is not None and not parameter_problems(rows=rows):
+        caps.append(rows)
+    if caps:
+        problems += row_problems(cfg.waterfalls, cfg.clusters, min(caps), "explain")
     _check_factor_references(config, problems)
     return config, problems
 

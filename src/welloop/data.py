@@ -177,9 +177,19 @@ def load_csv(path, schema) -> WellTable:
                 )
                 continue
             try:
-                rows.append([_parse_cell(raw[c]) for c in picks])
-            except ValueError as exc:
-                warnings.warn(f"row {i} rejected: {exc}", DataWarning, stacklevel=2)
+                row = [float(raw[c]) for c in picks]
+            except ValueError:
+                row = None
+            # float() reads a padded number as _parse_cell does, and a row
+            # sums to a finite value only when every cell is finite; any
+            # other row is read cell by cell
+            if row is None or not math.isfinite(sum(row)):
+                try:
+                    row = [_parse_cell(raw[c]) for c in picks]
+                except ValueError as exc:
+                    warnings.warn(f"row {i} rejected: {exc}", DataWarning, stacklevel=2)
+                    continue
+            rows.append(row)
     return WellTable(specs, np.array(rows, dtype=float).reshape(-1, len(specs)))
 
 

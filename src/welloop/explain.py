@@ -78,13 +78,19 @@ def shapley_exact(game: CoalitionalGame) -> np.ndarray:
 # --- path-dependent expectation ---------------------------------------------
 
 
-def _nodes(model):
-    """The node arrays of a model's compiled trees as lists: feature,
-    threshold, left, right, value, cover and roots. Every cover must be
-    at least 1, or the cover ratios mean nothing."""
-    flat, _ = compiled(model)
+def _checked(model):
+    """A model's compiled trees and terms(). Every cover must be at least
+    1, or the cover ratios mean nothing."""
+    flat, terms = compiled(model)
     if not (flat.cover >= 1).all():
         raise ModelIntegrityError("encountered a node with non-positive cover")
+    return flat, terms
+
+
+def _nodes(model):
+    """The node arrays of a model's compiled trees as lists: feature,
+    threshold, left, right, value, cover and roots."""
+    flat, _ = _checked(model)
     arrays = flat.feature, flat.threshold, flat.left, flat.right, flat.value, flat.cover, flat.roots
     return [a.tolist() for a in arrays]
 
@@ -144,45 +150,83 @@ def tree_game(model, x) -> CoalitionalGame:
 # q = p - |D| + 1 and c_s the t^s coefficient of prod_{i not in D}(z_i + o_i t).
 
 def _decompose(model):
-    """Cut every tree into its root-to-leaf paths with an explicit stack.
-    Paths with the same number p >= 1 of unique features form one group
-    (feature, zero, lo, hi, value), by increasing p: slot j of path i is
-    feature[i, j] with zero fraction zero[i, j]; a sample takes every
-    branch on it when not x <= lo[i, j] and x <= hi[i, j] (a NaN bound is
-    no bound); value[i] is the leaf value times its tree's weight over the
-    divisor of the model's terms(). Also returns the base value,
-    sum(value * prod(zero)) plus the constant over the divisor."""
-    feature, threshold, left, right, value, cover, roots = _nodes(model)
-    weights, constant, divisor = model.terms()
-    by_p = {}
-    empty = []
-    for root, weight in zip(roots, weights / divisor):
-        stack = [(root, {})]  # node, {feature: (zero, lo, hi)} on its path
-        while stack:
-            i, path = stack.pop()
-            if left[i] == i:  # a leaf points to itself
-                leaf = value[i] * weight
-                empty.append(leaf * math.prod(z for z, _, _ in path.values()))
-                by_p.setdefault(len(path), []).append((path, leaf))
-                continue
-            f, t = feature[i], threshold[i]
-            z, lo, hi = path.get(f, (1.0, math.nan, math.nan))
-            right_path = dict(path)
-            right_lo = t if math.isnan(lo) else max(lo, t)
-            right_path[f] = (z * cover[right[i]] / cover[i], right_lo, hi)
-            # only this node holds `path`, so its left child takes it over; a
-            # feature already on it keeps its slot, as in a copy
-            left_hi = t if math.isnan(hi) else min(hi, t)
-            path[f] = (z * cover[left[i]] / cover[i], lo, left_hi)
-            stack += ((right[i], right_path), (left[i], path))
+    """Cut every tree into its root-to-leaf paths. Paths with the same
+    number p >= 1 of unique features form one group (feature, zero, lo,
+    hi, value), by increasing p, in walk order (trees in order, each
+    tree's leaves left to right): slot j of path i is feature[i, j] with
+    zero fraction zero[i, j]; a sample takes every branch on it when not
+    x <= lo[i, j] and x <= hi[i, j] (a NaN bound is no bound); value[i] is
+    the leaf value times its tree's weight over the divisor of the
+    model's terms(). Also returns the base value, sum(value * prod(zero))
+    plus the constant over the divisor.
+
+    The paths of all trees are followed together, one tree level at a
+    time. An open path holds as many (feature, zero, lo, hi) slots as a
+    path can have unique features, in the order its features first split;
+    an unused slot holds (-1, 1, NaN, NaN). A split updates the slot of
+    its feature, or else fills the first unused one, by one rule: zero
+    times the child's cover over the node's, lo raised to the threshold on
+    the right branch, hi lowered to it on the left. A leaf's place in walk
+    order is the number of leaves in the subtrees walked before it."""
+    flat, (weights, constant, divisor) = _checked(model)
+    left, right, cover = flat.left, flat.right, flat.cover
+    leaf = left == np.arange(left.size)  # a leaf points to itself
+    width = min(flat.depth, len(model.feature_names))
+    nodes = flat.roots
+    paths = np.empty((len(nodes), 4, width))  # (path, field, slot)
+    paths[:] = np.array([-1.0, 1.0, math.nan, math.nan])[:, None]
+    ends, levels = [], []  # (leaves, their paths) and the splits, by level
+    while True:
+        done = leaf[nodes]
+        ends.append((nodes[done], paths[done]))
+        split, paths = nodes[~done], paths[~done]
+        if not split.size:
+            break
+        levels.append(split)
+        f, t = flat.feature[split], flat.threshold[split]
+        on = paths[:, 0]  # the features on each path, -1 past the last
+        col = ((on == f[:, None]) | (on < 0)).argmax(axis=1)
+        rows = np.arange(len(split))
+        _, z, lo, hi = paths[rows, :, col].T
+        # the left children, then the right ones, each with a copy of its
+        # parent's path and the split's slot updated
+        nodes = np.concatenate((left[split], right[split]))
+        paths = np.concatenate((paths, paths))
+        c = cover[split]
+        slots = np.column_stack(
+            (
+                np.concatenate((f, f)),
+                np.concatenate((z, z)) * cover[nodes] / np.concatenate((c, c)),
+                np.concatenate((lo, np.fmax(lo, t))),
+                np.concatenate((np.fmin(hi, t), hi)),
+            )
+        )
+        paths[np.concatenate((rows, rows + len(rows))), :, np.concatenate((col, col))] = slots
+    count = np.ones(left.size, dtype=np.intp)  # leaves under each node
+    for split in reversed(levels):
+        count[split] = count[left[split]] + count[right[split]]
+    place = np.empty_like(count)  # the walk-order place of a node's first leaf
+    place[flat.roots] = np.cumsum(count[flat.roots]) - count[flat.roots]
+    for split in levels:
+        place[left[split]] = place[split]
+        place[right[split]] = place[split] + count[left[split]]
+    n_leaves = int(count[flat.roots].sum())
+    node, path = np.empty(n_leaves, dtype=np.intp), np.empty((n_leaves, 4, width))
+    for ids, held in ends:
+        node[place[ids]] = ids
+        path[place[ids]] = held
+    value = flat.value[node] * (weights / divisor)[flat.tree[node]]
+    product = np.ones(n_leaves)  # of the zero fractions in slot order; an unused one is 1
+    for j in range(width):
+        product *= path[:, 1, j]
+    p = (path[:, 0] >= 0).sum(axis=1)
     groups = []
-    for p, leaves in sorted(by_p.items()):
-        if p:
-            slots = np.array([list(path.values()) for path, _ in leaves])
-            feature = np.array([list(path) for path, _ in leaves], dtype=np.intp)
-            value = np.array([v for _, v in leaves])
-            groups.append((feature, *np.moveaxis(slots, 2, 0), value))
-    return groups, math.fsum(empty) + constant / divisor
+    for q in range(1, width + 1):
+        rows = np.flatnonzero(p == q)
+        if rows.size:
+            feature, zero, lo, hi = np.moveaxis(path[rows, :, :q], 1, 0)
+            groups.append((feature.astype(np.intp), zero, lo, hi, value[rows]))
+    return groups, math.fsum((value * product).tolist()) + constant / divisor
 
 
 def _subset_weights(one, zero, drop, weights):
@@ -494,17 +538,25 @@ def _pearson_pair(a, b):
 
 
 def _average_ranks(a):
-    """1-based ranks of a 1-D array, each run of ties given the mean of
-    the positions it spans (scipy.stats.rankdata's 'average'). The ranks
+    """1-based ranks of a 1-D array, or of each column of a 2-D one, each
+    run of ties given the mean of the positions it spans
+    (scipy.stats.rankdata's 'average'). All columns are ranked by one
+    stable sort, and each column of the result is contiguous. The ranks
     are half-integers, so they are exact."""
     a = np.asarray(a)
-    order = np.argsort(a, kind="mergesort")
-    ordered = a[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], a.size]
-    ranks = np.empty(a.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+    cols = a.reshape(len(a), -1).T  # a row per column of `a`
+    n = cols.shape[1]
+    order = np.argsort(cols, axis=1, kind="stable")
+    ordered = np.take_along_axis(cols, order, axis=1)
+    fresh = np.ones(cols.shape, dtype=bool)  # a run of ties starts here
+    fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(fresh)  # each row's runs, row after row
+    ends = np.r_[starts[1:], fresh.size]
+    offset = starts - starts % n  # where the run's row starts
+    mean = (starts - offset + 1 + ends - offset) / 2.0
+    ranks = np.empty(cols.shape)
+    np.put_along_axis(ranks, order, np.repeat(mean, ends - starts).reshape(cols.shape), axis=1)
+    return ranks.T.reshape(a.shape)
 
 
 def _minmax(a):
@@ -542,11 +594,13 @@ def baseline_correlations(table: WellTable) -> CorrelationReport:
     gap_max = max((float(g.max()) for g in present), default=0.0)
     rho = 0.5
 
+    x_ranks, y_ranks = _average_ranks(x), _average_ranks(y)
+    y_varies = np.std(y) != 0
     pearson, spearman, gra = values = [np.full(m, np.nan) for _ in CORRELATION_METHODS]
     for j, gap in enumerate(gaps):
         pearson[j] = _pearson_pair(x[:, j], y)
-        if not math.isnan(pearson[j]) and np.std(y) != 0:
-            spearman[j] = _pearson_pair(_average_ranks(x[:, j]), _average_ranks(y))
+        if not math.isnan(pearson[j]) and y_varies:
+            spearman[j] = _pearson_pair(x_ranks[:, j], y_ranks)
         if gap is not None:
             scale = rho * gap_max
             gra[j] = float(((gap_min + scale) / (gap + scale)).mean()) if gap_max else 1.0

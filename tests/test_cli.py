@@ -54,6 +54,14 @@ def base_config():
     }
 
 
+def csv_data(tmp_path):
+    """A data section that reads base_config's synthetic table from a
+    file, so that validation cannot bound its rows."""
+    path = tmp_path / "wells.csv"
+    write_csv(synthesize(5, n=30, noise_sd=0.05), path)
+    return {"csv": str(path)}
+
+
 def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -718,6 +726,17 @@ INVALID_CONFIGS = [
         ["explain.clusters: cannot form 4 clusters from 3 rows"],
         id="explain-clusters-beyond-max-rows",
     ),
+    # a synthetic table keeps at most data.rows rows
+    pytest.param(
+        with_seed(data={"rows": 20}, explain={"waterfalls": [25]}),
+        ["explain.waterfalls: waterfall row 25 outside the explained rows"],
+        id="explain-waterfalls-beyond-synthetic-rows",
+    ),
+    pytest.param(
+        with_seed(data={"rows": 20}, explain={"clusters": 21}),
+        ["explain.clusters: cannot form 21 clusters from 20 rows"],
+        id="explain-clusters-beyond-synthetic-rows",
+    ),
 ]
 
 
@@ -1306,7 +1325,9 @@ def test_out_env_var_is_honored_and_flag_wins(tmp_path, monkeypatch):
 def test_stage_failure_exits_2_and_keeps_partials(tmp_path, capsys):
     obj = base_config()
     # a row beyond the table, which only the run can see (validate refuses
-    # a row beyond max_rows, so the cap is dropped)
+    # a row beyond max_rows or a synthetic table's rows, so the cap is
+    # dropped and the table read from a file)
+    obj["data"] = csv_data(tmp_path)
     obj["explain"] = {"waterfalls": [9999]}
     obj["stack"] = {"enabled": True, "k": 3}
     path = write_config(tmp_path, obj)
@@ -1554,7 +1575,8 @@ def test_a_rerun_in_place_leaves_no_stale_file(tmp_path):
     shrunk = base_config()  # one kind, stacking off, no ICE
     shrunk["explain"]["waterfalls"] = [2]
     failing = copy.deepcopy(shrunk)  # explain fails before writing anything
-    failing["explain"] = {"waterfalls": [9999]}  # beyond the table, not max_rows
+    failing["data"] = csv_data(tmp_path)
+    failing["explain"] = {"waterfalls": [9999]}  # beyond the table read from the file
 
     def run(obj, out):
         return main(["run", "--config", write_config(tmp_path, obj), "--out", str(tmp_path / out)])
@@ -1578,6 +1600,7 @@ def test_a_failed_rerun_leaves_no_later_stage_marked_ok(tmp_path):
     """Retrained models make the later stages' old files stale, so a rerun
     that fails before those stages skips them and drops their files."""
     obj = base_config()
+    obj["data"] = csv_data(tmp_path)
     obj["ice"] = [{"factors": [{"name": "stimulated length", "steps": 3}], "sample": 2}]
     obj["optimize"] = {"methods": ["pso"], "wells": [0], "budget": 3}
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import welloop.data
 from welloop.data import (
     BUMP_TERMS,
     DEFAULT_SCHEMA,
@@ -145,6 +147,63 @@ def test_load_csv_rejects_infinite_cells_and_reads_nan_as_missing(tmp_path):
     ]
     assert np.array_equal(back.column("f0"), [1.0, np.nan, np.nan, 2.0], equal_nan=True)
     assert back.column("y").tolist() == [0.5, 0.4, 0.45, 0.25]
+
+
+def per_cell_rows(path, n_cells, picks):
+    """The rows and warnings of reading every picked cell with
+    _parse_cell, the way load_csv once read each row."""
+    rows, messages = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for i, raw in enumerate(list(csv.reader(fh))[1:]):
+            if len(raw) != n_cells:
+                messages.append(f"row {i} rejected: expected {n_cells} cells, got {len(raw)}")
+                continue
+            try:
+                rows.append([welloop.data._parse_cell(raw[c]) for c in picks])
+            except ValueError as exc:
+                messages.append(f"row {i} rejected: {exc}")
+    return np.array(rows, dtype=float), messages
+
+
+def test_load_csv_keeps_the_rows_values_and_warnings_of_a_per_cell_parse(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "y,f0,extra,f1\n"
+        "0.5, 1.5 ,x,\t-2\n"  # padded cells
+        "0.1,,x,3\n"  # an empty cell is missing
+        "nan,1,x,2\n"
+        "0.2,inf,x,1\n"
+        "0.3,1,x,1e309\n"
+        "0.4,1,x,2.5.1\n"
+        "0.6,1,x\n"  # one cell short
+        "0.7,1e308,x,1e308\n"  # finite cells whose sum overflows: kept
+        "-0.0,-1e308,x,1e308\n"
+        "0.8,1,x,NaN\n",
+        encoding="utf-8",
+    )
+    t = make_table({"f0": [0.0], "f1": [0.0], "y": [0.0]})
+    with pytest.warns(DataWarning) as record:
+        back = load_csv(path, t.specs)
+    want, messages = per_cell_rows(path, 4, [1, 3, 0])
+    assert [str(w.message) for w in record] == messages == [
+        "row 3 rejected: infinite numeric 'inf'",
+        "row 4 rejected: infinite numeric '1e309'",
+        "row 5 rejected: unparseable numeric '2.5.1'",
+        "row 6 rejected: expected 4 cells, got 3",
+    ]
+    assert back.values.tobytes() == want.tobytes()
+    assert np.array_equal(
+        back.values,
+        [
+            [1.5, -2.0, 0.5],
+            [np.nan, 3.0, 0.1],
+            [1.0, 2.0, np.nan],
+            [1e308, 1e308, 0.7],
+            [-1e308, 1e308, -0.0],
+            [1.0, np.nan, 0.8],
+        ],
+        equal_nan=True,
+    )
 
 
 def test_load_csv_requires_all_named_columns(tmp_path):

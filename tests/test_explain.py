@@ -43,6 +43,7 @@ from welloop.explain import (
 )
 from welloop.stack import fit_stacked
 from welloop.trees import (
+    FIT_FUNCTIONS,
     HyperParams,
     TreeEnsemble,
     TreeNode,
@@ -486,6 +487,93 @@ def test_stacked_interactions_are_symmetric_and_sum_to_attributions(small_stacke
     assert np.allclose(tensor.values.sum(axis=2), attr.values, rtol=0, atol=1e-9)
 
 
+# --- the level walk against a node-by-node walk ------------------------------------
+
+
+def per_node_decompose(model):
+    """_decompose's groups and base by a node-by-node walk: an explicit
+    stack, left child first, carrying one {feature: (zero, lo, hi)} dict
+    per open path, each leaf's path filed under its feature count."""
+    feature, threshold, left, right, value, cover, roots = welloop.explain._nodes(model)
+    weights, constant, divisor = model.terms()
+    by_p = {}
+    empty = []
+    for root, weight in zip(roots, weights / divisor):
+        stack = [(root, {})]
+        while stack:
+            i, path = stack.pop()
+            if left[i] == i:
+                leaf = value[i] * weight
+                empty.append(leaf * math.prod(z for z, _, _ in path.values()))
+                by_p.setdefault(len(path), []).append((path, leaf))
+                continue
+            f, t = feature[i], threshold[i]
+            z, lo, hi = path.get(f, (1.0, math.nan, math.nan))
+            right_path = dict(path)
+            right_lo = t if math.isnan(lo) else max(lo, t)
+            right_path[f] = (z * cover[right[i]] / cover[i], right_lo, hi)
+            left_hi = t if math.isnan(hi) else min(hi, t)
+            path[f] = (z * cover[left[i]] / cover[i], lo, left_hi)
+            stack += ((right[i], right_path), (left[i], path))
+    groups = []
+    for p, leaves in sorted(by_p.items()):
+        if p:
+            slots = np.array([list(path.values()) for path, _ in leaves])
+            feature = np.array([list(path) for path, _ in leaves], dtype=np.intp)
+            value = np.array([v for _, v in leaves])
+            groups.append((feature, *np.moveaxis(slots, 2, 0), value))
+    return groups, math.fsum(empty) + constant / divisor
+
+
+def assert_decomposed_as_node_by_node(model):
+    groups, base = welloop.explain._decompose(model)
+    want_groups, want_base = per_node_decompose(model)
+    assert np.float64(base).tobytes() == np.float64(want_base).tobytes()
+    assert len(groups) == len(want_groups)
+    for got, want in zip(groups, want_groups):
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+
+@given(drawn_case())
+@settings(max_examples=100, deadline=None)
+def test_level_walk_decomposes_drawn_forests_as_the_node_walk(case):
+    # single-leaf trees, features repeated on a path, all three kinds
+    assert_decomposed_as_node_by_node(case[0])
+
+
+@pytest.mark.parametrize("kind", ["RF", "GBDT", "XGB"])
+def test_level_walk_decomposes_fitted_forests_as_the_node_walk(kind, rng):
+    x = rng.normal(size=(60, 5))
+    y = x[:, 0] * x[:, 1] + np.abs(x[:, 2]) + 0.1 * rng.normal(size=60)
+    for depth, leaf_rows, fraction in itertools.product((1, 3, 6), (1, 3), (0.6, 1.0)):
+        hp = HyperParams(
+            n_trees=4,
+            max_depth=depth,
+            min_samples_leaf=leaf_rows,
+            feature_fraction=fraction,
+            learning_rate=0.3,
+            seed=depth,
+        )
+        assert_decomposed_as_node_by_node(FIT_FUNCTIONS[kind](x, y, hp))
+
+
+def test_level_walk_decomposes_edge_models_as_the_node_walk(small_stacked):
+    leaf = TreeNode(cover=3, value=2.5)  # a tree of depth 0
+    for model in (
+        TreeEnsemble("RF", (leaf,), 0.0, 1.0, ("a", "b")),
+        TreeEnsemble("XGB", (leaf, hand_tree()), 0.25, 0.5, ("a", "b")),
+        TreeEnsemble("GBDT", (), 1.5, 0.1, ("a", "b")),
+        TreeEnsemble("GBDT", (chain_tree(300),), 0.5, 0.1, ("a",)),
+        small_stacked[0],
+    ):
+        assert_decomposed_as_node_by_node(model)
+    bad = TreeNode(cover=2, feature=0, threshold=0.0, left=TreeNode(cover=0, value=1.0), right=leaf)
+    with pytest.raises(ModelIntegrityError):
+        welloop.explain._decompose(TreeEnsemble("RF", (bad,), 0.0, 1.0, ("a",)))
+
+
 # --- pinned attribution bits ----------------------------------------------------------
 
 
@@ -708,6 +796,13 @@ def test_average_ranks_are_scipys_bit_for_bit(rng):
         got = welloop.explain._average_ranks(a)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # the columns of a 2-D array, ranked together: ties and a constant column
+    table = np.column_stack([cases[0][:20], cases[1][:20], np.full(20, 4.0), cases[1][10:30]])
+    got = welloop.explain._average_ranks(table)
+    assert got.shape == table.shape
+    for j in range(table.shape[1]):
+        assert got[:, j].flags.c_contiguous
+        assert np.array_equal(got[:, j], rankdata(table[:, j]))
 
 
 def test_spearman_with_ties_matches_scipy(rng):
